@@ -1,7 +1,7 @@
 """Age- and space-structured epidemic solver with damped-wave relaxation."""
 
-from .birth import BirthLaws, BirthValues, make_compatible, nonlinear_birth_term, solve_birth_step
-from .char_solver import CharState, StepContext, propagate_characteristic, step
+from .birth import BirthLaws, BirthValues, make_compatible, solve_birth_step
+from .char_solver import CharState, StepContext, step
 from .fields import NormReport, StateField, diff_norms, norm_H, norm_V
 from .mesh import Mesh, build_mesh, characteristic_cells, characteristic_ids
 from .operators import (
@@ -11,14 +11,20 @@ from .operators import (
     attach_tilde,
     delta_lambda_apply,
     g_op,
-    lambda_at_zero,
     lambda_op,
     laplacian_neumann,
 )
-from .parabolic_model import derived_initial_slope, run_parabolic
-from .relaxed_model import ModelSpec, Run, SolverConfig, residual_check, run_relaxed
+from .parabolic_model import run_parabolic
+from .relaxed_model import (
+    ModelSpec,
+    Run,
+    SolverConfig,
+    derived_initial_slope,
+    residual_check,
+    run_relaxed,
+)
 from .study import SweepResult, compatibility_setup, front_tracker, tau_sweep
-from .svir import SvirParams, build_svir, newborn_routing
+from .svir import SvirParams, build_svir
 
 __all__ = [
     "BirthLaws",
@@ -47,15 +53,11 @@ __all__ = [
     "diff_norms",
     "front_tracker",
     "g_op",
-    "lambda_at_zero",
     "lambda_op",
     "laplacian_neumann",
     "make_compatible",
-    "newborn_routing",
-    "nonlinear_birth_term",
     "norm_H",
     "norm_V",
-    "propagate_characteristic",
     "residual_check",
     "run_parabolic",
     "run_relaxed",

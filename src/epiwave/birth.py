@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fields import StateField, space_gradient
 from .mesh import Mesh, age_weights
-from .operators import LinearPart, g_op
+from .operators import LinearPart
 
 _SIGMA_FLOOR = 1e-14
 
@@ -57,13 +57,21 @@ class BirthValues:
     B1: Optional[np.ndarray] = None
 
 
-def zero_laws(n: int, m: Mesh) -> BirthLaws:
+def zero_laws(
+    n: int,
+    m: Mesh,
+    g0: Optional[np.ndarray] = None,
+    g1: Optional[np.ndarray] = None,
+) -> BirthLaws:
+    """Laws with all coefficient tables zero: births are g0 / g1 alone."""
     shape = (m.na + 1, m.nx, n, n)
     return BirthLaws(
         beta0=np.zeros(shape),
         beta1=np.zeros(shape),
         betaL=np.zeros(shape),
         beta_grad=np.zeros(shape),
+        g0=g0,
+        g1=g1,
     )
 
 
@@ -167,13 +175,3 @@ def solve_birth_step(
     B1 = _solve_per_node(eye[None] - w0 * laws.beta1[0], known1)
     return BirthValues(B0=B0, B1=B1)
 
-
-def nonlinear_birth_term(
-    k,
-    laws: BirthLaws,
-    y_slice: StateField,
-    g0_now: Optional[np.ndarray],
-    m: Mesh,
-) -> np.ndarray:
-    """G contribution to the newborn slope, evaluated at the slice itself."""
-    return g_op(k, laws.beta0, laws.beta1, y_slice, y_slice, g0_now, m)

@@ -14,12 +14,12 @@ consistent slope sigma Lap v_new + f - L v_new.
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .errors import LengthMismatch, NonFinite, SingularSystem
+from .errors import NonFinite, SingularSystem
 from .mesh import Mesh
 from .operators import laplacian_neumann, neumann_matrix
 
@@ -36,8 +36,7 @@ class CharState:
 class StepContext:
     """Coefficients frozen at the target age of one step.
 
-    L_here / L_a_here are (nx, n, n), sigma_here is (n,), f_here an
-    optional (n, nx) forcing used when step() gets no explicit f.  The
+    L_here / L_a_here are (nx, n, n) and sigma_here is (n,).  The
     implicit matrix is factorized on first use and cached, so the
     coefficient tables must not change afterwards.
     """
@@ -47,7 +46,6 @@ class StepContext:
     L_here: np.ndarray
     L_a_here: np.ndarray
     sigma_here: np.ndarray
-    f_here: Optional[np.ndarray] = None
     _lu: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
@@ -87,16 +85,14 @@ def step(
     m: Mesh,
     f: Optional[np.ndarray] = None,
 ) -> CharState:
-    """Advance one h-step of size da.
+    """Advance one h-step of size da with the optional (n, nx) forcing f.
 
-    f overrides ctx.f_here (keeping contexts immutable lets distinct
-    characteristics share them).  Raises SingularSystem for a singular
-    implicit matrix and NonFinite when NaN/inf appear.
+    Contexts hold no forcing, so distinct characteristics share them.
+    Raises SingularSystem for a singular implicit matrix and NonFinite
+    when NaN/inf appear.
     """
     n, nx = state.v.shape
     da = m.da
-    if f is None:
-        f = ctx.f_here
     lu = _factorize(ctx, m)
     with np.errstate(invalid="ignore", over="ignore"):  # NonFinite raised below
         lapv = laplacian_neumann(state.v, m)
@@ -113,27 +109,3 @@ def step(
         raise NonFinite(f"non-finite state after step at a_index={ctx.a_index}")
     return CharState(v_new, w_new)
 
-
-def propagate_characteristic(
-    init_v: np.ndarray,
-    init_w: np.ndarray,
-    forcing: Sequence[Optional[np.ndarray]],
-    ctxs: Sequence[StepContext],
-    m: Mesh,
-) -> List[CharState]:
-    """Full trajectory along one characteristic.
-
-    forcing and ctxs carry one entry per advance (one fewer than the
-    characteristic's cell count); the returned series includes the
-    initial state.  The scheme is linear in (init_v, init_w, forcing),
-    so the propagators taking initial value / initial slope / forcing
-    to the state are recovered by zeroing the other two inputs.
-    """
-    if len(forcing) != len(ctxs):
-        raise LengthMismatch(
-            f"{len(forcing)} forcing entries vs {len(ctxs)} contexts"
-        )
-    out = [CharState(np.array(init_v, dtype=float), np.array(init_w, dtype=float))]
-    for fk, ctx in zip(forcing, ctxs):
-        out.append(step(out[-1], ctx, m, f=fk))
-    return out

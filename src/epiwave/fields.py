@@ -45,13 +45,6 @@ class StateField:
             raise ShapeMismatch(f"slope shape {self.slope.shape} != {want}")
 
 
-def state_zeros(n: int, m: Mesh, with_slope: bool = True) -> StateField:
-    shape = (n, m.na + 1, m.nx)
-    return StateField(
-        np.zeros(shape), np.zeros(shape) if with_slope else None
-    )
-
-
 @dataclass
 class NormReport:
     """Norm summary of a run difference.
@@ -112,7 +105,8 @@ def diff_norms(
 
     Both runs must hold the same number of slices with equal shapes and
     populated slopes.  Time integrals use trapezoid weights over the
-    stored slices, assuming uniform spacing.
+    stored times of run_a, its time indices times dt; a plain list of
+    slices counts as consecutive steps.
     """
     if len(run_a) != len(run_b):
         raise LengthMismatch(f"runs of length {len(run_a)} vs {len(run_b)}")
@@ -135,13 +129,12 @@ def diff_norms(
         h_sq.append(nh * nh)
         if sa.slope is not None and sb.slope is not None:
             sup_h = max(sup_h, norm_H(sa.slope - sb.slope, m))
-    # Uniform trapezoid in time over the stored span.
-    k = len(run_a)
-    if k > 1:
-        wt = np.full(k, m.t_max / (k - 1))
-        wt[0] = wt[-1] = 0.5 * wt[0]
-    else:
-        wt = np.array([1.0])
+    # Trapezoid in time; integer index gaps keep uniform weights exact.
+    gaps = np.diff(getattr(run_a, "indices", range(len(run_a))))
+    wt = np.zeros(len(run_a))
+    wt[:-1] += 0.5 * gaps
+    wt[1:] += 0.5 * gaps
+    wt *= m.dt
     return NormReport(
         l2_H=float(np.sqrt(np.dot(wt, h_sq))),
         h1_V=float(np.sqrt(np.dot(wt, v_sq))),

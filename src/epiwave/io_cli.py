@@ -4,14 +4,13 @@ Configs are strict-schema JSON (unknown keys rejected); results are CSV
 with 17-significant-digit decimals, which round-trip float64 exactly.
 The CLI exposes run / sweep / compare / validate; exit code 2 flags a
 configuration problem, 1 a solver failure, 0 success.
-
-Set EPIWAVE_THREADS to run the independent sweep members in parallel.
 """
 
 import argparse
 import dataclasses
 import json
 import sys
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import List, Optional
@@ -19,8 +18,15 @@ from typing import List, Optional
 import numpy as np
 
 from . import study
-from .birth import BirthLaws
-from .errors import ConfigError, EpiwaveError, IoError
+from .birth import zero_laws
+from .errors import (
+    ConfigError,
+    EpiwaveError,
+    InvalidParam,
+    InvalidSize,
+    IoError,
+    NonCommensurate,
+)
 from .fields import age_integral, diff_norms
 from .mesh import Mesh, build_mesh
 from .operators import KernelSet, LinearPart
@@ -75,7 +81,6 @@ class StudyBlock:
 @dataclass
 class OutputBlock:
     directory: str = "out"
-    formats: List[str] = field(default_factory=lambda: ["csv"])
 
 
 @dataclass
@@ -95,15 +100,33 @@ _SVIR_SCALARS = (
     "gamma",
     "total_S0",
     "I0",
-    "alpha",
 )
 
 
-def _fill(cls, data: dict, where: str):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(data) - names
+def _fits(value, kind) -> bool:
+    """Whether a JSON value matches a config field's annotated type."""
+    if typing.get_origin(kind) is typing.Union:
+        return any(_fits(value, k) for k in typing.get_args(kind))
+    if typing.get_origin(kind) is list:
+        (item,) = typing.get_args(kind)
+        return isinstance(value, list) and all(_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
+
+
+def _fill(cls, data, where: str):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(kinds)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    for name, value in data.items():
+        if not _fits(value, kinds[name]):
+            raise ConfigError(f"{where}.{name} has the wrong type: {value!r}")
     return cls(**data)
 
 
@@ -124,6 +147,9 @@ def parse_config_dict(raw: dict) -> RunConfig:
         unknown = set(cfg.model.params) - set(_SVIR_SCALARS)
         if unknown:
             raise ConfigError(f"unknown model.params key(s) {sorted(unknown)}")
+        for name, value in cfg.model.params.items():
+            if not _fits(value, float):
+                raise ConfigError(f"model.params.{name} must be a number: {value!r}")
     elif cfg.model.kind == "tables":
         if not cfg.model.path:
             raise ConfigError("model.kind 'tables' needs model.path")
@@ -148,59 +174,103 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def svir_params_from(cfg: RunConfig, tau: float) -> SvirParams:
-    return SvirParams(tau=tau, **cfg.model.params)
+    params = SvirParams(tau=tau, **cfg.model.params)
+    try:
+        params.validate()
+    except InvalidParam as exc:
+        raise ConfigError(str(exc)) from None
+    return params
 
 
 def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
-    """Generic model loaded from an .npz of sampled tables."""
+    """Generic model loaded from an .npz of sampled tables.
+
+    L, sigma and y0 are required; every table present must have the
+    shape the mesh and the compartment count n = L.shape[-1] imply.
+    """
+    if tau < 0:
+        raise ConfigError(f"tau={tau} must be nonnegative")
     try:
         data = np.load(path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read model tables: {exc}") from None
-    Ltab = data["L"]
-    n = Ltab.shape[-1]
+    for key in ("L", "sigma", "y0"):
+        if key not in data:
+            raise ConfigError(f"model tables lack the required key {key!r}")
+    L = data["L"]
+    n = L.shape[-1] if L.ndim else 0
+    A, X, T = m.na + 1, m.nx, m.nt + 1
+    shapes = {
+        "L": (A, X, n, n),
+        "L_a": (A, X, n, n),
+        "sigma": (A, n),
+        "kernels": (n, n, n, A, X, A, X),
+        "g0": (T, n, X),
+        "g1": (T, n, X),
+        "y0": (n, A, X),
+        "y1": (n, A, X),
+        "f": (T, n, A, X),
+        **dict.fromkeys(("beta0", "beta1", "betaL", "beta_grad"), (A, X, n, n)),
+    }
+    tabs = {key: data[key] for key in shapes if key != "L" and key in data}
+    tabs["L"] = L
+    for key, tab in tabs.items():
+        if tab.shape != shapes[key]:
+            raise ConfigError(
+                f"model table {key!r} has shape {tab.shape}, expected {shapes[key]}"
+            )
     linear = LinearPart(
-        L=Ltab,
-        L_a=data["L_a"] if "L_a" in data else np.gradient(Ltab, m.da, axis=0, edge_order=2),
-        sigma=data["sigma"],
+        L=L,
+        L_a=tabs["L_a"] if "L_a" in tabs else np.gradient(L, m.da, axis=0, edge_order=2),
+        sigma=tabs["sigma"],
     )
     kernels = (
-        KernelSet.from_dense(data["kernels"]) if "kernels" in data else KernelSet.empty(n)
+        KernelSet.from_dense(tabs.pop("kernels")) if "kernels" in tabs else KernelSet.empty(n)
     )
-    zeros = np.zeros((m.na + 1, m.nx, n, n))
-    births = BirthLaws(
-        beta0=data["beta0"] if "beta0" in data else zeros.copy(),
-        beta1=data["beta1"] if "beta1" in data else zeros.copy(),
-        betaL=data["betaL"] if "betaL" in data else zeros.copy(),
-        beta_grad=data["beta_grad"] if "beta_grad" in data else zeros.copy(),
-        g0=data["g0"] if "g0" in data else None,
-        g1=data["g1"] if "g1" in data else None,
-    )
+    births = zero_laws(n, m, g0=tabs.get("g0"), g1=tabs.get("g1"))
+    for key in ("beta0", "beta1", "betaL", "beta_grad"):
+        if key in tabs:
+            setattr(births, key, tabs[key])
     return ModelSpec(
         n=n,
         linear=linear,
         kernels=kernels,
         births=births,
-        y0=data["y0"],
-        y1=data["y1"] if "y1" in data else None,
-        f=data["f"] if "f" in data else None,
+        y0=tabs["y0"],
+        y1=tabs.get("y1"),
+        f=tabs.get("f"),
         tau=tau,
     )
 
 
+def _mesh_and_solver(cfg: RunConfig):
+    """Mesh and solver settings of a config; bad values are ConfigErrors."""
+    try:
+        m = build_mesh(cfg.mesh.t_max, cfg.mesh.a_max, cfg.mesh.na, cfg.mesh.nx)
+        solver = SolverConfig(
+            picard_tol=cfg.solver.picard_tol,
+            picard_max=cfg.solver.picard_max,
+            store_every=cfg.solver.store_every,
+        )
+        solver.validate()
+    except (InvalidSize, NonCommensurate, InvalidParam) as exc:
+        raise ConfigError(str(exc)) from None
+    return m, solver
+
+
 def build_problem(cfg: RunConfig, tau: Optional[float] = None):
-    """Mesh, spec and solver settings realized from a parsed config."""
-    m = build_mesh(cfg.mesh.t_max, cfg.mesh.a_max, cfg.mesh.na, cfg.mesh.nx)
+    """Mesh, spec and solver settings realized from a parsed config.
+
+    Every error in the configuration or the model tables it names is
+    raised as a ConfigError; non-finite table values surface at solve
+    time as a solver error.
+    """
+    m, solver = _mesh_and_solver(cfg)
     t = cfg.solver.tau if tau is None else tau
     if cfg.model.kind == "svir":
         spec = build_svir(svir_params_from(cfg, t), m)
     else:
         spec = _spec_from_tables(cfg.model.path, m, t)
-    solver = SolverConfig(
-        picard_tol=cfg.solver.picard_tol,
-        picard_max=cfg.solver.picard_max,
-        store_every=cfg.solver.store_every,
-    )
     return m, spec, solver
 
 
@@ -280,15 +350,6 @@ def write_slices(
     return written
 
 
-def load_slice(path) -> np.ndarray:
-    """Read back a slice CSV as a plain float array (rows x columns)."""
-    with open(path) as fh:
-        next(fh)
-        return np.array(
-            [[float(tok) for tok in line.split(",")] for line in fh if line.strip()]
-        )
-
-
 def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
     out = Path(out_dir)
     try:
@@ -346,155 +407,33 @@ def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
 
 def validation_cases() -> List[tuple]:
     """(name, passed, measured, bound) for each built-in oracle check."""
-    from .reference import (
-        damped_mode_solution,
-        heat_mode_decay,
-        renewal_reference,
-    )
+    from . import reference  # scipy.integrate loads only when validating
 
     cases = []
 
-    def eigenmode_setup(m, tau, g0=None, g1=None, y1=None):
-        A, X = m.na + 1, m.nx
-        sig = 0.1
-        linear = LinearPart(
-            L=np.zeros((A, X, 1, 1)),
-            L_a=np.zeros((A, X, 1, 1)),
-            sigma=np.full((A, 1), sig),
-        )
-        shape = (A, X, 1, 1)
-        births = BirthLaws(
-            beta0=np.zeros(shape),
-            beta1=np.zeros(shape),
-            betaL=np.zeros(shape),
-            beta_grad=np.zeros(shape),
-            g0=g0,
-            g1=g1,
-        )
-        mode = np.cos(np.pi * m.xs())
-        y0 = np.broadcast_to(mode, (1, A, X)).copy()
-        return (
-            ModelSpec(
-                n=1,
-                linear=linear,
-                kernels=KernelSet.empty(1),
-                births=births,
-                y0=y0,
-                y1=y1,
-                tau=tau,
-            ),
-            sig,
-            mode,
-        )
+    def case(name, err, ok=True):
+        cases.append((name, err < 0.05 and ok, err, 0.05))
 
-    # Heat mode: parabolic solver against exp(-sigma pi^2 t).
     m = build_mesh(0.5, 1.0, 40, 41)
-    times = m.times()
-    mode1 = np.cos(np.pi * m.xs())
-    sig = 0.1
-    g0 = (heat_mode_decay(sig, times)[:, None] * mode1)[:, None, :]
-    spec, sig, mode = eigenmode_setup(m, 0.0, g0=g0)
+    spec, exact = reference.heat_eigenmode(m)
     run = run_parabolic(spec, SolverConfig(), m)
-    exact = heat_mode_decay(sig, 0.5)
-    err = float(np.max(np.abs(run[-1].values - exact * mode))) / exact
-    cases.append(("heat-eigenmode", err < 0.05, err, 0.05))
+    case("heat-eigenmode", reference.relative_error(run[-1].values, exact))
 
-    # Damped-wave mode against high-accuracy ODE integration.
-    tau = 0.1
-    q, qp = damped_mode_solution(tau, sig * np.pi**2, 0.5)
-    g0 = (q(times)[:, None] * mode1)[:, None, :]
-    g1 = (qp(times)[:, None] * mode1)[:, None, :]
-    spec, sig, mode = eigenmode_setup(m, tau, g0=g0, g1=g1)
+    spec, exact = reference.damped_eigenmode(m)
     run = run_relaxed(spec, SolverConfig(), m)
-    ref = float(q(0.5))
-    err = float(np.max(np.abs(run[-1].values - ref * mode))) / abs(ref)
-    cases.append(("damped-wave-eigenmode", err < 0.05, err, 0.05))
+    case("damped-wave-eigenmode", reference.relative_error(run[-1].values, exact))
 
-    # Age-only renewal against fine-grid integral marching.
-    mu = 0.3
-    beta_fn = lambda a: 1.2 + 0.0 * np.asarray(a)
-    y0_fn = lambda a: 1.0 + 0.5 * np.cos(np.pi * np.asarray(a))
     mr = build_mesh(1.0, 1.0, 40, 3)
-    A, X = mr.na + 1, mr.nx
-    linear = LinearPart(
-        L=np.broadcast_to(mu * np.eye(1), (A, X, 1, 1)).copy(),
-        L_a=np.zeros((A, X, 1, 1)),
-        sigma=np.zeros((A, 1)),
-    )
-    shape = (A, X, 1, 1)
-    births = BirthLaws(
-        beta0=np.broadcast_to(beta_fn(mr.ages())[:, None, None, None], shape).copy(),
-        beta1=np.zeros(shape),
-        betaL=np.zeros(shape),
-        beta_grad=np.zeros(shape),
-    )
-    spec = ModelSpec(
-        n=1,
-        linear=linear,
-        kernels=KernelSet.empty(1),
-        births=births,
-        y0=np.broadcast_to(y0_fn(mr.ages())[None, :, None], (1, A, X)).copy(),
-    )
+    spec, total_ref = reference.renewal(mr)
     run = run_parabolic(spec, SolverConfig(), mr)
-    b_series = np.array([sl.values[0, 0, 0] for sl in run])
-    tw = np.full(len(b_series), mr.dt)
-    tw[0] = tw[-1] = 0.5 * mr.dt
-    total = float(np.dot(tw, b_series))
-    _, _, total_ref = renewal_reference(beta_fn, mu, y0_fn, 1.0, 1.0)
-    err = abs(total - total_ref) / abs(total_ref)
-    cases.append(("renewal", err < 0.05, err, 0.05))
+    total = reference.total_births(run, mr)
+    case("renewal", abs(total - total_ref) / abs(total_ref))
 
-    # Manufactured solution for the relaxed equation.
     mm = build_mesh(0.5, 1.0, 20, 21)
-    tau = 0.05
-    sig = 0.1
-    A, X = mm.na + 1, mm.nx
-    ages = mm.ages()[None, :, None]
-    xsm = np.cos(np.pi * mm.xs())[None, None, :]
-    tt = mm.times()
-
-    def exact_field(t):
-        return np.exp(-t) * (1.0 + ages) * xsm
-
-    f = np.stack(
-        [
-            np.exp(-t)
-            * xsm
-            * (tau * (ages - 1.0) - ages + sig * np.pi**2 * (1.0 + ages))
-            for t in tt
-        ]
-    )
-    g0 = np.stack([np.exp(-t) * xsm[:, 0, :] for t in tt])
-    g1 = np.zeros_like(g0)
-    linear = LinearPart(
-        L=np.zeros((A, X, 1, 1)),
-        L_a=np.zeros((A, X, 1, 1)),
-        sigma=np.full((A, 1), sig),
-    )
-    shape = (A, X, 1, 1)
-    births = BirthLaws(
-        beta0=np.zeros(shape),
-        beta1=np.zeros(shape),
-        betaL=np.zeros(shape),
-        beta_grad=np.zeros(shape),
-        g0=g0,
-        g1=g1,
-    )
-    spec = ModelSpec(
-        n=1,
-        linear=linear,
-        kernels=KernelSet.empty(1),
-        births=births,
-        y0=exact_field(0.0),
-        y1=-ages * xsm * np.ones_like(ages),
-        f=f,
-        tau=tau,
-    )
+    spec, exact = reference.manufactured(mm)
     run = run_relaxed(spec, SolverConfig(), mm)
-    err = float(np.max(np.abs(run[-1].values - exact_field(0.5))))
-    res = residual_check(run, spec, mm)
-    ok = err < 0.05 and np.isfinite(res)
-    cases.append(("manufactured-solution", ok, err, 0.05))
+    err = float(np.max(np.abs(run[-1].values - exact)))
+    case("manufactured-solution", err, np.isfinite(residual_check(run, spec, mm)))
     return cases
 
 
@@ -580,17 +519,15 @@ def cli_main(argv=None) -> int:
         # sweep
         if cfg.model.kind != "svir":
             raise ConfigError("sweep requires an svir model")
-        m = build_mesh(cfg.mesh.t_max, cfg.mesh.a_max, cfg.mesh.na, cfg.mesh.nx)
-        solver = SolverConfig(
-            picard_tol=cfg.solver.picard_tol,
-            picard_max=cfg.solver.picard_max,
-            store_every=cfg.solver.store_every,
-        )
-        taus = (
-            [float(tok) for tok in args.taus.split(",")]
-            if args.taus
-            else list(cfg.study.taus)
-        )
+        m, solver = _mesh_and_solver(cfg)
+        try:
+            taus = (
+                [float(tok) for tok in args.taus.split(",")]
+                if args.taus
+                else list(cfg.study.taus)
+            )
+        except ValueError as exc:
+            raise ConfigError(f"--taus: {exc}") from None
         params = svir_params_from(cfg, 0.0)
         q1 = args.q1 if args.q1 is not None else cfg.study.q1
         q2 = args.q2 if args.q2 is not None else cfg.study.q2

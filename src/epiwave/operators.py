@@ -129,39 +129,23 @@ class KernelSet:
             out[t.h, t.i, t.j] += t.weight * t.table
         return out
 
-    def max_age_row_magnitude(self) -> float:
-        """Largest |k| at alpha = a_max (zero under the no-eldest-
-        infectivity assumption; the bundled SVIR kernel violates it)."""
-        worst = 0.0
-        for t in self.terms:
-            worst = max(worst, float(np.max(np.abs(t.weight * t.table[:, :, -1, :]))))
-        return worst
-
 
 def _is_age_flat(tab: np.ndarray) -> bool:
     # Broadcast views of an (x, xi) kernel have zero stride on age axes.
     return tab.strides[0] == 0 and tab.strides[2] == 0
 
 
-def attach_tilde(
-    k: KernelSet,
-    beta0: np.ndarray,
-    m: Mesh,
-    analytic_da: Optional[dict] = None,
-) -> KernelSet:
+def attach_tilde(k: KernelSet, beta0: np.ndarray, m: Mesh) -> KernelSet:
     """Precompute the tilde kernel terms for Lambda_1.
 
-    analytic_da may map id(table) -> (d/da + d/dalpha) table for kernels
-    with closed-form derivatives; otherwise centered differences are
-    used (exact zeros for age-independent tables).
+    The age derivative (d/da + d/dalpha) of each table uses centered
+    differences (exact zeros for age-independent tables).
     """
     tilde: List[KernelTerm] = []
     seen_deriv: dict = {}
     for t in k.terms:
         key = id(t.table)
-        if analytic_da and key in analytic_da:
-            dtab = analytic_da[key]
-        elif _is_age_flat(t.table):
+        if _is_age_flat(t.table):
             dtab = None  # derivative identically zero
         else:
             dtab = seen_deriv.get(key)
@@ -220,23 +204,6 @@ def lambda_one(k: KernelSet, w, m: Mesh) -> np.ndarray:
     """Lambda_1: same contraction through the tilde kernel terms."""
     wq = _weighted(w, m)
     return _contract(k.tilde_terms, wq, k.n)
-
-
-def lambda_at_zero(k: KernelSet, w, m: Mesh) -> np.ndarray:
-    """Lambda restricted to the a = 0 row, shape (n, n, nx)."""
-    wq = _weighted(w, m)
-    if wq.shape != (k.n, m.na + 1, m.nx):
-        raise ShapeMismatch(f"field shape {wq.shape} does not match kernels")
-    out = np.zeros((k.n, k.n, m.nx))
-    cache: dict = {}
-    for t in k.terms:
-        key = (id(t.table), t.j)
-        g = cache.get(key)
-        if g is None:
-            g = np.einsum("xbz,bz->x", t.table[0], wq[t.j])
-            cache[key] = g
-        out[t.h, t.i] += t.weight * g
-    return out
 
 
 def lambda_two(k: KernelSet, g0: Optional[np.ndarray], m: Mesh) -> np.ndarray:
@@ -314,26 +281,3 @@ def g_op(
         out -= np.einsum("hix,ix->hx", lam0, g0)
     return out
 
-
-def kernel_bound(k: KernelSet, m: Mesh) -> float:
-    """Discrete constant c(k) with |Lambda(v1) v2|_H <= c(k)|v1|_H |v2|_H.
-
-    Cauchy-Schwarz over the joint (j, alpha, xi) index gives
-    c(k)^2 = sum_h max_{a,x} sum_{i,j} |k^{hij}(a, x, .)|^2_quad.
-    """
-    wa = age_weights(m)
-    wx = space_weights(m)
-    per_hax = np.zeros((k.n, m.na + 1, m.nx))
-    dense_sq: dict = {}
-    for h in range(k.n):
-        for i in range(k.n):
-            for j in range(k.n):
-                acc = None
-                for t in k.terms:
-                    if (t.h, t.i, t.j) == (h, i, j):
-                        tt = t.weight * t.table
-                        acc = tt if acc is None else acc + tt
-                if acc is None:
-                    continue
-                per_hax[h] += np.einsum("axbz,b,z->ax", acc * acc, wa, wx)
-    return float(np.sqrt(np.sum(np.max(per_hax, axis=(1, 2)))))

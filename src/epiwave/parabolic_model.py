@@ -7,27 +7,10 @@ Committed slopes are the consistent transport derivatives
 sigma Lap y - (L + Lambda(y)) y + f, including the age-zero row.
 """
 
-import numpy as np
-
 from .mesh import Mesh
-from .operators import apply_matrix_field, lambda_op, laplacian_neumann
 from .relaxed_model import ModelSpec, Run, SolverConfig, _march
 
 
 def run_parabolic(spec: ModelSpec, cfg: SolverConfig, m: Mesh) -> Run:
     """Solve the parabolic system; spec.tau and spec.y1 are ignored."""
     return _march(spec, cfg, m, tau=0.0, first_order_births=False)
-
-
-def derived_initial_slope(spec: ModelSpec, m: Mesh) -> np.ndarray:
-    """Compatible initial slope sigma Lap y0 - (L + Lambda(y0)) y0.
-
-    Evaluated nodewise with the solver's own stencils; used to set up
-    relaxed runs whose first-order data match the parabolic solution.
-    """
-    y0 = spec.y0
-    out = spec.linear.sigma.T[:, :, None] * laplacian_neumann(y0, m)
-    out -= np.einsum("axhi,iax->hax", spec.linear.L, y0)
-    if spec.kernels.terms:
-        out -= apply_matrix_field(lambda_op(spec.kernels, y0, m), y0)
-    return out

@@ -16,6 +16,7 @@ import numpy as np
 from .birth import BirthLaws, solve_birth_step
 from .char_solver import CharState, StepContext, step
 from .errors import (
+    InvalidParam,
     LengthMismatch,
     NonFinite,
     PicardDiverged,
@@ -69,13 +70,6 @@ class ModelSpec:
         self.linear.check_shape(m)
         self.births.check_shape(m, self.n)
 
-    def slope_compatibility_gap(self, m: Mesh) -> float:
-        """Max deviation of y1 from sigma Lap y0 - (L + Lambda(y0)) y0."""
-        from .parabolic_model import derived_initial_slope
-
-        y1 = self.y1 if self.y1 is not None else np.zeros_like(self.y0)
-        return float(np.max(np.abs(y1 - derived_initial_slope(self, m))))
-
 
 @dataclass
 class SolverConfig:
@@ -87,7 +81,7 @@ class SolverConfig:
 
     def validate(self) -> None:
         if self.picard_tol <= 0 or self.picard_max < 1 or self.store_every < 1:
-            raise ShapeMismatch("invalid solver configuration")
+            raise InvalidParam("invalid solver configuration")
 
 
 class Run(Sequence):
@@ -113,6 +107,34 @@ def _x_norm(values: np.ndarray, slope: np.ndarray, tau: float, m: Mesh) -> float
     if tau > 0:
         r += np.sqrt(tau) * norm_H(slope, m)
     return r
+
+
+def consistent_slope(
+    lin: LinearPart, values: np.ndarray, forcing: np.ndarray, m: Mesh
+) -> np.ndarray:
+    """Parabolic transport derivative sigma Lap y - L y + forcing.
+
+    values and forcing are (n, r, nx) over the first r ages of the
+    tables; forcing carries f and, for nonlinear models, -Lambda(y) y.
+    """
+    r = values.shape[1]
+    out = lin.sigma[:r].T[:, :, None] * laplacian_neumann(values, m)
+    out -= np.einsum("axhi,iax->hax", lin.L[:r], values)
+    out += forcing
+    return out
+
+
+def derived_initial_slope(spec: ModelSpec, m: Mesh) -> np.ndarray:
+    """Compatible initial slope sigma Lap y0 - (L + Lambda(y0)) y0 + f(0).
+
+    The parabolic solver starts from it; relaxed runs given it as y1
+    have first-order data that match the parabolic solution.
+    """
+    y0 = np.array(spec.y0, dtype=float)
+    forcing = np.zeros_like(y0) if spec.f is None else spec.f[0].copy()
+    if spec.kernels.terms:
+        forcing -= apply_matrix_field(lambda_op(spec.kernels, y0, m), y0)
+    return consistent_slope(spec.linear, y0, forcing, m)
 
 
 def _g_at(series: Optional[np.ndarray], i: int) -> Optional[np.ndarray]:
@@ -143,13 +165,6 @@ def _march(
         for j in range(1, A)
     ]
 
-    def consistent_slope(values: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        lap = laplacian_neumann(values, m)
-        out = lin.sigma.T[:, :, None] * lap
-        out -= np.einsum("axhi,iax->hax", lin.L, values)
-        out += forcing
-        return out
-
     def nl_forcing(it: StateField, g0_now) -> np.ndarray:
         lam = lambda_op(k, it.values, m)
         out = apply_matrix_field(lam, it.values)
@@ -159,14 +174,10 @@ def _march(
 
     # Initial slice.
     y0 = np.array(spec.y0, dtype=float)
-    f0 = spec.f[0] if spec.f is not None else np.zeros((n, A, X))
     if first_order_births:
         s0 = np.array(spec.y1, dtype=float) if spec.y1 is not None else np.zeros_like(y0)
     else:
-        base = f0.copy()
-        if has_nl:
-            base -= apply_matrix_field(lambda_op(k, y0, m), y0)
-        s0 = consistent_slope(y0, base)
+        s0 = derived_initial_slope(spec, m)
     prev = StateField(y0, s0)
 
     slices = [prev.copy()]
@@ -219,11 +230,7 @@ def _march(
                     births, cand, g0_now, None, None, m, with_slope=False
                 )
                 vals[:, 0] = bv.B0
-                slopes[:, 0] = (
-                    lin.sigma[0][:, None] * laplacian_neumann(bv.B0, m)
-                    - np.einsum("xhi,ix->hx", lin.L[0], bv.B0)
-                    + forcing[:, 0, :]
-                )
+                slopes[:, :1] = consistent_slope(lin, vals[:, :1], forcing[:, :1], m)
 
             err = _x_norm(
                 cand.values - iterate.values, cand.slope - iterate.slope, tau, m

@@ -10,8 +10,6 @@ differences keep shrinking linearly below that floor, so the fit falls
 back to all usable points when fewer than three remain flagged.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -22,8 +20,8 @@ from .errors import FitUnderdetermined, MissingBaseline
 from .fields import NormReport, age_integral, diff_norms
 from .mesh import Mesh, build_mesh
 from .operators import attach_tilde
-from .parabolic_model import derived_initial_slope, run_parabolic
-from .relaxed_model import ModelSpec, Run, SolverConfig, run_relaxed
+from .parabolic_model import run_parabolic
+from .relaxed_model import ModelSpec, Run, SolverConfig, derived_initial_slope, run_relaxed
 from .svir import I as I_COMP
 from .svir import SvirParams, build_svir
 
@@ -114,21 +112,12 @@ def refinement_floor(
     return rep.sup_abs, energy_diff(rep, 0.0)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("EPIWAVE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def tau_sweep(
     base: SvirParams,
     taus: Sequence[float],
     cfg: SolverConfig,
     m: Mesh,
     threshold: Optional[float] = None,
-    compute_floor: bool = True,
     spec_for_tau=None,
     baseline: Optional[Run] = None,
     floor: Optional[float] = None,
@@ -152,27 +141,17 @@ def tau_sweep(
     if spec_for_tau is None:
         spec_for_tau = lambda tau: build_svir(replace(base, tau=tau), m)
 
-    if floor is None and compute_floor:
+    if floor is None:
         floor, _ = refinement_floor(base, cfg, m)
 
     init_sup = float(np.max(age_integral(baseline[0].values, m)[I_COMP]))
     thr = threshold if threshold is not None else 1e-6 * init_sup
 
-    def one(tau: float):
+    reports, fronts = [], []
+    for tau in taus:
         run = run_relaxed(spec_for_tau(tau), cfg, m)
-        rep = diff_norms(run, baseline, m)
-        fronts = front_tracker(run, thr, m)
-        return rep, fronts
-
-    workers = _worker_count()
-    if workers > 1 and len(taus) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, taus))
-    else:
-        results = [one(t) for t in taus]
-
-    reports = [r for r, _ in results]
-    fronts = [f for _, f in results]
+        reports.append(diff_norms(run, baseline, m))
+        fronts.append(front_tracker(run, thr, m))
     sup_diffs = [r.sup_abs for r in reports]
     energies = [energy_diff(r, t) for r, t in zip(reports, taus)]
     rate, mask, window = fit_rate(taus, sup_diffs, floor)

@@ -8,7 +8,7 @@ compartment, with susceptibles, vaccinated (leakage phi1) and removed
 (reinfection phi2) as targets.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,11 +49,7 @@ def sigma_infective(a):
 
 @dataclass
 class SvirParams:
-    """Benchmark parameter set; scalar rates plus age/space profiles.
-
-    alpha is carried for completeness of the parameter record, but no
-    model equation consumes it.
-    """
+    """Benchmark parameter set; scalar rates plus age/space profiles."""
 
     c: float = 0.18564
     phi1: float = 0.0052
@@ -63,7 +59,6 @@ class SvirParams:
     total_S0: float = 1000.0
     I0: float = 10.0
     tau: float = 0.0
-    alpha: float = 500.0  # listed but unused
     mu: Callable = default_mortality
     mu_da: Optional[Callable] = default_mortality_da
     beta: Callable = default_fertility
@@ -116,7 +111,10 @@ def build_svir(p: SvirParams, m: Mesh, routing: str = "susceptible") -> ModelSpe
     Initial state: total_S0 susceptibles uniform over age and space, I0
     infectives uniform over age concentrated at the x = 1 boundary,
     initial slope zero, fertility applied at both birth orders
-    (beta1 = beta0 = beta) with newborns routed into S by default.
+    (beta1 = beta0 = beta).  routing picks the newborn target:
+    "susceptible" (default) sends births computed from the weighted
+    total population into S, "identity" makes each compartment birth
+    into itself, "none" disables births.
     """
     p.validate()
     A, X = m.na + 1, m.nx
@@ -187,30 +185,3 @@ def build_svir(p: SvirParams, m: Mesh, routing: str = "susceptible") -> ModelSpe
         tau=p.tau,
     )
 
-
-def newborn_routing(spec: ModelSpec, m: Mesh, mode: str = "susceptible") -> ModelSpec:
-    """Return a copy of an SVIR spec with the birth target switched.
-
-    "susceptible" (default) sends births computed from the weighted
-    total population into S; "identity" makes each compartment birth
-    into itself; "none" disables births.  The tilde kernels are rebuilt
-    because they depend on beta0.
-    """
-    route = _routing_matrix(mode)
-    # beta0 rows share one age profile; recover it from the table.
-    old = spec.births.beta0
-    profile = np.max(np.abs(old), axis=(1, 2, 3))
-    beta_tab = np.broadcast_to(
-        profile[:, None, None, None] * route[None, None, :, :], old.shape
-    ).copy()
-    births = BirthLaws(
-        beta0=beta_tab.copy(),
-        beta1=beta_tab.copy(),
-        betaL=np.zeros_like(beta_tab),
-        beta_grad=np.zeros_like(beta_tab),
-        g0=spec.births.g0,
-        g1=spec.births.g1,
-    )
-    kernels = KernelSet(n=spec.kernels.n, terms=list(spec.kernels.terms))
-    kernels = attach_tilde(kernels, births.beta0, m)
-    return replace(spec, births=births, kernels=kernels)

@@ -1,86 +1,31 @@
-"""Shared fixtures and problem builders for the test suite."""
+"""Shared fixtures and test-only reference helpers for the test suite."""
 
 import numpy as np
 import pytest
 
-from epiwave import (
-    BirthLaws,
-    KernelSet,
-    LinearPart,
-    ModelSpec,
-    SolverConfig,
-    build_mesh,
-    run_parabolic,
-)
-from epiwave.reference import heat_mode_decay
+from epiwave import SolverConfig, build_mesh, run_parabolic
+from epiwave.char_solver import CharState, step
+from epiwave.fields import StateField
 from epiwave.study import refinement_floor
 from epiwave.svir import SvirParams, build_svir
 
 
-def scalar_blank(m, sigma=0.1, mu=0.0):
-    """One-compartment LinearPart with constant coefficients."""
-    A, X = m.na + 1, m.nx
-    return LinearPart(
-        L=np.broadcast_to(mu * np.eye(1), (A, X, 1, 1)).copy(),
-        L_a=np.zeros((A, X, 1, 1)),
-        sigma=np.full((A, 1), sigma),
-    )
+def propagate_characteristic(init_v, init_w, forcing, ctxs, m):
+    """Trajectory along one characteristic, initial state included.
 
-
-def zero_birth_laws(m, n=1, g0=None, g1=None):
-    shape = (m.na + 1, m.nx, n, n)
-    return BirthLaws(
-        beta0=np.zeros(shape),
-        beta1=np.zeros(shape),
-        betaL=np.zeros(shape),
-        beta_grad=np.zeros(shape),
-        g0=g0,
-        g1=g1,
-    )
-
-
-def eigenmode_problem(m, tau, sigma=0.1, boundary="exact", qfun=None, qpfun=None):
-    """cos(pi x) Neumann mode problem with exact boundary feeds.
-
-    boundary="exact" feeds the analytic heat amplitude; otherwise qfun /
-    qpfun supply the amplitude and its derivative (damped-wave case).
+    forcing and ctxs carry one entry per advance.  The scheme is linear
+    in (init_v, init_w, forcing), so zeroing two of them isolates the
+    propagator of the third.
     """
-    A, X = m.na + 1, m.nx
-    mode = np.cos(np.pi * m.xs())
-    times = m.times()
-    if boundary == "exact":
-        amp = heat_mode_decay(sigma, times)
-        damp = None
-    else:
-        amp = qfun(times)
-        damp = qpfun(times)
-    g0 = (amp[:, None] * mode)[:, None, :]
-    g1 = None if damp is None else (damp[:, None] * mode)[:, None, :]
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m, sigma=sigma),
-        kernels=KernelSet.empty(1),
-        births=zero_birth_laws(m, g0=g0, g1=g1),
-        y0=np.broadcast_to(mode, (1, A, X)).copy(),
-        tau=tau,
-    )
-    return spec, mode
+    out = [CharState(np.array(init_v, dtype=float), np.array(init_w, dtype=float))]
+    for fk, ctx in zip(forcing, ctxs, strict=True):
+        out.append(step(out[-1], ctx, m, f=fk))
+    return out
 
 
-def renewal_problem(m, mu, beta_fn, y0_fn):
-    """Age-only single-compartment renewal configuration (sigma = 0)."""
-    A, X = m.na + 1, m.nx
-    laws = zero_birth_laws(m)
-    laws.beta0 = np.broadcast_to(
-        beta_fn(m.ages())[:, None, None, None], (A, X, 1, 1)
-    ).copy()
-    return ModelSpec(
-        n=1,
-        linear=scalar_blank(m, sigma=0.0, mu=mu),
-        kernels=KernelSet.empty(1),
-        births=laws,
-        y0=np.broadcast_to(y0_fn(m.ages())[None, :, None], (1, A, X)).copy(),
-    )
+def state_zeros(n, m):
+    shape = (n, m.na + 1, m.nx)
+    return StateField(np.zeros(shape), np.zeros(shape))
 
 
 @pytest.fixture(scope="session")

@@ -32,6 +32,7 @@ import pytest
 from epiwave import (
     SolverConfig,
     build_mesh,
+    derived_initial_slope,
     diff_norms,
     run_parabolic,
     run_relaxed,
@@ -41,17 +42,16 @@ from epiwave.fields import age_integral
 from epiwave.io_cli import RunConfig, parse_config_dict, serialize_config
 from epiwave.mesh import characteristic_cells, characteristic_ids, space_weights
 from epiwave.operators import attach_tilde, lambda_op, neumann_matrix
-from epiwave.parabolic_model import derived_initial_slope
 from epiwave.reference import (
-    damped_mode_solution,
-    heat_mode_decay,
-    renewal_reference,
+    damped_eigenmode,
+    heat_eigenmode,
+    relative_error,
+    renewal,
+    total_births,
 )
 from epiwave.study import energy_diff, fit_rate, tau_sweep
 from epiwave.svir import I as I_COMP
 from epiwave.svir import SvirParams, build_svir, tent_kernel
-
-from conftest import eigenmode_problem, renewal_problem
 
 
 def _report(criterion, ok, detail):
@@ -189,14 +189,11 @@ def test_criterion_4_finite_propagation_speed():
 
 
 def test_criterion_5_heat_eigenmode_oracle():
-    sigma = 0.1
-
     def err(na, nx):
         m = build_mesh(0.5, 1.0, na, nx)
-        spec, mode = eigenmode_problem(m, 0.0, sigma=sigma)
+        spec, exact = heat_eigenmode(m)
         run = run_parabolic(spec, SolverConfig(), m)
-        exact = heat_mode_decay(sigma, 0.5)
-        return float(np.max(np.abs(run[-1].values - exact * mode))) / exact
+        return relative_error(run[-1].values, exact)
 
     e1, e2 = err(40, 41), err(80, 81)
     ok = e1 < 0.05 and e1 / e2 >= 1.8
@@ -209,19 +206,10 @@ def test_criterion_5_heat_eigenmode_oracle():
 
 
 def test_criterion_6_telegrapher_eigenmode_oracle():
-    sigma, tau = 0.1, 0.1
-    q, qp = damped_mode_solution(tau, sigma * np.pi**2, 0.5)
-
-    def err(na, nx):
-        m = build_mesh(0.5, 1.0, na, nx)
-        spec, mode = eigenmode_problem(
-            m, tau, sigma=sigma, boundary="ode", qfun=q, qpfun=qp
-        )
-        run = run_relaxed(spec, SolverConfig(), m)
-        ref = float(q(0.5))
-        return float(np.max(np.abs(run[-1].values - ref * mode))) / abs(ref)
-
-    e1 = err(40, 41)
+    m = build_mesh(0.5, 1.0, 40, 41)
+    spec, exact = damped_eigenmode(m, sigma=0.1, tau=0.1)
+    run = run_relaxed(spec, SolverConfig(), m)
+    e1 = relative_error(run[-1].values, exact)
     ok = e1 < 0.05
     _report(
         "criterion-6 (damped-wave eigenmode vs ODE oracle)",
@@ -232,18 +220,11 @@ def test_criterion_6_telegrapher_eigenmode_oracle():
 
 
 def test_criterion_7_renewal_oracle():
-    mu = 0.3
-    beta_fn = lambda a: 1.2 + 0.0 * np.asarray(a)
-    y0_fn = lambda a: 1.0 + 0.5 * np.cos(np.pi * np.asarray(a))
-    _, _, total_ref = renewal_reference(beta_fn, mu, y0_fn, 1.0, 1.0, n_fine=2560)
-
     def err(na):
         m = build_mesh(1.0, 1.0, na, 3)
-        run = run_parabolic(renewal_problem(m, mu, beta_fn, y0_fn), SolverConfig(), m)
-        b = np.array([sl.values[0, 0, 0] for sl in run])
-        tw = np.full(len(b), m.dt)
-        tw[0] = tw[-1] = 0.5 * m.dt
-        return abs(float(np.dot(tw, b)) - total_ref) / total_ref
+        spec, total_ref = renewal(m, n_fine=2560)
+        run = run_parabolic(spec, SolverConfig(), m)
+        return abs(total_births(run, m) - total_ref) / total_ref
 
     e1, e2 = err(20), err(40)
     ok = e1 / e2 >= 1.8

@@ -1,21 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from epiwave.birth import (
-    BirthLaws,
-    make_compatible,
-    nonlinear_birth_term,
-    solve_birth_step,
-    zero_laws,
-)
+from epiwave import SolverConfig, run_parabolic
+from epiwave.birth import BirthLaws, make_compatible, solve_birth_step, zero_laws
 from epiwave.errors import MissingSlope, SingularBirthSystem, SingularSigma
 from epiwave.fields import StateField
 from epiwave.mesh import build_mesh
-from epiwave.operators import KernelSet, KernelTerm, LinearPart
-from epiwave.reference import renewal_reference
-
-from conftest import renewal_problem
-from epiwave import ModelSpec, SolverConfig, run_parabolic
+from epiwave.operators import KernelSet, KernelTerm, LinearPart, g_op
+from epiwave.reference import renewal, total_births
 
 
 def _mesh(na=10, nx=5):
@@ -129,17 +123,10 @@ def test_constant_rate_closed_form():
 
 
 def test_renewal_against_fine_grid_oracle():
-    mu = 0.3
-    beta_fn = lambda a: 1.2 + 0.0 * np.asarray(a)
-    y0_fn = lambda a: 1.0 + 0.5 * np.cos(np.pi * np.asarray(a))
-    _, _, total_ref = renewal_reference(beta_fn, mu, y0_fn, 1.0, 1.0, n_fine=2560)
     m = build_mesh(1.0, 1.0, 20, 3)
-    run = run_parabolic(renewal_problem(m, mu, beta_fn, y0_fn), SolverConfig(), m)
-    b = np.array([sl.values[0, 0, 0] for sl in run])
-    tw = np.full(len(b), m.dt)
-    tw[0] = tw[-1] = 0.5 * m.dt
-    total = float(np.dot(tw, b))
-    assert abs(total - total_ref) / total_ref < 0.05
+    spec, total_ref = renewal(m, n_fine=2560)
+    run = run_parabolic(spec, SolverConfig(), m)
+    assert abs(total_births(run, m) - total_ref) / total_ref < 0.05
 
 
 def test_birth_linearity_without_G():
@@ -184,21 +171,13 @@ def test_singular_birth_system():
 
 def test_driver_births_are_causal():
     # forcing applied only after t0 leaves all earlier slices untouched
-    mu = 0.2
     beta_fn = lambda a: 0.8 + 0.0 * np.asarray(a)
     y0_fn = lambda a: 1.0 + 0.0 * np.asarray(a)
     m = build_mesh(1.0, 1.0, 8, 3)
-    spec0 = renewal_problem(m, mu, beta_fn, y0_fn)
+    spec0, _ = renewal(m, mu=0.2, beta_fn=beta_fn, y0_fn=y0_fn)
     f = np.zeros((m.nt + 1, 1, m.na + 1, m.nx))
     f[5:] = 3.0
-    spec1 = ModelSpec(
-        n=1,
-        linear=spec0.linear,
-        kernels=spec0.kernels,
-        births=spec0.births,
-        y0=spec0.y0,
-        f=f,
-    )
+    spec1 = dataclasses.replace(spec0, f=f)
     r0 = run_parabolic(spec0, SolverConfig(), m)
     r1 = run_parabolic(spec1, SolverConfig(), m)
     for k in range(5):
@@ -207,14 +186,15 @@ def test_driver_births_are_causal():
 
 
 # --------------------------------------------------------------------------
-# nonlinear birth term
+# nonlinear birth term: the boundary operator G evaluated at the slice itself
 
 
 def test_nonlinear_birth_zero_state():
     m = _mesh()
     k = KernelSet.empty(1)
     laws = zero_laws(1, m)
-    out = nonlinear_birth_term(k, laws, _slice(m, 1, value=0.0), None, m)
+    sl = _slice(m, 1, value=0.0)
+    out = g_op(k, laws.beta0, laws.beta1, sl, sl, None, m)
     assert np.allclose(out, 0.0)
 
 
@@ -227,7 +207,8 @@ def test_nonlinear_birth_scalar_cancellation():
     laws = zero_laws(1, m)
     laws.beta0[:] = 0.7
     laws.beta1[:] = 0.7
-    out = nonlinear_birth_term(k, laws, _slice(m, 1, rng), None, m)
+    sl = _slice(m, 1, rng)
+    out = g_op(k, laws.beta0, laws.beta1, sl, sl, None, m)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -270,5 +251,5 @@ def test_nonlinear_birth_matches_g_quadrature():
             )
             acc += wa[bk] * (mat @ sl.values[:, bk, xk])
         want[:, xk] = acc - lam[:, :, 0, xk] @ g0[:, xk]
-    got = nonlinear_birth_term(k, laws, sl, g0, m)
+    got = g_op(k, laws.beta0, laws.beta1, sl, sl, g0, m)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)

@@ -3,16 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epiwave import SolverConfig, run_relaxed
 from epiwave.errors import LengthMismatch, ShapeMismatch
-from epiwave.fields import (
-    StateField,
-    age_integral,
-    diff_norms,
-    norm_H,
-    norm_V,
-    state_zeros,
-)
+from epiwave.fields import StateField, age_integral, diff_norms, norm_H, norm_V
 from epiwave.mesh import age_weights, build_mesh, space_weights
+from epiwave.reference import manufactured
+
+from conftest import state_zeros
 
 
 def _mesh(na=20, nx=21):
@@ -123,6 +120,19 @@ def test_diff_norms_against_bruteforce():
     assert np.isclose(rep.sup_t_H_slope, sup_h)
     assert np.isclose(rep.sup_abs, sup_abs)
     assert rep.h1_V >= rep.l2_H
+
+
+def test_diff_norms_time_weights_follow_stored_times():
+    # store_every = 3 on nt = 20 stores the uneven times 0, 0.15, ..., 0.9, 1
+    m = _mesh(na=20, nx=5)
+    spec, _ = manufactured(m)
+    run = run_relaxed(spec, SolverConfig(store_every=3), m)
+    assert run.indices[-2:] == [18, 20]
+    rep = diff_norms(run, [state_zeros(1, m)] * len(run), m)
+    h_sq = [norm_H(sl.values, m) ** 2 for sl in run]
+    v_sq = [norm_V(sl.values, m) ** 2 for sl in run]
+    assert rep.l2_H == pytest.approx(np.sqrt(np.trapezoid(h_sq, run.times)), rel=1e-12)
+    assert rep.h1_V == pytest.approx(np.sqrt(np.trapezoid(v_sq, run.times)), rel=1e-12)
 
 
 def test_diff_norms_length_mismatch():

@@ -2,13 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiwave import SolverConfig, build_mesh, run_parabolic
 from epiwave.errors import ConfigError
 from epiwave.io_cli import (
     RunConfig,
     cli_main,
-    load_slice,
     parse_config_dict,
     serialize_config,
     write_slices,
@@ -92,7 +93,7 @@ def test_slice_round_trip_is_bit_exact(tmp_path):
         build_svir(SvirParams(total_S0=100.0, I0=1.0), m), SolverConfig(), m
     )
     write_slices(run, m, tmp_path)
-    data = load_slice(tmp_path / "slice_1.csv")
+    data = np.loadtxt(tmp_path / "slice_1.csv", delimiter=",", skiprows=1)
     k = 0
     for a in range(m.na + 1):
         for x in range(m.nx):
@@ -187,3 +188,102 @@ def test_solver_error_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert cli_main(["run", "--config", str(path)]) == 1
     assert "solver error" in capsys.readouterr().err
+
+
+_BLOCKS = {
+    "mesh": ["t_max", "a_max", "na", "nx"],
+    "model": ["kind", "params", "path"],
+    "solver": ["tau", "picard_tol", "picard_max", "store_every"],
+    "study": ["taus", "q1", "q2", "threshold"],
+    "output": ["directory"],
+}
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8,
+)
+_block = st.one_of(
+    *(
+        st.tuples(
+            st.just(name),
+            _json | st.dictionaries(st.sampled_from(keys + ["bogus"]), _json, max_size=4),
+        )
+        for name, keys in _BLOCKS.items()
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=_json | st.lists(_block, max_size=5).map(dict))
+def test_parse_config_dict_fuzz(raw):
+    try:
+        cfg = parse_config_dict(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+def _write_config(tmp_path, model=None, **blocks):
+    cfg = {
+        "mesh": {"t_max": 0.5, "a_max": 1.0, "na": 4, "nx": 5},
+        "model": model or {"kind": "svir"},
+        "output": {"directory": str(tmp_path / "out")},
+        **blocks,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, blocks",
+    [
+        ("run", {"mesh": {"na": 1}}),  # InvalidSize
+        ("sweep", {"mesh": {"na": 1}}),
+        ("run", {"mesh": {"t_max": 0.55, "na": 4}}),  # NonCommensurate
+        ("run", {"model": {"kind": "svir", "params": {"phi1": 2.0}}}),  # InvalidParam
+        ("sweep", {"model": {"kind": "svir", "params": {"phi1": 2.0}}}),
+        ("run", {"solver": {"picard_tol": 0.0}}),  # bad tolerance
+        ("sweep", {"solver": {"picard_tol": 0.0}}),
+        ("run", {"solver": {"tau": -1.0}}),
+        ("run", {"mesh": 1}),
+    ],
+)
+def test_config_value_errors_exit_2(tmp_path, capsys, command, blocks):
+    path = _write_config(tmp_path, **blocks)
+    assert cli_main([command, "--config", str(path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def _tables(m, **tables):
+    A, X = m.na + 1, m.nx
+    base = {
+        "L": np.zeros((A, X, 1, 1)),
+        "sigma": np.full((A, 1), 0.1),
+        "y0": np.ones((1, A, X)),
+    }
+    return {k: v for k, v in {**base, **tables}.items() if v is not None}
+
+
+@pytest.mark.parametrize(
+    "tables, named",
+    [
+        ({"L": None}, "'L'"),
+        ({"sigma": None}, "'sigma'"),
+        ({"y0": None}, "'y0'"),
+        ({"y0": np.ones((1, 3, 3))}, "'y0'"),
+        ({"beta0": np.zeros((2, 2))}, "'beta0'"),
+        ({"kernels": np.zeros((1, 1, 1, 5, 5))}, "'kernels'"),
+        ({"g0": np.zeros((4, 1, 5))}, "'g0'"),
+    ],
+)
+def test_bad_model_tables_exit_2(tmp_path, capsys, tables, named):
+    m = build_mesh(0.5, 1.0, 4, 5)
+    np.savez(tmp_path / "model.npz", **_tables(m, **tables))
+    path = _write_config(
+        tmp_path, model={"kind": "tables", "path": str(tmp_path / "model.npz")}
+    )
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and named in err

@@ -13,8 +13,6 @@ from epiwave.operators import (
     attach_tilde,
     delta_lambda_apply,
     g_op,
-    kernel_bound,
-    lambda_at_zero,
     lambda_op,
     lambda_two,
     laplacian_neumann,
@@ -139,14 +137,6 @@ def test_lambda_tent_kernel_closed_form():
         assert np.isclose(out[0, 0, 0, mid], 0.01, atol=1e-14)
 
 
-def test_lambda_at_zero_consistency():
-    m = _mesh()
-    rng = np.random.default_rng(2)
-    k = _random_kernel(m, 2, rng)
-    w = rng.normal(size=(2, m.na + 1, m.nx))
-    assert np.allclose(lambda_at_zero(k, w, m), lambda_op(k, w, m)[:, :, 0, :])
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     a=st.floats(min_value=-3, max_value=3, allow_nan=False),
@@ -161,6 +151,19 @@ def test_lambda_bilinearity(a, b):
     lhs = lambda_op(k, a * w1 + b * w2, m)
     rhs = a * lambda_op(k, w1, m) + b * lambda_op(k, w2, m)
     assert np.allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
+
+
+def kernel_bound(k, m):
+    """Discrete constant c(k) with |Lambda(v1) v2|_H <= c(k)|v1|_H |v2|_H.
+
+    Cauchy-Schwarz over the joint (j, alpha, xi) index gives
+    c(k)^2 = sum_h max_{a,x} sum_{i,j} |k^{hij}(a, x, .)|^2_quad.
+    """
+    dense = k.dense(m)
+    per_hax = np.einsum(
+        "hijaxbz,b,z->hax", dense * dense, age_weights(m), space_weights(m)
+    )
+    return float(np.sqrt(np.sum(np.max(per_hax, axis=(1, 2)))))
 
 
 def test_lambda_norm_bound():
@@ -363,11 +366,3 @@ def test_g_op_against_bruteforce():
     got = g_op(k, beta0, beta1, v, w, g0, m)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
 
-
-def test_kernel_max_age_row_report():
-    m = _mesh(nx=5)
-    A, X = m.na + 1, m.nx
-    tab = np.ones((A, X, A, X))
-    tab[:, :, -1, :] = 0.0  # compliant kernel
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, tab)])
-    assert k.max_age_row_magnitude() == 0.0

@@ -3,28 +3,19 @@ import numpy as np
 from epiwave import (
     KernelSet,
     KernelTerm,
-    ModelSpec,
     SolverConfig,
     build_mesh,
+    derived_initial_slope,
     run_parabolic,
     run_relaxed,
 )
-from epiwave.parabolic_model import derived_initial_slope
-from epiwave.reference import heat_mode_decay
+from epiwave.reference import heat_eigenmode, relative_error, scalar_spec
 from epiwave.svir import SvirParams, build_svir
-
-from conftest import eigenmode_problem, scalar_blank, zero_birth_laws
 
 
 def test_zero_data_zero_run():
     m = build_mesh(0.5, 1.0, 4, 5)
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m),
-        kernels=KernelSet.empty(1),
-        births=zero_birth_laws(m),
-        y0=np.zeros((1, m.na + 1, m.nx)),
-    )
+    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)))
     run = run_parabolic(spec, SolverConfig(), m)
     for sl in run:
         assert np.allclose(sl.values, 0.0)
@@ -32,24 +23,15 @@ def test_zero_data_zero_run():
 
 
 def test_heat_eigenmode_decay():
-    sigma = 0.1
     m = build_mesh(0.5, 1.0, 40, 41)
-    spec, mode = eigenmode_problem(m, 0.0, sigma=sigma)
+    spec, exact = heat_eigenmode(m)
     run = run_parabolic(spec, SolverConfig(), m)
-    exact = heat_mode_decay(sigma, 0.5)
-    err = np.max(np.abs(run[-1].values - exact * mode)) / exact
-    assert err < 0.05
+    assert relative_error(run[-1].values, exact) < 0.05
 
 
 def test_derived_slope_zero_state():
     m = build_mesh(0.5, 1.0, 4, 5)
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m),
-        kernels=KernelSet.empty(1),
-        births=zero_birth_laws(m),
-        y0=np.zeros((1, m.na + 1, m.nx)),
-    )
+    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)))
     assert np.allclose(derived_initial_slope(spec, m), 0.0)
 
 
@@ -59,13 +41,7 @@ def test_derived_slope_constant_state_closed_form():
     A, X = m.na + 1, m.nx
     c, mu, kap = 2.0, 0.4, 0.3
     k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, kap, np.ones((A, X, A, X)))])
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m, sigma=0.2, mu=mu),
-        kernels=k,
-        births=zero_birth_laws(m),
-        y0=np.full((1, A, X), c),
-    )
+    spec = scalar_spec(m, np.full((1, A, X), c), sigma=0.2, mu=mu, kernels=k)
     out = derived_initial_slope(spec, m)
     assert np.allclose(out, -(mu + kap * c) * c, rtol=1e-12)
 
@@ -73,8 +49,9 @@ def test_derived_slope_constant_state_closed_form():
 def test_derived_slope_eigenmode():
     sigma = 0.1
     m = build_mesh(0.5, 1.0, 10, 41)
-    spec, mode = eigenmode_problem(m, 0.0, sigma=sigma)
+    spec, _ = heat_eigenmode(m, sigma=sigma)
     out = derived_initial_slope(spec, m)
+    mode = np.cos(np.pi * m.xs())
     assert np.max(np.abs(out + sigma * np.pi**2 * mode)) < 5e-3
 
 

@@ -6,32 +6,25 @@ import pytest
 from epiwave import (
     KernelSet,
     KernelTerm,
-    ModelSpec,
     SolverConfig,
     build_mesh,
     norm_H,
     norm_V,
     run_relaxed,
 )
-from epiwave.char_solver import StepContext, propagate_characteristic
+from epiwave.char_solver import StepContext
 from epiwave.errors import PicardDiverged, ShapeMismatch
 from epiwave.mesh import characteristic_cells, characteristic_ids
+from epiwave.reference import manufactured, scalar_spec
 from epiwave.relaxed_model import residual_check
 from epiwave.svir import SvirParams, build_svir
 
-from conftest import scalar_blank, zero_birth_laws
+from conftest import propagate_characteristic
 
 
 def test_zero_data_zero_run():
     m = build_mesh(0.5, 1.0, 4, 5)
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m, sigma=0.2),
-        kernels=KernelSet.empty(1),
-        births=zero_birth_laws(m),
-        y0=np.zeros((1, m.na + 1, m.nx)),
-        tau=0.3,
-    )
+    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), sigma=0.2, tau=0.3)
     run = run_relaxed(spec, SolverConfig(), m)
     for sl in run:
         assert np.allclose(sl.values, 0.0)
@@ -45,22 +38,15 @@ def test_linear_run_matches_characteristic_reassembly():
     A, X = m.na + 1, m.nx
     tau = 0.2
     rng = np.random.default_rng(14)
-    lin = scalar_blank(m, sigma=0.15, mu=0.3)
     g0 = rng.normal(size=(m.nt + 1, 1, X))
     g1 = rng.normal(size=(m.nt + 1, 1, X))
     f = rng.normal(size=(m.nt + 1, 1, A, X))
     y0 = rng.normal(size=(1, A, X))
     y1 = rng.normal(size=(1, A, X))
-    spec = ModelSpec(
-        n=1,
-        linear=lin,
-        kernels=KernelSet.empty(1),
-        births=zero_birth_laws(m, g0=g0, g1=g1),
-        y0=y0,
-        y1=y1,
-        f=f,
-        tau=tau,
+    spec = scalar_spec(
+        m, y0, sigma=0.15, mu=0.3, g0=g0, g1=g1, y1=y1, f=f, tau=tau
     )
+    lin = spec.linear
     run = run_relaxed(spec, SolverConfig(), m)
 
     got = np.stack([sl.values for sl in run])  # (nt+1, 1, A, X)
@@ -85,49 +71,16 @@ def test_linear_run_matches_characteristic_reassembly():
 
 def test_residual_zero_run():
     m = build_mesh(0.5, 1.0, 4, 5)
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m),
-        kernels=KernelSet.empty(1),
-        births=zero_birth_laws(m),
-        y0=np.zeros((1, m.na + 1, m.nx)),
-        tau=0.1,
-    )
+    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=0.1)
     run = run_relaxed(spec, SolverConfig(), m)
     assert residual_check(run, spec, m) == 0.0
-
-
-def _manufactured(m, tau=0.05, sigma=0.1):
-    A, X = m.na + 1, m.nx
-    ages = m.ages()[None, :, None]
-    mode = np.cos(np.pi * m.xs())[None, None, :]
-    tt = m.times()
-    f = np.stack(
-        [
-            np.exp(-t) * mode * (tau * (ages - 1.0) - ages + sigma * np.pi**2 * (1.0 + ages))
-            for t in tt
-        ]
-    )
-    g0 = np.stack([np.exp(-t) * mode[:, 0, :] for t in tt])
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m, sigma=sigma),
-        kernels=KernelSet.empty(1),
-        births=zero_birth_laws(m, g0=g0, g1=np.zeros_like(g0)),
-        y0=(1.0 + ages) * mode * np.ones_like(ages),
-        y1=-ages * mode * np.ones_like(ages),
-        f=f,
-        tau=tau,
-    )
-    exact_final = np.exp(-m.t_max) * (1.0 + ages) * mode
-    return spec, exact_final
 
 
 def test_manufactured_solution_residual_and_error():
     errs, resids = [], []
     for na, nx in ((20, 21), (40, 41)):
         m = build_mesh(0.5, 1.0, na, nx)
-        spec, exact = _manufactured(m)
+        spec, exact = manufactured(m)
         run = run_relaxed(spec, SolverConfig(), m)
         errs.append(float(np.max(np.abs(run[-1].values - exact))))
         resids.append(residual_check(run, spec, m))
@@ -155,14 +108,7 @@ def test_energy_shape_under_data_scaling():
     y0 = rng.normal(size=(1, A, X))
 
     def energy(scale):
-        spec = ModelSpec(
-            n=1,
-            linear=scalar_blank(m, sigma=0.2, mu=0.1),
-            kernels=KernelSet.empty(1),
-            births=zero_birth_laws(m),
-            y0=scale * y0,
-            tau=tau,
-        )
+        spec = scalar_spec(m, scale * y0, sigma=0.2, mu=0.1, tau=tau)
         run = run_relaxed(spec, SolverConfig(), m)
         ev = max(norm_V(sl.values, m) for sl in run) ** 2
         eh = max(norm_H(sl.slope, m) for sl in run) ** 2
@@ -197,40 +143,21 @@ def test_picard_divergence_detected():
     m = build_mesh(1.0, 1.0, 2, 5)
     A, X = m.na + 1, m.nx
     k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, -80.0, np.ones((A, X, A, X)))])
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m, sigma=0.1),
-        kernels=k,
-        births=zero_birth_laws(m),
-        y0=np.full((1, A, X), 1.0),
-        tau=0.0,
-    )
+    spec = scalar_spec(m, np.full((1, A, X), 1.0), kernels=k)
     with pytest.raises(PicardDiverged):
         run_relaxed(spec, SolverConfig(picard_max=50), m)
 
 
 def test_spec_validation_errors():
     m = build_mesh(0.5, 1.0, 4, 5)
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m),
-        kernels=KernelSet.empty(1),
-        births=zero_birth_laws(m),
-        y0=np.zeros((1, 3, 3)),
-    )
+    spec = scalar_spec(m, np.zeros((1, 3, 3)))
     with pytest.raises(ShapeMismatch):
         run_relaxed(spec, SolverConfig(), m)
 
 
 def test_store_every_thins_output():
     m = build_mesh(1.0, 1.0, 8, 5)
-    spec = ModelSpec(
-        n=1,
-        linear=scalar_blank(m, sigma=0.1),
-        kernels=KernelSet.empty(1),
-        births=zero_birth_laws(m),
-        y0=np.ones((1, m.na + 1, m.nx)),
-    )
+    spec = scalar_spec(m, np.ones((1, m.na + 1, m.nx)))
     run = run_relaxed(spec, SolverConfig(store_every=4), m)
     assert run.indices == [0, 4, 8]
     assert run.times == [0.0, 0.5, 1.0]

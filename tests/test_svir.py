@@ -8,6 +8,7 @@ from epiwave import (
     build_mesh,
     run_parabolic,
 )
+from epiwave.birth import zero_laws
 from epiwave.errors import InvalidParam
 from epiwave.fields import age_integral
 from epiwave.mesh import space_weights
@@ -21,10 +22,8 @@ from epiwave.svir import (
     build_svir,
     default_fertility,
     default_mortality,
-    newborn_routing,
     sigma_susceptible,
 )
-from conftest import zero_birth_laws
 
 
 def test_parameter_table_at_age_zero():
@@ -94,18 +93,18 @@ def test_newborn_routing_matrices(small_mesh):
         assert np.allclose(b[:, 0, S, j], beta_a)
         for h in (V, I, R):
             assert np.allclose(b[:, 0, h, j], 0.0)
-    ident = newborn_routing(spec, m, "identity")
+    ident = build_svir(SvirParams(), m, routing="identity")
     for h in range(4):
         for j in range(4):
             want = beta_a if h == j else 0.0
             assert np.allclose(ident.births.beta0[:, 0, h, j], want)
-    none = newborn_routing(spec, m, "none")
+    none = build_svir(SvirParams(), m, routing="none")
     assert np.allclose(none.births.beta0, 0.0)
 
 
 def test_no_births_population_declines(small_mesh):
     m = small_mesh
-    spec = newborn_routing(build_svir(SvirParams(I0=0.0), m), m, "none")
+    spec = build_svir(SvirParams(I0=0.0), m, routing="none")
     run = run_parabolic(spec, SolverConfig(), m)
     wx = space_weights(m)
     total = [float(np.sum(age_integral(sl.values, m) @ wx)) for sl in run]
@@ -136,7 +135,7 @@ def test_sum_dynamics_match_single_compartment():
         ).copy(),
         sigma=sigma_susceptible(m.ages())[:, None],
     )
-    laws = zero_birth_laws(m)
+    laws = zero_laws(1, m)
     laws.beta0[:, :, 0, 0] = default_fertility(m.ages())[:, None]
     f = np.zeros((m.nt + 1, 1, A, X))
     # disease-induced deaths enter as external removal; needs every step
@@ -162,8 +161,3 @@ def test_tau_is_carried():
     spec = build_svir(SvirParams(tau=0.7), m)
     assert spec.tau == 0.7
 
-
-def test_alpha_recorded_but_unused():
-    p = SvirParams()
-    assert p.alpha == 500.0
-    p.validate()  # must not be consumed anywhere
