@@ -1,7 +1,7 @@
 """Age- and space-structured epidemic solver with damped-wave relaxation."""
 
 from .birth import BirthLaws, BirthValues, make_compatible, solve_birth_step
-from .char_solver import CharState, StepContext, step
+from .char_solver import StepContext, step, step_context
 from .fields import NormReport, StateField, diff_norms, norm_H, norm_V
 from .mesh import Mesh, build_mesh, characteristic_cells, characteristic_ids
 from .operators import (
@@ -29,7 +29,6 @@ from .svir import SvirParams, build_svir
 __all__ = [
     "BirthLaws",
     "BirthValues",
-    "CharState",
     "KernelSet",
     "KernelTerm",
     "LinearPart",
@@ -63,6 +62,7 @@ __all__ = [
     "run_relaxed",
     "solve_birth_step",
     "step",
+    "step_context",
     "tau_sweep",
 ]
 

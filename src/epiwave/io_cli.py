@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fields import age_integral, diff_norms
 from .mesh import Mesh, build_mesh
-from .operators import KernelSet, LinearPart
+from .operators import KernelSet, LinearPart, attach_tilde
 from .parabolic_model import run_parabolic
 from .relaxed_model import (
     ModelSpec,
@@ -182,11 +182,24 @@ def svir_params_from(cfg: RunConfig, tau: float) -> SvirParams:
     return params
 
 
+def _load_table(data, key: str) -> np.ndarray:
+    """One table of an .npz archive as float64; other dtypes are ConfigErrors."""
+    try:
+        tab = data[key]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read model table {key!r}: {exc}") from None
+    if tab.dtype.kind not in "iuf":
+        raise ConfigError(f"model table {key!r} has dtype {tab.dtype}, expected real numbers")
+    return np.asarray(tab, dtype=float)
+
+
 def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
     """Generic model loaded from an .npz of sampled tables.
 
-    L, sigma and y0 are required; every table present must have the
-    shape the mesh and the compartment count n = L.shape[-1] imply.
+    L, sigma and y0 are required; every table present must hold real
+    numbers in the shape the mesh and the compartment count
+    n = L.shape[-1] imply.  Kernel tables get their Lambda_1 (tilde)
+    terms attached, as the library models do.
     """
     if tau < 0:
         raise ConfigError(f"tau={tau} must be nonnegative")
@@ -197,8 +210,8 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
     for key in ("L", "sigma", "y0"):
         if key not in data:
             raise ConfigError(f"model tables lack the required key {key!r}")
-    L = data["L"]
-    n = L.shape[-1] if L.ndim else 0
+    L = _load_table(data, "L")
+    n = max(L.shape[-1] if L.ndim else 0, 1)  # an L without compartments fails below
     A, X, T = m.na + 1, m.nx, m.nt + 1
     shapes = {
         "L": (A, X, n, n),
@@ -212,8 +225,7 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
         "f": (T, n, A, X),
         **dict.fromkeys(("beta0", "beta1", "betaL", "beta_grad"), (A, X, n, n)),
     }
-    tabs = {key: data[key] for key in shapes if key != "L" and key in data}
-    tabs["L"] = L
+    tabs = {key: L if key == "L" else _load_table(data, key) for key in shapes if key in data}
     for key, tab in tabs.items():
         if tab.shape != shapes[key]:
             raise ConfigError(
@@ -234,7 +246,7 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
     return ModelSpec(
         n=n,
         linear=linear,
-        kernels=kernels,
+        kernels=attach_tilde(kernels, births.beta0, m),
         births=births,
         y0=tabs["y0"],
         y1=tabs.get("y1"),
@@ -526,8 +538,9 @@ def cli_main(argv=None) -> int:
                 if args.taus
                 else list(cfg.study.taus)
             )
-        except ValueError as exc:
-            raise ConfigError(f"--taus: {exc}") from None
+            study.check_taus(taus)
+        except (ValueError, InvalidParam) as exc:
+            raise ConfigError(f"taus: {exc}") from None
         params = svir_params_from(cfg, 0.0)
         q1 = args.q1 if args.q1 is not None else cfg.study.q1
         q2 = args.q2 if args.q2 is not None else cfg.study.q2

@@ -23,8 +23,6 @@ from .errors import MissingSlope, ShapeMismatch
 from .fields import StateField
 from .mesh import Mesh, age_weights, space_weights
 
-_neumann_cache: dict = {}
-
 
 def laplacian_neumann(sl: np.ndarray, m: Mesh) -> np.ndarray:
     """3-point second difference along the last axis, mirror boundaries.
@@ -46,14 +44,8 @@ def laplacian_neumann(sl: np.ndarray, m: Mesh) -> np.ndarray:
 
 
 def neumann_matrix(m: Mesh) -> np.ndarray:
-    """Dense matrix of laplacian_neumann, cached per (nx, dx)."""
-    key = (m.nx, m.dx)
-    got = _neumann_cache.get(key)
-    if got is None:
-        eye = np.eye(m.nx)
-        got = np.stack([laplacian_neumann(eye[k], m) for k in range(m.nx)], axis=1)
-        _neumann_cache[key] = got
-    return got
+    """Dense (nx, nx) matrix of laplacian_neumann."""
+    return laplacian_neumann(np.eye(m.nx), m).T
 
 
 @dataclass
@@ -130,29 +122,24 @@ class KernelSet:
         return out
 
 
-def _is_age_flat(tab: np.ndarray) -> bool:
-    # Broadcast views of an (x, xi) kernel have zero stride on age axes.
-    return tab.strides[0] == 0 and tab.strides[2] == 0
-
-
 def attach_tilde(k: KernelSet, beta0: np.ndarray, m: Mesh) -> KernelSet:
     """Precompute the tilde kernel terms for Lambda_1.
 
     The age derivative (d/da + d/dalpha) of each table uses centered
-    differences (exact zeros for age-independent tables).
+    differences; a table equal to its age-zero slices at every age pair
+    has no derivative term.
     """
     tilde: List[KernelTerm] = []
-    seen_deriv: dict = {}
+    derivs: dict = {}  # one derivative per distinct table
     for t in k.terms:
         key = id(t.table)
-        if _is_age_flat(t.table):
-            dtab = None  # derivative identically zero
-        else:
-            dtab = seen_deriv.get(key)
-            if dtab is None:
-                dtab = np.gradient(t.table, m.da, axis=0, edge_order=2)
-                dtab += np.gradient(t.table, m.da, axis=2, edge_order=2)
-                seen_deriv[key] = dtab
+        if key not in derivs:
+            tab, dtab = t.table, None
+            if not np.array_equal(tab, np.broadcast_to(tab[:1, :, :1, :], tab.shape)):
+                dtab = np.gradient(tab, m.da, axis=0, edge_order=2)
+                dtab += np.gradient(tab, m.da, axis=2, edge_order=2)
+            derivs[key] = dtab
+        dtab = derivs[key]
         if dtab is not None and np.any(dtab):
             tilde.append(KernelTerm(t.h, t.i, t.j, t.weight, dtab))
         # Boundary-renewal part: k^{hil}(a, x, 0, xi) * beta0^{lj}(alpha, xi).

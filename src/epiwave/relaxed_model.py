@@ -1,9 +1,10 @@
 """Time-marching driver for the relaxed (damped-wave) system.
 
 Each time step freezes the nonlocal terms at the current fixed-point
-iterate, solves the resulting linear problem characteristic by
-characteristic, computes births, and repeats until the update is small
-in the tau-weighted energy norm.  The parabolic baseline reuses the
+iterate, advances every characteristic of the previous slice with one
+batched implicit solve (the per-age matrices are factored once per
+run), computes births, and repeats until the update is small in the
+tau-weighted energy norm.  The parabolic baseline reuses the
 same code path with tau = 0 and the zeroth-order birth law, so the two
 solvers differ only by the tau terms.
 """
@@ -14,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .birth import BirthLaws, solve_birth_step
-from .char_solver import CharState, StepContext, step
+from .char_solver import step, step_context
 from .errors import (
     InvalidParam,
     LengthMismatch,
@@ -54,7 +55,7 @@ class ModelSpec:
 
     def validate(self, m: Mesh) -> None:
         if self.tau < 0:
-            raise ShapeMismatch("tau must be nonnegative")
+            raise InvalidParam("tau must be nonnegative")
         want = (self.n, m.na + 1, m.nx)
         if self.y0.shape != want:
             raise ShapeMismatch(f"y0 shape {self.y0.shape} != {want}")
@@ -150,6 +151,12 @@ def _march(
     tau: float,
     first_order_births: bool,
 ) -> Run:
+    """March spec over the mesh, shared by the relaxed and parabolic solvers.
+
+    The implicit matrices of ages 1..na are factored once per call.
+    Each Picard sweep calls step once to carry ages 0..na-1 of the
+    previous slice to ages 1..na, then fills age 0 from the birth law.
+    """
     spec.validate(m)
     cfg.validate()
     if m.dt != m.da:
@@ -160,10 +167,7 @@ def _march(
     lin = spec.linear
     births = spec.births
 
-    ctxs = [None] + [
-        StepContext(tau, j, lin.L[j], lin.L_a[j], lin.sigma[j])
-        for j in range(1, A)
-    ]
+    ctx = step_context(lin, tau, m)
 
     def nl_forcing(it: StateField, g0_now) -> np.ndarray:
         lam = lambda_op(k, it.values, m)
@@ -209,11 +213,9 @@ def _march(
 
             vals = np.zeros((n, A, X))
             slopes = np.zeros((n, A, X))
-            for j in range(1, A):
-                st = CharState(prev.values[:, j - 1, :], prev.slope[:, j - 1, :])
-                out = step(st, ctxs[j], m, f=forcing[:, j, :])
-                vals[:, j] = out.v
-                slopes[:, j] = out.w
+            vals[:, 1:], slopes[:, 1:] = step(
+                prev.values[:, :-1], prev.slope[:, :-1], ctx, m, f=forcing[:, 1:]
+            )
             cand = StateField(vals, slopes)
 
             if first_order_births:

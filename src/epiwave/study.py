@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .birth import make_compatible
-from .errors import FitUnderdetermined, MissingBaseline
+from .errors import FitUnderdetermined, InvalidParam, MissingBaseline
 from .fields import NormReport, age_integral, diff_norms
 from .mesh import Mesh, build_mesh
 from .operators import attach_tilde
@@ -112,6 +112,13 @@ def refinement_floor(
     return rep.sup_abs, energy_diff(rep, 0.0)
 
 
+def check_taus(taus: Sequence[float]) -> None:
+    """Raise InvalidParam unless the taus are nonnegative and strictly monotone."""
+    steps = np.diff(taus)
+    if not (all(t >= 0 for t in taus) and (all(steps > 0) or all(steps < 0))):
+        raise InvalidParam(f"sweep taus must be nonnegative and strictly monotone: {list(taus)}")
+
+
 def tau_sweep(
     base: SvirParams,
     taus: Sequence[float],
@@ -132,10 +139,7 @@ def tau_sweep(
     density, defaulting to 1e-6 times its initial sup.
     """
     taus = list(taus)
-    increasing = all(a < b for a, b in zip(taus, taus[1:]))
-    decreasing = all(a > b for a, b in zip(taus, taus[1:]))
-    if len(taus) > 1 and not (increasing or decreasing):
-        raise ValueError("taus must be strictly monotone")
+    check_taus(taus)
     if baseline is None:
         baseline = run_parabolic(build_svir(replace(base, tau=0.0), m), cfg, m)
     if spec_for_tau is None:

@@ -4,22 +4,33 @@ import numpy as np
 import pytest
 
 from epiwave import SolverConfig, build_mesh, run_parabolic
-from epiwave.char_solver import CharState, step
+from epiwave.char_solver import step
 from epiwave.fields import StateField
 from epiwave.study import refinement_floor
 from epiwave.svir import SvirParams, build_svir
 
 
-def propagate_characteristic(init_v, init_w, forcing, ctxs, m):
+def propagate_characteristic(init_v, init_w, forcing, ages, ctx, m):
     """Trajectory along one characteristic, initial state included.
 
-    forcing and ctxs carry one entry per advance.  The scheme is linear
+    forcing and ages carry one entry per advance: the forcing and the
+    target age index of that step.  Each advance steps a slice that is
+    zero except for this characteristic's column.  The scheme is linear
     in (init_v, init_w, forcing), so zeroing two of them isolates the
     propagator of the third.
     """
-    out = [CharState(np.array(init_v, dtype=float), np.array(init_w, dtype=float))]
-    for fk, ctx in zip(forcing, ctxs, strict=True):
-        out.append(step(out[-1], ctx, m, f=fk))
+    v = np.array(init_v, dtype=float)
+    w = np.array(init_w, dtype=float)
+    out = [(v, w)]
+    shape = (v.shape[0], m.na, m.nx)
+    for fk, a in zip(forcing, ages, strict=True):
+        vs, ws, fs = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+        vs[:, a - 1], ws[:, a - 1] = v, w
+        if fk is not None:
+            fs[:, a - 1] = fk
+        vs, ws = step(vs, ws, ctx, m, f=fs)
+        v, w = vs[:, a - 1], ws[:, a - 1]
+        out.append((v, w))
     return out
 
 

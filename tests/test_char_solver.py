@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from epiwave.char_solver import CharState, StepContext, step
+from epiwave.char_solver import step, step_context
 from epiwave.errors import NonFinite, SingularSystem
 from epiwave.fields import space_gradient
 from epiwave.mesh import build_mesh, space_weights
+from epiwave.operators import LinearPart
 from epiwave.reference import damped_mode_solution, heat_mode_decay
 
 from conftest import propagate_characteristic
@@ -14,40 +15,47 @@ def _mesh(na=20, nx=21, t_max=1.0):
     return build_mesh(t_max, 1.0, na, nx)
 
 
-def _ctx(m, tau, sigma=0.0, L=0.0, L_a=0.0, n=1, a_index=1):
-    X = m.nx
-    return StepContext(
-        tau=tau,
-        a_index=a_index,
-        L_here=np.broadcast_to(L * np.eye(n), (X, n, n)).copy(),
-        L_a_here=np.broadcast_to(L_a * np.eye(n), (X, n, n)).copy(),
-        sigma_here=np.full(n, sigma),
+def _ctx(m, tau, sigma=0.0, L=0.0, L_a=0.0, n=1):
+    # coefficients constant in age and space
+    A, X = m.na + 1, m.nx
+    eye = np.eye(n)
+    lin = LinearPart(
+        L=np.broadcast_to(L * eye, (A, X, n, n)).copy(),
+        L_a=np.broadcast_to(L_a * eye, (A, X, n, n)).copy(),
+        sigma=np.full((A, n), sigma),
     )
+    return step_context(lin, tau, m)
+
+
+def _at_every_age(row, m):
+    """(n, na, nx) slice holding the (n, nx) state at every source age."""
+    return np.repeat(np.asarray(row, dtype=float)[:, None, :], m.na, axis=1)
 
 
 def test_step_free_transport_update():
     # L = sigma = f = 0: w_new = tau*w/(tau+da), v_new = v + da*w_new
     m = _mesh(na=10, nx=5)
     rng = np.random.default_rng(0)
-    v = rng.normal(size=(1, m.nx))
-    w = rng.normal(size=(1, m.nx))
+    v = rng.normal(size=(1, m.na, m.nx))
+    w = rng.normal(size=(1, m.na, m.nx))
     for tau in (0.0, 0.3, 7.0):
-        out = step(CharState(v.copy(), w.copy()), _ctx(m, tau), m)
+        v_new, w_new = step(v.copy(), w.copy(), _ctx(m, tau), m)
         want_w = tau * w / (tau + m.da)
-        assert np.allclose(out.w, want_w, rtol=1e-12)
-        assert np.allclose(out.v, v + m.da * want_w, rtol=1e-12)
-    out0 = step(CharState(v.copy(), w.copy()), _ctx(m, 0.0), m)
-    assert np.allclose(out0.w, 0.0)
-    assert np.allclose(out0.v, v)
+        assert np.allclose(w_new, want_w, rtol=1e-12)
+        assert np.allclose(v_new, v + m.da * want_w, rtol=1e-12)
+    v0, w0 = step(v.copy(), w.copy(), _ctx(m, 0.0), m)
+    assert np.allclose(w0, 0.0)
+    assert np.allclose(v0, v)
 
 
 def _run_eigenmode(m, tau, sigma, steps):
-    mode = np.cos(np.pi * m.xs())[None, :]
-    state = CharState(mode.copy(), np.zeros_like(mode))
+    # constant coefficients: every age column follows the same characteristic
+    v = _at_every_age(np.cos(np.pi * m.xs())[None, :], m)
+    w = np.zeros_like(v)
     ctx = _ctx(m, tau, sigma=sigma)
     for _ in range(steps):
-        state = step(state, ctx, m)
-    return state
+        v, w = step(v, w, ctx, m)
+    return v[:, 0], w[:, 0]
 
 
 def test_step_damped_mode_against_ode():
@@ -57,9 +65,9 @@ def test_step_damped_mode_against_ode():
     def err(na, nx):
         m = _mesh(na=na, nx=nx)
         q, _ = damped_mode_solution(tau, sigma * np.pi**2, 2 * m.da)
-        state = _run_eigenmode(m, tau, sigma, 1)
+        v, _ = _run_eigenmode(m, tau, sigma, 1)
         mid = m.nx // 4
-        return abs(state.v[0, mid] - q(m.da) * np.cos(np.pi * m.xs()[mid]))
+        return abs(v[0, mid] - q(m.da) * np.cos(np.pi * m.xs()[mid]))
 
     e1, e2 = err(20, 41), err(40, 81)
     assert e1 < 0.5 * (1.0 / 20)
@@ -71,8 +79,8 @@ def test_step_heat_decay():
 
     def err(na, nx):
         m = _mesh(na=na, nx=nx)
-        state = _run_eigenmode(m, 0.0, sigma, m.nt)
-        return np.max(np.abs(state.v - heat_mode_decay(sigma, 1.0) * np.cos(np.pi * m.xs())))
+        v, _ = _run_eigenmode(m, 0.0, sigma, m.nt)
+        return np.max(np.abs(v - heat_mode_decay(sigma, 1.0) * np.cos(np.pi * m.xs())))
 
     e1, e2 = err(20, 41), err(40, 81)
     assert e1 < 0.05
@@ -81,41 +89,39 @@ def test_step_heat_decay():
 
 def test_propagate_zero_data():
     m = _mesh(na=6, nx=5)
-    ctxs = [_ctx(m, 0.5, sigma=0.2, a_index=j) for j in range(1, 5)]
-    forcing = [None] * 4
+    ctx = _ctx(m, 0.5, sigma=0.2)
     out = propagate_characteristic(
-        np.zeros((1, m.nx)), np.zeros((1, m.nx)), forcing, ctxs, m
+        np.zeros((1, m.nx)), np.zeros((1, m.nx)), [None] * 4, range(1, 5), ctx, m
     )
     assert len(out) == 5
-    for st_ in out:
-        assert np.allclose(st_.v, 0.0) and np.allclose(st_.w, 0.0)
+    for v, w in out:
+        assert np.allclose(v, 0.0) and np.allclose(w, 0.0)
 
 
 def test_propagate_superposition():
     m = _mesh(na=8, nx=7)
     rng = np.random.default_rng(3)
-    ctxs = [_ctx(m, 0.2, sigma=0.1, L=0.4, L_a=0.1, a_index=j) for j in range(1, 7)]
+    ctx = _ctx(m, 0.2, sigma=0.1, L=0.4, L_a=0.1)
+    ages = range(1, 7)
     v0 = rng.normal(size=(1, m.nx))
     w0 = rng.normal(size=(1, m.nx))
     f = [rng.normal(size=(1, m.nx)) for _ in range(6)]
-    full = propagate_characteristic(v0, w0, f, ctxs, m)
-    pv = propagate_characteristic(v0, 0 * w0, [None] * 6, ctxs, m)
-    pw = propagate_characteristic(0 * v0, w0, [None] * 6, ctxs, m)
-    pf = propagate_characteristic(0 * v0, 0 * w0, f, ctxs, m)
+    full = propagate_characteristic(v0, w0, f, ages, ctx, m)
+    pv = propagate_characteristic(v0, 0 * w0, [None] * 6, ages, ctx, m)
+    pw = propagate_characteristic(0 * v0, w0, [None] * 6, ages, ctx, m)
+    pf = propagate_characteristic(0 * v0, 0 * w0, f, ages, ctx, m)
     for k in range(7):
-        assert np.allclose(
-            full[k].v, pv[k].v + pw[k].v + pf[k].v, rtol=1e-12, atol=1e-12
-        )
-        assert np.allclose(
-            full[k].w, pv[k].w + pw[k].w + pf[k].w, rtol=1e-12, atol=1e-12
-        )
+        for c in (0, 1):  # values, then slopes
+            assert np.allclose(
+                full[k][c], pv[k][c] + pw[k][c] + pf[k][c], rtol=1e-12, atol=1e-12
+            )
 
 
 def test_propagate_length_mismatch():
     m = _mesh(na=4, nx=5)
     with pytest.raises(ValueError):
         propagate_characteristic(
-            np.zeros((1, m.nx)), np.zeros((1, m.nx)), [None], [], m
+            np.zeros((1, m.nx)), np.zeros((1, m.nx)), [None], [], _ctx(m, 0.1), m
         )
 
 
@@ -137,18 +143,15 @@ def test_energy_bound_uniform_in_tau():
             v0 = rng.normal(size=(1, m.nx))
             w0 = rng.normal(size=(1, m.nx))
             f = [rng.normal(size=(1, m.nx)) for _ in range(m.na)]
-            ctxs = [
-                _ctx(m, tau, sigma=0.3, L=0.5, L_a=0.2, a_index=j)
-                for j in range(1, m.na + 1)
-            ]
-            out = propagate_characteristic(v0, w0, f, ctxs, m)
+            ctx = _ctx(m, tau, sigma=0.3, L=0.5, L_a=0.2)
+            out = propagate_characteristic(v0, w0, f, range(1, m.na + 1), ctx, m)
             _, v0_V = _space_norms(v0, m)
             w0_H, _ = _space_norms(w0, m)
             f_sq = sum(_space_norms(fk, m)[0] for fk in f) * m.da
             rhs = tau * w0_H + v0_V + f_sq
-            for st_ in out:
-                wH = _space_norms(st_.w, m)[0]
-                vV = _space_norms(st_.v, m)[1]
+            for v, w in out:
+                wH = _space_norms(w, m)[0]
+                vV = _space_norms(v, m)[1]
                 worst = max(worst, (tau * wH + vV) / rhs)
     assert worst < 20.0
 
@@ -156,11 +159,11 @@ def test_energy_bound_uniform_in_tau():
 def test_tau_robust_limit():
     # trajectories approach the tau=0 trajectory monotonically
     m = _mesh(na=10, nx=21)
-    base = _run_eigenmode(m, 0.0, 0.2, m.na)
+    base, _ = _run_eigenmode(m, 0.0, 0.2, m.na)
     diffs = []
     for tau in (1e-2, 1e-4, 1e-6):
-        st_ = _run_eigenmode(m, tau, 0.2, m.na)
-        diffs.append(np.max(np.abs(st_.v - base.v)))
+        v, _ = _run_eigenmode(m, tau, 0.2, m.na)
+        diffs.append(np.max(np.abs(v - base)))
     assert diffs[0] > diffs[1] > diffs[2]
 
 
@@ -169,40 +172,84 @@ def test_unconditional_stability_stiff_ratio():
     m = build_mesh(1.0, 1.0, 10, 101)
     assert m.da / m.dx**2 == pytest.approx(1000.0)
     rng = np.random.default_rng(23)
-    v = rng.uniform(0, 1, size=(1, m.nx))
+    v = rng.uniform(0, 1, size=(1, m.na, m.nx))
     bound = np.max(np.abs(v))
-    state = CharState(v, np.zeros_like(v))
+    w = np.zeros_like(v)
     ctx = _ctx(m, 0.0, sigma=1.0)
     for _ in range(10):
-        state = step(state, ctx, m)
-        assert np.max(np.abs(state.v)) <= bound * (1 + 1e-12)
+        v, w = step(v, w, ctx, m)
+        assert np.max(np.abs(v)) <= bound * (1 + 1e-12)
 
 
 def test_mass_conservation_every_tau():
     # f = 0, L = 0, zero initial slope: weighted space sum is invariant
     m = _mesh(na=8, nx=13)
     rng = np.random.default_rng(29)
-    w = space_weights(m)
+    wx = space_weights(m)
     for tau in (0.0, 0.05, 3.0):
-        v = rng.normal(size=(1, m.nx))
-        mass0 = float(np.dot(w, v[0]))
-        state = CharState(v.copy(), np.zeros_like(v))
+        v = rng.normal(size=(1, m.na, m.nx))
+        mass0 = v[0] @ wx  # one mass per characteristic
+        w = np.zeros_like(v)
         ctx = _ctx(m, tau, sigma=0.7)
         for _ in range(m.na):
-            state = step(state, ctx, m)
-            assert np.dot(w, state.v[0]) == pytest.approx(mass0, rel=1e-12)
+            v, w = step(v, w, ctx, m)
+            assert v[0] @ wx == pytest.approx(mass0, rel=1e-12)
 
 
 def test_singular_system_detected():
     m = _mesh(na=4, nx=5)
-    ctx = _ctx(m, 0.0, sigma=0.0, L=-1.0 / m.da)
-    with pytest.raises(SingularSystem):
-        step(CharState(np.ones((1, m.nx)), np.zeros((1, m.nx))), ctx, m)
+    with pytest.raises(SingularSystem, match="age index 1"):
+        _ctx(m, 0.0, sigma=0.0, L=-1.0 / m.da)
 
 
 def test_non_finite_detected():
     m = _mesh(na=4, nx=5)
-    v = np.ones((1, m.nx))
-    v[0, 0] = np.inf
+    v = np.ones((1, m.na, m.nx))
+    v[0, 0, 0] = np.inf
     with pytest.raises(NonFinite):
-        step(CharState(v, np.zeros_like(v)), _ctx(m, 0.1, sigma=0.1), m)
+        step(v, np.zeros_like(v), _ctx(m, 0.1, sigma=0.1), m)
+
+
+def _lap_matrix(m):
+    # mirror-point Neumann stencil, written out directly
+    X = m.nx
+    lap = -2.0 * np.eye(X) + np.eye(X, k=1) + np.eye(X, k=-1)
+    lap[0, 1] = lap[-1, -2] = 2.0
+    return lap / m.dx**2
+
+
+def test_step_matches_per_age_dense_solve():
+    # coefficients that vary with age, space and compartment pair: each
+    # target age must use its own tables (compartment-major ordering here)
+    m = _mesh(na=5, nx=6)
+    n, A, X, da, tau = 2, m.na + 1, m.nx, m.da, 0.3
+    rng = np.random.default_rng(41)
+    lin = LinearPart(
+        L=rng.uniform(0.0, 1.0, size=(A, X, n, n)),
+        L_a=rng.uniform(-1.0, 1.0, size=(A, X, n, n)),
+        sigma=rng.uniform(0.05, 0.5, size=(A, n)),
+    )
+    v = rng.normal(size=(n, m.na, X))
+    w = rng.normal(size=(n, m.na, X))
+    f = rng.normal(size=(n, m.na, X))
+    v_new, w_new = step(v, w, step_context(lin, tau, m), m, f=f)
+
+    lap = _lap_matrix(m)
+    for a in range(1, A):
+        lc = lin.L[a] + tau * lin.L_a[a]  # (X, n, n)
+        mat = np.zeros((n * X, n * X))
+        rhs = np.zeros(n * X)
+        for h in range(n):
+            rows = slice(h * X, (h + 1) * X)
+            for i in range(n):
+                cols = slice(i * X, (i + 1) * X)
+                coef = da * tau * lin.L[a, :, h, i] + da * da * lc[:, h, i]
+                mat[rows, cols] += np.diag(coef + (tau + da) * (h == i))
+            mat[rows, rows] -= da * da * lin.sigma[a, h] * lap
+            mixed = sum(lc[:, h, i] * v[i, a - 1] for i in range(n))
+            rhs[rows] = tau * w[h, a - 1] + da * (
+                lin.sigma[a, h] * lap @ v[h, a - 1] - mixed + f[h, a - 1]
+            )
+        want_w = np.linalg.solve(mat, rhs).reshape(n, X)
+        assert np.allclose(w_new[:, a - 1], want_w, rtol=1e-12, atol=1e-12)
+        assert np.allclose(v_new[:, a - 1], v[:, a - 1] + da * want_w, rtol=1e-12, atol=1e-12)

@@ -1,19 +1,32 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiwave import SolverConfig, build_mesh, run_parabolic
+from epiwave import (
+    KernelSet,
+    KernelTerm,
+    SolverConfig,
+    attach_tilde,
+    build_mesh,
+    run_parabolic,
+    run_relaxed,
+)
+from epiwave import study
 from epiwave.errors import ConfigError
 from epiwave.io_cli import (
     RunConfig,
+    build_problem,
     cli_main,
     parse_config_dict,
     serialize_config,
     write_slices,
 )
+from epiwave.reference import scalar_spec
 from epiwave.svir import SvirParams, build_svir
 
 
@@ -276,6 +289,10 @@ def _tables(m, **tables):
         ({"beta0": np.zeros((2, 2))}, "'beta0'"),
         ({"kernels": np.zeros((1, 1, 1, 5, 5))}, "'kernels'"),
         ({"g0": np.zeros((4, 1, 5))}, "'g0'"),
+        ({"L": np.full((5, 5, 1, 1), "0")}, "'L'"),  # strings
+        ({"y0": np.ones((1, 5, 5)) + 1j}, "'y0'"),  # complex
+        ({"sigma": np.full((5, 1), True)}, "'sigma'"),  # booleans
+        ({"L": np.zeros((5, 5, 0, 0)), "sigma": np.zeros((5, 0)), "y0": np.zeros((0, 5, 5))}, "'L'"),
     ],
 )
 def test_bad_model_tables_exit_2(tmp_path, capsys, tables, named):
@@ -287,3 +304,143 @@ def test_bad_model_tables_exit_2(tmp_path, capsys, tables, named):
     assert cli_main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and named in err
+
+
+def test_tables_run_matches_library_spec_with_tilde_terms(tmp_path):
+    # an age-dependent kernel with births: Lambda_1 carries the kernel's
+    # age derivative and the boundary-renewal term
+    m = build_mesh(0.5, 1.0, 10, 11)
+    A, X = m.na + 1, m.nx
+    a, x = m.ages(), m.xs()
+    table = 0.5 * (1.0 + a[:, None, None, None]) * np.exp(
+        -((x[None, :, None, None] - x[None, None, None, :]) ** 2)
+    ) * np.ones((A, X, A, X))
+    y0 = (1.0 + 0.5 * np.cos(np.pi * x))[None, None, :] * (1.0 - 0.5 * a)[None, :, None]
+    spec = scalar_spec(
+        m,
+        y0,
+        sigma=0.1,
+        mu=0.2,
+        kernels=KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, table)]),
+        tau=0.1,
+    )
+    spec.births.beta0 = np.full((A, X, 1, 1), 0.8)
+    spec.births.beta1 = np.full((A, X, 1, 1), 0.8)
+    spec.kernels = attach_tilde(spec.kernels, spec.births.beta0, m)
+    assert len(spec.kernels.tilde_terms) == 2
+    want = run_relaxed(spec, SolverConfig(), m)[-1].values
+
+    np.savez(
+        tmp_path / "model.npz",
+        L=spec.linear.L,
+        L_a=spec.linear.L_a,
+        sigma=spec.linear.sigma,
+        kernels=table[None, None, None],
+        beta0=spec.births.beta0,
+        beta1=spec.births.beta1,
+        y0=y0,
+    )
+    path = _write_config(
+        tmp_path,
+        model={"kind": "tables", "path": str(tmp_path / "model.npz")},
+        mesh={"t_max": 0.5, "a_max": 1.0, "na": 10, "nx": 11},
+        solver={"tau": 0.1},
+    )
+    assert cli_main(["run", "--config", str(path)]) == 0
+    rows = np.loadtxt(tmp_path / "out" / f"slice_{m.nt}.csv", delimiter=",", skiprows=1)
+    got = rows[:, 2:].T.reshape(want.shape)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_tables_svir_gets_no_tilde_terms(tmp_path):
+    # dense copies of the age-independent SVIR kernel: no derivative terms,
+    # and newborns enter S only, so no boundary-renewal terms either
+    m = build_mesh(0.5, 1.0, 4, 5)
+    spec = build_svir(SvirParams(tau=1e-2), m)
+    A, X = m.na + 1, m.nx
+    kernels = np.zeros((4, 4, 4, A, X, A, X))
+    for t in spec.kernels.terms:
+        kernels[t.h, t.i, t.j] += t.weight * t.table
+    np.savez(
+        tmp_path / "model.npz",
+        L=spec.linear.L,
+        sigma=spec.linear.sigma,
+        kernels=kernels,
+        beta0=spec.births.beta0,
+        y0=spec.y0,
+    )
+    cfg = parse_config_dict(
+        {
+            "mesh": {"t_max": 0.5, "a_max": 1.0, "na": 4, "nx": 5},
+            "model": {"kind": "tables", "path": str(tmp_path / "model.npz")},
+        }
+    )
+    _, loaded, _ = build_problem(cfg, tau=1e-2)
+    assert len(loaded.kernels.terms) == 6
+    assert loaded.kernels.tilde_terms == []
+
+
+@pytest.mark.parametrize("taus", ["1e-2,1e-3,1e-2", "-1e-3,1e-2"])
+def test_bad_sweep_taus_exit_2_before_solving(tmp_path, capsys, monkeypatch, taus):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the taus were checked")
+
+    monkeypatch.setattr(study, "run_parabolic", no_solve)
+    path = _write_config(tmp_path)
+    assert cli_main(["sweep", "--config", str(path), f"--taus={taus}"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+_DTYPES = ["f8", "f4", "i8", "u1", "?", "c16", "U2", "O"]
+# (right shape or a list of dimensions, dtype, fill value)
+_TABLE = st.tuples(
+    st.just(True) | st.lists(st.integers(0, 3), max_size=4),
+    st.sampled_from(_DTYPES),
+    st.integers(-2, 2),
+)
+
+
+def _table_shape(key, m, n):
+    A, X, T = m.na + 1, m.nx, m.nt + 1
+    return {
+        "sigma": (A, n),
+        "kernels": (n, n, n, A, X, A, X),
+        "g0": (T, n, X),
+        "g1": (T, n, X),
+        "y0": (n, A, X),
+        "y1": (n, A, X),
+        "f": (T, n, A, X),
+    }.get(key, (A, X, n, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(0, 2),
+    tables=st.fixed_dictionaries(
+        {key: _TABLE for key in ("L", "sigma", "y0")},
+        optional={
+            key: _TABLE
+            for key in ("L_a", "kernels", "g0", "g1", "y1", "f", "beta0", "bogus")
+        },
+    ),
+)
+def test_build_problem_tables_fuzz(n, tables):
+    # random keys, shapes and dtypes: a built problem or a ConfigError
+    m = build_mesh(0.5, 1.0, 2, 3)
+    arrays = {}
+    for key, (shape, dtype, fill) in tables.items():
+        shape = _table_shape(key, m, n) if shape is True else tuple(shape)
+        arrays[key] = np.full(shape, fill).astype(dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.npz"
+        np.savez(path, **arrays)
+        cfg = parse_config_dict(
+            {
+                "mesh": {"t_max": 0.5, "a_max": 1.0, "na": 2, "nx": 3},
+                "model": {"kind": "tables", "path": str(path)},
+            }
+        )
+        try:
+            build_problem(cfg, tau=0.1)
+        except ConfigError:
+            pass

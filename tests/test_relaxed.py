@@ -12,8 +12,8 @@ from epiwave import (
     norm_V,
     run_relaxed,
 )
-from epiwave.char_solver import StepContext
-from epiwave.errors import PicardDiverged, ShapeMismatch
+from epiwave.char_solver import step_context
+from epiwave.errors import InvalidParam, PicardDiverged, ShapeMismatch
 from epiwave.mesh import characteristic_cells, characteristic_ids
 from epiwave.reference import manufactured, scalar_spec
 from epiwave.relaxed_model import residual_check
@@ -46,7 +46,7 @@ def test_linear_run_matches_characteristic_reassembly():
     spec = scalar_spec(
         m, y0, sigma=0.15, mu=0.3, g0=g0, g1=g1, y1=y1, f=f, tau=tau
     )
-    lin = spec.linear
+    ctx = step_context(spec.linear, tau, m)
     run = run_relaxed(spec, SolverConfig(), m)
 
     got = np.stack([sl.values for sl in run])  # (nt+1, 1, A, X)
@@ -58,14 +58,11 @@ def test_linear_run_matches_characteristic_reassembly():
             v0, w0 = y0[:, ai0, :], y1[:, ai0, :]
         else:
             v0, w0 = g0[ti0], g1[ti0]
-        ctxs = [
-            StepContext(tau, aj, lin.L[aj], lin.L_a[aj], lin.sigma[aj])
-            for (_, aj) in cells[1:]
-        ]
+        ages = [aj for (_, aj) in cells[1:]]
         forcing = [f[ti, :, aj, :] for (ti, aj) in cells[1:]]
-        states = propagate_characteristic(v0, w0, forcing, ctxs, m)
-        for (ti, aj), st in zip(cells, states):
-            want[ti, :, aj, :] = st.v
+        states = propagate_characteristic(v0, w0, forcing, ages, ctx, m)
+        for (ti, aj), (v, _) in zip(cells, states):
+            want[ti, :, aj, :] = v
     assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
@@ -152,6 +149,13 @@ def test_spec_validation_errors():
     m = build_mesh(0.5, 1.0, 4, 5)
     spec = scalar_spec(m, np.zeros((1, 3, 3)))
     with pytest.raises(ShapeMismatch):
+        run_relaxed(spec, SolverConfig(), m)
+
+
+def test_negative_tau_is_an_invalid_param():
+    m = build_mesh(0.5, 1.0, 4, 5)
+    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=-0.1)
+    with pytest.raises(InvalidParam):
         run_relaxed(spec, SolverConfig(), m)
 
 

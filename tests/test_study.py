@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from epiwave import SolverConfig, build_mesh, derived_initial_slope, run_relaxed
-from epiwave.errors import FitUnderdetermined, MissingBaseline
+from epiwave.errors import FitUnderdetermined, InvalidParam, MissingBaseline
+from epiwave import study
 from epiwave.study import (
     compatibility_setup,
     fit_rate,
@@ -126,3 +127,13 @@ def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
         worst = max(worst, float(np.max(np.abs(resid))))
         scale = max(scale, float(np.max(np.abs(b_full))))
     assert worst < 0.02 * scale
+
+
+@pytest.mark.parametrize("taus", [[1e-2, 1e-3, 1e-2], [-1e-3, 1e-2], [1e-3, 1e-3]])
+def test_sweep_taus_checked_before_solving(desk_mesh, solver_cfg, monkeypatch, taus):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the taus were checked")
+
+    monkeypatch.setattr(study, "run_parabolic", no_solve)
+    with pytest.raises(InvalidParam):
+        tau_sweep(SvirParams(), taus, solver_cfg, desk_mesh)
