@@ -5,6 +5,7 @@ from .char_solver import StepContext, step, step_context
 from .fields import NormReport, StateField, diff_norms, norm_H, norm_V
 from .mesh import Mesh, build_mesh, characteristic_cells, characteristic_ids
 from .operators import (
+    FactoredTable,
     KernelSet,
     KernelTerm,
     LinearPart,
@@ -29,6 +30,7 @@ from .svir import SvirParams, build_svir
 __all__ = [
     "BirthLaws",
     "BirthValues",
+    "FactoredTable",
     "KernelSet",
     "KernelTerm",
     "LinearPart",

@@ -7,15 +7,18 @@ corrections), and the bilinear boundary operator G.
 
 Kernels are stored as a sparse list of terms: each term couples one
 (target h, multiplied i, integrated j) compartment triple through a
-scalar table k(a, x, alpha, xi) and a weight.  Terms may share the same
-table (the SVIR model uses a single spatial kernel for all couplings),
-which keeps storage linear in the number of couplings.  Kernel values
-are taken in consistent rate units per (age * length); no normalization
-is applied.
+scalar table k(a, x, alpha, xi) and a weight.  Library kernels and the
+boundary-renewal terms are FactoredTables, k = row(a, x, xi) *
+col(alpha, xi), contracted in O(X^2 + A X); only kernels read from an
+.npz of sampled tables are dense (A, X, A, X) arrays, contracted in
+O(A^2 X^2).  Terms may share the same table (the SVIR model uses a
+single spatial kernel for all couplings), and a shared table is
+contracted once per sweep.  Kernel values are taken in consistent rate
+units per (age * length); no normalization is applied.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -74,6 +77,32 @@ class LinearPart:
             raise ShapeMismatch(f"sigma must have shape {(m.na + 1, n)}")
 
 
+@dataclass(frozen=True, eq=False)
+class FactoredTable:
+    """Kernel table k(a, x, alpha, xi) = row(a, x, xi) * col(alpha, xi).
+
+    row is (X, X) when the kernel does not depend on a, else (A, X, X);
+    col is (A, X), or None for a kernel constant in alpha.  ages = A =
+    na + 1.  np.asarray materialises the dense (A, X, A, X) product.
+    """
+
+    row: np.ndarray
+    col: Optional[np.ndarray]
+    ages: int
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("a FactoredTable cannot be viewed as a dense array")
+        A, X = self.ages, self.row.shape[-1]
+        row = self.row if self.row.ndim == 3 else self.row[None]
+        out = np.broadcast_to(row[:, :, None, :], (A, X, A, X))
+        out = out * (1.0 if self.col is None else self.col)
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+
+Table = Union[np.ndarray, FactoredTable]
+
+
 @dataclass(frozen=True)
 class KernelTerm:
     """One coupling k^{hij}(a, x, alpha, xi) = weight * table."""
@@ -82,7 +111,7 @@ class KernelTerm:
     i: int
     j: int
     weight: float
-    table: np.ndarray  # (na+1, nx, na+1, nx), possibly a broadcast view
+    table: Table  # FactoredTable, or a dense (na+1, nx, na+1, nx) array
 
 
 @dataclass
@@ -118,38 +147,65 @@ class KernelSet:
         A, X = m.na + 1, m.nx
         out = np.zeros((self.n, self.n, self.n, A, X, A, X))
         for t in self.tilde_terms if tilde else self.terms:
-            out[t.h, t.i, t.j] += t.weight * t.table
+            out[t.h, t.i, t.j] += t.weight * np.asarray(t.table)
         return out
+
+
+def _at_alpha_zero(table: Table) -> np.ndarray:
+    """k(a, x, 0, xi): (A, X, X), or (X, X) for a factored row without a."""
+    if isinstance(table, FactoredTable):
+        return table.row if table.col is None else table.row * table.col[0]
+    return table[:, :, 0, :]
+
+
+def _age_derivatives(table: Table, m: Mesh) -> List[Table]:
+    """(d/da + d/dalpha) k as a list of tables, empty when k has no age.
+
+    A factored table knows its age dependence: (d_a row) col when row
+    depends on a, plus row (d_alpha col) when col is given.  A dense
+    table equal to its age-zero slices at every age pair has none.
+    """
+    def d_age(f):
+        return np.gradient(f, m.da, axis=0, edge_order=2)
+
+    if isinstance(table, FactoredTable):
+        out = []
+        if table.row.ndim == 3:
+            out.append(FactoredTable(d_age(table.row), table.col, table.ages))
+        if table.col is not None:
+            out.append(FactoredTable(table.row, d_age(table.col), table.ages))
+        return out
+    if np.array_equal(table, np.broadcast_to(table[:1, :, :1, :], table.shape)):
+        return []
+    dtab = d_age(table) + np.gradient(table, m.da, axis=2, edge_order=2)
+    return [dtab] if np.any(dtab) else []
 
 
 def attach_tilde(k: KernelSet, beta0: np.ndarray, m: Mesh) -> KernelSet:
     """Precompute the tilde kernel terms for Lambda_1.
 
     The age derivative (d/da + d/dalpha) of each table uses centered
-    differences; a table equal to its age-zero slices at every age pair
-    has no derivative term.
+    differences (see _age_derivatives).  The boundary-renewal part
+    k^{hil}(a, x, 0, xi) beta0^{lj}(alpha, xi) is a FactoredTable for
+    every kind of table.  Terms sharing a table share its tilde tables.
     """
     tilde: List[KernelTerm] = []
-    derivs: dict = {}  # one derivative per distinct table
+    derivs: dict = {}  # id(table) -> its derivative tables
+    renewals: dict = {}  # (id(table), t.j, j) -> its renewal table
     for t in k.terms:
         key = id(t.table)
         if key not in derivs:
-            tab, dtab = t.table, None
-            if not np.array_equal(tab, np.broadcast_to(tab[:1, :, :1, :], tab.shape)):
-                dtab = np.gradient(tab, m.da, axis=0, edge_order=2)
-                dtab += np.gradient(tab, m.da, axis=2, edge_order=2)
-            derivs[key] = dtab
-        dtab = derivs[key]
-        if dtab is not None and np.any(dtab):
+            derivs[key] = _age_derivatives(t.table, m)
+        for dtab in derivs[key]:
             tilde.append(KernelTerm(t.h, t.i, t.j, t.weight, dtab))
-        # Boundary-renewal part: k^{hil}(a, x, 0, xi) * beta0^{lj}(alpha, xi).
-        row = t.table[:, :, 0, :]  # (A, X, X)
         for j in range(k.n):
             b = beta0[:, :, t.j, j]  # (A, X) over (alpha, xi)
             if not np.any(b):
                 continue
-            tab = np.einsum("axz,bz->axbz", row, b)
-            tilde.append(KernelTerm(t.h, t.i, j, t.weight, tab))
+            rkey = (key, t.j, j)
+            if rkey not in renewals:
+                renewals[rkey] = FactoredTable(_at_alpha_zero(t.table), b, m.na + 1)
+            tilde.append(KernelTerm(t.h, t.i, j, t.weight, renewals[rkey]))
     return KernelSet(n=k.n, terms=list(k.terms), tilde_terms=tilde)
 
 
@@ -160,6 +216,17 @@ def _weighted(w, m: Mesh) -> np.ndarray:
     return v * wa[None, :, None] * wx[None, None, :]
 
 
+def _integrate(table: Table, f: np.ndarray) -> np.ndarray:
+    """sum over (alpha, xi) of k(a, x, alpha, xi) f(alpha, xi).
+
+    Returns (A, X), or (X,) for a factored table constant in a.
+    """
+    if isinstance(table, FactoredTable):
+        s = f.sum(axis=0) if table.col is None else np.einsum("bz,bz->z", table.col, f)
+        return table.row @ s
+    return np.einsum("axbz,bz->ax", table, f)
+
+
 def _contract(terms: List[KernelTerm], wq: np.ndarray, n: int) -> np.ndarray:
     A, X = wq.shape[1], wq.shape[2]
     out = np.zeros((n, n, A, X))
@@ -168,7 +235,7 @@ def _contract(terms: List[KernelTerm], wq: np.ndarray, n: int) -> np.ndarray:
         key = (id(t.table), t.j)
         g = cache.get(key)
         if g is None:
-            g = np.einsum("axbz,bz->ax", t.table, wq[t.j])
+            g = _integrate(t.table, wq[t.j])
             cache[key] = g
         out[t.h, t.i] += t.weight * g
     return out
@@ -204,7 +271,7 @@ def lambda_two(k: KernelSet, g0: Optional[np.ndarray], m: Mesh) -> np.ndarray:
         key = (id(t.table), t.j)
         g = cache.get(key)
         if g is None:
-            g = np.einsum("axz,z->ax", t.table[:, :, 0, :], g0[t.j] * wx)
+            g = _at_alpha_zero(t.table) @ (g0[t.j] * wx)
             cache[key] = g
         out[t.h, t.i] += t.weight * g
     return out
@@ -260,11 +327,11 @@ def g_op(
     if vv.shape != wv.shape:
         raise ShapeMismatch("v and w shapes differ")
     lam = lambda_op(k, vv, m)  # (n, n, A, X)
-    lam0 = lam[:, :, 0, :]  # (n, n, X)
-    t1 = np.einsum("bxhi,ijbx,jbx->hbx", beta1, lam, wv)
-    t2 = np.einsum("hix,bxij,jbx->hbx", lam0, beta0, wv)
-    out = np.einsum("b,hbx->hx", age_weights(m), t1 - t2)
-    if g0 is not None and np.any(g0):
-        out -= np.einsum("hix,ix->hx", lam0, g0)
-    return out
-
+    # Contract w first: beta1 acts on Lambda(alpha, v) w(alpha), and
+    # Lambda(0, v) on the age integral of beta0 w, plus g0.
+    wa = age_weights(m)
+    t1 = np.einsum("bxhi,ibx->hbx", beta1, apply_matrix_field(lam, wv))
+    src = np.einsum("b,ibx->ix", wa, np.einsum("bxij,jbx->ibx", beta0, wv))
+    if g0 is not None:
+        src += g0
+    return np.einsum("b,hbx->hx", wa, t1) - np.einsum("hix,ix->hx", lam[:, :, 0, :], src)

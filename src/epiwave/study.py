@@ -113,10 +113,13 @@ def refinement_floor(
 
 
 def check_taus(taus: Sequence[float]) -> None:
-    """Raise InvalidParam unless the taus are nonnegative and strictly monotone."""
+    """Raise InvalidParam unless the taus are positive and strictly monotone.
+
+    The rate is a log-log fit, and a tau = 0 member equals the baseline.
+    """
     steps = np.diff(taus)
-    if not (all(t >= 0 for t in taus) and (all(steps > 0) or all(steps < 0))):
-        raise InvalidParam(f"sweep taus must be nonnegative and strictly monotone: {list(taus)}")
+    if not (all(t > 0 for t in taus) and (all(steps > 0) or all(steps < 0))):
+        raise InvalidParam(f"sweep taus must be positive and strictly monotone: {list(taus)}")
 
 
 def tau_sweep(

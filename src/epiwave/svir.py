@@ -16,7 +16,7 @@ import numpy as np
 from .birth import BirthLaws
 from .errors import InvalidParam
 from .mesh import Mesh
-from .operators import KernelSet, KernelTerm, LinearPart, attach_tilde
+from .operators import FactoredTable, KernelSet, KernelTerm, LinearPart, attach_tilde
 from .relaxed_model import ModelSpec
 
 S, V, I, R = 0, 1, 2, 3
@@ -143,8 +143,8 @@ def build_svir(p: SvirParams, m: Mesh, routing: str = "susceptible") -> ModelSpe
     )
     linear = LinearPart(L=L, L_a=L_a, sigma=sigma)
 
-    lam_x = p.lambda_kernel(xs[:, None], xs[None, :])  # (X, X)
-    base = np.broadcast_to(lam_x[None, :, None, :], (A, X, A, X))
+    # One age-independent spatial kernel, shared by all six couplings.
+    base = FactoredTable(p.lambda_kernel(xs[:, None], xs[None, :]), None, A)
     couplings = [
         (S, S, I, 1.0),
         (V, V, I, p.phi1),

@@ -1,11 +1,15 @@
-"""The benchmark tracer wraps epiwave names; a rename must fail here."""
+"""The benchmark's contract with epiwave: the names its tracer wraps and
+the kernel tables its workloads read; a rename or a type change must
+fail here."""
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from epiwave import SolverConfig, build_mesh, relaxed_model
-from epiwave.svir import SvirParams, build_svir
+from epiwave.svir import I, S, SvirParams, build_svir, tent_kernel
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -37,3 +41,26 @@ def test_traced_relaxed_solve_steps_once_per_sweep():
     assert metrics["relaxed_model.sweeps"] > m.nt
     assert metrics["char_solver.step_calls"] == metrics["relaxed_model.sweeps"]
     assert metrics["char_solver.step_s"] > 0.0
+
+
+def test_svir_kernel_tables_as_the_benchmark_reads_them():
+    # the cli-tables workload writes t.weight * np.asarray(t.table) into a
+    # 7-D table; the tracer counts one distinct contraction per table
+    m = build_mesh(0.5, 1.0, 4, 5)
+    spec = build_svir(SvirParams(tau=1e-2), m)
+    A, X = m.na + 1, m.nx
+    kernels = np.zeros((4, 4, 4, A, X, A, X))
+    for t in spec.kernels.terms:
+        kernels[t.h, t.i, t.j] += t.weight * np.asarray(t.table)
+    xs = m.xs()
+    tent = np.broadcast_to(tent_kernel(xs[:, None], xs[None, :])[None, :, None, :], (A, X, A, X))
+    assert np.array_equal(kernels[S, S, I], tent)
+    assert np.array_equal(kernels[I, S, I], -tent)
+    assert not np.any(np.delete(kernels, I, axis=2))
+    assert _tracing()._distinct_contractions(spec.kernels.terms) == 1
+
+
+def test_svir_kernel_has_no_tilde_terms():
+    # age-constant kernel and births routed into S: Lambda_1 vanishes
+    m = build_mesh(1.0, 1.0, 40, 41)
+    assert build_svir(SvirParams(tau=1e-2), m).kernels.tilde_terms == []

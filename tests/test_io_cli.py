@@ -360,7 +360,7 @@ def test_tables_svir_gets_no_tilde_terms(tmp_path):
     A, X = m.na + 1, m.nx
     kernels = np.zeros((4, 4, 4, A, X, A, X))
     for t in spec.kernels.terms:
-        kernels[t.h, t.i, t.j] += t.weight * t.table
+        kernels[t.h, t.i, t.j] += t.weight * np.asarray(t.table)
     np.savez(
         tmp_path / "model.npz",
         L=spec.linear.L,
@@ -380,7 +380,7 @@ def test_tables_svir_gets_no_tilde_terms(tmp_path):
     assert loaded.kernels.tilde_terms == []
 
 
-@pytest.mark.parametrize("taus", ["1e-2,1e-3,1e-2", "-1e-3,1e-2"])
+@pytest.mark.parametrize("taus", ["1e-2,1e-3,1e-2", "-1e-3,1e-2", "0,1e-3,1e-2"])
 def test_bad_sweep_taus_exit_2_before_solving(tmp_path, capsys, monkeypatch, taus):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the taus were checked")

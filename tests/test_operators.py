@@ -7,12 +7,14 @@ from epiwave.errors import MissingSlope, ShapeMismatch
 from epiwave.fields import StateField, norm_H
 from epiwave.mesh import age_weights, build_mesh, space_weights
 from epiwave.operators import (
+    FactoredTable,
     KernelSet,
     KernelTerm,
     apply_matrix_field,
     attach_tilde,
     delta_lambda_apply,
     g_op,
+    lambda_one,
     lambda_op,
     lambda_two,
     laplacian_neumann,
@@ -47,6 +49,53 @@ def _random_kernel(m, n, rng, smooth=False):
                     tab = rng.normal(size=(A, X, A, X))
                 terms.append(KernelTerm(h, i, j, 1.0, tab))
     return KernelSet(n=n, terms=terms)
+
+
+def _factored_kernel(m, n, rng):
+    """Factored terms whose rows depend on age and whose columns are set,
+    plus one age-constant table shared by two couplings."""
+    A, X = m.na + 1, m.nx
+    terms = [
+        KernelTerm(
+            h, i, j, 1.0,
+            FactoredTable(rng.normal(size=(A, X, X)), rng.normal(size=(A, X)), A),
+        )
+        for h in range(n)
+        for i in range(n)
+        for j in range(n)
+    ]
+    shared = FactoredTable(rng.normal(size=(X, X)), None, A)
+    terms += [KernelTerm(0, n - 1, n - 1, 0.5, shared), KernelTerm(n - 1, 0, n - 1, -2.0, shared)]
+    return KernelSet(n=n, terms=terms)
+
+
+KINDS = ("dense", "factored")
+
+
+def _kernel(kind, m, n, rng):
+    return _factored_kernel(m, n, rng) if kind == "factored" else _random_kernel(m, n, rng)
+
+
+def _table(kind, row, col, m):
+    """The kernel row * col as a FactoredTable or as its dense array."""
+    table = FactoredTable(row, col, m.na + 1)
+    return table if kind == "factored" else np.asarray(table)
+
+
+def _assert_close(got, want, rtol=1e-13):
+    """Agreement relative to the largest entry of the oracle."""
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def _lambda_dense(dense, field, m):
+    """Oracle Lambda: quadrature of a dense (n,n,n,A,X,A,X) kernel."""
+    return np.einsum(
+        "hijaxbz,b,z,jbz->hiax", dense, age_weights(m), space_weights(m), field
+    )
+
+
+def _lambda_two_dense(dense, g0, m):
+    return np.einsum("hijaxz,z,jz->hiax", dense[..., 0, :], space_weights(m), g0)
 
 
 # --------------------------------------------------------------------------
@@ -125,16 +174,17 @@ def test_lambda_constants_on_unit_domains():
 def test_lambda_tent_kernel_closed_form():
     # int (0.1 - |0.5 - xi|)^+ dxi = 0.01; kernel kinks on grid nodes so
     # the trapezoid value is exact
-    for nx in (11, 21):
-        m = _mesh(nx=nx)
-        A, X = m.na + 1, m.nx
-        xs = m.xs()
-        tent = np.maximum(0.1 - np.abs(xs[:, None] - xs[None, :]), 0.0)
-        base = np.broadcast_to(tent[None, :, None, :], (A, X, A, X))
-        k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
-        out = lambda_op(k, np.ones((1, A, X)), m)
-        mid = np.argmin(np.abs(xs - 0.5))
-        assert np.isclose(out[0, 0, 0, mid], 0.01, atol=1e-14)
+    for kind in KINDS:
+        for nx in (11, 21):
+            m = _mesh(nx=nx)
+            A, X = m.na + 1, m.nx
+            xs = m.xs()
+            tent = np.maximum(0.1 - np.abs(xs[:, None] - xs[None, :]), 0.0)
+            base = _table(kind, tent, None, m)
+            k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
+            out = lambda_op(k, np.ones((1, A, X)), m)
+            mid = np.argmin(np.abs(xs - 0.5))
+            assert np.isclose(out[0, 0, 0, mid], 0.01, atol=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
@@ -186,7 +236,19 @@ def _dense_beta(m, n, rng):
     return rng.normal(size=(m.na + 1, m.nx, n, n))
 
 
-def test_attach_tilde_matches_definition():
+def test_factored_table_materialises_the_product():
+    m = build_mesh(1.0, 1.0, 3, 4)
+    A, X = m.na + 1, m.nx
+    rng = np.random.default_rng(2)
+    row, col, flat = rng.normal(size=(A, X, X)), rng.normal(size=(A, X)), rng.normal(size=(X, X))
+    want = np.einsum("axz,bz->axbz", row, col)
+    assert np.array_equal(np.asarray(FactoredTable(row, col, A)), want)
+    want = np.broadcast_to(flat[None, :, None, :], (A, X, A, X))
+    assert np.array_equal(np.asarray(FactoredTable(flat, None, A)), want)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_attach_tilde_matches_definition(kind):
     # oracle: k_a + k_alpha analytically plus the beta0 outer part;
     # the finite-difference derivative converges at second order
     def deriv_error(na):
@@ -196,10 +258,10 @@ def test_attach_tilde_matches_definition():
         alf = m.ages()[None, None, :, None]
         x = m.xs()[None, :, None, None]
         z = m.xs()[None, None, None, :]
-        tab = np.broadcast_to(
-            np.sin(a) * np.cos(2 * alf) * (1 + 0.5 * x * z), (A, X, A, X)
-        ).copy()
-        k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, tab)])
+        xz = np.multiply.outer(m.xs(), m.xs())
+        row = np.sin(m.ages())[:, None, None] * (1 + 0.5 * xz)  # (A, X, X)
+        col = np.broadcast_to(np.cos(2 * m.ages())[:, None], (A, X))
+        k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, _table(kind, row, col, m))])
         beta0 = np.zeros((A, X, 1, 1))
         kt = attach_tilde(k, beta0, m)
         dense = kt.dense(m, tilde=True)[0, 0, 0]
@@ -212,16 +274,27 @@ def test_attach_tilde_matches_definition():
     assert e1 < 0.1
     assert e1 / e2 > 3.0
 
-    # the beta0 renewal part is exact (pure outer product)
+    # the derivative terms equal np.gradient of the dense table and the
+    # renewal term its outer product with beta0
     m = build_mesh(1.0, 1.0, 8, 5)
     A, X = m.na + 1, m.nx
     rng = np.random.default_rng(4)
     beta0 = _dense_beta(m, 1, rng)
-    flat = np.broadcast_to(rng.normal(size=(X, X))[None, :, None, :], (A, X, A, X))
-    k_flat = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, flat)])
-    kt_flat = attach_tilde(k_flat, beta0, m)
+    table = _table(kind, rng.normal(size=(A, X, X)), rng.normal(size=(A, X)), m)
+    kt = attach_tilde(KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, table)]), beta0, m)
+    dense = np.asarray(table)
+    want = np.gradient(dense, m.da, axis=0, edge_order=2)
+    want += np.gradient(dense, m.da, axis=2, edge_order=2)
+    want += np.einsum("axz,bz->axbz", dense[:, :, 0, :], beta0[:, :, 0, 0])
+    _assert_close(kt.dense(m, tilde=True)[0, 0, 0], want)
+
+    # an age-constant table has no derivative term; the renewal part is exact
+    flat = _table(kind, rng.normal(size=(X, X)), None, m)
+    kt_flat = attach_tilde(KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, flat)]), beta0, m)
+    assert len(kt_flat.tilde_terms) == 1
+    assert isinstance(kt_flat.tilde_terms[0].table, FactoredTable)
     dense_flat = kt_flat.dense(m, tilde=True)[0, 0, 0]
-    want = np.einsum("axz,bz->axbz", flat[:, :, 0, :], beta0[:, :, 0, 0])
+    want = np.einsum("axz,bz->axbz", np.asarray(flat)[:, :, 0, :], beta0[:, :, 0, 0])
     assert np.allclose(dense_flat, want)
 
 
@@ -243,62 +316,59 @@ def test_delta_lambda_requires_slopes():
 
 def test_delta_lambda_product_rule_reduction():
     # age-flat kernel + zero beta0 leaves only Lambda(v) dw + Lambda(dv) w
-    m = _mesh(nx=5)
-    A, X = m.na + 1, m.nx
-    rng = np.random.default_rng(8)
-    base = np.broadcast_to(rng.normal(size=(X, X))[None, :, None, :], (A, X, A, X))
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
-    k = attach_tilde(k, np.zeros((A, X, 1, 1)), m)
-    assert not k.tilde_terms
-    v = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
-    w = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
-    got = delta_lambda_apply(k, v, None, w, m)
-    want = apply_matrix_field(lambda_op(k, v.values, m), w.slope)
-    want += apply_matrix_field(lambda_op(k, v.slope, m), w.values)
-    assert np.allclose(got, want)
+    for kind in KINDS:
+        m = _mesh(nx=5)
+        A, X = m.na + 1, m.nx
+        rng = np.random.default_rng(8)
+        base = _table(kind, rng.normal(size=(X, X)), None, m)
+        k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
+        k = attach_tilde(k, np.zeros((A, X, 1, 1)), m)
+        assert not k.tilde_terms
+        v = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
+        w = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
+        got = delta_lambda_apply(k, v, None, w, m)
+        want = apply_matrix_field(lambda_op(k, v.values, m), w.slope)
+        want += apply_matrix_field(lambda_op(k, v.slope, m), w.values)
+        assert np.allclose(got, want)
 
 
-def test_delta_lambda_against_bruteforce():
-    # oracle: direct quadrature loops from the four-term definition
+@pytest.mark.parametrize("kind", KINDS)
+def test_lambda_contractions_against_bruteforce(kind):
+    # Lambda, Lambda_1 and Lambda_2 against quadrature of the dense kernels
     m = build_mesh(1.0, 1.0, 3, 4)
     n = 2
     A, X = m.na + 1, m.nx
-    rng = np.random.default_rng(21)
-    k = _random_kernel(m, n, rng)
-    beta0 = _dense_beta(m, n, rng)
-    k = attach_tilde(k, beta0, m)
-    v = StateField(rng.normal(size=(n, A, X)), rng.normal(size=(n, A, X)))
-    w = StateField(rng.normal(size=(n, A, X)), rng.normal(size=(n, A, X)))
+    rng = np.random.default_rng(17)
+    k = attach_tilde(_kernel(kind, m, n, rng), _dense_beta(m, n, rng), m)
+    w = rng.normal(size=(n, A, X))
     g0 = rng.normal(size=(n, X))
+    _assert_close(lambda_op(k, w, m), _lambda_dense(k.dense(m), w, m))
+    _assert_close(lambda_one(k, w, m), _lambda_dense(k.dense(m, tilde=True), w, m))
+    _assert_close(lambda_two(k, g0, m), _lambda_two_dense(k.dense(m), g0, m))
 
-    wa, wx = age_weights(m), space_weights(m)
-    kd = k.dense(m)
-    ktd = k.dense(m, tilde=True)
 
-    def lam_of(dense, field):
-        out = np.zeros((n, n, A, X))
-        for h in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[h, i] += np.einsum(
-                        "axbz,b,z,bz->ax", dense[h, i, j], wa, wx, field[j]
-                    )
-        return out
+def test_delta_lambda_against_bruteforce():
+    # oracle: direct quadrature from the four-term definition
+    for kind in KINDS:
+        m = build_mesh(1.0, 1.0, 3, 4)
+        n = 2
+        A, X = m.na + 1, m.nx
+        rng = np.random.default_rng(21)
+        k = _kernel(kind, m, n, rng)
+        beta0 = _dense_beta(m, n, rng)
+        k = attach_tilde(k, beta0, m)
+        v = StateField(rng.normal(size=(n, A, X)), rng.normal(size=(n, A, X)))
+        w = StateField(rng.normal(size=(n, A, X)), rng.normal(size=(n, A, X)))
+        g0 = rng.normal(size=(n, X))
 
-    lam2 = np.zeros((n, n, A, X))
-    for h in range(n):
-        for i in range(n):
-            for j in range(n):
-                lam2[h, i] += np.einsum(
-                    "axz,z,z->ax", kd[h, i, j][:, :, 0, :], wx, g0[j]
-                )
-
-    want = np.einsum("hiax,iax->hax", lam_of(kd, v.values), w.slope)
-    want += np.einsum("hiax,iax->hax", lam_of(kd, v.slope), w.values)
-    want += np.einsum("hiax,iax->hax", lam_of(ktd, v.values), w.values)
-    want += np.einsum("hiax,iax->hax", lam2, w.values)
-    got = delta_lambda_apply(k, v, g0, w, m)
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+        kd = k.dense(m)
+        ktd = k.dense(m, tilde=True)
+        want = np.einsum("hiax,iax->hax", _lambda_dense(kd, v.values, m), w.slope)
+        want += np.einsum("hiax,iax->hax", _lambda_dense(kd, v.slope, m), w.values)
+        want += np.einsum("hiax,iax->hax", _lambda_dense(ktd, v.values, m), w.values)
+        want += np.einsum("hiax,iax->hax", _lambda_two_dense(kd, g0, m), w.values)
+        got = delta_lambda_apply(k, v, g0, w, m)
+        _assert_close(got, want)
 
 
 def test_lambda_two_zero_source():
@@ -325,44 +395,40 @@ def test_g_op_zero_v():
 
 def test_g_op_scalar_cancellation():
     # n=1, beta1 = beta0, age-independent kernel, g0=0: integrand cancels
-    m = _mesh(nx=5)
-    A, X = m.na + 1, m.nx
-    rng = np.random.default_rng(13)
-    base = np.broadcast_to(rng.normal(size=(X, X))[None, :, None, :], (A, X, A, X))
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
-    beta = np.abs(_dense_beta(m, 1, rng))
-    v = rng.normal(size=(1, A, X))
-    w = rng.normal(size=(1, A, X))
-    out = g_op(k, beta, beta, v, w, None, m)
-    assert np.allclose(out, 0.0, atol=1e-12)
+    for kind in KINDS:
+        m = _mesh(nx=5)
+        A, X = m.na + 1, m.nx
+        rng = np.random.default_rng(13)
+        base = _table(kind, rng.normal(size=(X, X)), None, m)
+        k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
+        beta = np.abs(_dense_beta(m, 1, rng))
+        v = rng.normal(size=(1, A, X))
+        w = rng.normal(size=(1, A, X))
+        out = g_op(k, beta, beta, v, w, None, m)
+        assert np.allclose(out, 0.0, atol=1e-12)
 
 
 def test_g_op_against_bruteforce():
-    m = build_mesh(1.0, 1.0, 3, 4)
-    n = 2
-    A, X = m.na + 1, m.nx
-    rng = np.random.default_rng(31)
-    k = _random_kernel(m, n, rng)
-    beta0 = _dense_beta(m, n, rng)
-    beta1 = _dense_beta(m, n, rng)
-    v = rng.normal(size=(n, A, X))
-    w = rng.normal(size=(n, A, X))
-    g0 = rng.normal(size=(n, X))
-    wa, wx = age_weights(m), space_weights(m)
-    kd = k.dense(m)
-
-    lam = np.zeros((n, n, A, X))
-    for h in range(n):
-        for i in range(n):
-            for j in range(n):
-                lam[h, i] += np.einsum("axbz,b,z,bz->ax", kd[h, i, j], wa, wx, v[j])
-    want = np.zeros((n, X))
-    for xk in range(X):
-        acc = np.zeros(n)
-        for bk in range(A):
-            mat = beta1[bk, xk] @ lam[:, :, bk, xk] - lam[:, :, 0, xk] @ beta0[bk, xk]
-            acc += wa[bk] * (mat @ w[:, bk, xk])
-        want[:, xk] = acc - lam[:, :, 0, xk] @ g0[:, xk]
-    got = g_op(k, beta0, beta1, v, w, g0, m)
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-10)
+    for kind in KINDS:
+        m = build_mesh(1.0, 1.0, 3, 4)
+        n = 2
+        A, X = m.na + 1, m.nx
+        rng = np.random.default_rng(31)
+        k = _kernel(kind, m, n, rng)
+        beta0 = _dense_beta(m, n, rng)
+        beta1 = _dense_beta(m, n, rng)
+        v = rng.normal(size=(n, A, X))
+        w = rng.normal(size=(n, A, X))
+        g0 = rng.normal(size=(n, X))
+        wa = age_weights(m)
+        lam = _lambda_dense(k.dense(m), v, m)
+        want = np.zeros((n, X))
+        for xk in range(X):
+            acc = np.zeros(n)
+            for bk in range(A):
+                mat = beta1[bk, xk] @ lam[:, :, bk, xk] - lam[:, :, 0, xk] @ beta0[bk, xk]
+                acc += wa[bk] * (mat @ w[:, bk, xk])
+            want[:, xk] = acc - lam[:, :, 0, xk] @ g0[:, xk]
+        got = g_op(k, beta0, beta1, v, w, g0, m)
+        _assert_close(got, want)
 

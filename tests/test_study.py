@@ -129,7 +129,9 @@ def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
     assert worst < 0.02 * scale
 
 
-@pytest.mark.parametrize("taus", [[1e-2, 1e-3, 1e-2], [-1e-3, 1e-2], [1e-3, 1e-3]])
+@pytest.mark.parametrize(
+    "taus", [[1e-2, 1e-3, 1e-2], [-1e-3, 1e-2], [1e-3, 1e-3], [0.0, 1e-3, 1e-2]]
+)
 def test_sweep_taus_checked_before_solving(desk_mesh, solver_cfg, monkeypatch, taus):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the taus were checked")
