@@ -150,7 +150,10 @@ def solve_birth_step(
     w0 = wa[0]
     eye = np.eye(n)
 
-    known0 = np.einsum("a,axhi,iax->hx", wa[1:], laws.beta0[1:], vals[:, 1:])
+    def quad(tab, f):  # trapezoid over ages alpha > 0 of tab(alpha) f(alpha)
+        return np.tensordot(wa[1:], np.einsum("axhi,iax->ahx", tab[1:], f[:, 1:]), 1)
+
+    known0 = quad(laws.beta0, vals)
     if g0_now is not None:
         known0 = known0 + g0_now
     B0 = _solve_per_node(eye[None] - w0 * laws.beta0[0], known0)
@@ -161,9 +164,9 @@ def solve_birth_step(
         raise MissingSlope("first-order birth law needs slopes")
     slope = y_slice.slope
     dvx = space_gradient(vals, m)
-    known1 = np.einsum("a,axhi,iax->hx", wa[1:], laws.beta1[1:], slope[:, 1:])
-    known1 += np.einsum("a,axhi,iax->hx", wa[1:], laws.betaL[1:], vals[:, 1:])
-    known1 += np.einsum("a,axhi,iax->hx", wa[1:], laws.beta_grad[1:], dvx[:, 1:])
+    known1 = quad(laws.beta1, slope)
+    known1 += quad(laws.betaL, vals)
+    known1 += quad(laws.beta_grad, dvx)
     known1 += w0 * np.einsum("xhi,ix->hx", laws.betaL[0], B0)
     known1 += w0 * np.einsum(
         "xhi,ix->hx", laws.beta_grad[0], space_gradient(B0, m)

@@ -13,16 +13,15 @@ consistent slope sigma Lap v_new + f - L v_new.
 
 Within one step the characteristics do not couple (nonlocal terms enter
 as forcing), so a step advances a whole time slice at once: the states
-at ages 0..na-1 move to ages 1..na with one batched solve against the
-implicit matrices of the target ages, factored once per solve.
+at ages 0..na-1 move to ages 1..na with one batched product against the
+inverses of the target ages' implicit matrices, inverted once per solve
+(they are well conditioned, so this is as accurate as a factored solve).
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import block_diag, lu_factor, lu_solve
 
 from .errors import NonFinite, SingularSystem
 from .mesh import Mesh
@@ -33,43 +32,45 @@ from .operators import LinearPart, laplacian_neumann, neumann_matrix
 class StepContext:
     """Implicit-step data at the target ages 1..na of a slice advance.
 
-    lu / piv stack the LU factors of each age's (n nx, n nx) matrix,
-    unknowns ordered x * n + h; lcomb is L + tau L_a, shape
-    (na, nx, n, n), and sigma the diffusivities, shape (na, n).
+    inv stacks the inverse of each age's (n nx, n nx) matrix, unknowns
+    ordered x * n + h; lcomb is L + tau L_a, shape (na, nx, n, n), and
+    sigma the diffusivities, shape (na, n).
     """
 
     tau: float
-    lu: np.ndarray
-    piv: np.ndarray
+    inv: np.ndarray
     lcomb: np.ndarray
     sigma: np.ndarray
 
 
 def step_context(lin: LinearPart, tau: float, m: Mesh) -> StepContext:
-    """Factor the implicit matrix of every target age 1..na.
+    """Invert the implicit matrix of every target age 1..na.
 
-    Each age assembles tau I + da (I + tau L) + da^2 (L + tau L_a)
-    - da^2 sigma Lap and is factored into its own slot of the stack.
-    Raises SingularSystem, naming the age, for a singular matrix.
+    Each age's matrix tau I + da (I + tau L) + da^2 (L + tau L_a)
+    - da^2 sigma Lap is assembled in one (na, nx, n, nx, n) stack and
+    overwritten by its inverse.  Raises SingularSystem, naming the age,
+    when inversion fails or max|inv| max(max|M|, 1) exceeds 1e14.
     """
-    n, da = lin.n, m.da
+    n, da, nx = lin.n, m.da, m.nx
     L, L_a, sigma = lin.L[1:], lin.L_a[1:], lin.sigma[1:]
-    lap = neumann_matrix(m)
     eye = np.eye(n)
-    lu = np.empty((m.na, n * m.nx, n * m.nx))
-    piv = np.empty((m.na, n * m.nx), dtype=np.int32)
-    for a in range(m.na):
-        # (nx, n, n) diagonal blocks of the local terms
-        blks = tau * eye + da * (eye + tau * L[a]) + da * da * (L[a] + tau * L_a[a])
-        mat = block_diag(*blks)
-        for h in range(n):
-            mat[h::n, h::n] -= (da * da * sigma[a, h]) * lap
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # singularity detected below
-            lu[a], piv[a] = lu_factor(mat, check_finite=False)
-        if np.abs(np.diag(lu[a])).min() <= 1e-14 * max(np.max(np.abs(mat)), 1.0):
+    xs, hs = np.arange(nx), np.arange(n)
+    mats = np.zeros((m.na, nx, n, nx, n))
+    # the indexed axes lead the selection: (nx, na, n, n) local blocks ...
+    blks = tau * eye + da * (eye + tau * L) + da * da * (L + tau * L_a)
+    mats[:, xs, :, xs, :] = blks.transpose(1, 0, 2, 3)
+    # ... and (n, na, nx, nx) diffusion per compartment
+    mats[:, :, hs, :, hs] -= (da * da) * sigma.T[:, :, None, None] * neumann_matrix(m)
+    inv = mats.reshape(m.na, n * nx, n * nx)  # a view: inverses overwrite matrices
+    for a, mat in enumerate(inv):
+        scale = max(np.max(np.abs(mat)), 1.0)
+        try:
+            mat[:] = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            mat[:] = np.nan
+        if not np.max(np.abs(mat)) * scale <= 1e14:  # also false for NaN / inf
             raise SingularSystem(f"implicit step matrix singular at age index {a + 1}")
-    return StepContext(tau, lu, piv, L + tau * L_a, sigma)
+    return StepContext(tau, inv, L + tau * L_a, sigma)
 
 
 def step(
@@ -95,8 +96,7 @@ def step(
         if f is not None:
             rhs = rhs + da * f
         b = rhs.transpose(1, 2, 0).reshape(na, nx * n, 1)
-        sol = lu_solve((ctx.lu, ctx.piv), b, check_finite=False)
-        w_new = sol.reshape(na, nx, n).transpose(2, 0, 1)
+        w_new = (ctx.inv @ b).reshape(na, nx, n).transpose(2, 0, 1)
         v_new = v + da * w_new
     if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(w_new))):
         raise NonFinite("non-finite state after a characteristic step")

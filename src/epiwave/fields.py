@@ -70,9 +70,7 @@ def norm_H(f, m: Mesh) -> float:
     v = _values_of(f)
     if v.shape[-2:] != (m.na + 1, m.nx):
         raise ShapeMismatch(f"field shape {v.shape} does not match mesh")
-    wa = age_weights(m)
-    wx = space_weights(m)
-    return float(np.sqrt(np.einsum("iax,a,x->", v * v, wa, wx)))
+    return float(np.sqrt(age_weights(m) @ (v * v).sum(0) @ space_weights(m)))
 
 
 def space_gradient(v: np.ndarray, m: Mesh) -> np.ndarray:
@@ -88,9 +86,7 @@ def norm_V(f, m: Mesh) -> float:
     if v.shape[-2:] != (m.na + 1, m.nx):
         raise ShapeMismatch(f"field shape {v.shape} does not match mesh")
     g = space_gradient(v, m)
-    wa = age_weights(m)
-    wx = space_weights(m)
-    return float(np.sqrt(np.einsum("iax,a,x->", v * v + g * g, wa, wx)))
+    return float(np.sqrt(age_weights(m) @ (v * v + g * g).sum(0) @ space_weights(m)))
 
 
 def age_integral(values: np.ndarray, m: Mesh) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Each time step freezes the nonlocal terms at the current fixed-point
 iterate, advances every characteristic of the previous slice with one
-batched implicit solve (the per-age matrices are factored once per
-run), computes births, and repeats until the update is small in the
+batched implicit solve (the per-age matrices are inverted once per
+solve), computes births, and repeats until the update is small in the
 tau-weighted energy norm.  The parabolic baseline reuses the
 same code path with tau = 0 and the zeroth-order birth law, so the two
 solvers differ only by the tau terms.
@@ -153,7 +153,7 @@ def _march(
 ) -> Run:
     """March spec over the mesh, shared by the relaxed and parabolic solvers.
 
-    The implicit matrices of ages 1..na are factored once per call.
+    The implicit matrices of ages 1..na are inverted once per call.
     Each Picard sweep calls step once to carry ages 0..na-1 of the
     previous slice to ages 1..na, then fills age 0 from the birth law.
     """

@@ -150,6 +150,39 @@ def test_birth_linearity_without_G():
     assert np.allclose(bv_sum.B1, bv1.B1 + bv2.B1, rtol=1e-10, atol=1e-12)
 
 
+def test_birth_step_against_per_node_loop():
+    # the trapezoid sums over ages and the two per-node solves written out
+    # one node at a time, with tables varying in age, space and pair
+    m = _mesh()
+    n, A, X = 2, m.na + 1, m.nx
+    rng = np.random.default_rng(11)
+    b0, b1, bL, bg = 0.3 * rng.normal(size=(4, A, X, n, n))
+    laws = BirthLaws(beta0=b0, beta1=b1, betaL=bL, beta_grad=bg)
+    sl = _slice(m, n, rng)
+    g0, g1, G = (rng.normal(size=(n, X)) for _ in range(3))
+    bv = solve_birth_step(laws, sl, g0, g1, G, m)
+
+    wa = np.full(A, m.da)
+    wa[0] = wa[-1] = 0.5 * m.da
+    y, dy = sl.values, sl.slope
+    yx = np.gradient(y, m.dx, axis=-1, edge_order=2)
+    B0 = np.empty((n, X))
+    for x in range(X):
+        k0 = g0[:, x] + sum(wa[a] * b0[a, x] @ y[:, a, x] for a in range(1, A))
+        B0[:, x] = np.linalg.solve(np.eye(n) - wa[0] * b0[0, x], k0)
+    B0x = np.gradient(B0, m.dx, axis=-1, edge_order=2)
+    B1 = np.empty((n, X))
+    for x in range(X):
+        k1 = g1[:, x] + G[:, x] + wa[0] * (bL[0, x] @ B0[:, x] + bg[0, x] @ B0x[:, x])
+        for a in range(1, A):
+            k1 += wa[a] * (
+                b1[a, x] @ dy[:, a, x] + bL[a, x] @ y[:, a, x] + bg[a, x] @ yx[:, a, x]
+            )
+        B1[:, x] = np.linalg.solve(np.eye(n) - wa[0] * b1[0, x], k1)
+    assert np.max(np.abs(bv.B0 - B0)) <= 1e-13 * np.max(np.abs(B0))
+    assert np.max(np.abs(bv.B1 - B1)) <= 1e-13 * np.max(np.abs(B1))
+
+
 def test_birth_missing_slope():
     m = _mesh()
     laws = zero_laws(1, m)

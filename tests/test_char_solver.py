@@ -202,6 +202,31 @@ def test_singular_system_detected():
         _ctx(m, 0.0, sigma=0.0, L=-1.0 / m.da)
 
 
+def test_singular_system_named_at_a_later_age():
+    # coefficients vary with age; only target age index 3 has
+    # tau = sigma = 0 with L = -1/da, so its matrix da (1 + da L) I is zero
+    m = _mesh(na=4, nx=5)
+    A, X = m.na + 1, m.nx
+    L = np.zeros((A, X, 1, 1))
+    L[:, :, 0, 0] = np.linspace(0.5, 1.5, A)[:, None]
+    L[3] = -1.0 / m.da
+    sigma = np.full((A, 1), 0.2)
+    sigma[3] = 0.0
+    lin = LinearPart(L=L, L_a=np.zeros_like(L), sigma=sigma)
+    with pytest.raises(SingularSystem, match="age index 3"):
+        step_context(lin, 0.0, m)
+
+
+def test_near_singular_system_detected():
+    # da = 1/4 and L = -(1 - 2^-52)/da are exact, so 1 + da L = 2^-52 is the
+    # smallest nonzero value the matrix can hold: invertible, but not usably
+    m = _mesh(na=4, nx=5)
+    L = -(1.0 - 2.0**-52) / m.da
+    assert m.da + m.da * m.da * L == 2.0**-54
+    with pytest.raises(SingularSystem, match="age index 1"):
+        _ctx(m, 0.0, sigma=0.0, L=L)
+
+
 def test_non_finite_detected():
     m = _mesh(na=4, nx=5)
     v = np.ones((1, m.na, m.nx))

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epiwave
 from epiwave import (
     KernelSet,
     KernelTerm,
@@ -444,3 +448,21 @@ def test_build_problem_tables_fuzz(n, tables):
             build_problem(cfg, tau=0.1)
         except ConfigError:
             pass
+
+
+def test_import_loads_no_scipy():
+    # scipy serves only the oracle suite, which imports it lazily
+    code = (
+        "import sys, epiwave, epiwave.io_cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(epiwave.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout.strip() == "[]"
