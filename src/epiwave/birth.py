@@ -12,12 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    MissingSlope,
-    ShapeMismatch,
-    SingularBirthSystem,
-    SingularSigma,
-)
+from .errors import ShapeMismatch, SingularBirthSystem, SingularSigma
 from .fields import StateField, space_gradient
 from .mesh import Mesh, age_weights
 from .operators import LinearPart
@@ -136,13 +131,12 @@ def solve_birth_step(
 ) -> BirthValues:
     """Births at one time level from the (provisional) age profile.
 
-    y_slice must hold values (and slopes, when with_slope) at all ages;
-    the a = 0 rows are treated as unknown.  B0 solves
-    (I - w0 beta0(0)) B0 = trapz_{alpha>0}(beta0 y) + g0, and B1 solves
-    the analogous system with beta1(0) on the left and the beta1 dy +
-    betaL y + beta_grad dy/dx quadrature, the G term and g1 on the
-    right; the alpha = 0 contributions of betaL and beta_grad use the
-    freshly solved B0.
+    y_slice holds values and slopes at all ages; the a = 0 rows are
+    treated as unknown.  B0 solves (I - w0 beta0(0)) B0 =
+    trapz_{alpha>0}(beta0 y) + g0, and B1 solves the analogous system
+    with beta1(0) on the left and the beta1 dy + betaL y + beta_grad
+    dy/dx quadrature, the G term and g1 on the right; the alpha = 0
+    contributions of betaL and beta_grad use the freshly solved B0.
     """
     vals = y_slice.values
     n = vals.shape[0]
@@ -160,8 +154,6 @@ def solve_birth_step(
     if not with_slope:
         return BirthValues(B0=B0)
 
-    if y_slice.slope is None:
-        raise MissingSlope("first-order birth law needs slopes")
     slope = y_slice.slope
     dvx = space_gradient(vals, m)
     known1 = quad(laws.beta1, slope)

@@ -25,10 +25,6 @@ class LengthMismatch(EpiwaveError):
     """Series lengths inconsistent."""
 
 
-class MissingSlope(EpiwaveError):
-    """A StateField slope array is required but absent."""
-
-
 class SingularSystem(EpiwaveError):
     """Implicit step matrix is numerically singular."""
 

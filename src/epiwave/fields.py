@@ -8,7 +8,7 @@ second-order one-sided stencils at the boundary.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -20,28 +20,24 @@ from .mesh import Mesh, age_weights, space_weights
 class StateField:
     """Compartment densities and their transport derivative on one slice.
 
-    values and slope are (n, na+1, nx) arrays; slope may be None when a
-    caller only needs the zeroth-order state.
+    values and slope are (n, na+1, nx) arrays.
     """
 
     values: np.ndarray
-    slope: Optional[np.ndarray] = None
+    slope: np.ndarray
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
     def copy(self) -> "StateField":
-        return StateField(
-            self.values.copy(),
-            None if self.slope is None else self.slope.copy(),
-        )
+        return StateField(self.values.copy(), self.slope.copy())
 
     def check_shape(self, m: Mesh) -> None:
         want = (self.values.shape[0], m.na + 1, m.nx)
         if self.values.shape != want:
             raise ShapeMismatch(f"values shape {self.values.shape} != {want}")
-        if self.slope is not None and self.slope.shape != want:
+        if self.slope.shape != want:
             raise ShapeMismatch(f"slope shape {self.slope.shape} != {want}")
 
 
@@ -61,13 +57,8 @@ class NormReport:
     sup_abs: float = 0.0
 
 
-def _values_of(f) -> np.ndarray:
-    return f.values if isinstance(f, StateField) else np.asarray(f)
-
-
-def norm_H(f, m: Mesh) -> float:
+def norm_H(v: np.ndarray, m: Mesh) -> float:
     """Discrete L2 norm over (age, space), summed over compartments."""
-    v = _values_of(f)
     if v.shape[-2:] != (m.na + 1, m.nx):
         raise ShapeMismatch(f"field shape {v.shape} does not match mesh")
     return float(np.sqrt(age_weights(m) @ (v * v).sum(0) @ space_weights(m)))
@@ -78,9 +69,8 @@ def space_gradient(v: np.ndarray, m: Mesh) -> np.ndarray:
     return np.gradient(v, m.dx, axis=-1, edge_order=2)
 
 
-def norm_V(f, m: Mesh) -> float:
+def norm_V(v: np.ndarray, m: Mesh) -> float:
     """Discrete L2(age, H1(space)) norm."""
-    v = _values_of(f)
     if v.shape[-1] != m.nx or m.nx < 3:
         raise ShapeMismatch("need nx >= 3 matching the mesh")
     if v.shape[-2:] != (m.na + 1, m.nx):
@@ -99,10 +89,10 @@ def diff_norms(
 ) -> NormReport:
     """Norms of the slice-wise difference between two stored runs.
 
-    Both runs must hold the same number of slices with equal shapes and
-    populated slopes.  Time integrals use trapezoid weights over the
-    stored times of run_a, its time indices times dt; a plain list of
-    slices counts as consecutive steps.
+    Both runs must hold the same number of slices with equal shapes.
+    Time integrals use trapezoid weights over the stored times of run_a,
+    its time indices times dt; a plain list of slices counts as
+    consecutive steps.
     """
     if len(run_a) != len(run_b):
         raise LengthMismatch(f"runs of length {len(run_a)} vs {len(run_b)}")
@@ -123,8 +113,7 @@ def diff_norms(
         sup_abs = max(sup_abs, float(np.max(np.abs(dv))))
         v_sq.append(nv * nv)
         h_sq.append(nh * nh)
-        if sa.slope is not None and sb.slope is not None:
-            sup_h = max(sup_h, norm_H(sa.slope - sb.slope, m))
+        sup_h = max(sup_h, norm_H(sa.slope - sb.slope, m))
     # Trapezoid in time; integer index gaps keep uniform weights exact.
     gaps = np.diff(getattr(run_a, "indices", range(len(run_a))))
     wt = np.zeros(len(run_a))

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .fields import age_integral, diff_norms
 from .mesh import Mesh, build_mesh
-from .operators import KernelSet, LinearPart, attach_tilde
+from .operators import KernelSet, LinearPart
 from .parabolic_model import run_parabolic
 from .relaxed_model import (
     ModelSpec,
@@ -164,7 +164,7 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{p}: {exc}") from None
     return parse_config_dict(raw)
 
@@ -198,8 +198,8 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
 
     L, sigma and y0 are required; every table present must hold real
     numbers in the shape the mesh and the compartment count
-    n = L.shape[-1] imply.  Kernel tables get their Lambda_1 (tilde)
-    terms attached, as the library models do.
+    n = L.shape[-1] imply.  Kernel tables enter as the model's kernel
+    terms; the solve derives their Lambda_1 (tilde) terms.
     """
     if tau < 0:
         raise ConfigError(f"tau={tau} must be nonnegative")
@@ -246,7 +246,7 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
     return ModelSpec(
         n=n,
         linear=linear,
-        kernels=attach_tilde(kernels, births.beta0, m),
+        kernels=kernels,
         births=births,
         y0=tabs["y0"],
         y1=tabs.get("y1"),
@@ -290,10 +290,14 @@ def build_problem(cfg: RunConfig, tau: Optional[float] = None):
 # writers
 
 
-def _names_for(n: int, names=None):
-    if names is not None:
-        return list(names)
-    return list(COMPARTMENTS) if n == 4 else [f"y{k + 1}" for k in range(n)]
+def _mkdir(path) -> Path:
+    """Create an output directory and its parents; failures are IoErrors."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(str(exc)) from None
+    return out
 
 
 def _writerows(path: Path, header: str, rows) -> None:
@@ -307,33 +311,23 @@ def _writerows(path: Path, header: str, rows) -> None:
 
 
 def write_slices(
-    run: Run,
-    m: Mesh,
-    out_dir,
-    names=None,
-    front_threshold: Optional[float] = None,
-    front_compartment: Optional[int] = None,
+    run: Run, m: Mesh, out_dir, front_threshold: Optional[float] = None
 ) -> List[Path]:
     """Persist a run: per-slice CSVs, the x=0 boundary series, fronts.
 
     slice_{t_index}.csv holds rows (a, x, y1..yn) row-major over (a, x);
     boundary_x0.csv the age-integrated compartments at x = 0 over time;
-    fronts.csv the front trajectory of the tracked compartment (index 2
-    when present) at the given threshold, defaulting to 1e-6 times the
-    initial sup of its age-integrated density.
+    fronts.csv the front trajectory of compartment 2 (0 when n < 3) at
+    the given threshold, defaulting to 1e-6 times the initial sup of its
+    age-integrated density.
     """
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+    out = _mkdir(out_dir)
     n = run[0].values.shape[0]
-    names = _names_for(n, names)
+    names = list(COMPARTMENTS) if n == 4 else [f"y{k + 1}" for k in range(n)]
     ages = m.ages()
     xs = m.xs()
     written = []
-    for k, sl in enumerate(run):
-        idx = run.indices[k] if hasattr(run, "indices") else k
+    for idx, sl in zip(run.indices, run):
         path = out / f"slice_{idx}.csv"
         rows = (
             [ages[a], xs[x]] + [sl.values[c, a, x] for c in range(n)]
@@ -343,16 +337,15 @@ def write_slices(
         _writerows(path, "a,x," + ",".join(names), rows)
         written.append(path)
 
-    times = run.times if hasattr(run, "times") else list(range(len(run)))
     bpath = out / "boundary_x0.csv"
     rows = (
-        [times[k]] + list(age_integral(sl.values, m)[:, 0])
-        for k, sl in enumerate(run)
+        [t] + list(age_integral(sl.values, m)[:, 0])
+        for t, sl in zip(run.times, run)
     )
     _writerows(bpath, "t," + ",".join(names), rows)
     written.append(bpath)
 
-    comp = front_compartment if front_compartment is not None else (2 if n >= 3 else 0)
+    comp = 2 if n >= 3 else 0
     init_sup = float(np.max(age_integral(run[0].values, m)[comp]))
     thr = front_threshold if front_threshold is not None else 1e-6 * init_sup
     fronts = study.front_tracker(run, thr, m, compartment=comp)
@@ -363,11 +356,7 @@ def write_slices(
 
 
 def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+    out = _mkdir(out_dir)
     written = []
     spath = out / "sweep.csv"
     rows = []
@@ -405,9 +394,7 @@ def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
     written.append(rpath)
 
     for k, tau in enumerate(result.taus):
-        sub = out / f"tau_{tau:.3e}"
-        sub.mkdir(parents=True, exist_ok=True)
-        fpath = sub / "fronts.csv"
+        fpath = _mkdir(out / f"tau_{tau:.3e}") / "fronts.csv"
         _writerows(fpath, "t,front_x", result.front_positions[k])
         written.append(fpath)
     return written
@@ -519,9 +506,8 @@ def cli_main(argv=None) -> int:
             rel = run_relaxed(spec, solver, m)
             par = run_parabolic(spec, solver, m)
             rep = diff_norms(rel, par, m)
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
             _writerows(
-                Path(out_dir) / "diffs.csv",
+                _mkdir(out_dir) / "diffs.csv",
                 "sup_abs,sup_t_V,sup_t_H_slope,l2_H,h1_V",
                 [[rep.sup_abs, rep.sup_t_V, rep.sup_t_H_slope, rep.l2_H, rep.h1_V]],
             )

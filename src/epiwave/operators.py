@@ -3,7 +3,7 @@
 Covers the mirror-point Neumann Laplacian, the linear coefficient tables
 L / dL/da / sigma, the mixing operator Lambda built from kernel terms,
 its transport derivative (with the kernel-derivative and boundary-source
-corrections), and the bilinear boundary operator G.
+corrections), and the boundary operator G.
 
 Kernels are stored as a sparse list of terms: each term couples one
 (target h, multiplied i, integrated j) compartment triple through a
@@ -22,7 +22,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .errors import MissingSlope, ShapeMismatch
+from .errors import ShapeMismatch
 from .fields import StateField
 from .mesh import Mesh, age_weights, space_weights
 
@@ -118,8 +118,10 @@ class KernelTerm:
 class KernelSet:
     """Sparse collection of kernel terms plus the derived tilde terms.
 
-    tilde_terms realize the kernel of the Lambda_1 correction:
-    k_a + k_alpha + sum_l k(alpha=0) * beta0, built by attach_tilde.
+    terms are the model's kernel.  tilde_terms realize the kernel of the
+    Lambda_1 correction, k_a + k_alpha + sum_l k(alpha=0) * beta0; they
+    follow from terms and beta0 alone, so only attach_tilde fills them,
+    and the solvers call it once per solve.
     """
 
     n: int
@@ -182,12 +184,14 @@ def _age_derivatives(table: Table, m: Mesh) -> List[Table]:
 
 
 def attach_tilde(k: KernelSet, beta0: np.ndarray, m: Mesh) -> KernelSet:
-    """Precompute the tilde kernel terms for Lambda_1.
+    """k with its tilde terms for Lambda_1 derived from k.terms and beta0.
 
-    The age derivative (d/da + d/dalpha) of each table uses centered
-    differences (see _age_derivatives).  The boundary-renewal part
-    k^{hil}(a, x, 0, xi) beta0^{lj}(alpha, xi) is a FactoredTable for
-    every kind of table.  Terms sharing a table share its tilde tables.
+    The solvers call this once per solve; any tilde_terms k already
+    holds are replaced.  The age derivative (d/da + d/dalpha) of each
+    table uses centered differences (see _age_derivatives).  The
+    boundary-renewal part k^{hil}(a, x, 0, xi) beta0^{lj}(alpha, xi) is
+    a FactoredTable for every kind of table.  Terms sharing a table
+    share its tilde tables.
     """
     tilde: List[KernelTerm] = []
     derivs: dict = {}  # id(table) -> its derivative tables
@@ -209,11 +213,10 @@ def attach_tilde(k: KernelSet, beta0: np.ndarray, m: Mesh) -> KernelSet:
     return KernelSet(n=k.n, terms=list(k.terms), tilde_terms=tilde)
 
 
-def _weighted(w, m: Mesh) -> np.ndarray:
-    v = w.values if isinstance(w, StateField) else np.asarray(w)
+def _weighted(w: np.ndarray, m: Mesh) -> np.ndarray:
     wa = age_weights(m)
     wx = space_weights(m)
-    return v * wa[None, :, None] * wx[None, None, :]
+    return w * wa[None, :, None] * wx[None, None, :]
 
 
 def _integrate(table: Table, f: np.ndarray) -> np.ndarray:
@@ -241,12 +244,11 @@ def _contract(terms: List[KernelTerm], wq: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def lambda_op(k: KernelSet, w, m: Mesh) -> np.ndarray:
+def lambda_op(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
     """Mixing matrix field Lambda(a, x, w), shape (n, n, na+1, nx).
 
     Entry (h, i) integrates w_j against k^{hij} over (alpha, xi) with
-    trapezoid weights.  w may be a StateField or a raw (n, na+1, nx)
-    array.
+    trapezoid weights; w is an (n, na+1, nx) array.
     """
     wq = _weighted(w, m)
     if wq.shape != (k.n, m.na + 1, m.nx):
@@ -254,7 +256,7 @@ def lambda_op(k: KernelSet, w, m: Mesh) -> np.ndarray:
     return _contract(k.terms, wq, k.n)
 
 
-def lambda_one(k: KernelSet, w, m: Mesh) -> np.ndarray:
+def lambda_one(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
     """Lambda_1: same contraction through the tilde kernel terms."""
     wq = _weighted(w, m)
     return _contract(k.tilde_terms, wq, k.n)
@@ -284,25 +286,24 @@ def apply_matrix_field(mat: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 def delta_lambda_apply(
     k: KernelSet,
-    v: StateField,
+    lam: np.ndarray,
+    y: StateField,
     g0: Optional[np.ndarray],
-    w: StateField,
     m: Mesh,
 ) -> np.ndarray:
-    """Transport derivative of the mixing term applied to w.
+    """Transport derivative of the mixing term Lambda(y) y.
 
-    Evaluates Lambda(v) dw + Lambda(dv) w + Lambda_1(v) w + Lambda_2(g0) w
-    and returns the (n, na+1, nx) field.  Both argument fields must carry
-    slopes.
+    lam is lambda_op(k, y.values, m), which the caller has already
+    contracted; k must carry its tilde terms (attach_tilde).  Evaluates
+    Lambda(y) dy + Lambda(dy) y + Lambda_1(y) y + Lambda_2(g0) y and
+    returns the (n, na+1, nx) field.
     """
-    if v.slope is None or w.slope is None:
-        raise MissingSlope("delta_lambda_apply needs populated slopes")
-    out = apply_matrix_field(lambda_op(k, v.values, m), w.slope)
-    out += apply_matrix_field(lambda_op(k, v.slope, m), w.values)
+    out = apply_matrix_field(lam, y.slope)
+    out += apply_matrix_field(lambda_op(k, y.slope, m), y.values)
     if k.tilde_terms:
-        out += apply_matrix_field(lambda_one(k, v.values, m), w.values)
+        out += apply_matrix_field(lambda_one(k, y.values, m), y.values)
     if g0 is not None and np.any(g0):
-        out += apply_matrix_field(lambda_two(k, g0, m), w.values)
+        out += apply_matrix_field(lambda_two(k, g0, m), y.values)
     return out
 
 
@@ -310,28 +311,23 @@ def g_op(
     k: KernelSet,
     beta0: np.ndarray,
     beta1: np.ndarray,
-    v,
-    w,
+    y: np.ndarray,
     g0: Optional[np.ndarray],
     m: Mesh,
 ) -> np.ndarray:
-    """Bilinear boundary operator feeding the first-order birth law.
+    """Boundary operator feeding the first-order birth law.
 
     Returns the (n, nx) slice
-      int_alpha (beta1 Lambda(alpha, v) - Lambda(0, v) beta0) w(alpha)
-      - Lambda(0, v) g0,
-    nonlocal in v and linear in (w, g0).
+      int_alpha (beta1 Lambda(alpha, y) - Lambda(0, y) beta0) y(alpha)
+      - Lambda(0, y) g0
+    of the (n, na+1, nx) values y.
     """
-    vv = v.values if isinstance(v, StateField) else np.asarray(v)
-    wv = w.values if isinstance(w, StateField) else np.asarray(w)
-    if vv.shape != wv.shape:
-        raise ShapeMismatch("v and w shapes differ")
-    lam = lambda_op(k, vv, m)  # (n, n, A, X)
-    # Contract w first: beta1 acts on Lambda(alpha, v) w(alpha), and
-    # Lambda(0, v) on the age integral of beta0 w, plus g0.
+    lam = lambda_op(k, y, m)  # (n, n, A, X)
+    # Contract y first: beta1 acts on Lambda(alpha, y) y(alpha), and
+    # Lambda(0, y) on the age integral of beta0 y, plus g0.
     wa = age_weights(m)
-    t1 = np.einsum("bxhi,ibx->hbx", beta1, apply_matrix_field(lam, wv))
-    src = np.einsum("b,ibx->ix", wa, np.einsum("bxij,jbx->ibx", beta0, wv))
+    t1 = np.einsum("bxhi,ibx->hbx", beta1, apply_matrix_field(lam, y))
+    src = np.einsum("b,ibx->ix", wa, np.einsum("bxij,jbx->ibx", beta0, y))
     if g0 is not None:
         src += g0
     return np.einsum("b,hbx->hx", wa, t1) - np.einsum("hix,ix->hx", lam[:, :, 0, :], src)

@@ -29,6 +29,7 @@ from .operators import (
     KernelSet,
     LinearPart,
     apply_matrix_field,
+    attach_tilde,
     delta_lambda_apply,
     g_op,
     lambda_op,
@@ -40,8 +41,11 @@ from .operators import (
 class ModelSpec:
     """Full problem description on a fixed mesh.
 
-    y0 / y1 are (n, na+1, nx) initial value and slope (y1 may be None,
-    meaning zero).  f is an optional (nt+1, n, na+1, nx) forcing table.
+    kernels holds the model's kernel terms; the solvers derive the
+    Lambda_1 (tilde) terms from them and births.beta0 once per solve, so
+    any tilde_terms given here are ignored.  y0 / y1 are (n, na+1, nx)
+    initial value and slope (y1 may be None, meaning zero).  f is an
+    optional (nt+1, n, na+1, nx) forcing table.
     """
 
     n: int
@@ -153,19 +157,21 @@ def _march(
 ) -> Run:
     """March spec over the mesh, shared by the relaxed and parabolic solvers.
 
-    The implicit matrices of ages 1..na are inverted once per call.
-    Each Picard sweep calls step once to carry ages 0..na-1 of the
-    previous slice to ages 1..na, then fills age 0 from the birth law.
+    The implicit matrices of ages 1..na are inverted and the tilde
+    kernel terms derived once per call.  Each Picard sweep contracts
+    Lambda of the iterate once, calls step once to carry ages 0..na-1 of
+    the previous slice to ages 1..na, then fills age 0 from the birth
+    law.
     """
     spec.validate(m)
     cfg.validate()
     if m.dt != m.da:
         raise ShapeMismatch("driver requires dt == da")
     n, A, X = spec.n, m.na + 1, m.nx
-    k = spec.kernels
-    has_nl = bool(k.terms or k.tilde_terms)
     lin = spec.linear
     births = spec.births
+    k = attach_tilde(spec.kernels, births.beta0, m)
+    has_nl = bool(k.terms)
 
     ctx = step_context(lin, tau, m)
 
@@ -173,7 +179,7 @@ def _march(
         lam = lambda_op(k, it.values, m)
         out = apply_matrix_field(lam, it.values)
         if tau > 0:
-            out += tau * delta_lambda_apply(k, it, g0_now, it, m)
+            out += tau * delta_lambda_apply(k, lam, it, g0_now, m)
         return out
 
     # Initial slice.
@@ -220,7 +226,7 @@ def _march(
 
             if first_order_births:
                 G = (
-                    g_op(k, births.beta0, births.beta1, iterate, iterate, g0_now, m)
+                    g_op(k, births.beta0, births.beta1, iterate.values, g0_now, m)
                     if has_nl
                     else None
                 )
@@ -283,7 +289,7 @@ def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
         raise LengthMismatch("residual_check needs every step stored")
     tau = spec.tau
     lin = spec.linear
-    k = spec.kernels
+    k = attach_tilde(spec.kernels, spec.births.beta0, m)
     dt = m.dt
     worst = 0.0
     for i in range(1, m.nt):
@@ -303,11 +309,11 @@ def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
         res += dy + tau * np.einsum("axhi,iax->hax", lin.L, dy)
         res += np.einsum("axhi,iax->hax", lin.L + tau * lin.L_a, y)
         res -= lin.sigma.T[:, :, None] * laplacian_neumann(y, m)
-        if k.terms or k.tilde_terms:
-            sl = StateField(y, dy)
-            res += apply_matrix_field(lambda_op(k, y, m), y)
+        if k.terms:
+            lam = lambda_op(k, y, m)
+            res += apply_matrix_field(lam, y)
             if tau > 0:
-                res += tau * delta_lambda_apply(k, sl, g0_now, sl, m)
+                res += tau * delta_lambda_apply(k, lam, StateField(y, dy), g0_now, m)
         if spec.f is not None:
             res -= spec.f[i]
         worst = max(worst, float(np.max(np.abs(res[:, 1:-1, :]))))

@@ -19,7 +19,6 @@ from .birth import make_compatible
 from .errors import FitUnderdetermined, InvalidParam, MissingBaseline
 from .fields import NormReport, age_integral, diff_norms
 from .mesh import Mesh, build_mesh
-from .operators import attach_tilde
 from .parabolic_model import run_parabolic
 from .relaxed_model import ModelSpec, Run, SolverConfig, derived_initial_slope, run_relaxed
 from .svir import I as I_COMP
@@ -90,7 +89,7 @@ def coarse_view(run: Run, factor: int) -> List:
         out.append(
             type(sl)(
                 sl.values[:, ::factor, :],
-                None if sl.slope is None else sl.slope[:, ::factor, :],
+                sl.slope[:, ::factor, :],
             )
         )
     return out
@@ -237,7 +236,6 @@ def compatibility_setup(
         laws.g1 = (1.0 - q2) * np.stack(
             [sl.slope[:, 0, :] for sl in baseline]
         )
-    kernels = attach_tilde(spec.kernels, laws.beta0, m)
-    spec = replace(spec, births=laws, kernels=kernels)
+    spec = replace(spec, births=laws)
     spec = replace(spec, y1=derived_initial_slope(spec, m))
     return spec

@@ -16,7 +16,7 @@ import numpy as np
 from .birth import BirthLaws
 from .errors import InvalidParam
 from .mesh import Mesh
-from .operators import FactoredTable, KernelSet, KernelTerm, LinearPart, attach_tilde
+from .operators import FactoredTable, KernelSet, KernelTerm, LinearPart
 from .relaxed_model import ModelSpec
 
 S, V, I, R = 0, 1, 2, 3
@@ -168,7 +168,6 @@ def build_svir(p: SvirParams, m: Mesh, routing: str = "susceptible") -> ModelSpe
         betaL=np.zeros_like(beta_tab),
         beta_grad=np.zeros_like(beta_tab),
     )
-    kernels = attach_tilde(kernels, births.beta0, m)
 
     y0 = np.zeros((4, A, X))
     y0[S] = p.total_S0 / m.a_max

@@ -41,7 +41,7 @@ from epiwave.birth import make_compatible
 from epiwave.fields import age_integral
 from epiwave.io_cli import RunConfig, parse_config_dict, serialize_config
 from epiwave.mesh import characteristic_cells, characteristic_ids, space_weights
-from epiwave.operators import attach_tilde, lambda_op, neumann_matrix
+from epiwave.operators import lambda_op, neumann_matrix
 from epiwave.reference import (
     damped_eigenmode,
     heat_eigenmode,
@@ -93,21 +93,14 @@ def test_criterion_2_compatibility_ordering(desk_mesh, solver_cfg, svir_baseline
         base_spec.births.beta0, base_spec.linear, 1.0, 0.0, desk_mesh
     )
     spec_a = dataclasses.replace(
-        base_spec,
-        births=laws_a,
-        kernels=attach_tilde(base_spec.kernels, laws_a.beta0, desk_mesh),
-        y1=np.zeros_like(base_spec.y0),
+        base_spec, births=laws_a, y1=np.zeros_like(base_spec.y0)
     )
 
     # fully compatible: derived slope plus the first-order tables
     laws_b = make_compatible(
         base_spec.births.beta0, base_spec.linear, 1.0, 1.0, desk_mesh
     )
-    spec_b = dataclasses.replace(
-        base_spec,
-        births=laws_b,
-        kernels=attach_tilde(base_spec.kernels, laws_b.beta0, desk_mesh),
-    )
+    spec_b = dataclasses.replace(base_spec, births=laws_b)
     spec_b = dataclasses.replace(
         spec_b, y1=derived_initial_slope(spec_b, desk_mesh)
     )

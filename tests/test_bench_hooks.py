@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from epiwave import SolverConfig, build_mesh, relaxed_model
+from epiwave import SolverConfig, attach_tilde, build_mesh, relaxed_model
 from epiwave.svir import I, S, SvirParams, build_svir, tent_kernel
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -63,4 +63,5 @@ def test_svir_kernel_tables_as_the_benchmark_reads_them():
 def test_svir_kernel_has_no_tilde_terms():
     # age-constant kernel and births routed into S: Lambda_1 vanishes
     m = build_mesh(1.0, 1.0, 40, 41)
-    assert build_svir(SvirParams(tau=1e-2), m).kernels.tilde_terms == []
+    spec = build_svir(SvirParams(tau=1e-2), m)
+    assert attach_tilde(spec.kernels, spec.births.beta0, m).tilde_terms == []

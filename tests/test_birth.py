@@ -5,7 +5,7 @@ import pytest
 
 from epiwave import SolverConfig, run_parabolic
 from epiwave.birth import BirthLaws, make_compatible, solve_birth_step, zero_laws
-from epiwave.errors import MissingSlope, SingularBirthSystem, SingularSigma
+from epiwave.errors import SingularBirthSystem, SingularSigma
 from epiwave.fields import StateField
 from epiwave.mesh import build_mesh
 from epiwave.operators import KernelSet, KernelTerm, LinearPart, g_op
@@ -186,10 +186,8 @@ def test_birth_step_against_per_node_loop():
 def test_birth_missing_slope():
     m = _mesh()
     laws = zero_laws(1, m)
-    sl = StateField(np.ones((1, m.na + 1, m.nx)))
-    with pytest.raises(MissingSlope):
-        solve_birth_step(laws, sl, None, None, None, m)
-    # zeroth-order only works without slopes
+    sl = _slice(m, 1, value=1.0)
+    # the zeroth-order law returns no newborn slope
     bv = solve_birth_step(laws, sl, None, None, None, m, with_slope=False)
     assert bv.B1 is None
 
@@ -227,7 +225,7 @@ def test_nonlinear_birth_zero_state():
     k = KernelSet.empty(1)
     laws = zero_laws(1, m)
     sl = _slice(m, 1, value=0.0)
-    out = g_op(k, laws.beta0, laws.beta1, sl, sl, None, m)
+    out = g_op(k, laws.beta0, laws.beta1, sl.values, None, m)
     assert np.allclose(out, 0.0)
 
 
@@ -241,7 +239,7 @@ def test_nonlinear_birth_scalar_cancellation():
     laws.beta0[:] = 0.7
     laws.beta1[:] = 0.7
     sl = _slice(m, 1, rng)
-    out = g_op(k, laws.beta0, laws.beta1, sl, sl, None, m)
+    out = g_op(k, laws.beta0, laws.beta1, sl.values, None, m)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -284,5 +282,5 @@ def test_nonlinear_birth_matches_g_quadrature():
             )
             acc += wa[bk] * (mat @ sl.values[:, bk, xk])
         want[:, xk] = acc - lam[:, :, 0, xk] @ g0[:, xk]
-    got = g_op(k, laws.beta0, laws.beta1, sl, sl, g0, m)
+    got = g_op(k, laws.beta0, laws.beta1, sl.values, g0, m)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)

@@ -19,13 +19,12 @@ def _mesh(na=20, nx=21):
 def _field(m, fn, n=1):
     a = m.ages()[None, :, None]
     x = m.xs()[None, None, :]
-    vals = np.broadcast_to(fn(a, x), (n, m.na + 1, m.nx)).copy()
-    return StateField(vals, np.zeros_like(vals))
+    return np.broadcast_to(fn(a, x), (n, m.na + 1, m.nx)).copy()
 
 
 def test_norm_H_zero_field():
     m = _mesh()
-    assert norm_H(state_zeros(1, m), m) == 0.0
+    assert norm_H(state_zeros(1, m).values, m) == 0.0
 
 
 def test_norm_H_unit_constant():
@@ -59,7 +58,7 @@ def test_norm_V_linear_in_x():
 
 def test_norm_V_zero():
     m = _mesh()
-    assert norm_V(state_zeros(1, m), m) == 0.0
+    assert norm_V(state_zeros(1, m).values, m) == 0.0
 
 
 def test_norm_shape_mismatch():

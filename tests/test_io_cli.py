@@ -78,9 +78,28 @@ def test_unknown_model_kind_rejected():
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
-    rc = cli_main(["run", "--config", str(tmp_path / "nope.json")])
-    assert rc == 2
-    assert "nope.json" in capsys.readouterr().err
+    # a missing file, a directory and a file that is not UTF-8 text
+    (tmp_path / "dir.json").mkdir()
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    for name in ("nope.json", "dir.json", "binary.json"):
+        rc = cli_main(["run", "--config", str(tmp_path / name)])
+        assert rc == 2
+        assert name in capsys.readouterr().err
+
+
+def test_output_path_taken_by_a_file_exits_1(tmp_path, capsys):
+    cfgp = _tiny_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main(["compare", "--config", str(cfgp), "--tau", "0.01", "--out", str(taken)]) == 1
+    assert "taken" in capsys.readouterr().err
+
+    out = tmp_path / "sweep"
+    out.mkdir()
+    (out / "tau_1.000e-02").write_text("")
+    rc = cli_main(["sweep", "--config", str(cfgp), "--taus", "1e-3,1e-2,1e-1", "--out", str(out)])
+    assert rc == 1
+    assert "tau_1.000e-02" in capsys.readouterr().err
 
 
 def test_run_subcommand_writes_files(tmp_path):
@@ -330,8 +349,7 @@ def test_tables_run_matches_library_spec_with_tilde_terms(tmp_path):
     )
     spec.births.beta0 = np.full((A, X, 1, 1), 0.8)
     spec.births.beta1 = np.full((A, X, 1, 1), 0.8)
-    spec.kernels = attach_tilde(spec.kernels, spec.births.beta0, m)
-    assert len(spec.kernels.tilde_terms) == 2
+    assert len(attach_tilde(spec.kernels, spec.births.beta0, m).tilde_terms) == 2
     want = run_relaxed(spec, SolverConfig(), m)[-1].values
 
     np.savez(
@@ -381,7 +399,7 @@ def test_tables_svir_gets_no_tilde_terms(tmp_path):
     )
     _, loaded, _ = build_problem(cfg, tau=1e-2)
     assert len(loaded.kernels.terms) == 6
-    assert loaded.kernels.tilde_terms == []
+    assert attach_tilde(loaded.kernels, loaded.births.beta0, m).tilde_terms == []
 
 
 @pytest.mark.parametrize("taus", ["1e-2,1e-3,1e-2", "-1e-3,1e-2", "0,1e-3,1e-2"])

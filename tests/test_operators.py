@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiwave.errors import MissingSlope, ShapeMismatch
+from epiwave.errors import ShapeMismatch
 from epiwave.fields import StateField, norm_H
 from epiwave.mesh import age_weights, build_mesh, space_weights
 from epiwave.operators import (
@@ -303,19 +303,11 @@ def test_delta_lambda_zero_fields():
     k = _random_kernel(m, 2, np.random.default_rng(0))
     k = attach_tilde(k, np.zeros((m.na + 1, m.nx, 2, 2)), m)
     z = StateField(np.zeros((2, m.na + 1, m.nx)), np.zeros((2, m.na + 1, m.nx)))
-    assert np.allclose(delta_lambda_apply(k, z, None, z, m), 0.0)
-
-
-def test_delta_lambda_requires_slopes():
-    m = _mesh()
-    k = _random_kernel(m, 1, np.random.default_rng(0))
-    v = StateField(np.ones((1, m.na + 1, m.nx)))
-    with pytest.raises(MissingSlope):
-        delta_lambda_apply(k, v, None, v, m)
+    assert np.allclose(delta_lambda_apply(k, lambda_op(k, z.values, m), z, None, m), 0.0)
 
 
 def test_delta_lambda_product_rule_reduction():
-    # age-flat kernel + zero beta0 leaves only Lambda(v) dw + Lambda(dv) w
+    # age-flat kernel + zero beta0 leaves only Lambda(y) dy + Lambda(dy) y
     for kind in KINDS:
         m = _mesh(nx=5)
         A, X = m.na + 1, m.nx
@@ -324,11 +316,11 @@ def test_delta_lambda_product_rule_reduction():
         k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
         k = attach_tilde(k, np.zeros((A, X, 1, 1)), m)
         assert not k.tilde_terms
-        v = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
-        w = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
-        got = delta_lambda_apply(k, v, None, w, m)
-        want = apply_matrix_field(lambda_op(k, v.values, m), w.slope)
-        want += apply_matrix_field(lambda_op(k, v.slope, m), w.values)
+        y = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
+        lam = lambda_op(k, y.values, m)
+        got = delta_lambda_apply(k, lam, y, None, m)
+        want = apply_matrix_field(lam, y.slope)
+        want += apply_matrix_field(lambda_op(k, y.slope, m), y.values)
         assert np.allclose(got, want)
 
 
@@ -357,17 +349,16 @@ def test_delta_lambda_against_bruteforce():
         k = _kernel(kind, m, n, rng)
         beta0 = _dense_beta(m, n, rng)
         k = attach_tilde(k, beta0, m)
-        v = StateField(rng.normal(size=(n, A, X)), rng.normal(size=(n, A, X)))
-        w = StateField(rng.normal(size=(n, A, X)), rng.normal(size=(n, A, X)))
+        y = StateField(rng.normal(size=(n, A, X)), rng.normal(size=(n, A, X)))
         g0 = rng.normal(size=(n, X))
 
         kd = k.dense(m)
         ktd = k.dense(m, tilde=True)
-        want = np.einsum("hiax,iax->hax", _lambda_dense(kd, v.values, m), w.slope)
-        want += np.einsum("hiax,iax->hax", _lambda_dense(kd, v.slope, m), w.values)
-        want += np.einsum("hiax,iax->hax", _lambda_dense(ktd, v.values, m), w.values)
-        want += np.einsum("hiax,iax->hax", _lambda_two_dense(kd, g0, m), w.values)
-        got = delta_lambda_apply(k, v, g0, w, m)
+        want = np.einsum("hiax,iax->hax", _lambda_dense(kd, y.values, m), y.slope)
+        want += np.einsum("hiax,iax->hax", _lambda_dense(kd, y.slope, m), y.values)
+        want += np.einsum("hiax,iax->hax", _lambda_dense(ktd, y.values, m), y.values)
+        want += np.einsum("hiax,iax->hax", _lambda_two_dense(kd, g0, m), y.values)
+        got = delta_lambda_apply(k, lambda_op(k, y.values, m), y, g0, m)
         _assert_close(got, want)
 
 
@@ -381,18 +372,6 @@ def test_lambda_two_zero_source():
 # G operator
 
 
-def test_g_op_zero_v():
-    m = _mesh()
-    n = 2
-    rng = np.random.default_rng(6)
-    k = _random_kernel(m, n, rng)
-    beta0 = _dense_beta(m, n, rng)
-    beta1 = _dense_beta(m, n, rng)
-    w = rng.normal(size=(n, m.na + 1, m.nx))
-    out = g_op(k, beta0, beta1, np.zeros_like(w), w, None, m)
-    assert np.allclose(out, 0.0)
-
-
 def test_g_op_scalar_cancellation():
     # n=1, beta1 = beta0, age-independent kernel, g0=0: integrand cancels
     for kind in KINDS:
@@ -402,9 +381,8 @@ def test_g_op_scalar_cancellation():
         base = _table(kind, rng.normal(size=(X, X)), None, m)
         k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
         beta = np.abs(_dense_beta(m, 1, rng))
-        v = rng.normal(size=(1, A, X))
-        w = rng.normal(size=(1, A, X))
-        out = g_op(k, beta, beta, v, w, None, m)
+        y = rng.normal(size=(1, A, X))
+        out = g_op(k, beta, beta, y, None, m)
         assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -417,18 +395,17 @@ def test_g_op_against_bruteforce():
         k = _kernel(kind, m, n, rng)
         beta0 = _dense_beta(m, n, rng)
         beta1 = _dense_beta(m, n, rng)
-        v = rng.normal(size=(n, A, X))
-        w = rng.normal(size=(n, A, X))
+        y = rng.normal(size=(n, A, X))
         g0 = rng.normal(size=(n, X))
         wa = age_weights(m)
-        lam = _lambda_dense(k.dense(m), v, m)
+        lam = _lambda_dense(k.dense(m), y, m)
         want = np.zeros((n, X))
         for xk in range(X):
             acc = np.zeros(n)
             for bk in range(A):
                 mat = beta1[bk, xk] @ lam[:, :, bk, xk] - lam[:, :, 0, xk] @ beta0[bk, xk]
-                acc += wa[bk] * (mat @ w[:, bk, xk])
+                acc += wa[bk] * (mat @ y[:, bk, xk])
             want[:, xk] = acc - lam[:, :, 0, xk] @ g0[:, xk]
-        got = g_op(k, beta0, beta1, v, w, g0, m)
+        got = g_op(k, beta0, beta1, y, g0, m)
         _assert_close(got, want)
 

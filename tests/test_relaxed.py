@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from epiwave import (
+    FactoredTable,
     KernelSet,
     KernelTerm,
     SolverConfig,
+    attach_tilde,
     build_mesh,
     norm_H,
     norm_V,
     run_relaxed,
 )
+from epiwave import operators
 from epiwave.char_solver import step_context
 from epiwave.errors import InvalidParam, PicardDiverged, ShapeMismatch
 from epiwave.mesh import characteristic_cells, characteristic_ids
@@ -84,6 +87,47 @@ def test_manufactured_solution_residual_and_error():
     assert errs[0] < 0.05
     assert errs[0] / errs[1] > 1.7
     assert resids[0] / resids[1] > 1.5
+
+
+def test_solve_derives_the_tilde_terms():
+    # an age-dependent kernel with births has Lambda_1 terms; a spec that
+    # omits them solves exactly as one that carries them
+    m = build_mesh(0.5, 1.0, 6, 7)
+    A, X = m.na + 1, m.nx
+    a, x = m.ages(), m.xs()
+    row = 0.5 * (1.0 + a)[:, None, None] * np.exp(-((x[:, None] - x[None, :]) ** 2))
+    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, FactoredTable(row, None, A))])
+    y0 = (1.0 + 0.5 * np.cos(np.pi * x))[None, None, :] * (1.0 - 0.5 * a)[None, :, None]
+    spec = scalar_spec(m, y0, sigma=0.1, mu=0.2, kernels=k, tau=0.1)
+    spec.births.beta0 = np.full((A, X, 1, 1), 0.8)
+    spec.births.beta1 = np.full((A, X, 1, 1), 0.8)
+    attached = dataclasses.replace(spec, kernels=attach_tilde(k, spec.births.beta0, m))
+    assert len(attached.kernels.tilde_terms) == 2
+
+    cfg = SolverConfig()
+    got, want = run_relaxed(spec, cfg, m), run_relaxed(attached, cfg, m)
+    for sg, sw in zip(got, want):
+        assert np.array_equal(sg.values, sw.values)
+        assert np.array_equal(sg.slope, sw.slope)
+    assert residual_check(got, spec, m) == residual_check(want, attached, m)
+
+
+def test_relaxed_sweep_contracts_three_times(monkeypatch):
+    # Lambda(y) once for the forcing and delta_lambda_apply, Lambda(dy)
+    # once, and g_op's own Lambda(y); the SVIR kernel has no tilde terms
+    calls = []
+    contract = operators._contract
+
+    def counted(*args):
+        calls.append(1)
+        return contract(*args)
+
+    monkeypatch.setattr(operators, "_contract", counted)
+    m = build_mesh(0.5, 1.0, 6, 7)
+    run = run_relaxed(build_svir(SvirParams(tau=1e-2, total_S0=100.0), m), SolverConfig(), m)
+    sweeps = sum(len(u) for u in run.picard_updates)
+    assert sweeps > m.nt
+    assert len(calls) == 3 * sweeps
 
 
 def test_picard_contraction_on_small_svir():
