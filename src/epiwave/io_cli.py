@@ -3,7 +3,7 @@
 Configs are strict-schema JSON (unknown keys rejected); results are CSV
 with 17-significant-digit decimals, which round-trip float64 exactly.
 The CLI exposes run / sweep / compare / validate; exit code 2 flags a
-configuration problem, 1 a solver failure, 0 success.
+configuration problem, 1 a solver or output failure, 0 success.
 """
 
 import argparse
@@ -198,8 +198,8 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
 
     L, sigma and y0 are required; every table present must hold real
     numbers in the shape the mesh and the compartment count
-    n = L.shape[-1] imply.  Kernel tables enter as the model's kernel
-    terms; the solve derives their Lambda_1 (tilde) terms.
+    n = L.shape[-1] imply.  Kernel tables are factored on load into the
+    model's kernel terms; the solve derives their Lambda_1 (tilde) terms.
     """
     if tau < 0:
         raise ConfigError(f"tau={tau} must be nonnegative")
@@ -236,9 +236,7 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
         L_a=tabs["L_a"] if "L_a" in tabs else np.gradient(L, m.da, axis=0, edge_order=2),
         sigma=tabs["sigma"],
     )
-    kernels = (
-        KernelSet.from_dense(tabs.pop("kernels")) if "kernels" in tabs else KernelSet.empty(n)
-    )
+    kernels = KernelSet.from_dense(tabs.pop("kernels")) if "kernels" in tabs else KernelSet(n)
     births = zero_laws(n, m, g0=tabs.get("g0"), g1=tabs.get("g1"))
     for key in ("beta0", "beta1", "betaL", "beta_grad"):
         if key in tabs:
@@ -274,8 +272,8 @@ def build_problem(cfg: RunConfig, tau: Optional[float] = None):
     """Mesh, spec and solver settings realized from a parsed config.
 
     Every error in the configuration or the model tables it names is
-    raised as a ConfigError; non-finite table values surface at solve
-    time as a solver error.
+    raised as a ConfigError; non-finite kernel values raise NonFinite
+    here, other non-finite table values at solve time.
     """
     m, solver = _mesh_and_solver(cfg)
     t = cfg.solver.tau if tau is None else tau
@@ -490,6 +488,7 @@ def cli_main(argv=None) -> int:
     try:
         if args.command == "run":
             m, spec, solver = build_problem(cfg, tau=args.tau)
+            _mkdir(out_dir)
             run = (
                 run_relaxed(spec, solver, m)
                 if spec.tau > 0
@@ -503,11 +502,12 @@ def cli_main(argv=None) -> int:
 
         if args.command == "compare":
             m, spec, solver = build_problem(cfg, tau=args.tau)
+            out = _mkdir(out_dir)
             rel = run_relaxed(spec, solver, m)
             par = run_parabolic(spec, solver, m)
             rep = diff_norms(rel, par, m)
             _writerows(
-                _mkdir(out_dir) / "diffs.csv",
+                out / "diffs.csv",
                 "sup_abs,sup_t_V,sup_t_H_slope,l2_H,h1_V",
                 [[rep.sup_abs, rep.sup_t_V, rep.sup_t_H_slope, rep.l2_H, rep.h1_V]],
             )
@@ -528,6 +528,7 @@ def cli_main(argv=None) -> int:
         except (ValueError, InvalidParam) as exc:
             raise ConfigError(f"taus: {exc}") from None
         params = svir_params_from(cfg, 0.0)
+        _mkdir(out_dir)
         q1 = args.q1 if args.q1 is not None else cfg.study.q1
         q2 = args.q2 if args.q2 is not None else cfg.study.q2
         spec_for_tau = None
@@ -559,6 +560,9 @@ def cli_main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except IoError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 1
     except EpiwaveError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1

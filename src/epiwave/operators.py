@@ -7,22 +7,22 @@ corrections), and the boundary operator G.
 
 Kernels are stored as a sparse list of terms: each term couples one
 (target h, multiplied i, integrated j) compartment triple through a
-scalar table k(a, x, alpha, xi) and a weight.  Library kernels and the
-boundary-renewal terms are FactoredTables, k = row(a, x, xi) *
-col(alpha, xi), contracted in O(X^2 + A X); only kernels read from an
-.npz of sampled tables are dense (A, X, A, X) arrays, contracted in
-O(A^2 X^2).  Terms may share the same table (the SVIR model uses a
-single spatial kernel for all couplings), and a shared table is
-contracted once per sweep.  Kernel values are taken in consistent rate
-units per (age * length); no normalization is applied.
+scalar table k(a, x, alpha, xi) and a weight.  Every table is a
+FactoredTable, k = row(a, x, xi) * col(alpha, xi), contracted in
+O(X^2 + A X); a dense (A, X, A, X) table, as read from an .npz, is
+factored once by KernelSet.from_dense into a sum of such terms.  Terms
+may share the same table (the SVIR model uses a single spatial kernel
+for all couplings), and a shared table is contracted once per sweep.
+Kernel values are taken in consistent rate units per (age * length); no
+normalization is applied.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import NonFinite, ShapeMismatch
 from .fields import StateField
 from .mesh import Mesh, age_weights, space_weights
 
@@ -100,9 +100,6 @@ class FactoredTable:
         return out if dtype is None else out.astype(dtype, copy=False)
 
 
-Table = Union[np.ndarray, FactoredTable]
-
-
 @dataclass(frozen=True)
 class KernelTerm:
     """One coupling k^{hij}(a, x, alpha, xi) = weight * table."""
@@ -111,7 +108,40 @@ class KernelTerm:
     i: int
     j: int
     weight: float
-    table: Table  # FactoredTable, or a dense (na+1, nx, na+1, nx) array
+    table: FactoredTable  # dense tables enter through KernelSet.from_dense
+
+
+_FACTOR_RTOL = 1e-14  # cross approximation: residual bound relative to max |k|
+
+
+def _cross_factors(tab: np.ndarray, tol: float) -> List[FactoredTable]:
+    """A dense (A, X, A, X) table as a sum of FactoredTables.
+
+    Cross approximation with complete pivoting (Bebendorf 2000), batched
+    over xi: in each slice R = k(., ., ., xi), an (A X) x A matrix whose
+    largest |R[p, q]| exceeds tol, a component subtracts R[:, q] R[p, :]
+    / R[p, q], clearing column q, so at most A components are taken.  A
+    row equal at every age is stored as (X, X), a column of ones as None.
+    """
+    A, X = tab.shape[:2]
+    res = np.array(np.moveaxis(tab, 3, 0), order="C").reshape(X, A * X, A)  # (xi, (a, x), alpha)
+    work = np.empty_like(res)  # |res|, then the component; one buffer
+    xi = np.arange(X)
+    out = []
+    for _ in range(A):
+        mag = np.abs(res, out=work).reshape(X, -1)
+        best = mag.argmax(axis=1)
+        live = mag[xi, best] > tol
+        if not live.any():
+            break
+        p, q = np.divmod(best, A)
+        pivot = np.where(live, res[xi, p, q], 1.0)
+        u = np.where(live[:, None], res[xi, :, q], 0.0)
+        v = np.where(live[:, None], res[xi, p] / pivot[:, None], 1.0)
+        res -= np.multiply(u[:, :, None], v[:, None, :], out=work)
+        row, col = u.T.reshape(A, X, X), None if (v == 1.0).all() else v.T
+        out.append(FactoredTable(row[0] if (row == row[0]).all() else row, col, A))
+    return out
 
 
 @dataclass
@@ -129,58 +159,60 @@ class KernelSet:
     tilde_terms: List[KernelTerm] = field(default_factory=list)
 
     @classmethod
-    def empty(cls, n: int) -> "KernelSet":
-        return cls(n=n)
-
-    @classmethod
     def from_dense(cls, k7: np.ndarray) -> "KernelSet":
-        """Build from a dense (n, n, n, na+1, nx, na+1, nx) table."""
+        """Terms of a dense (n, n, n, na+1, nx, na+1, nx) table: one per
+        cross-approximation component of each nonzero (h, i, j) table,
+        raising NonFinite for a table holding NaN or inf."""
         n = k7.shape[0]
         terms = []
-        for h in range(n):
-            for i in range(n):
-                for j in range(n):
-                    tab = k7[h, i, j]
-                    if np.any(tab):
-                        terms.append(KernelTerm(h, i, j, 1.0, np.array(tab)))
+        for h, i, j in np.ndindex(n, n, n):
+            tab = k7[h, i, j]
+            if not np.any(tab):
+                continue
+            scale = np.max(np.abs(tab))
+            if not np.isfinite(scale):
+                raise NonFinite(f"kernel table (h={h}, i={i}, j={j}) contains NaN/inf")
+            for table in _cross_factors(tab, _FACTOR_RTOL * scale):
+                terms.append(KernelTerm(h, i, j, 1.0, table))
         return cls(n=n, terms=terms)
 
-    def dense(self, m: Mesh, tilde: bool = False) -> np.ndarray:
+    def check_shape(self, m: Mesh, n: int) -> None:
+        """ShapeMismatch, naming the term, unless every term couples
+        compartments in [0, n) through a FactoredTable on the mesh."""
         A, X = m.na + 1, m.nx
-        out = np.zeros((self.n, self.n, self.n, A, X, A, X))
-        for t in self.tilde_terms if tilde else self.terms:
-            out[t.h, t.i, t.j] += t.weight * np.asarray(t.table)
-        return out
+        if self.n != n:
+            raise ShapeMismatch(f"kernels are for n={self.n}, the model has n={n}")
+        for t in self.terms:
+            tab, name = t.table, f"kernel term (h={t.h}, i={t.i}, j={t.j})"
+            if not all(0 <= c < n for c in (t.h, t.i, t.j)):
+                raise ShapeMismatch(f"{name}: compartment index outside [0, {n})")
+            if not isinstance(tab, FactoredTable):
+                raise ShapeMismatch(f"{name}: not a FactoredTable, see KernelSet.from_dense")
+            col = (A, X) if tab.col is None else tab.col.shape  # None: constant in alpha
+            if (tab.ages, col) != (A, (A, X)) or tab.row.shape not in ((X, X), (A, X, X)):
+                raise ShapeMismatch(f"{name}: row {tab.row.shape}, col {col} not on the mesh")
 
 
-def _at_alpha_zero(table: Table) -> np.ndarray:
-    """k(a, x, 0, xi): (A, X, X), or (X, X) for a factored row without a."""
-    if isinstance(table, FactoredTable):
-        return table.row if table.col is None else table.row * table.col[0]
-    return table[:, :, 0, :]
+def _at_alpha_zero(table: FactoredTable) -> np.ndarray:
+    """k(a, x, 0, xi): (A, X, X), or (X, X) for a row without a."""
+    return table.row if table.col is None else table.row * table.col[0]
 
 
-def _age_derivatives(table: Table, m: Mesh) -> List[Table]:
+def _age_derivatives(table: FactoredTable, m: Mesh) -> List[FactoredTable]:
     """(d/da + d/dalpha) k as a list of tables, empty when k has no age.
 
     A factored table knows its age dependence: (d_a row) col when row
-    depends on a, plus row (d_alpha col) when col is given.  A dense
-    table equal to its age-zero slices at every age pair has none.
+    depends on a, plus row (d_alpha col) when col is given.
     """
     def d_age(f):
         return np.gradient(f, m.da, axis=0, edge_order=2)
 
-    if isinstance(table, FactoredTable):
-        out = []
-        if table.row.ndim == 3:
-            out.append(FactoredTable(d_age(table.row), table.col, table.ages))
-        if table.col is not None:
-            out.append(FactoredTable(table.row, d_age(table.col), table.ages))
-        return out
-    if np.array_equal(table, np.broadcast_to(table[:1, :, :1, :], table.shape)):
-        return []
-    dtab = d_age(table) + np.gradient(table, m.da, axis=2, edge_order=2)
-    return [dtab] if np.any(dtab) else []
+    out = []
+    if table.row.ndim == 3:
+        out.append(FactoredTable(d_age(table.row), table.col, table.ages))
+    if table.col is not None:
+        out.append(FactoredTable(table.row, d_age(table.col), table.ages))
+    return out
 
 
 def attach_tilde(k: KernelSet, beta0: np.ndarray, m: Mesh) -> KernelSet:
@@ -190,7 +222,7 @@ def attach_tilde(k: KernelSet, beta0: np.ndarray, m: Mesh) -> KernelSet:
     holds are replaced.  The age derivative (d/da + d/dalpha) of each
     table uses centered differences (see _age_derivatives).  The
     boundary-renewal part k^{hil}(a, x, 0, xi) beta0^{lj}(alpha, xi) is
-    a FactoredTable for every kind of table.  Terms sharing a table
+    a FactoredTable with row k(a, x, 0, xi).  Terms sharing a table
     share its tilde tables.
     """
     tilde: List[KernelTerm] = []
@@ -219,15 +251,13 @@ def _weighted(w: np.ndarray, m: Mesh) -> np.ndarray:
     return w * wa[None, :, None] * wx[None, None, :]
 
 
-def _integrate(table: Table, f: np.ndarray) -> np.ndarray:
+def _integrate(table: FactoredTable, f: np.ndarray) -> np.ndarray:
     """sum over (alpha, xi) of k(a, x, alpha, xi) f(alpha, xi).
 
-    Returns (A, X), or (X,) for a factored table constant in a.
+    Returns (A, X), or (X,) for a table constant in a.
     """
-    if isinstance(table, FactoredTable):
-        s = f.sum(axis=0) if table.col is None else np.einsum("bz,bz->z", table.col, f)
-        return table.row @ s
-    return np.einsum("axbz,bz->ax", table, f)
+    s = f.sum(axis=0) if table.col is None else np.einsum("bz,bz->z", table.col, f)
+    return table.row @ s
 
 
 def _contract(terms: List[KernelTerm], wq: np.ndarray, n: int) -> np.ndarray:

@@ -134,7 +134,7 @@ def scalar_spec(
     return ModelSpec(
         n=1,
         linear=linear,
-        kernels=kernels if kernels is not None else KernelSet.empty(1),
+        kernels=kernels if kernels is not None else KernelSet(1),
         births=zero_laws(1, m, g0=g0, g1=g1),
         y0=y0,
         **fields,

@@ -73,6 +73,7 @@ class ModelSpec:
         if self.f is not None and self.f.shape != (m.nt + 1,) + want:
             raise ShapeMismatch("forcing table shape does not match mesh")
         self.linear.check_shape(m)
+        self.kernels.check_shape(m, self.n)
         self.births.check_shape(m, self.n)
 
 
@@ -142,12 +143,6 @@ def derived_initial_slope(spec: ModelSpec, m: Mesh) -> np.ndarray:
     return consistent_slope(spec.linear, y0, forcing, m)
 
 
-def _g_at(series: Optional[np.ndarray], i: int) -> Optional[np.ndarray]:
-    if series is None:
-        return None
-    return series[i]
-
-
 def _march(
     spec: ModelSpec,
     cfg: SolverConfig,
@@ -197,8 +192,8 @@ def _march(
     prev2: Optional[StateField] = None
 
     for i in range(1, m.nt + 1):
-        g0_now = _g_at(births.g0, i)
-        g1_now = _g_at(births.g1, i)
+        g0_now = None if births.g0 is None else births.g0[i]
+        g1_now = None if births.g1 is None else births.g1[i]
         f_now = spec.f[i] if spec.f is not None else None
 
         # Predictor: linear extrapolation of the last two slices.
@@ -304,7 +299,7 @@ def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
         # one-sided boundary rows keep the nonlocal age integrals honest
         dy[:, 0] = (fwd[:, 1] - y[:, 0]) / dt
         dy[:, -1] = (y[:, -1] - bwd[:, -2]) / dt
-        g0_now = _g_at(spec.births.g0, i)
+        g0_now = None if spec.births.g0 is None else spec.births.g0[i]
         res = tau * d2y
         res += dy + tau * np.einsum("axhi,iax->hax", lin.L, dy)
         res += np.einsum("axhi,iax->hax", lin.L + tau * lin.L_a, y)

@@ -203,8 +203,8 @@ def compatibility_setup(
     base: SvirParams,
     q1: float,
     q2: float,
-    baseline: Optional[Run] = None,
-    m: Optional[Mesh] = None,
+    baseline: Optional[Run],
+    m: Mesh,
 ) -> ModelSpec:
     """Benchmark spec with matched zeroth/first-order boundary data.
 
@@ -215,10 +215,6 @@ def compatibility_setup(
     A baseline with every step stored is required whenever q1 != 1 or
     q2 != 1.
     """
-    if m is None:
-        if baseline is None:
-            raise MissingBaseline("need a mesh or a baseline run")
-        m = baseline.mesh
     needs_trace = (q1 != 1.0) or (q2 != 1.0)
     if needs_trace:
         if baseline is None:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .birth import BirthLaws
+from .birth import zero_laws
 from .errors import InvalidParam
 from .mesh import Mesh
 from .operators import FactoredTable, KernelSet, KernelTerm, LinearPart
@@ -92,29 +92,14 @@ def boundary_bump(m: Mesh) -> np.ndarray:
     return psi
 
 
-def _routing_matrix(mode: str) -> np.ndarray:
-    if mode == "susceptible":
-        r = np.zeros((4, 4))
-        r[S, :] = 1.0
-    elif mode == "identity":
-        r = np.eye(4)
-    elif mode == "none":
-        r = np.zeros((4, 4))
-    else:
-        raise InvalidParam(f"unknown routing mode {mode!r}")
-    return r
-
-
-def build_svir(p: SvirParams, m: Mesh, routing: str = "susceptible") -> ModelSpec:
+def build_svir(p: SvirParams, m: Mesh) -> ModelSpec:
     """Assemble the SVIR ModelSpec on a mesh.
 
     Initial state: total_S0 susceptibles uniform over age and space, I0
     infectives uniform over age concentrated at the x = 1 boundary,
     initial slope zero, fertility applied at both birth orders
-    (beta1 = beta0 = beta).  routing picks the newborn target:
-    "susceptible" (default) sends births computed from the weighted
-    total population into S, "identity" makes each compartment birth
-    into itself, "none" disables births.
+    (beta1 = beta0 = beta); births computed from the weighted total
+    population enter S.
     """
     p.validate()
     A, X = m.na + 1, m.nx
@@ -157,17 +142,8 @@ def build_svir(p: SvirParams, m: Mesh, routing: str = "susceptible") -> ModelSpe
         n=4, terms=[KernelTerm(h, i, j, w, base) for h, i, j, w in couplings]
     )
 
-    beta_age = p.beta(ages, m.a_max)
-    route = _routing_matrix(routing)
-    beta_tab = np.broadcast_to(
-        beta_age[:, None, None, None] * route[None, None, :, :], (A, X, 4, 4)
-    ).copy()
-    births = BirthLaws(
-        beta0=beta_tab.copy(),
-        beta1=beta_tab.copy(),
-        betaL=np.zeros_like(beta_tab),
-        beta_grad=np.zeros_like(beta_tab),
-    )
+    births = zero_laws(4, m)
+    births.beta0[:, :, S, :] = births.beta1[:, :, S, :] = p.beta(ages, m.a_max)[:, None, None]
 
     y0 = np.zeros((4, A, X))
     y0[S] = p.total_S0 / m.a_max
@@ -180,7 +156,6 @@ def build_svir(p: SvirParams, m: Mesh, routing: str = "susceptible") -> ModelSpe
         births=births,
         y0=y0,
         y1=np.zeros_like(y0),
-        f=None,
         tau=p.tau,
     )
 

@@ -233,20 +233,12 @@ def test_criterion_8_invariant_suites(desk_mesh, solver_cfg):
     results = {}
 
     # operators bilinearity
-    from epiwave.operators import KernelSet, KernelTerm
+    from epiwave.operators import KernelSet
 
     m = build_mesh(1.0, 1.0, 4, 5)
     rng = np.random.default_rng(0)
     A, X = m.na + 1, m.nx
-    k = KernelSet(
-        n=2,
-        terms=[
-            KernelTerm(h, i, j, 1.0, rng.normal(size=(A, X, A, X)))
-            for h in range(2)
-            for i in range(2)
-            for j in range(2)
-        ],
-    )
+    k = KernelSet.from_dense(rng.normal(size=(2, 2, 2, A, X, A, X)))
     w1 = rng.normal(size=(2, A, X))
     w2 = rng.normal(size=(2, A, X))
     lhs = lambda_op(k, 2.0 * w1 - 3.0 * w2, m)

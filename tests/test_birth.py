@@ -8,7 +8,7 @@ from epiwave.birth import BirthLaws, make_compatible, solve_birth_step, zero_law
 from epiwave.errors import SingularBirthSystem, SingularSigma
 from epiwave.fields import StateField
 from epiwave.mesh import build_mesh
-from epiwave.operators import KernelSet, KernelTerm, LinearPart, g_op
+from epiwave.operators import KernelSet, LinearPart, g_op
 from epiwave.reference import renewal, total_births
 
 
@@ -222,7 +222,7 @@ def test_driver_births_are_causal():
 
 def test_nonlinear_birth_zero_state():
     m = _mesh()
-    k = KernelSet.empty(1)
+    k = KernelSet(1)
     laws = zero_laws(1, m)
     sl = _slice(m, 1, value=0.0)
     out = g_op(k, laws.beta0, laws.beta1, sl.values, None, m)
@@ -234,7 +234,7 @@ def test_nonlinear_birth_scalar_cancellation():
     A, X = m.na + 1, m.nx
     rng = np.random.default_rng(3)
     base = np.broadcast_to(rng.normal(size=(X, X))[None, :, None, :], (A, X, A, X))
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
+    k = KernelSet.from_dense(base[None, None, None])
     laws = zero_laws(1, m)
     laws.beta0[:] = 0.7
     laws.beta1[:] = 0.7
@@ -251,20 +251,14 @@ def test_nonlinear_birth_matches_g_quadrature():
     n = 2
     A, X = m.na + 1, m.nx
     rng = np.random.default_rng(19)
-    terms = [
-        KernelTerm(h, i, j, 1.0, rng.normal(size=(A, X, A, X)))
-        for h in range(n)
-        for i in range(n)
-        for j in range(n)
-    ]
-    k = KernelSet(n=n, terms=terms)
+    kd = rng.normal(size=(n, n, n, A, X, A, X))
+    k = KernelSet.from_dense(kd)
     laws = zero_laws(n, m)
     laws.beta0 = rng.normal(size=(A, X, n, n))
     laws.beta1 = rng.normal(size=(A, X, n, n))
     sl = _slice(m, n, rng)
     g0 = rng.normal(size=(n, X))
     wa, wx = age_weights(m), space_weights(m)
-    kd = k.dense(m)
     lam = np.zeros((n, n, A, X))
     for h in range(n):
         for i in range(n):

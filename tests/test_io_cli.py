@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import epiwave
 from epiwave import (
+    FactoredTable,
     KernelSet,
     KernelTerm,
     SolverConfig,
@@ -20,7 +21,7 @@ from epiwave import (
     run_parabolic,
     run_relaxed,
 )
-from epiwave import study
+from epiwave import io_cli, study
 from epiwave.errors import ConfigError
 from epiwave.io_cli import (
     RunConfig,
@@ -100,6 +101,22 @@ def test_output_path_taken_by_a_file_exits_1(tmp_path, capsys):
     rc = cli_main(["sweep", "--config", str(cfgp), "--taus", "1e-3,1e-2,1e-1", "--out", str(out)])
     assert rc == 1
     assert "tau_1.000e-02" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_taken_output_path_fails_before_solving(tmp_path, capsys, monkeypatch, command):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the output directory was made")
+
+    for module in (io_cli, study):
+        monkeypatch.setattr(module, "run_relaxed", no_solve)
+        monkeypatch.setattr(module, "run_parabolic", no_solve)
+    cfgp = _tiny_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main([command, "--config", str(cfgp), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert "output error" in err and "taken" in err
 
 
 def test_run_subcommand_writes_files(tmp_path):
@@ -329,15 +346,29 @@ def test_bad_model_tables_exit_2(tmp_path, capsys, tables, named):
     assert "config error" in err and named in err
 
 
+def test_non_finite_kernel_exits_1(tmp_path, capsys):
+    # one NaN in a kernel table stops the load; it is not factored away
+    m = build_mesh(0.5, 1.0, 4, 5)
+    A, X = m.na + 1, m.nx
+    kernels = np.ones((1, 1, 1, A, X, A, X))
+    kernels[0, 0, 0, 1, 2, 3, 4] = np.nan
+    np.savez(tmp_path / "model.npz", **_tables(m, kernels=kernels))
+    path = _write_config(
+        tmp_path, model={"kind": "tables", "path": str(tmp_path / "model.npz")}
+    )
+    assert cli_main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "solver error" in err and "NaN" in err
+
+
 def test_tables_run_matches_library_spec_with_tilde_terms(tmp_path):
     # an age-dependent kernel with births: Lambda_1 carries the kernel's
     # age derivative and the boundary-renewal term
     m = build_mesh(0.5, 1.0, 10, 11)
     A, X = m.na + 1, m.nx
     a, x = m.ages(), m.xs()
-    table = 0.5 * (1.0 + a[:, None, None, None]) * np.exp(
-        -((x[None, :, None, None] - x[None, None, None, :]) ** 2)
-    ) * np.ones((A, X, A, X))
+    row = 0.5 * (1.0 + a)[:, None, None] * np.exp(-((x[:, None] - x[None, :]) ** 2))
+    table = FactoredTable(row, None, A)
     y0 = (1.0 + 0.5 * np.cos(np.pi * x))[None, None, :] * (1.0 - 0.5 * a)[None, :, None]
     spec = scalar_spec(
         m,
@@ -357,7 +388,7 @@ def test_tables_run_matches_library_spec_with_tilde_terms(tmp_path):
         L=spec.linear.L,
         L_a=spec.linear.L_a,
         sigma=spec.linear.sigma,
-        kernels=table[None, None, None],
+        kernels=np.asarray(table)[None, None, None],
         beta0=spec.births.beta0,
         beta1=spec.births.beta1,
         y0=y0,

@@ -26,29 +26,10 @@ def _mesh(na=4, nx=6, t_max=1.0):
     return build_mesh(t_max, 1.0, na, nx)
 
 
-def _random_kernel(m, n, rng, smooth=False):
+def _random_kernel(m, n, rng):
+    """Full-rank random tables for every coupling, factored on load."""
     A, X = m.na + 1, m.nx
-    terms = []
-    for h in range(n):
-        for i in range(n):
-            for j in range(n):
-                if smooth:
-                    a = m.ages()[:, None, None, None]
-                    b = m.ages()[None, None, :, None]
-                    x = m.xs()[None, :, None, None]
-                    z = m.xs()[None, None, None, :]
-                    c = rng.normal(size=4)
-                    tab = (
-                        np.sin(c[0] + a)
-                        * np.cos(c[1] + 2 * b)
-                        * (1 + c[2] * x)
-                        * (1 + c[3] * z)
-                    )
-                    tab = np.broadcast_to(tab, (A, X, A, X)).copy()
-                else:
-                    tab = rng.normal(size=(A, X, A, X))
-                terms.append(KernelTerm(h, i, j, 1.0, tab))
-    return KernelSet(n=n, terms=terms)
+    return KernelSet.from_dense(rng.normal(size=(n, n, n, A, X, A, X)))
 
 
 def _factored_kernel(m, n, rng):
@@ -76,10 +57,22 @@ def _kernel(kind, m, n, rng):
     return _factored_kernel(m, n, rng) if kind == "factored" else _random_kernel(m, n, rng)
 
 
-def _table(kind, row, col, m):
-    """The kernel row * col as a FactoredTable or as its dense array."""
+def _terms(kind, row, col, m):
+    """The (0, 0, 0) kernel row * col as one FactoredTable term, or as
+    the terms from_dense factors its dense array into."""
     table = FactoredTable(row, col, m.na + 1)
-    return table if kind == "factored" else np.asarray(table)
+    if kind == "factored":
+        return [KernelTerm(0, 0, 0, 1.0, table)]
+    return KernelSet.from_dense(np.asarray(table)[None, None, None]).terms
+
+
+def _dense(k, m, tilde=False):
+    """The (n, n, n, A, X, A, X) table of k's terms (or tilde terms)."""
+    A, X = m.na + 1, m.nx
+    out = np.zeros((k.n, k.n, k.n, A, X, A, X))
+    for t in k.tilde_terms if tilde else k.terms:
+        out[t.h, t.i, t.j] += t.weight * np.asarray(t.table)
+    return out
 
 
 def _assert_close(got, want, rtol=1e-13):
@@ -166,7 +159,7 @@ def test_lambda_zero_field():
 def test_lambda_constants_on_unit_domains():
     m = _mesh()
     A, X = m.na + 1, m.nx
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, np.ones((A, X, A, X)))])
+    k = KernelSet.from_dense(np.ones((1, 1, 1, A, X, A, X)))
     out = lambda_op(k, np.full((1, A, X), 0.7), m)
     assert np.allclose(out, 0.7)
 
@@ -180,8 +173,7 @@ def test_lambda_tent_kernel_closed_form():
             A, X = m.na + 1, m.nx
             xs = m.xs()
             tent = np.maximum(0.1 - np.abs(xs[:, None] - xs[None, :]), 0.0)
-            base = _table(kind, tent, None, m)
-            k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
+            k = KernelSet(n=1, terms=_terms(kind, tent, None, m))
             out = lambda_op(k, np.ones((1, A, X)), m)
             mid = np.argmin(np.abs(xs - 0.5))
             assert np.isclose(out[0, 0, 0, mid], 0.01, atol=1e-14)
@@ -209,7 +201,7 @@ def kernel_bound(k, m):
     Cauchy-Schwarz over the joint (j, alpha, xi) index gives
     c(k)^2 = sum_h max_{a,x} sum_{i,j} |k^{hij}(a, x, .)|^2_quad.
     """
-    dense = k.dense(m)
+    dense = _dense(k, m)
     per_hax = np.einsum(
         "hijaxbz,b,z->hax", dense * dense, age_weights(m), space_weights(m)
     )
@@ -247,6 +239,31 @@ def test_factored_table_materialises_the_product():
     assert np.array_equal(np.asarray(FactoredTable(flat, None, A)), want)
 
 
+@pytest.mark.parametrize("na", [4, 8, 20])
+def test_from_dense_reproduces_a_full_rank_table(na):
+    m = build_mesh(1.0, 1.0, na, 5)
+    A, X = m.na + 1, m.nx
+    tab = np.random.default_rng(na).normal(size=(A, X, A, X))
+    k = KernelSet.from_dense(tab[None, None, None])
+    assert 1 <= len(k.terms) <= A
+    _assert_close(_dense(k, m)[0, 0, 0], tab, rtol=1e-14)
+
+
+def test_from_dense_finds_the_rank_and_skips_zero_tables():
+    m = build_mesh(1.0, 1.0, 8, 5)
+    A, X = m.na + 1, m.nx
+    rng = np.random.default_rng(3)
+    k7 = np.zeros((2, 2, 2, A, X, A, X))
+    rows, cols = rng.normal(size=(3, A, X, X)), rng.normal(size=(3, A, X))
+    k7[1, 0, 1] = np.einsum("raxz,rbz->axbz", rows, cols)
+    k = KernelSet.from_dense(k7)
+    assert k.n == 2
+    assert len(k.terms) == 3
+    assert all((t.h, t.i, t.j) == (1, 0, 1) for t in k.terms)
+    _assert_close(_dense(k, m), k7, rtol=1e-14)
+    assert KernelSet.from_dense(np.zeros((1, 1, 1, A, X, A, X))).terms == []
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_attach_tilde_matches_definition(kind):
     # oracle: k_a + k_alpha analytically plus the beta0 outer part;
@@ -261,10 +278,10 @@ def test_attach_tilde_matches_definition(kind):
         xz = np.multiply.outer(m.xs(), m.xs())
         row = np.sin(m.ages())[:, None, None] * (1 + 0.5 * xz)  # (A, X, X)
         col = np.broadcast_to(np.cos(2 * m.ages())[:, None], (A, X))
-        k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, _table(kind, row, col, m))])
+        k = KernelSet(n=1, terms=_terms(kind, row, col, m))
         beta0 = np.zeros((A, X, 1, 1))
         kt = attach_tilde(k, beta0, m)
-        dense = kt.dense(m, tilde=True)[0, 0, 0]
+        dense = _dense(kt, m, tilde=True)[0, 0, 0]
         analytic = (np.cos(a) * np.cos(2 * alf) - 2 * np.sin(a) * np.sin(2 * alf)) * (
             1 + 0.5 * x * z
         )
@@ -280,21 +297,22 @@ def test_attach_tilde_matches_definition(kind):
     A, X = m.na + 1, m.nx
     rng = np.random.default_rng(4)
     beta0 = _dense_beta(m, 1, rng)
-    table = _table(kind, rng.normal(size=(A, X, X)), rng.normal(size=(A, X)), m)
-    kt = attach_tilde(KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, table)]), beta0, m)
-    dense = np.asarray(table)
+    row, col = rng.normal(size=(A, X, X)), rng.normal(size=(A, X))
+    kt = attach_tilde(KernelSet(n=1, terms=_terms(kind, row, col, m)), beta0, m)
+    dense = np.asarray(FactoredTable(row, col, A))
     want = np.gradient(dense, m.da, axis=0, edge_order=2)
     want += np.gradient(dense, m.da, axis=2, edge_order=2)
     want += np.einsum("axz,bz->axbz", dense[:, :, 0, :], beta0[:, :, 0, 0])
-    _assert_close(kt.dense(m, tilde=True)[0, 0, 0], want)
+    _assert_close(_dense(kt, m, tilde=True)[0, 0, 0], want)
 
     # an age-constant table has no derivative term; the renewal part is exact
-    flat = _table(kind, rng.normal(size=(X, X)), None, m)
-    kt_flat = attach_tilde(KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, flat)]), beta0, m)
+    flat = rng.normal(size=(X, X))
+    kt_flat = attach_tilde(KernelSet(n=1, terms=_terms(kind, flat, None, m)), beta0, m)
     assert len(kt_flat.tilde_terms) == 1
     assert isinstance(kt_flat.tilde_terms[0].table, FactoredTable)
-    dense_flat = kt_flat.dense(m, tilde=True)[0, 0, 0]
-    want = np.einsum("axz,bz->axbz", np.asarray(flat)[:, :, 0, :], beta0[:, :, 0, 0])
+    dense_flat = _dense(kt_flat, m, tilde=True)[0, 0, 0]
+    dense = np.asarray(FactoredTable(flat, None, A))
+    want = np.einsum("axz,bz->axbz", dense[:, :, 0, :], beta0[:, :, 0, 0])
     assert np.allclose(dense_flat, want)
 
 
@@ -312,8 +330,7 @@ def test_delta_lambda_product_rule_reduction():
         m = _mesh(nx=5)
         A, X = m.na + 1, m.nx
         rng = np.random.default_rng(8)
-        base = _table(kind, rng.normal(size=(X, X)), None, m)
-        k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
+        k = KernelSet(n=1, terms=_terms(kind, rng.normal(size=(X, X)), None, m))
         k = attach_tilde(k, np.zeros((A, X, 1, 1)), m)
         assert not k.tilde_terms
         y = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
@@ -334,9 +351,9 @@ def test_lambda_contractions_against_bruteforce(kind):
     k = attach_tilde(_kernel(kind, m, n, rng), _dense_beta(m, n, rng), m)
     w = rng.normal(size=(n, A, X))
     g0 = rng.normal(size=(n, X))
-    _assert_close(lambda_op(k, w, m), _lambda_dense(k.dense(m), w, m))
-    _assert_close(lambda_one(k, w, m), _lambda_dense(k.dense(m, tilde=True), w, m))
-    _assert_close(lambda_two(k, g0, m), _lambda_two_dense(k.dense(m), g0, m))
+    _assert_close(lambda_op(k, w, m), _lambda_dense(_dense(k, m), w, m))
+    _assert_close(lambda_one(k, w, m), _lambda_dense(_dense(k, m, tilde=True), w, m))
+    _assert_close(lambda_two(k, g0, m), _lambda_two_dense(_dense(k, m), g0, m))
 
 
 def test_delta_lambda_against_bruteforce():
@@ -352,8 +369,8 @@ def test_delta_lambda_against_bruteforce():
         y = StateField(rng.normal(size=(n, A, X)), rng.normal(size=(n, A, X)))
         g0 = rng.normal(size=(n, X))
 
-        kd = k.dense(m)
-        ktd = k.dense(m, tilde=True)
+        kd = _dense(k, m)
+        ktd = _dense(k, m, tilde=True)
         want = np.einsum("hiax,iax->hax", _lambda_dense(kd, y.values, m), y.slope)
         want += np.einsum("hiax,iax->hax", _lambda_dense(kd, y.slope, m), y.values)
         want += np.einsum("hiax,iax->hax", _lambda_dense(ktd, y.values, m), y.values)
@@ -378,8 +395,7 @@ def test_g_op_scalar_cancellation():
         m = _mesh(nx=5)
         A, X = m.na + 1, m.nx
         rng = np.random.default_rng(13)
-        base = _table(kind, rng.normal(size=(X, X)), None, m)
-        k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, base)])
+        k = KernelSet(n=1, terms=_terms(kind, rng.normal(size=(X, X)), None, m))
         beta = np.abs(_dense_beta(m, 1, rng))
         y = rng.normal(size=(1, A, X))
         out = g_op(k, beta, beta, y, None, m)
@@ -398,7 +414,7 @@ def test_g_op_against_bruteforce():
         y = rng.normal(size=(n, A, X))
         g0 = rng.normal(size=(n, X))
         wa = age_weights(m)
-        lam = _lambda_dense(k.dense(m), y, m)
+        lam = _lambda_dense(_dense(k, m), y, m)
         want = np.zeros((n, X))
         for xk in range(X):
             acc = np.zeros(n)

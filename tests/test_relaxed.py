@@ -183,7 +183,8 @@ def test_picard_divergence_detected():
     # oversized kernel weight at a coarse step breaks the contraction
     m = build_mesh(1.0, 1.0, 2, 5)
     A, X = m.na + 1, m.nx
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, -80.0, np.ones((A, X, A, X)))])
+    flat = FactoredTable(np.ones((X, X)), None, A)
+    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, -80.0, flat)])
     spec = scalar_spec(m, np.full((1, A, X), 1.0), kernels=k)
     with pytest.raises(PicardDiverged):
         run_relaxed(spec, SolverConfig(picard_max=50), m)
@@ -194,6 +195,25 @@ def test_spec_validation_errors():
     spec = scalar_spec(m, np.zeros((1, 3, 3)))
     with pytest.raises(ShapeMismatch):
         run_relaxed(spec, SolverConfig(), m)
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (lambda A, X: KernelTerm(7, 0, 2, 1.0, FactoredTable(np.ones((X, X)), None, A)), "outside"),
+        (lambda A, X: KernelTerm(0, 0, 2, 1.0, FactoredTable(np.ones((X, X + 1)), None, A)), "row"),
+        (lambda A, X: KernelTerm(0, 0, 2, 1.0, np.ones((A, X, A, X))), "from_dense"),
+    ],
+)
+def test_bad_kernel_terms_are_shape_mismatches(bad, match):
+    # an index outside the model, a row off the mesh and a dense table
+    m = build_mesh(0.5, 1.0, 4, 5)
+    spec = build_svir(SvirParams(tau=1e-2), m)
+    term = bad(m.na + 1, m.nx)
+    spec = dataclasses.replace(spec, kernels=KernelSet(4, spec.kernels.terms + [term]))
+    with pytest.raises(ShapeMismatch, match=match) as err:
+        run_relaxed(spec, SolverConfig(), m)
+    assert f"kernel term (h={term.h}, i=0, j=2)" in str(err.value)
 
 
 def test_negative_tau_is_an_invalid_param():

@@ -88,7 +88,7 @@ def test_tau_sweep_small_end_to_end(desk_mesh, solver_cfg, svir_baseline, svir_f
 
 
 def test_compatibility_setup_matched_case(desk_mesh):
-    spec = compatibility_setup(SvirParams(), 1.0, 1.0, m=desk_mesh)
+    spec = compatibility_setup(SvirParams(), 1.0, 1.0, None, desk_mesh)
     assert spec.births.g0 is None and spec.births.g1 is None
     gap = spec.y1 - derived_initial_slope(spec, desk_mesh)
     assert np.max(np.abs(gap)) < 1e-10

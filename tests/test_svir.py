@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,18 +95,12 @@ def test_newborn_routing_matrices(small_mesh):
         assert np.allclose(b[:, 0, S, j], beta_a)
         for h in (V, I, R):
             assert np.allclose(b[:, 0, h, j], 0.0)
-    ident = build_svir(SvirParams(), m, routing="identity")
-    for h in range(4):
-        for j in range(4):
-            want = beta_a if h == j else 0.0
-            assert np.allclose(ident.births.beta0[:, 0, h, j], want)
-    none = build_svir(SvirParams(), m, routing="none")
-    assert np.allclose(none.births.beta0, 0.0)
 
 
 def test_no_births_population_declines(small_mesh):
     m = small_mesh
-    spec = build_svir(SvirParams(I0=0.0), m, routing="none")
+    spec = build_svir(SvirParams(I0=0.0), m)
+    spec = replace(spec, births=zero_laws(4, m))
     run = run_parabolic(spec, SolverConfig(), m)
     wx = space_weights(m)
     total = [float(np.sum(age_integral(sl.values, m) @ wx)) for sl in run]
@@ -144,7 +140,7 @@ def test_sum_dynamics_match_single_compartment():
     nspec = ModelSpec(
         n=1,
         linear=lin,
-        kernels=KernelSet.empty(1),
+        kernels=KernelSet(1),
         births=laws,
         y0=np.sum(spec.y0, axis=0, keepdims=True),
         f=f,
