@@ -26,19 +26,8 @@ class StateField:
     values: np.ndarray
     slope: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
     def copy(self) -> "StateField":
         return StateField(self.values.copy(), self.slope.copy())
-
-    def check_shape(self, m: Mesh) -> None:
-        want = (self.values.shape[0], m.na + 1, m.nx)
-        if self.values.shape != want:
-            raise ShapeMismatch(f"values shape {self.values.shape} != {want}")
-        if self.slope.shape != want:
-            raise ShapeMismatch(f"slope shape {self.slope.shape} != {want}")
 
 
 @dataclass

@@ -11,7 +11,7 @@ import dataclasses
 import json
 import sys
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
@@ -316,8 +316,7 @@ def write_slices(
     slice_{t_index}.csv holds rows (a, x, y1..yn) row-major over (a, x);
     boundary_x0.csv the age-integrated compartments at x = 0 over time;
     fronts.csv the front trajectory of compartment 2 (0 when n < 3) at
-    the given threshold, defaulting to 1e-6 times the initial sup of its
-    age-integrated density.
+    the given threshold, or at study.front_tracker's default rule.
     """
     out = _mkdir(out_dir)
     n = run[0].values.shape[0]
@@ -344,13 +343,16 @@ def write_slices(
     written.append(bpath)
 
     comp = 2 if n >= 3 else 0
-    init_sup = float(np.max(age_integral(run[0].values, m)[comp]))
-    thr = front_threshold if front_threshold is not None else 1e-6 * init_sup
-    fronts = study.front_tracker(run, thr, m, compartment=comp)
+    fronts = study.front_tracker(run, front_threshold, m, compartment=comp)
     fpath = out / "fronts.csv"
     _writerows(fpath, "t,front_x", fronts)
     written.append(fpath)
     return written
+
+
+def _tau_dir(out: Path, tau: float) -> Path:
+    """The directory of one sweep member's outputs."""
+    return out / f"tau_{tau:.3e}"
 
 
 def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
@@ -381,8 +383,7 @@ def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
             fh.write(f"# fitted_rate {_FMT % result.fitted_rate}\n")
             if result.fitted_rate_energy is not None:
                 fh.write(f"# fitted_rate_energy {_FMT % result.fitted_rate_energy}\n")
-            if result.floor is not None:
-                fh.write(f"# floor {_FMT % result.floor}\n")
+            fh.write(f"# floor {_FMT % result.floor}\n")
             fh.write("# log10_tau log10_sup_diff\n")
             for tau, d in zip(result.taus, result.sup_diffs):
                 if d > 0:
@@ -392,7 +393,7 @@ def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
     written.append(rpath)
 
     for k, tau in enumerate(result.taus):
-        fpath = _mkdir(out / f"tau_{tau:.3e}") / "fronts.csv"
+        fpath = _mkdir(_tau_dir(out, tau)) / "fronts.csv"
         _writerows(fpath, "t,front_x", result.front_positions[k])
         written.append(fpath)
     return written
@@ -528,28 +529,16 @@ def cli_main(argv=None) -> int:
         except (ValueError, InvalidParam) as exc:
             raise ConfigError(f"taus: {exc}") from None
         params = svir_params_from(cfg, 0.0)
-        _mkdir(out_dir)
+        out = _mkdir(out_dir)
+        for tau in taus:
+            _mkdir(_tau_dir(out, tau))
         q1 = args.q1 if args.q1 is not None else cfg.study.q1
         q2 = args.q2 if args.q2 is not None else cfg.study.q2
-        spec_for_tau = None
+        compat = None
         if q1 is not None or q2 is not None:
-            q1 = 1.0 if q1 is None else q1
-            q2 = 1.0 if q2 is None else q2
-            trace_baseline = None
-            if q1 != 1.0 or q2 != 1.0:
-                # boundary traces need every step stored
-                trace_baseline = run_parabolic(
-                    build_svir(params, m), replace(solver, store_every=1), m
-                )
-            template = study.compatibility_setup(params, q1, q2, trace_baseline, m)
-            spec_for_tau = lambda tau: dataclasses.replace(template, tau=tau)
+            compat = (1.0 if q1 is None else q1, 1.0 if q2 is None else q2)
         result = study.tau_sweep(
-            params,
-            taus,
-            solver,
-            m,
-            threshold=cfg.study.threshold,
-            spec_for_tau=spec_for_tau,
+            params, taus, solver, m, threshold=cfg.study.threshold, compat=compat
         )
         files = write_sweep(result, out_dir)
         print(

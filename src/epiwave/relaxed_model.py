@@ -280,6 +280,7 @@ def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
     stepper produced, so the result measures truncation error rather
     than the scheme's own identity.  Requires store_every = 1.
     """
+    spec.validate(m)
     if len(run) != m.nt + 1:
         raise LengthMismatch("residual_check needs every step stored")
     tau = spec.tau

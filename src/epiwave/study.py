@@ -1,13 +1,16 @@
 """Relaxation-parameter experiments: sweeps, rate fits, front tracking.
 
-A sweep runs the relaxed solver for each tau against a single parabolic
-baseline on the same mesh, collects sup-norm and energy-norm
-differences, and fits the convergence rate on a log-log scale.  Points
-whose difference sits within 10x of the measured discretization floor
-(the difference between two grid resolutions at tau = 0) are flagged
-non-asymptotic; because both solvers share one scheme, the matched-grid
-differences keep shrinking linearly below that floor, so the fit falls
-back to all usable points when fewer than three remain flagged.
+A sweep solves the parabolic baseline once on the mesh, every step
+stored, and that one run serves the whole study: it is the coarse half
+of the refinement floor (the difference between the na and 2na
+parabolic runs), it supplies the boundary traces of a compatibility
+setup, and each relaxed member is diffed against it.  The sweep collects
+sup-norm and energy-norm differences and fits the convergence rate on a
+log-log scale.  Points whose difference sits within 10x of the floor are
+flagged non-asymptotic; because both solvers share one scheme, the
+matched-grid differences keep shrinking linearly below that floor, so
+the fit falls back to all usable points when fewer than three remain
+flagged.
 """
 
 from dataclasses import dataclass, replace
@@ -25,21 +28,25 @@ from .svir import I as I_COMP
 from .svir import SvirParams, build_svir
 
 FLOOR_FACTOR = 10.0
+# The default front threshold, as a share of the initial sup of the
+# age-integrated density.
+FRONT_FACTOR = 1e-6
 
 
 @dataclass
 class SweepResult:
-    """Outcome of one tau sweep."""
+    """Outcome of one tau sweep; fitted_rate_energy is None when fewer
+    than three energy diffs are positive."""
 
     taus: List[float]
     sup_diffs: List[float]
     energy_diffs: List[NormReport]
     fitted_rate: float
     front_positions: List[List[Tuple[float, float]]]
-    fitted_rate_energy: Optional[float] = None
-    floor: Optional[float] = None
-    asymptotic_mask: Optional[List[bool]] = None
-    window_applied: bool = False
+    fitted_rate_energy: Optional[float]
+    floor: float
+    asymptotic_mask: List[bool]
+    window_applied: bool
 
 
 def fit_rate(
@@ -95,30 +102,33 @@ def coarse_view(run: Run, factor: int) -> List:
     return out
 
 
-def refinement_floor(
-    base: SvirParams, cfg: SolverConfig, m: Mesh
-) -> Tuple[float, float]:
-    """Sup and energy-metric diff between the na and 2na parabolic runs.
+def refinement_floor(coarse: Run, base: SvirParams, m: Mesh, cfg: SolverConfig) -> float:
+    """Sup diff between a parabolic run on m and the 2na one.
 
-    Both runs share nx; the finer run is subsampled onto the coarse
-    lattice, so the comparison is pointwise.
+    coarse is the parabolic run of build_svir(base, m) with every step
+    stored, solved with cfg; only the 2na problem is solved here, with
+    the same Picard settings.  Both runs share nx, and the finer run is
+    subsampled onto the coarse lattice, so the comparison is pointwise.
     """
-    cfg1 = replace(cfg, store_every=1)
-    coarse = run_parabolic(build_svir(replace(base, tau=0.0), m), cfg1, m)
     m2 = build_mesh(m.t_max, m.a_max, 2 * m.na, m.nx)
-    fine = run_parabolic(build_svir(replace(base, tau=0.0), m2), cfg1, m2)
-    rep = diff_norms(coarse, coarse_view(fine, 2), m)
-    return rep.sup_abs, energy_diff(rep, 0.0)
+    fine = run_parabolic(build_svir(base, m2), replace(cfg, store_every=1), m2)
+    return diff_norms(coarse, coarse_view(fine, 2), m).sup_abs
 
 
 def check_taus(taus: Sequence[float]) -> None:
-    """Raise InvalidParam unless the taus are positive and strictly monotone.
+    """Raise InvalidParam unless there are three or more taus, all
+    positive and strictly monotone.
 
-    The rate is a log-log fit, and a tau = 0 member equals the baseline.
+    The rate is a log-log fit through at least three points, and a
+    tau = 0 member equals the baseline.
     """
     steps = np.diff(taus)
-    if not (all(t > 0 for t in taus) and (all(steps > 0) or all(steps < 0))):
-        raise InvalidParam(f"sweep taus must be positive and strictly monotone: {list(taus)}")
+    if len(taus) < 3 or not (
+        all(t > 0 for t in taus) and (all(steps > 0) or all(steps < 0))
+    ):
+        raise InvalidParam(
+            f"sweep taus must be three or more, positive and strictly monotone: {list(taus)}"
+        )
 
 
 def tau_sweep(
@@ -127,37 +137,30 @@ def tau_sweep(
     cfg: SolverConfig,
     m: Mesh,
     threshold: Optional[float] = None,
-    spec_for_tau=None,
-    baseline: Optional[Run] = None,
-    floor: Optional[float] = None,
+    compat: Optional[Tuple[float, float]] = None,
 ) -> SweepResult:
     """Run the relaxed solver per tau and fit the convergence rate.
 
-    spec_for_tau may override the default benchmark factory (a callable
-    tau -> ModelSpec) to realize alternative compatibility setups; the
-    baseline may be passed in to reuse a precomputed parabolic run, and
-    floor injects a precomputed refinement floor.  front_positions uses
-    the given absolute threshold on the age-integrated infective
-    density, defaulting to 1e-6 times its initial sup.
+    The parabolic baseline of build_svir(base, m) is solved once, every
+    step stored; it gives the refinement floor, the boundary traces of
+    compat = (q1, q2) and the slices each member is diffed against.  The
+    members are one spec at each tau: build_svir(base, m), or
+    compatibility_setup(base, q1, q2, baseline, m) when compat is given.
+    front_positions uses the front_tracker threshold rule.
     """
     taus = list(taus)
     check_taus(taus)
-    if baseline is None:
-        baseline = run_parabolic(build_svir(replace(base, tau=0.0), m), cfg, m)
-    if spec_for_tau is None:
-        spec_for_tau = lambda tau: build_svir(replace(base, tau=tau), m)
-
-    if floor is None:
-        floor, _ = refinement_floor(base, cfg, m)
-
-    init_sup = float(np.max(age_integral(baseline[0].values, m)[I_COMP]))
-    thr = threshold if threshold is not None else 1e-6 * init_sup
+    template = build_svir(base, m)
+    baseline = run_parabolic(template, replace(cfg, store_every=1), m)
+    floor = refinement_floor(baseline, base, m, cfg)
+    if compat is not None:
+        template = compatibility_setup(base, *compat, baseline, m)
 
     reports, fronts = [], []
     for tau in taus:
-        run = run_relaxed(spec_for_tau(tau), cfg, m)
-        reports.append(diff_norms(run, baseline, m))
-        fronts.append(front_tracker(run, thr, m))
+        run = run_relaxed(replace(template, tau=tau), cfg, m)
+        reports.append(diff_norms(run, [baseline[i] for i in run.indices], m))
+        fronts.append(front_tracker(run, threshold, m))
     sup_diffs = [r.sup_abs for r in reports]
     energies = [energy_diff(r, t) for r, t in zip(reports, taus)]
     rate, mask, window = fit_rate(taus, sup_diffs, floor)
@@ -179,14 +182,17 @@ def tau_sweep(
 
 
 def front_tracker(
-    run: Sequence, threshold: float, m: Mesh, compartment: int = I_COMP
+    run: Sequence, threshold: Optional[float], m: Mesh, compartment: int = I_COMP
 ) -> List[Tuple[float, float]]:
     """Leftmost x where the age-integrated density exceeds the threshold.
 
     The infection enters at x = 1 and travels inward, so the reported
     coordinate decreases as the front advances; slices never exceeding
-    the threshold contribute no entry.
+    the threshold contribute no entry.  A threshold of None means
+    FRONT_FACTOR times the sup of the age-integrated density of run[0].
     """
+    if threshold is None:
+        threshold = FRONT_FACTOR * float(np.max(age_integral(run[0].values, m)[compartment]))
     xs = m.xs()
     times = getattr(run, "times", None)
     out = []

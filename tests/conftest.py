@@ -57,9 +57,9 @@ def svir_baseline(desk_mesh, solver_cfg):
 
 
 @pytest.fixture(scope="session")
-def svir_floor(desk_mesh, solver_cfg):
-    """(sup, energy) refinement floor between na=20 and na=40 runs."""
-    return refinement_floor(SvirParams(), solver_cfg, desk_mesh)
+def svir_floor(desk_mesh, solver_cfg, svir_baseline):
+    """Sup refinement floor between the na=20 baseline and an na=40 run."""
+    return refinement_floor(svir_baseline, SvirParams(), desk_mesh, solver_cfg)
 
 
 @pytest.fixture(scope="session")

@@ -60,16 +60,9 @@ def _report(criterion, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def crit1_sweep(desk_mesh, solver_cfg, svir_baseline, svir_floor):
+def crit1_sweep(desk_mesh, solver_cfg):
     taus = [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]
-    return tau_sweep(
-        SvirParams(),
-        taus,
-        solver_cfg,
-        desk_mesh,
-        baseline=svir_baseline,
-        floor=svir_floor[0],
-    )
+    return tau_sweep(SvirParams(), taus, solver_cfg, desk_mesh)
 
 
 def test_criterion_1_convergence_rate(crit1_sweep):
@@ -133,7 +126,7 @@ def test_criterion_3_tau_to_zero_consistency(
 ):
     run = run_relaxed(build_svir(SvirParams(tau=1e-8), desk_mesh), solver_cfg, desk_mesh)
     rep = diff_norms(run, svir_baseline, desk_mesh)
-    floor = svir_floor[0]
+    floor = svir_floor
     ok = rep.sup_abs <= 10.0 * floor
     _report(
         "criterion-3 (tau -> 0 consistency)",

@@ -103,8 +103,14 @@ def test_output_path_taken_by_a_file_exits_1(tmp_path, capsys):
     assert "tau_1.000e-02" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
-def test_taken_output_path_fails_before_solving(tmp_path, capsys, monkeypatch, command):
+@pytest.mark.parametrize(
+    "command, taken_name",
+    [("run", "taken"), ("compare", "taken"), ("sweep", "taken"), ("sweep", "tau_1.000e-02")],
+    ids=["run", "compare", "sweep", "sweep-member-dir"],
+)
+def test_taken_output_path_fails_before_solving(
+    tmp_path, capsys, monkeypatch, command, taken_name
+):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the output directory was made")
 
@@ -112,11 +118,36 @@ def test_taken_output_path_fails_before_solving(tmp_path, capsys, monkeypatch, c
         monkeypatch.setattr(module, "run_relaxed", no_solve)
         monkeypatch.setattr(module, "run_parabolic", no_solve)
     cfgp = _tiny_config(tmp_path)
-    taken = tmp_path / "taken"
-    taken.write_text("")
-    assert cli_main([command, "--config", str(cfgp), "--out", str(taken)]) == 1
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / taken_name).write_text("")
+    target = out / "taken" if taken_name == "taken" else out
+    assert cli_main([command, "--config", str(cfgp), "--out", str(target)]) == 1
     err = capsys.readouterr().err
-    assert "output error" in err and "taken" in err
+    assert "output error" in err and taken_name in err
+
+
+@pytest.mark.parametrize(
+    "argv", [None, [], ["--q1", "0.5", "--q2", "0.7"]], ids=["library", "cli", "cli-q1-q2"]
+)
+def test_sweep_solves_each_parabolic_problem_once(tmp_path, monkeypatch, argv):
+    # one baseline at na serves the floor, the traces and the members;
+    # the floor adds the one solve at 2na
+    solved = []
+    for module in (io_cli, study):
+        def counted(spec, cfg, m, solve=module.run_parabolic):
+            solved.append(m.na)
+            return solve(spec, cfg, m)
+
+        monkeypatch.setattr(module, "run_parabolic", counted)
+    cfgp = _tiny_config(tmp_path)
+    if argv is None:
+        m = build_mesh(0.5, 1.0, 4, 5)
+        params = SvirParams(total_S0=100.0, I0=1.0)
+        study.tau_sweep(params, [1e-3, 1e-2, 1e-1], SolverConfig(), m)
+    else:
+        assert cli_main(["sweep", "--config", str(cfgp), *argv]) == 0
+    assert sorted(solved) == [4, 8]
 
 
 def test_run_subcommand_writes_files(tmp_path):
@@ -433,7 +464,9 @@ def test_tables_svir_gets_no_tilde_terms(tmp_path):
     assert attach_tilde(loaded.kernels, loaded.births.beta0, m).tilde_terms == []
 
 
-@pytest.mark.parametrize("taus", ["1e-2,1e-3,1e-2", "-1e-3,1e-2", "0,1e-3,1e-2"])
+@pytest.mark.parametrize(
+    "taus", ["1e-2,1e-3,1e-2", "-1e-3,1e-2", "0,1e-3,1e-2", "1e-3,1e-2"]
+)
 def test_bad_sweep_taus_exit_2_before_solving(tmp_path, capsys, monkeypatch, taus):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the taus were checked")

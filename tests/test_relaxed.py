@@ -216,6 +216,17 @@ def test_bad_kernel_terms_are_shape_mismatches(bad, match):
     assert f"kernel term (h={term.h}, i=0, j=2)" in str(err.value)
 
 
+def test_residual_check_validates_the_spec():
+    # a kernel index outside the model is a ShapeMismatch, not an IndexError
+    m = build_mesh(0.5, 1.0, 4, 5)
+    spec = build_svir(SvirParams(tau=1e-2, total_S0=100.0, I0=1.0), m)
+    run = run_relaxed(spec, SolverConfig(), m)
+    term = KernelTerm(7, 0, 2, 1.0, FactoredTable(np.ones((m.nx, m.nx)), None, m.na + 1))
+    bad = dataclasses.replace(spec, kernels=KernelSet(4, spec.kernels.terms + [term]))
+    with pytest.raises(ShapeMismatch, match="outside"):
+        residual_check(run, bad, m)
+
+
 def test_negative_tau_is_an_invalid_param():
     m = build_mesh(0.5, 1.0, 4, 5)
     spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=-0.1)

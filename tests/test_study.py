@@ -62,26 +62,17 @@ def test_front_positions_monotone_in_tau():
 
 
 def test_refinement_floor_positive(svir_floor):
-    sup_floor, energy_floor = svir_floor
-    assert sup_floor > 0
-    assert energy_floor > 0
+    assert svir_floor > 0
 
 
-def test_tau_sweep_small_end_to_end(desk_mesh, solver_cfg, svir_baseline, svir_floor):
+def test_tau_sweep_small_end_to_end(desk_mesh, solver_cfg, svir_floor):
     taus = [1e-3, 3e-3, 1e-2]
-    res = tau_sweep(
-        SvirParams(),
-        taus,
-        solver_cfg,
-        desk_mesh,
-        baseline=svir_baseline,
-        floor=svir_floor[0],
-    )
+    res = tau_sweep(SvirParams(), taus, solver_cfg, desk_mesh)
     assert res.taus == taus
     assert len(res.sup_diffs) == 3
     assert all(d > 0 for d in res.sup_diffs)
     assert 0.7 < res.fitted_rate < 1.3
-    assert res.floor == svir_floor[0]
+    assert res.floor == svir_floor
     # matched-grid diffs sit below the refinement floor, so the window
     # rule falls back to the full point set
     assert not res.window_applied
@@ -130,7 +121,8 @@ def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
 
 
 @pytest.mark.parametrize(
-    "taus", [[1e-2, 1e-3, 1e-2], [-1e-3, 1e-2], [1e-3, 1e-3], [0.0, 1e-3, 1e-2]]
+    "taus",
+    [[1e-2, 1e-3, 1e-2], [-1e-3, 1e-2], [1e-3, 1e-3], [0.0, 1e-3, 1e-2], [1e-3, 1e-2]],
 )
 def test_sweep_taus_checked_before_solving(desk_mesh, solver_cfg, monkeypatch, taus):
     def no_solve(*args, **kwargs):
