@@ -1,6 +1,6 @@
 """Age- and space-structured epidemic solver with damped-wave relaxation."""
 
-from .birth import BirthLaws, BirthValues, make_compatible, solve_birth_step
+from .birth import BirthLaws, BirthValues, make_compatible, newborn_source, solve_birth_step
 from .char_solver import StepContext, step, step_context
 from .fields import NormReport, StateField, diff_norms, norm_H, norm_V
 from .mesh import Mesh, build_mesh, characteristic_cells, characteristic_ids
@@ -57,6 +57,7 @@ __all__ = [
     "lambda_op",
     "laplacian_neumann",
     "make_compatible",
+    "newborn_source",
     "norm_H",
     "norm_V",
     "residual_check",

@@ -109,6 +109,19 @@ def make_compatible(
     )
 
 
+def newborn_source(
+    beta0: np.ndarray, y: np.ndarray, g0: Optional[np.ndarray], m: Mesh
+) -> np.ndarray:
+    """Newborn density int_alpha beta0 y + g0, (n, nx), by the trapezoid
+    over all ages of the (n, na+1, nx) values y; g0 may be None.  Both
+    age-zero boundary terms read it: Lambda_2 (delta_lambda_apply) and G
+    (g_op)."""
+    src = np.einsum("b,ibx->ix", age_weights(m), np.einsum("bxij,jbx->ibx", beta0, y))
+    if g0 is not None:
+        src += g0
+    return src
+
+
 def _solve_per_node(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve (nx, n, n) systems against an (n, nx) right side."""
     try:

@@ -201,8 +201,6 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
     n = L.shape[-1] imply.  Kernel tables are factored on load into the
     model's kernel terms; the solve derives their Lambda_1 (tilde) terms.
     """
-    if tau < 0:
-        raise ConfigError(f"tau={tau} must be nonnegative")
     try:
         data = np.load(path)
     except (OSError, ValueError) as exc:
@@ -277,6 +275,8 @@ def build_problem(cfg: RunConfig, tau: Optional[float] = None):
     """
     m, solver = _mesh_and_solver(cfg)
     t = cfg.solver.tau if tau is None else tau
+    if not 0.0 <= t < np.inf:
+        raise ConfigError(f"tau={t} must be finite and nonnegative")
     if cfg.model.kind == "svir":
         spec = build_svir(svir_params_from(cfg, t), m)
     else:
@@ -528,10 +528,12 @@ def cli_main(argv=None) -> int:
             study.check_taus(taus)
         except (ValueError, InvalidParam) as exc:
             raise ConfigError(f"taus: {exc}") from None
+        dirs = [_tau_dir(Path(out_dir), tau) for tau in taus]
+        if len(set(dirs)) < len(dirs):
+            raise ConfigError(f"taus: two of {taus} share a tau_{{tau:.3e}} directory")
         params = svir_params_from(cfg, 0.0)
-        out = _mkdir(out_dir)
-        for tau in taus:
-            _mkdir(_tau_dir(out, tau))
+        for d in dirs:
+            _mkdir(d)
         q1 = args.q1 if args.q1 is not None else cfg.study.q1
         q2 = args.q2 if args.q2 is not None else cfg.study.q2
         compat = None

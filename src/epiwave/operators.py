@@ -2,8 +2,9 @@
 
 Covers the mirror-point Neumann Laplacian, the linear coefficient tables
 L / dL/da / sigma, the mixing operator Lambda built from kernel terms,
-its transport derivative (with the kernel-derivative and boundary-source
-corrections), and the boundary operator G.
+its transport derivative (the kernel's age derivative Lambda_1 and the
+age-zero boundary term Lambda_2, k(a, x, 0, xi) against the newborn
+source), and the boundary operator G.
 
 Kernels are stored as a sparse list of terms: each term couples one
 (target h, multiplied i, integrated j) compartment triple through a
@@ -149,9 +150,9 @@ class KernelSet:
     """Sparse collection of kernel terms plus the derived tilde terms.
 
     terms are the model's kernel.  tilde_terms realize the kernel of the
-    Lambda_1 correction, k_a + k_alpha + sum_l k(alpha=0) * beta0; they
-    follow from terms and beta0 alone, so only attach_tilde fills them,
-    and the solvers call it once per solve.
+    Lambda_1 correction, the age derivative k_a + k_alpha; they follow
+    from terms alone, so only attach_tilde fills them, and the solvers
+    call it once per solve.
     """
 
     n: int
@@ -215,33 +216,21 @@ def _age_derivatives(table: FactoredTable, m: Mesh) -> List[FactoredTable]:
     return out
 
 
-def attach_tilde(k: KernelSet, beta0: np.ndarray, m: Mesh) -> KernelSet:
-    """k with its tilde terms for Lambda_1 derived from k.terms and beta0.
+def attach_tilde(k: KernelSet, m: Mesh) -> KernelSet:
+    """k with its tilde terms for Lambda_1 derived from k.terms.
 
     The solvers call this once per solve; any tilde_terms k already
     holds are replaced.  The age derivative (d/da + d/dalpha) of each
-    table uses centered differences (see _age_derivatives).  The
-    boundary-renewal part k^{hil}(a, x, 0, xi) beta0^{lj}(alpha, xi) is
-    a FactoredTable with row k(a, x, 0, xi).  Terms sharing a table
-    share its tilde tables.
+    table uses centered differences (see _age_derivatives); terms
+    sharing a table share its derivative tables.
     """
     tilde: List[KernelTerm] = []
     derivs: dict = {}  # id(table) -> its derivative tables
-    renewals: dict = {}  # (id(table), t.j, j) -> its renewal table
     for t in k.terms:
         key = id(t.table)
         if key not in derivs:
             derivs[key] = _age_derivatives(t.table, m)
-        for dtab in derivs[key]:
-            tilde.append(KernelTerm(t.h, t.i, t.j, t.weight, dtab))
-        for j in range(k.n):
-            b = beta0[:, :, t.j, j]  # (A, X) over (alpha, xi)
-            if not np.any(b):
-                continue
-            rkey = (key, t.j, j)
-            if rkey not in renewals:
-                renewals[rkey] = FactoredTable(_at_alpha_zero(t.table), b, m.na + 1)
-            tilde.append(KernelTerm(t.h, t.i, j, t.weight, renewals[rkey]))
+        tilde.extend(KernelTerm(t.h, t.i, t.j, t.weight, d) for d in derivs[key])
     return KernelSet(n=k.n, terms=list(k.terms), tilde_terms=tilde)
 
 
@@ -260,16 +249,16 @@ def _integrate(table: FactoredTable, f: np.ndarray) -> np.ndarray:
     return table.row @ s
 
 
-def _contract(terms: List[KernelTerm], wq: np.ndarray, n: int) -> np.ndarray:
-    A, X = wq.shape[1], wq.shape[2]
-    out = np.zeros((n, n, A, X))
+def _contract(terms: List[KernelTerm], f: np.ndarray, n: int, m: Mesh, integral=_integrate):
+    """Sum of weight * integral(table, f[j]) over terms, (n, n, A, X); a
+    (table, j) pair that several terms share is integrated once."""
+    out = np.zeros((n, n, m.na + 1, m.nx))
     cache: dict = {}
     for t in terms:
         key = (id(t.table), t.j)
         g = cache.get(key)
         if g is None:
-            g = _integrate(t.table, wq[t.j])
-            cache[key] = g
+            g = cache[key] = integral(t.table, f[t.j])
         out[t.h, t.i] += t.weight * g
     return out
 
@@ -283,30 +272,19 @@ def lambda_op(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
     wq = _weighted(w, m)
     if wq.shape != (k.n, m.na + 1, m.nx):
         raise ShapeMismatch(f"field shape {wq.shape} does not match kernels")
-    return _contract(k.terms, wq, k.n)
+    return _contract(k.terms, wq, k.n, m)
 
 
 def lambda_one(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
     """Lambda_1: same contraction through the tilde kernel terms."""
-    wq = _weighted(w, m)
-    return _contract(k.tilde_terms, wq, k.n)
+    return _contract(k.tilde_terms, _weighted(w, m), k.n, m)
 
 
-def lambda_two(k: KernelSet, g0: Optional[np.ndarray], m: Mesh) -> np.ndarray:
-    """Lambda_2: xi-only integral of k(a, x, 0, xi) against g0(xi)."""
-    out = np.zeros((k.n, k.n, m.na + 1, m.nx))
-    if g0 is None or not np.any(g0):
-        return out
-    wx = space_weights(m)
-    cache: dict = {}
-    for t in k.terms:
-        key = (id(t.table), t.j)
-        g = cache.get(key)
-        if g is None:
-            g = _at_alpha_zero(t.table) @ (g0[t.j] * wx)
-            cache[key] = g
-        out[t.h, t.i] += t.weight * g
-    return out
+def lambda_two(k: KernelSet, src: np.ndarray, m: Mesh) -> np.ndarray:
+    """Lambda_2: xi-only integral of k(a, x, 0, xi) against the (n, nx)
+    newborn source src (birth.newborn_source)."""
+    sw = src * space_weights(m)
+    return _contract(k.terms, sw, k.n, m, lambda tab, s: _at_alpha_zero(tab) @ s)
 
 
 def apply_matrix_field(mat: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -318,46 +296,43 @@ def delta_lambda_apply(
     k: KernelSet,
     lam: np.ndarray,
     y: StateField,
-    g0: Optional[np.ndarray],
+    src: np.ndarray,
     m: Mesh,
 ) -> np.ndarray:
     """Transport derivative of the mixing term Lambda(y) y.
 
     lam is lambda_op(k, y.values, m), which the caller has already
-    contracted; k must carry its tilde terms (attach_tilde).  Evaluates
-    Lambda(y) dy + Lambda(dy) y + Lambda_1(y) y + Lambda_2(g0) y and
-    returns the (n, na+1, nx) field.
+    contracted; k must carry its tilde terms (attach_tilde); src is
+    birth.newborn_source of y.values.  Evaluates Lambda(y) dy +
+    Lambda(dy) y + Lambda_1(y) y + Lambda_2(src) y and returns the
+    (n, na+1, nx) field.  Lambda_2 is skipped when src vanishes on every
+    integrated compartment.
     """
     out = apply_matrix_field(lam, y.slope)
     out += apply_matrix_field(lambda_op(k, y.slope, m), y.values)
     if k.tilde_terms:
         out += apply_matrix_field(lambda_one(k, y.values, m), y.values)
-    if g0 is not None and np.any(g0):
-        out += apply_matrix_field(lambda_two(k, g0, m), y.values)
+    if np.any(src[[t.j for t in k.terms]]):
+        out += apply_matrix_field(lambda_two(k, src, m), y.values)
     return out
 
 
 def g_op(
     k: KernelSet,
-    beta0: np.ndarray,
     beta1: np.ndarray,
     y: np.ndarray,
-    g0: Optional[np.ndarray],
+    src: np.ndarray,
     m: Mesh,
 ) -> np.ndarray:
     """Boundary operator feeding the first-order birth law.
 
     Returns the (n, nx) slice
-      int_alpha (beta1 Lambda(alpha, y) - Lambda(0, y) beta0) y(alpha)
-      - Lambda(0, y) g0
-    of the (n, na+1, nx) values y.
+      int_alpha beta1 Lambda(alpha, y) y(alpha) - Lambda(0, y) src
+    of the (n, na+1, nx) values y, where src = int_alpha beta0 y + g0
+    is birth.newborn_source of y.
     """
     lam = lambda_op(k, y, m)  # (n, n, A, X)
-    # Contract y first: beta1 acts on Lambda(alpha, y) y(alpha), and
-    # Lambda(0, y) on the age integral of beta0 y, plus g0.
+    # Contract y first: beta1 acts on Lambda(alpha, y) y(alpha).
     wa = age_weights(m)
     t1 = np.einsum("bxhi,ibx->hbx", beta1, apply_matrix_field(lam, y))
-    src = np.einsum("b,ibx->ix", wa, np.einsum("bxij,jbx->ibx", beta0, y))
-    if g0 is not None:
-        src += g0
     return np.einsum("b,hbx->hx", wa, t1) - np.einsum("hix,ix->hx", lam[:, :, 0, :], src)

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .birth import BirthLaws, solve_birth_step
+from .birth import BirthLaws, newborn_source, solve_birth_step
 from .char_solver import step, step_context
 from .errors import (
     InvalidParam,
@@ -42,8 +42,8 @@ class ModelSpec:
     """Full problem description on a fixed mesh.
 
     kernels holds the model's kernel terms; the solvers derive the
-    Lambda_1 (tilde) terms from them and births.beta0 once per solve, so
-    any tilde_terms given here are ignored.  y0 / y1 are (n, na+1, nx)
+    Lambda_1 (tilde) terms from them alone once per solve, so any
+    tilde_terms given here are ignored.  y0 / y1 are (n, na+1, nx)
     initial value and slope (y1 may be None, meaning zero).  f is an
     optional (nt+1, n, na+1, nx) forcing table.
     """
@@ -58,8 +58,8 @@ class ModelSpec:
     tau: float = 0.0
 
     def validate(self, m: Mesh) -> None:
-        if self.tau < 0:
-            raise InvalidParam("tau must be nonnegative")
+        if not 0.0 <= self.tau < np.inf:
+            raise InvalidParam(f"tau={self.tau} must be finite and nonnegative")
         want = (self.n, m.na + 1, m.nx)
         if self.y0.shape != want:
             raise ShapeMismatch(f"y0 shape {self.y0.shape} != {want}")
@@ -93,13 +93,17 @@ class SolverConfig:
 class Run(Sequence):
     """Stored time series of state slices plus solve diagnostics."""
 
-    def __init__(self, slices, times, indices, mesh, picard_updates):
+    def __init__(self, slices, indices, mesh, picard_updates):
         self.slices: List[StateField] = slices
-        self.times: List[float] = times
         self.indices: List[int] = indices
         self.mesh: Mesh = mesh
         #: per committed time step, the sweep update norms
         self.picard_updates: List[List[float]] = picard_updates
+
+    @property
+    def times(self) -> List[float]:
+        """The time of each stored slice."""
+        return [i * self.mesh.dt for i in self.indices]
 
     def __len__(self) -> int:
         return len(self.slices)
@@ -154,9 +158,9 @@ def _march(
 
     The implicit matrices of ages 1..na are inverted and the tilde
     kernel terms derived once per call.  Each Picard sweep contracts
-    Lambda of the iterate once, calls step once to carry ages 0..na-1 of
-    the previous slice to ages 1..na, then fills age 0 from the birth
-    law.
+    Lambda of the iterate once (and, with first-order births, forms its
+    newborn source once), calls step once to carry ages 0..na-1 of the
+    previous slice to ages 1..na, then fills age 0 from the birth law.
     """
     spec.validate(m)
     cfg.validate()
@@ -165,16 +169,16 @@ def _march(
     n, A, X = spec.n, m.na + 1, m.nx
     lin = spec.linear
     births = spec.births
-    k = attach_tilde(spec.kernels, births.beta0, m)
+    k = attach_tilde(spec.kernels, m)
     has_nl = bool(k.terms)
 
     ctx = step_context(lin, tau, m)
 
-    def nl_forcing(it: StateField, g0_now) -> np.ndarray:
+    def nl_forcing(it: StateField, src) -> np.ndarray:
         lam = lambda_op(k, it.values, m)
         out = apply_matrix_field(lam, it.values)
         if tau > 0:
-            out += tau * delta_lambda_apply(k, lam, it, g0_now, m)
+            out += tau * delta_lambda_apply(k, lam, it, src, m)
         return out
 
     # Initial slice.
@@ -186,7 +190,6 @@ def _march(
     prev = StateField(y0, s0)
 
     slices = [prev.copy()]
-    times = [0.0]
     indices = [0]
     updates_log: List[List[float]] = []
     prev2: Optional[StateField] = None
@@ -209,8 +212,11 @@ def _march(
         grew = 0
         for sweep in range(cfg.picard_max):
             forcing = np.zeros((n, A, X)) if f_now is None else f_now.copy()
+            src = None
             if has_nl:
-                forcing -= nl_forcing(iterate, g0_now)
+                if first_order_births:
+                    src = newborn_source(births.beta0, iterate.values, g0_now, m)
+                forcing -= nl_forcing(iterate, src)
 
             vals = np.zeros((n, A, X))
             slopes = np.zeros((n, A, X))
@@ -220,11 +226,7 @@ def _march(
             cand = StateField(vals, slopes)
 
             if first_order_births:
-                G = (
-                    g_op(k, births.beta0, births.beta1, iterate.values, g0_now, m)
-                    if has_nl
-                    else None
-                )
+                G = g_op(k, births.beta1, iterate.values, src, m) if has_nl else None
                 bv = solve_birth_step(births, cand, g0_now, g1_now, G, m)
                 vals[:, 0] = bv.B0
                 slopes[:, 0] = bv.B1
@@ -261,10 +263,9 @@ def _march(
         prev = iterate
         if i % cfg.store_every == 0 or i == m.nt:
             slices.append(prev.copy())
-            times.append(i * m.dt)
             indices.append(i)
 
-    return Run(slices, times, indices, m, updates_log)
+    return Run(slices, indices, m, updates_log)
 
 
 def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh) -> Run:
@@ -285,7 +286,7 @@ def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
         raise LengthMismatch("residual_check needs every step stored")
     tau = spec.tau
     lin = spec.linear
-    k = attach_tilde(spec.kernels, spec.births.beta0, m)
+    k = attach_tilde(spec.kernels, m)
     dt = m.dt
     worst = 0.0
     for i in range(1, m.nt):
@@ -309,7 +310,8 @@ def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
             lam = lambda_op(k, y, m)
             res += apply_matrix_field(lam, y)
             if tau > 0:
-                res += tau * delta_lambda_apply(k, lam, StateField(y, dy), g0_now, m)
+                src = newborn_source(spec.births.beta0, y, g0_now, m)
+                res += tau * delta_lambda_apply(k, lam, StateField(y, dy), src, m)
         if spec.f is not None:
             res -= spec.f[i]
         worst = max(worst, float(np.max(np.abs(res[:, 1:-1, :]))))

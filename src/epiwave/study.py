@@ -117,17 +117,17 @@ def refinement_floor(coarse: Run, base: SvirParams, m: Mesh, cfg: SolverConfig) 
 
 def check_taus(taus: Sequence[float]) -> None:
     """Raise InvalidParam unless there are three or more taus, all
-    positive and strictly monotone.
+    positive, finite and strictly monotone.
 
     The rate is a log-log fit through at least three points, and a
     tau = 0 member equals the baseline.
     """
     steps = np.diff(taus)
     if len(taus) < 3 or not (
-        all(t > 0 for t in taus) and (all(steps > 0) or all(steps < 0))
+        all(0 < t < np.inf for t in taus) and (all(steps > 0) or all(steps < 0))
     ):
         raise InvalidParam(
-            f"sweep taus must be three or more, positive and strictly monotone: {list(taus)}"
+            f"sweep taus must be three or more, in (0, inf), strictly monotone: {list(taus)}"
         )
 
 
@@ -144,8 +144,8 @@ def tau_sweep(
     The parabolic baseline of build_svir(base, m) is solved once, every
     step stored; it gives the refinement floor, the boundary traces of
     compat = (q1, q2) and the slices each member is diffed against.  The
-    members are one spec at each tau: build_svir(base, m), or
-    compatibility_setup(base, q1, q2, baseline, m) when compat is given.
+    members are one spec at each tau: build_svir(base, m), or its
+    compatibility_setup(spec, q1, q2, baseline, m) when compat is given.
     front_positions uses the front_tracker threshold rule.
     """
     taus = list(taus)
@@ -154,7 +154,7 @@ def tau_sweep(
     baseline = run_parabolic(template, replace(cfg, store_every=1), m)
     floor = refinement_floor(baseline, base, m, cfg)
     if compat is not None:
-        template = compatibility_setup(base, *compat, baseline, m)
+        template = compatibility_setup(template, *compat, baseline, m)
 
     reports, fronts = [], []
     for tau in taus:
@@ -206,20 +206,20 @@ def front_tracker(
 
 
 def compatibility_setup(
-    base: SvirParams,
+    spec: ModelSpec,
     q1: float,
     q2: float,
     baseline: Optional[Run],
     m: Mesh,
 ) -> ModelSpec:
-    """Benchmark spec with matched zeroth/first-order boundary data.
+    """spec with matched zeroth/first-order boundary data.
 
-    Uses the derived coefficient tables beta0 = q1 beta,
-    beta1 = q2 sigma(0) beta sigma^-1 (and friends), the compatible
-    initial slope, and boundary source series sampled from the baseline
-    run's age-zero traces: g0 = (1-q1) y(a=0), g1 = (1-q2) dy(a=0).
-    A baseline with every step stored is required whenever q1 != 1 or
-    q2 != 1.
+    With beta = spec.births.beta0, uses the derived coefficient tables
+    beta0 = q1 beta, beta1 = q2 sigma(0) beta sigma^-1 (and friends), the
+    compatible initial slope, and boundary source series sampled from the
+    age-zero traces of baseline, spec's parabolic run: g0 = (1-q1) y(a=0),
+    g1 = (1-q2) dy(a=0).  A baseline with every step stored is required
+    whenever q1 != 1 or q2 != 1.
     """
     needs_trace = (q1 != 1.0) or (q2 != 1.0)
     if needs_trace:
@@ -227,9 +227,7 @@ def compatibility_setup(
             raise MissingBaseline("q1 or q2 != 1 needs a baseline run")
         if len(baseline) != m.nt + 1:
             raise MissingBaseline("baseline must store every step")
-    spec = build_svir(base, m)
-    beta_tab = spec.births.beta0
-    laws = make_compatible(beta_tab, spec.linear, q1, q2, m)
+    laws = make_compatible(spec.births.beta0, spec.linear, q1, q2, m)
     if q1 != 1.0:
         laws.g0 = (1.0 - q1) * np.stack(
             [sl.values[:, 0, :] for sl in baseline]

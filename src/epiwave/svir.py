@@ -76,8 +76,8 @@ class SvirParams:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidParam(f"{name}={v} outside [0, 1]")
-        if self.tau < 0:
-            raise InvalidParam("tau must be nonnegative")
+        if not 0.0 <= self.tau < np.inf:
+            raise InvalidParam(f"tau={self.tau} must be finite and nonnegative")
 
 
 def boundary_bump(m: Mesh) -> np.ndarray:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from epiwave import SolverConfig, build_mesh, run_parabolic
+from epiwave import FactoredTable, KernelSet, KernelTerm, SolverConfig, build_mesh, run_parabolic
 from epiwave.char_solver import step
 from epiwave.fields import StateField
+from epiwave.reference import scalar_spec
 from epiwave.study import refinement_floor
 from epiwave.svir import SvirParams, build_svir
 
@@ -32,6 +33,24 @@ def propagate_characteristic(init_v, init_w, forcing, ages, ctx, m):
         v, w = vs[:, a - 1], ws[:, a - 1]
         out.append((v, w))
     return out
+
+
+def age_kernel_spec(m, tau, g0=None):
+    """One compartment with the age-dependent kernel 0.5 (1 + a)
+    exp(-(x - xi)^2) and births beta0 = beta1 = 0.8, plus the constant
+    boundary source g0 when given: every term of the transport
+    derivative of Lambda(y) y is live."""
+    A, X = m.na + 1, m.nx
+    a, x = m.ages(), m.xs()
+    row = 0.5 * (1.0 + a)[:, None, None] * np.exp(-((x[:, None] - x[None, :]) ** 2))
+    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, FactoredTable(row, None, A))])
+    y0 = (1.0 + 0.5 * np.cos(np.pi * x))[None, None, :] * (1.0 - 0.5 * a)[None, :, None]
+    spec = scalar_spec(m, y0, sigma=0.1, mu=0.2, kernels=k, tau=tau)
+    spec.births.beta0 = np.full((A, X, 1, 1), 0.8)
+    spec.births.beta1 = np.full((A, X, 1, 1), 0.8)
+    if g0 is not None:
+        spec.births.g0 = np.full((m.nt + 1, 1, X), g0)
+    return spec
 
 
 def state_zeros(n, m):

@@ -8,8 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
+import pytest
+
 from epiwave import KernelSet, SolverConfig, attach_tilde, build_mesh, relaxed_model
 from epiwave.svir import I, S, SvirParams, build_svir, tent_kernel
+
+from conftest import age_kernel_spec
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -31,9 +35,18 @@ def test_traced_names_resolve():
     assert missing == []
 
 
-def test_traced_relaxed_solve_steps_once_per_sweep():
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda m: build_svir(SvirParams(tau=1e-2, total_S0=100.0), m),
+        # every boundary term live: the observers read the newborn source
+        lambda m: age_kernel_spec(m, tau=0.1, g0=0.3),
+    ],
+    ids=["svir", "age-kernel"],
+)
+def test_traced_relaxed_solve_steps_once_per_sweep(model):
     m = build_mesh(0.5, 1.0, 6, 7)
-    spec = build_svir(SvirParams(tau=1e-2, total_S0=100.0), m)
+    spec = model(m)
     with _tracing().Tracer() as tracer:
         relaxed_model.run_relaxed(spec, SolverConfig(), m)
     metrics = tracer.metrics()
@@ -68,10 +81,10 @@ def test_svir_kernel_tables_as_the_benchmark_reads_them():
 
 
 def test_svir_kernel_has_no_tilde_terms():
-    # age-constant kernel and births routed into S: Lambda_1 vanishes
+    # age-constant kernel: Lambda_1 vanishes
     m = build_mesh(1.0, 1.0, 40, 41)
     spec = build_svir(SvirParams(tau=1e-2), m)
-    assert attach_tilde(spec.kernels, spec.births.beta0, m).tilde_terms == []
+    assert attach_tilde(spec.kernels, m).tilde_terms == []
 
 
 def test_svir_kernel_tables_factor_back_exactly():
@@ -85,4 +98,4 @@ def test_svir_kernel_tables_factor_back_exactly():
     for t in loaded.terms:
         assert t.table.row.shape == (m.nx, m.nx) and t.table.col is None
         assert np.array_equal(np.asarray(t.table), kernels[t.h, t.i, t.j])
-    assert attach_tilde(loaded, spec.births.beta0, m).tilde_terms == []
+    assert attach_tilde(loaded, m).tilde_terms == []

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from epiwave import SolverConfig, run_parabolic
-from epiwave.birth import BirthLaws, make_compatible, solve_birth_step, zero_laws
+from epiwave.birth import (
+    BirthLaws,
+    make_compatible,
+    newborn_source,
+    solve_birth_step,
+    zero_laws,
+)
 from epiwave.errors import SingularBirthSystem, SingularSigma
 from epiwave.fields import StateField
 from epiwave.mesh import build_mesh
@@ -225,7 +231,7 @@ def test_nonlinear_birth_zero_state():
     k = KernelSet(1)
     laws = zero_laws(1, m)
     sl = _slice(m, 1, value=0.0)
-    out = g_op(k, laws.beta0, laws.beta1, sl.values, None, m)
+    out = g_op(k, laws.beta1, sl.values, newborn_source(laws.beta0, sl.values, None, m), m)
     assert np.allclose(out, 0.0)
 
 
@@ -239,7 +245,7 @@ def test_nonlinear_birth_scalar_cancellation():
     laws.beta0[:] = 0.7
     laws.beta1[:] = 0.7
     sl = _slice(m, 1, rng)
-    out = g_op(k, laws.beta0, laws.beta1, sl.values, None, m)
+    out = g_op(k, laws.beta1, sl.values, newborn_source(laws.beta0, sl.values, None, m), m)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -276,5 +282,5 @@ def test_nonlinear_birth_matches_g_quadrature():
             )
             acc += wa[bk] * (mat @ sl.values[:, bk, xk])
         want[:, xk] = acc - lam[:, :, 0, xk] @ g0[:, xk]
-    got = g_op(k, laws.beta0, laws.beta1, sl.values, g0, m)
+    got = g_op(k, laws.beta1, sl.values, newborn_source(laws.beta0, sl.values, g0, m), m)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)

@@ -12,9 +12,6 @@ from hypothesis import strategies as st
 
 import epiwave
 from epiwave import (
-    FactoredTable,
-    KernelSet,
-    KernelTerm,
     SolverConfig,
     attach_tilde,
     build_mesh,
@@ -31,8 +28,9 @@ from epiwave.io_cli import (
     serialize_config,
     write_slices,
 )
-from epiwave.reference import scalar_spec
 from epiwave.svir import SvirParams, build_svir
+
+from conftest import age_kernel_spec
 
 
 def _tiny_config(tmp_path, **overrides):
@@ -394,24 +392,11 @@ def test_non_finite_kernel_exits_1(tmp_path, capsys):
 
 def test_tables_run_matches_library_spec_with_tilde_terms(tmp_path):
     # an age-dependent kernel with births: Lambda_1 carries the kernel's
-    # age derivative and the boundary-renewal term
+    # age derivative, Lambda_2 the boundary-renewal term
     m = build_mesh(0.5, 1.0, 10, 11)
-    A, X = m.na + 1, m.nx
-    a, x = m.ages(), m.xs()
-    row = 0.5 * (1.0 + a)[:, None, None] * np.exp(-((x[:, None] - x[None, :]) ** 2))
-    table = FactoredTable(row, None, A)
-    y0 = (1.0 + 0.5 * np.cos(np.pi * x))[None, None, :] * (1.0 - 0.5 * a)[None, :, None]
-    spec = scalar_spec(
-        m,
-        y0,
-        sigma=0.1,
-        mu=0.2,
-        kernels=KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, table)]),
-        tau=0.1,
-    )
-    spec.births.beta0 = np.full((A, X, 1, 1), 0.8)
-    spec.births.beta1 = np.full((A, X, 1, 1), 0.8)
-    assert len(attach_tilde(spec.kernels, spec.births.beta0, m).tilde_terms) == 2
+    spec = age_kernel_spec(m, tau=0.1)
+    table = spec.kernels.terms[0].table
+    assert len(attach_tilde(spec.kernels, m).tilde_terms) == 1
     want = run_relaxed(spec, SolverConfig(), m)[-1].values
 
     np.savez(
@@ -422,7 +407,7 @@ def test_tables_run_matches_library_spec_with_tilde_terms(tmp_path):
         kernels=np.asarray(table)[None, None, None],
         beta0=spec.births.beta0,
         beta1=spec.births.beta1,
-        y0=y0,
+        y0=spec.y0,
     )
     path = _write_config(
         tmp_path,
@@ -437,8 +422,7 @@ def test_tables_run_matches_library_spec_with_tilde_terms(tmp_path):
 
 
 def test_tables_svir_gets_no_tilde_terms(tmp_path):
-    # dense copies of the age-independent SVIR kernel: no derivative terms,
-    # and newborns enter S only, so no boundary-renewal terms either
+    # dense copies of the age-independent SVIR kernel: no derivative terms
     m = build_mesh(0.5, 1.0, 4, 5)
     spec = build_svir(SvirParams(tau=1e-2), m)
     A, X = m.na + 1, m.nx
@@ -461,11 +445,19 @@ def test_tables_svir_gets_no_tilde_terms(tmp_path):
     )
     _, loaded, _ = build_problem(cfg, tau=1e-2)
     assert len(loaded.kernels.terms) == 6
-    assert attach_tilde(loaded.kernels, loaded.births.beta0, m).tilde_terms == []
+    assert attach_tilde(loaded.kernels, m).tilde_terms == []
 
 
 @pytest.mark.parametrize(
-    "taus", ["1e-2,1e-3,1e-2", "-1e-3,1e-2", "0,1e-3,1e-2", "1e-3,1e-2"]
+    "taus",
+    [
+        "1e-2,1e-3,1e-2",
+        "-1e-3,1e-2",
+        "0,1e-3,1e-2",
+        "1e-3,1e-2",
+        "1e-3,1e-2,inf",
+        "1e-3,1.0001e-3,1e-2",  # both write to tau_1.000e-03
+    ],
 )
 def test_bad_sweep_taus_exit_2_before_solving(tmp_path, capsys, monkeypatch, taus):
     def no_solve(*args, **kwargs):
@@ -474,6 +466,20 @@ def test_bad_sweep_taus_exit_2_before_solving(tmp_path, capsys, monkeypatch, tau
     monkeypatch.setattr(study, "run_parabolic", no_solve)
     path = _write_config(tmp_path)
     assert cli_main(["sweep", "--config", str(path), f"--taus={taus}"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_non_finite_tau_exits_2_before_solving(tmp_path, capsys, monkeypatch, command, tau):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before tau was checked")
+
+    monkeypatch.setattr(io_cli, "run_relaxed", no_solve)
+    monkeypatch.setattr(io_cli, "run_parabolic", no_solve)
+    path = _write_config(tmp_path)
+    assert cli_main([command, "--config", str(path), "--tau", tau]) == 2
     assert "config error" in capsys.readouterr().err
 
 

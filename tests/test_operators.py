@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epiwave.birth import newborn_source
 from epiwave.errors import ShapeMismatch
 from epiwave.fields import StateField, norm_H
 from epiwave.mesh import age_weights, build_mesh, space_weights
@@ -266,8 +267,8 @@ def test_from_dense_finds_the_rank_and_skips_zero_tables():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_attach_tilde_matches_definition(kind):
-    # oracle: k_a + k_alpha analytically plus the beta0 outer part;
-    # the finite-difference derivative converges at second order
+    # oracle: k_a + k_alpha analytically; the finite-difference
+    # derivative converges at second order
     def deriv_error(na):
         m = build_mesh(1.0, 1.0, na, 5)
         A, X = m.na + 1, m.nx
@@ -279,8 +280,7 @@ def test_attach_tilde_matches_definition(kind):
         row = np.sin(m.ages())[:, None, None] * (1 + 0.5 * xz)  # (A, X, X)
         col = np.broadcast_to(np.cos(2 * m.ages())[:, None], (A, X))
         k = KernelSet(n=1, terms=_terms(kind, row, col, m))
-        beta0 = np.zeros((A, X, 1, 1))
-        kt = attach_tilde(k, beta0, m)
+        kt = attach_tilde(k, m)
         dense = _dense(kt, m, tilde=True)[0, 0, 0]
         analytic = (np.cos(a) * np.cos(2 * alf) - 2 * np.sin(a) * np.sin(2 * alf)) * (
             1 + 0.5 * x * z
@@ -291,51 +291,44 @@ def test_attach_tilde_matches_definition(kind):
     assert e1 < 0.1
     assert e1 / e2 > 3.0
 
-    # the derivative terms equal np.gradient of the dense table and the
-    # renewal term its outer product with beta0
+    # the derivative terms equal np.gradient of the dense table
     m = build_mesh(1.0, 1.0, 8, 5)
     A, X = m.na + 1, m.nx
     rng = np.random.default_rng(4)
-    beta0 = _dense_beta(m, 1, rng)
     row, col = rng.normal(size=(A, X, X)), rng.normal(size=(A, X))
-    kt = attach_tilde(KernelSet(n=1, terms=_terms(kind, row, col, m)), beta0, m)
+    kt = attach_tilde(KernelSet(n=1, terms=_terms(kind, row, col, m)), m)
     dense = np.asarray(FactoredTable(row, col, A))
     want = np.gradient(dense, m.da, axis=0, edge_order=2)
     want += np.gradient(dense, m.da, axis=2, edge_order=2)
-    want += np.einsum("axz,bz->axbz", dense[:, :, 0, :], beta0[:, :, 0, 0])
     _assert_close(_dense(kt, m, tilde=True)[0, 0, 0], want)
 
-    # an age-constant table has no derivative term; the renewal part is exact
+    # an age-constant table has no derivative term
     flat = rng.normal(size=(X, X))
-    kt_flat = attach_tilde(KernelSet(n=1, terms=_terms(kind, flat, None, m)), beta0, m)
-    assert len(kt_flat.tilde_terms) == 1
-    assert isinstance(kt_flat.tilde_terms[0].table, FactoredTable)
-    dense_flat = _dense(kt_flat, m, tilde=True)[0, 0, 0]
-    dense = np.asarray(FactoredTable(flat, None, A))
-    want = np.einsum("axz,bz->axbz", dense[:, :, 0, :], beta0[:, :, 0, 0])
-    assert np.allclose(dense_flat, want)
+    kt_flat = attach_tilde(KernelSet(n=1, terms=_terms(kind, flat, None, m)), m)
+    assert kt_flat.tilde_terms == []
 
 
 def test_delta_lambda_zero_fields():
     m = _mesh()
     k = _random_kernel(m, 2, np.random.default_rng(0))
-    k = attach_tilde(k, np.zeros((m.na + 1, m.nx, 2, 2)), m)
+    k = attach_tilde(k, m)
     z = StateField(np.zeros((2, m.na + 1, m.nx)), np.zeros((2, m.na + 1, m.nx)))
-    assert np.allclose(delta_lambda_apply(k, lambda_op(k, z.values, m), z, None, m), 0.0)
+    src = np.zeros((2, m.nx))
+    assert np.allclose(delta_lambda_apply(k, lambda_op(k, z.values, m), z, src, m), 0.0)
 
 
 def test_delta_lambda_product_rule_reduction():
-    # age-flat kernel + zero beta0 leaves only Lambda(y) dy + Lambda(dy) y
+    # age-flat kernel + zero newborn source leaves only Lambda(y) dy + Lambda(dy) y
     for kind in KINDS:
         m = _mesh(nx=5)
         A, X = m.na + 1, m.nx
         rng = np.random.default_rng(8)
         k = KernelSet(n=1, terms=_terms(kind, rng.normal(size=(X, X)), None, m))
-        k = attach_tilde(k, np.zeros((A, X, 1, 1)), m)
+        k = attach_tilde(k, m)
         assert not k.tilde_terms
         y = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
         lam = lambda_op(k, y.values, m)
-        got = delta_lambda_apply(k, lam, y, None, m)
+        got = delta_lambda_apply(k, lam, y, np.zeros((1, X)), m)
         want = apply_matrix_field(lam, y.slope)
         want += apply_matrix_field(lambda_op(k, y.slope, m), y.values)
         assert np.allclose(got, want)
@@ -348,7 +341,7 @@ def test_lambda_contractions_against_bruteforce(kind):
     n = 2
     A, X = m.na + 1, m.nx
     rng = np.random.default_rng(17)
-    k = attach_tilde(_kernel(kind, m, n, rng), _dense_beta(m, n, rng), m)
+    k = attach_tilde(_kernel(kind, m, n, rng), m)
     w = rng.normal(size=(n, A, X))
     g0 = rng.normal(size=(n, X))
     _assert_close(lambda_op(k, w, m), _lambda_dense(_dense(k, m), w, m))
@@ -357,7 +350,9 @@ def test_lambda_contractions_against_bruteforce(kind):
 
 
 def test_delta_lambda_against_bruteforce():
-    # oracle: direct quadrature from the four-term definition
+    # oracle: direct quadrature from the four-term definition, whose
+    # Lambda_1 kernel is the age derivative plus the boundary-renewal
+    # table k^{hij}(a, x, 0, xi) beta0^{jl}(alpha, xi)
     for kind in KINDS:
         m = build_mesh(1.0, 1.0, 3, 4)
         n = 2
@@ -365,24 +360,26 @@ def test_delta_lambda_against_bruteforce():
         rng = np.random.default_rng(21)
         k = _kernel(kind, m, n, rng)
         beta0 = _dense_beta(m, n, rng)
-        k = attach_tilde(k, beta0, m)
+        k = attach_tilde(k, m)
         y = StateField(rng.normal(size=(n, A, X)), rng.normal(size=(n, A, X)))
         g0 = rng.normal(size=(n, X))
 
         kd = _dense(k, m)
         ktd = _dense(k, m, tilde=True)
+        ktd += np.einsum("hijaxz,bzjl->hilaxbz", kd[..., 0, :], beta0)
         want = np.einsum("hiax,iax->hax", _lambda_dense(kd, y.values, m), y.slope)
         want += np.einsum("hiax,iax->hax", _lambda_dense(kd, y.slope, m), y.values)
         want += np.einsum("hiax,iax->hax", _lambda_dense(ktd, y.values, m), y.values)
         want += np.einsum("hiax,iax->hax", _lambda_two_dense(kd, g0, m), y.values)
-        got = delta_lambda_apply(k, lambda_op(k, y.values, m), y, g0, m)
+        src = newborn_source(beta0, y.values, g0, m)
+        got = delta_lambda_apply(k, lambda_op(k, y.values, m), y, src, m)
         _assert_close(got, want)
 
 
 def test_lambda_two_zero_source():
     m = _mesh()
     k = _random_kernel(m, 2, np.random.default_rng(0))
-    assert np.allclose(lambda_two(k, None, m), 0.0)
+    assert np.allclose(lambda_two(k, np.zeros((2, m.nx)), m), 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +395,7 @@ def test_g_op_scalar_cancellation():
         k = KernelSet(n=1, terms=_terms(kind, rng.normal(size=(X, X)), None, m))
         beta = np.abs(_dense_beta(m, 1, rng))
         y = rng.normal(size=(1, A, X))
-        out = g_op(k, beta, beta, y, None, m)
+        out = g_op(k, beta, y, newborn_source(beta, y, None, m), m)
         assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -422,6 +419,6 @@ def test_g_op_against_bruteforce():
                 mat = beta1[bk, xk] @ lam[:, :, bk, xk] - lam[:, :, 0, xk] @ beta0[bk, xk]
                 acc += wa[bk] * (mat @ y[:, bk, xk])
             want[:, xk] = acc - lam[:, :, 0, xk] @ g0[:, xk]
-        got = g_op(k, beta0, beta1, y, g0, m)
+        got = g_op(k, beta1, y, newborn_source(beta0, y, g0, m), m)
         _assert_close(got, want)
 

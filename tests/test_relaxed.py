@@ -22,7 +22,7 @@ from epiwave.reference import manufactured, scalar_spec
 from epiwave.relaxed_model import residual_check
 from epiwave.svir import SvirParams, build_svir
 
-from conftest import propagate_characteristic
+from conftest import age_kernel_spec, propagate_characteristic
 
 
 def test_zero_data_zero_run():
@@ -90,19 +90,12 @@ def test_manufactured_solution_residual_and_error():
 
 
 def test_solve_derives_the_tilde_terms():
-    # an age-dependent kernel with births has Lambda_1 terms; a spec that
-    # omits them solves exactly as one that carries them
+    # an age-dependent kernel has a Lambda_1 term; a spec that omits it
+    # solves exactly as one that carries it
     m = build_mesh(0.5, 1.0, 6, 7)
-    A, X = m.na + 1, m.nx
-    a, x = m.ages(), m.xs()
-    row = 0.5 * (1.0 + a)[:, None, None] * np.exp(-((x[:, None] - x[None, :]) ** 2))
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, FactoredTable(row, None, A))])
-    y0 = (1.0 + 0.5 * np.cos(np.pi * x))[None, None, :] * (1.0 - 0.5 * a)[None, :, None]
-    spec = scalar_spec(m, y0, sigma=0.1, mu=0.2, kernels=k, tau=0.1)
-    spec.births.beta0 = np.full((A, X, 1, 1), 0.8)
-    spec.births.beta1 = np.full((A, X, 1, 1), 0.8)
-    attached = dataclasses.replace(spec, kernels=attach_tilde(k, spec.births.beta0, m))
-    assert len(attached.kernels.tilde_terms) == 2
+    spec = age_kernel_spec(m, tau=0.1)
+    attached = dataclasses.replace(spec, kernels=attach_tilde(spec.kernels, m))
+    assert len(attached.kernels.tilde_terms) == 1
 
     cfg = SolverConfig()
     got, want = run_relaxed(spec, cfg, m), run_relaxed(attached, cfg, m)
@@ -227,9 +220,10 @@ def test_residual_check_validates_the_spec():
         residual_check(run, bad, m)
 
 
-def test_negative_tau_is_an_invalid_param():
+@pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf])
+def test_negative_tau_is_an_invalid_param(tau):
     m = build_mesh(0.5, 1.0, 4, 5)
-    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=-0.1)
+    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=tau)
     with pytest.raises(InvalidParam):
         run_relaxed(spec, SolverConfig(), m)
 

@@ -79,14 +79,16 @@ def test_tau_sweep_small_end_to_end(desk_mesh, solver_cfg, svir_floor):
 
 
 def test_compatibility_setup_matched_case(desk_mesh):
-    spec = compatibility_setup(SvirParams(), 1.0, 1.0, None, desk_mesh)
+    spec = compatibility_setup(build_svir(SvirParams(), desk_mesh), 1.0, 1.0, None, desk_mesh)
     assert spec.births.g0 is None and spec.births.g1 is None
     gap = spec.y1 - derived_initial_slope(spec, desk_mesh)
     assert np.max(np.abs(gap)) < 1e-10
 
 
 def test_compatibility_setup_reads_baseline_trace(desk_mesh, svir_baseline):
-    spec = compatibility_setup(SvirParams(), 0.0, 1.0, svir_baseline, desk_mesh)
+    spec = compatibility_setup(
+        build_svir(SvirParams(), desk_mesh), 0.0, 1.0, svir_baseline, desk_mesh
+    )
     assert np.allclose(spec.births.beta0, 0.0)
     for k in (0, 3, 7):
         assert np.allclose(spec.births.g0[k], svir_baseline[k].values[:, 0, :])
@@ -94,7 +96,7 @@ def test_compatibility_setup_reads_baseline_trace(desk_mesh, svir_baseline):
 
 def test_compatibility_setup_requires_baseline(desk_mesh):
     with pytest.raises(MissingBaseline):
-        compatibility_setup(SvirParams(), 0.5, 1.0, None, desk_mesh)
+        compatibility_setup(build_svir(SvirParams(), desk_mesh), 0.5, 1.0, None, desk_mesh)
 
 
 def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
@@ -102,7 +104,9 @@ def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
     # unrelaxed law up to discretization + tau effects
     import dataclasses
 
-    spec = compatibility_setup(SvirParams(), 0.5, 1.0, svir_baseline, desk_mesh)
+    spec = compatibility_setup(
+        build_svir(SvirParams(), desk_mesh), 0.5, 1.0, svir_baseline, desk_mesh
+    )
     spec = dataclasses.replace(spec, tau=1e-8)
     run = run_relaxed(spec, solver_cfg, desk_mesh)
     from epiwave.mesh import age_weights
@@ -122,7 +126,14 @@ def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
 
 @pytest.mark.parametrize(
     "taus",
-    [[1e-2, 1e-3, 1e-2], [-1e-3, 1e-2], [1e-3, 1e-3], [0.0, 1e-3, 1e-2], [1e-3, 1e-2]],
+    [
+        [1e-2, 1e-3, 1e-2],
+        [-1e-3, 1e-2],
+        [1e-3, 1e-3],
+        [0.0, 1e-3, 1e-2],
+        [1e-3, 1e-2],
+        [1e-3, 1e-2, np.inf],
+    ],
 )
 def test_sweep_taus_checked_before_solving(desk_mesh, solver_cfg, monkeypatch, taus):
     def no_solve(*args, **kwargs):
