@@ -42,7 +42,7 @@ class SingularBirthSystem(EpiwaveError):
 
 
 class PicardDiverged(EpiwaveError):
-    """Fixed-point update norm grew for three consecutive sweeps."""
+    """A step's update grew 3 sweeps in a row, or picard_max sweeps missed picard_tol."""
 
 
 class InvalidParam(EpiwaveError):

@@ -46,11 +46,24 @@ class NormReport:
     sup_abs: float = 0.0
 
 
-def norm_H(v: np.ndarray, m: Mesh) -> float:
-    """Discrete L2 norm over (age, space), summed over compartments."""
-    if v.shape[-2:] != (m.na + 1, m.nx):
+def _root_quadrature(sq: np.ndarray, m: Mesh):
+    """sqrt of the trapezoid integral of sq over (age, space), summed
+    over compartments: a float for an (n, na+1, nx) field, one value per
+    member of a (b, n, na+1, nx) batch, each bit-identical to its own."""
+    r = np.sqrt(((age_weights(m) @ sq.sum(-3))[..., None, :] @ space_weights(m))[..., 0])
+    return float(r) if r.ndim == 0 else r
+
+
+def _checked(v: np.ndarray, m: Mesh) -> np.ndarray:
+    if v.ndim not in (3, 4) or v.shape[-2:] != (m.na + 1, m.nx):
         raise ShapeMismatch(f"field shape {v.shape} does not match mesh")
-    return float(np.sqrt(age_weights(m) @ (v * v).sum(0) @ space_weights(m)))
+    return v
+
+
+def norm_H(v: np.ndarray, m: Mesh):
+    """Discrete L2 norm over (age, space), summed over compartments; a
+    leading batch axis gives one norm per member."""
+    return _root_quadrature(_checked(v, m) ** 2, m)
 
 
 def space_gradient(v: np.ndarray, m: Mesh) -> np.ndarray:
@@ -58,14 +71,9 @@ def space_gradient(v: np.ndarray, m: Mesh) -> np.ndarray:
     return np.gradient(v, m.dx, axis=-1, edge_order=2)
 
 
-def norm_V(v: np.ndarray, m: Mesh) -> float:
-    """Discrete L2(age, H1(space)) norm."""
-    if v.shape[-1] != m.nx or m.nx < 3:
-        raise ShapeMismatch("need nx >= 3 matching the mesh")
-    if v.shape[-2:] != (m.na + 1, m.nx):
-        raise ShapeMismatch(f"field shape {v.shape} does not match mesh")
-    g = space_gradient(v, m)
-    return float(np.sqrt(age_weights(m) @ (v * v + g * g).sum(0) @ space_weights(m)))
+def norm_V(v: np.ndarray, m: Mesh):
+    """Discrete L2(age, H1(space)) norm; batched like norm_H."""
+    return _root_quadrature(_checked(v, m) ** 2 + space_gradient(v, m) ** 2, m)
 
 
 def age_integral(values: np.ndarray, m: Mesh) -> np.ndarray:

@@ -16,13 +16,7 @@ import numpy as np
 
 from .birth import BirthLaws, newborn_source, solve_birth_step
 from .char_solver import step, step_context
-from .errors import (
-    InvalidParam,
-    LengthMismatch,
-    NonFinite,
-    PicardDiverged,
-    ShapeMismatch,
-)
+from .errors import InvalidParam, LengthMismatch, NonFinite, PicardDiverged, ShapeMismatch
 from .fields import StateField, norm_H, norm_V
 from .mesh import Mesh
 from .operators import (
@@ -61,15 +55,11 @@ class ModelSpec:
         if not 0.0 <= self.tau < np.inf:
             raise InvalidParam(f"tau={self.tau} must be finite and nonnegative")
         want = (self.n, m.na + 1, m.nx)
-        if self.y0.shape != want:
-            raise ShapeMismatch(f"y0 shape {self.y0.shape} != {want}")
-        if not np.all(np.isfinite(self.y0)):
-            raise NonFinite("y0 contains NaN/inf")
-        if self.y1 is not None:
-            if self.y1.shape != want:
-                raise ShapeMismatch(f"y1 shape {self.y1.shape} != {want}")
-            if not np.all(np.isfinite(self.y1)):
-                raise NonFinite("y1 contains NaN/inf")
+        for name, y in (("y0", self.y0), ("y1", self.y1)):
+            if y is not None and y.shape != want:
+                raise ShapeMismatch(f"{name} shape {y.shape} != {want}")
+            if y is not None and not np.all(np.isfinite(y)):
+                raise NonFinite(f"{name} contains NaN/inf")
         if self.f is not None and self.f.shape != (m.nt + 1,) + want:
             raise ShapeMismatch("forcing table shape does not match mesh")
         self.linear.check_shape(m)
@@ -86,8 +76,12 @@ class SolverConfig:
     store_every: int = 1
 
     def validate(self) -> None:
-        if self.picard_tol <= 0 or self.picard_max < 1 or self.store_every < 1:
-            raise InvalidParam("invalid solver configuration")
+        if not 0.0 < self.picard_tol < np.inf:
+            raise InvalidParam(f"picard_tol={self.picard_tol} must be finite and positive")
+        for name in ("picard_max", "store_every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise InvalidParam(f"{name}={value!r} must be a positive integer")
 
 
 class Run(Sequence):
@@ -112,11 +106,37 @@ class Run(Sequence):
         return self.slices[k]
 
 
-def _x_norm(values: np.ndarray, slope: np.ndarray, tau: float, m: Mesh) -> float:
-    r = norm_V(values, m)
+def _mixing(k: KernelSet, y, dy, src, tau: float, m: Mesh) -> np.ndarray:
+    """Lambda(y) y, plus tau times its transport derivative if tau > 0
+    (reading dy, the newborn source src and k's tilde terms)."""
+    lam = lambda_op(k, y, m)
+    out = apply_matrix_field(lam, y)
     if tau > 0:
-        r += np.sqrt(tau) * norm_H(slope, m)
-    return r
+        out += tau * delta_lambda_apply(k, lam, StateField(y, dy), src, m)
+    return out
+
+
+def _fixed_point(picard_map, iterate, energy, cfg: SolverConfig, linear: bool, at: int):
+    """Iterate picard_map from iterate at step `at`: the one stopping rule.
+
+    energy(iterate, cand) gives the norms of cand - iterate and of cand;
+    a linear map runs once.  Returns the last cand and each sweep's update
+    norm.  Raises PicardDiverged on three growths in a row or after
+    picard_max unconverged sweeps, NonFinite on a non-finite cand.
+    """
+    updates: List[float] = []
+    while len(updates) < cfg.picard_max:
+        cand = picard_map(iterate)
+        err, size = energy(iterate, cand)
+        if not np.isfinite(size):
+            raise NonFinite(f"non-finite slice at step {at}")
+        updates.append(float(err))
+        if linear or err <= cfg.picard_tol * max(size, 1e-300):
+            return cand, updates
+        if len(updates) >= 4 and updates[-4] < updates[-3] < updates[-2] < updates[-1]:
+            raise PicardDiverged(f"update grew 3 sweeps in a row at step {at}")
+        iterate = cand
+    raise PicardDiverged(f"no convergence in picard_max={cfg.picard_max} sweeps at step {at}")
 
 
 def consistent_slope(
@@ -143,7 +163,7 @@ def derived_initial_slope(spec: ModelSpec, m: Mesh) -> np.ndarray:
     y0 = np.array(spec.y0, dtype=float)
     forcing = np.zeros_like(y0) if spec.f is None else spec.f[0].copy()
     if spec.kernels.terms:
-        forcing -= apply_matrix_field(lambda_op(spec.kernels, y0, m), y0)
+        forcing -= _mixing(spec.kernels, y0, None, None, 0.0, m)
     return consistent_slope(spec.linear, y0, forcing, m)
 
 
@@ -157,8 +177,9 @@ def _march(
     """March spec over the mesh, shared by the relaxed and parabolic solvers.
 
     The implicit matrices of ages 1..na are inverted and the tilde
-    kernel terms derived once per call.  Each Picard sweep contracts
-    Lambda of the iterate once (and, with first-order births, forms its
+    kernel terms derived once per call.  Each time step hands its
+    Picard map to _fixed_point.  One sweep of the map contracts Lambda
+    of the iterate once (and, with first-order births, forms its
     newborn source once), calls step once to carry ages 0..na-1 of the
     previous slice to ages 1..na, then fills age 0 from the birth law.
     """
@@ -174,12 +195,11 @@ def _march(
 
     ctx = step_context(lin, tau, m)
 
-    def nl_forcing(it: StateField, src) -> np.ndarray:
-        lam = lambda_op(k, it.values, m)
-        out = apply_matrix_field(lam, it.values)
+    def energy(it: StateField, cand: StateField) -> np.ndarray:
+        r = norm_V(np.stack([cand.values - it.values, cand.values]), m)
         if tau > 0:
-            out += tau * delta_lambda_apply(k, lam, it, src, m)
-        return out
+            r += np.sqrt(tau) * norm_H(np.stack([cand.slope - it.slope, cand.slope]), m)
+        return r
 
     # Initial slice.
     y0 = np.array(spec.y0, dtype=float)
@@ -199,24 +219,13 @@ def _march(
         g1_now = None if births.g1 is None else births.g1[i]
         f_now = spec.f[i] if spec.f is not None else None
 
-        # Predictor: linear extrapolation of the last two slices.
-        if prev2 is not None:
-            iterate = StateField(
-                2.0 * prev.values - prev2.values,
-                2.0 * prev.slope - prev2.slope,
-            )
-        else:
-            iterate = prev.copy()
-
-        updates: List[float] = []
-        grew = 0
-        for sweep in range(cfg.picard_max):
+        def picard_map(it: StateField) -> StateField:
             forcing = np.zeros((n, A, X)) if f_now is None else f_now.copy()
             src = None
             if has_nl:
                 if first_order_births:
-                    src = newborn_source(births.beta0, iterate.values, g0_now, m)
-                forcing -= nl_forcing(iterate, src)
+                    src = newborn_source(births.beta0, it.values, g0_now, m)
+                forcing -= _mixing(k, it.values, it.slope, src, tau, m)
 
             vals = np.zeros((n, A, X))
             slopes = np.zeros((n, A, X))
@@ -226,7 +235,7 @@ def _march(
             cand = StateField(vals, slopes)
 
             if first_order_births:
-                G = g_op(k, births.beta1, iterate.values, src, m) if has_nl else None
+                G = g_op(k, births.beta1, it.values, src, m) if has_nl else None
                 bv = solve_birth_step(births, cand, g0_now, g1_now, G, m)
                 vals[:, 0] = bv.B0
                 slopes[:, 0] = bv.B1
@@ -236,31 +245,15 @@ def _march(
                 )
                 vals[:, 0] = bv.B0
                 slopes[:, :1] = consistent_slope(lin, vals[:, :1], forcing[:, :1], m)
+            return cand
 
-            err = _x_norm(
-                cand.values - iterate.values, cand.slope - iterate.slope, tau, m
-            )
-            updates.append(err)
-            iterate = cand
-            if not has_nl:
-                break
-            scale = max(_x_norm(cand.values, cand.slope, tau, m), 1e-300)
-            if err <= cfg.picard_tol * scale:
-                break
-            if len(updates) >= 2 and err > updates[-2]:
-                grew += 1
-                if grew >= 3:
-                    raise PicardDiverged(
-                        f"update grew 3 sweeps in a row at step {i}"
-                    )
-            else:
-                grew = 0
-
-        if not np.all(np.isfinite(iterate.values)):
-            raise NonFinite(f"non-finite slice at step {i}")
+        # Predictor: linear extrapolation of the last two slices.
+        guess = prev
+        if prev2 is not None:
+            guess = StateField(2.0 * prev.values - prev2.values, 2.0 * prev.slope - prev2.slope)
+        cur, updates = _fixed_point(picard_map, guess, energy, cfg, not has_nl, i)
+        prev2, prev = prev, cur
         updates_log.append(updates)
-        prev2 = prev
-        prev = iterate
         if i % cfg.store_every == 0 or i == m.nt:
             slices.append(prev.copy())
             indices.append(i)
@@ -307,11 +300,8 @@ def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
         res += np.einsum("axhi,iax->hax", lin.L + tau * lin.L_a, y)
         res -= lin.sigma.T[:, :, None] * laplacian_neumann(y, m)
         if k.terms:
-            lam = lambda_op(k, y, m)
-            res += apply_matrix_field(lam, y)
-            if tau > 0:
-                src = newborn_source(spec.births.beta0, y, g0_now, m)
-                res += tau * delta_lambda_apply(k, lam, StateField(y, dy), src, m)
+            src = newborn_source(spec.births.beta0, y, g0_now, m) if tau > 0 else None
+            res += _mixing(k, y, dy, src, tau, m)
         if spec.f is not None:
             res -= spec.f[i]
         worst = max(worst, float(np.max(np.abs(res[:, 1:-1, :]))))

@@ -10,7 +10,15 @@ import numpy as np
 
 import pytest
 
-from epiwave import KernelSet, SolverConfig, attach_tilde, build_mesh, relaxed_model
+from epiwave import (
+    KernelSet,
+    SolverConfig,
+    attach_tilde,
+    build_mesh,
+    parabolic_model,
+    reference,
+    relaxed_model,
+)
 from epiwave.svir import I, S, SvirParams, build_svir, tent_kernel
 
 from conftest import age_kernel_spec
@@ -54,6 +62,39 @@ def test_traced_relaxed_solve_steps_once_per_sweep(model):
     assert metrics["relaxed_model.sweeps"] > m.nt
     assert metrics["char_solver.step_calls"] == metrics["relaxed_model.sweeps"]
     assert metrics["char_solver.step_s"] > 0.0
+
+
+def test_traced_solve_opens_every_driver_span():
+    # a phase the driver reaches through another module's binding would
+    # open no span and read 0 in its per-layer metric
+    tracing = _tracing()
+    m = build_mesh(0.5, 1.0, 6, 7)
+    with tracing.Tracer() as tracer:
+        relaxed_model.run_relaxed(age_kernel_spec(m, tau=0.1, g0=0.3), SolverConfig(), m)
+    opened = {name for name, *_ in tracer.spans}
+    driver = {f"{mod}.{attr}" for mod, attr in tracing.WRAPPED if mod == "relaxed_model"}
+    assert driver - opened == set()
+
+
+@pytest.mark.parametrize(
+    "oracle, solve",
+    [
+        (reference.heat_eigenmode, parabolic_model.run_parabolic),
+        (reference.damped_eigenmode, relaxed_model.run_relaxed),
+    ],
+    ids=["heat", "damped-wave"],
+)
+def test_traced_linear_oracle_sweeps_once_per_step(oracle, solve):
+    # the oracle suite's eigenmode cases are linear: one Picard sweep per
+    # step and no kernel contraction
+    m = build_mesh(0.5, 1.0, 10, 11)
+    spec, _ = oracle(m)
+    with _tracing().Tracer() as tracer:
+        solve(spec, SolverConfig(), m)
+    metrics = tracer.metrics()
+    assert metrics["relaxed_model.sweeps"] == metrics["relaxed_model.steps"] == m.nt
+    assert metrics["relaxed_model.sweeps_per_step_max"] == 1
+    assert metrics["operators.calls"] == 0
 
 
 def _svir_tables(spec, m):

@@ -61,10 +61,25 @@ def test_norm_V_zero():
     assert norm_V(state_zeros(1, m).values, m) == 0.0
 
 
+@pytest.mark.parametrize("na, nx, n", [(4, 5, 1), (20, 21, 4), (40, 41, 4), (7, 12, 2)])
+def test_batched_norms_equal_member_norms_to_the_bit(na, nx, n):
+    m = build_mesh(1.0, 1.0, na, nx)
+    batch = np.random.default_rng(na).normal(size=(3, n, na + 1, nx))
+    for norm in (norm_H, norm_V):
+        got = norm(batch, m)
+        assert got.shape == (3,)
+        want = [norm(v, m) for v in batch]
+        assert all(type(w) is float for w in want)
+        assert got.tolist() == want
+
+
 def test_norm_shape_mismatch():
     m = _mesh()
     with pytest.raises(ShapeMismatch):
         norm_H(np.zeros((1, 3, 3)), m)
+    for bad in ((m.na + 1, m.nx), (1, 2, 1, m.na + 1, m.nx)):
+        with pytest.raises(ShapeMismatch):
+            norm_V(np.zeros(bad), m)
 
 
 def test_diff_norms_identical_runs():

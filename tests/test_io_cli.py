@@ -390,6 +390,16 @@ def test_non_finite_kernel_exits_1(tmp_path, capsys):
     assert "solver error" in err and "NaN" in err
 
 
+@pytest.mark.parametrize("tau", ["0", "0.01"])
+def test_unconverged_picard_exits_1(tmp_path, capsys, tau):
+    # two sweeps cannot reach picard_tol: the run stops, no slice is written
+    path = _write_config(tmp_path, solver={"picard_max": 2})
+    assert cli_main(["run", "--config", str(path), "--tau", tau]) == 1
+    err = capsys.readouterr().err
+    assert "solver error" in err and "picard_max=2 sweeps at step 1" in err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_tables_run_matches_library_spec_with_tilde_terms(tmp_path):
     # an age-dependent kernel with births: Lambda_1 carries the kernel's
     # age derivative, Lambda_2 the boundary-renewal term

@@ -16,10 +16,10 @@ from epiwave import (
 )
 from epiwave import operators
 from epiwave.char_solver import step_context
-from epiwave.errors import InvalidParam, PicardDiverged, ShapeMismatch
+from epiwave.errors import InvalidParam, NonFinite, PicardDiverged, ShapeMismatch
 from epiwave.mesh import characteristic_cells, characteristic_ids
 from epiwave.reference import manufactured, scalar_spec
-from epiwave.relaxed_model import residual_check
+from epiwave.relaxed_model import _fixed_point, residual_check
 from epiwave.svir import SvirParams, build_svir
 
 from conftest import age_kernel_spec, propagate_characteristic
@@ -125,7 +125,8 @@ def test_relaxed_sweep_contracts_three_times(monkeypatch):
 
 def test_picard_contraction_on_small_svir():
     m = build_mesh(0.5, 1.0, 10, 11)
-    run = run_relaxed(build_svir(SvirParams(tau=1e-2), m), SolverConfig(), m)
+    # plain Picard contracts by about 0.85 per sweep here: up to 123 sweeps
+    run = run_relaxed(build_svir(SvirParams(tau=1e-2), m), SolverConfig(picard_max=400), m)
     for updates in run.picard_updates:
         floor = 1e-12 * max(updates)
         for a, b in zip(updates[1:], updates[2:]):
@@ -181,6 +182,80 @@ def test_picard_divergence_detected():
     spec = scalar_spec(m, np.full((1, A, X), 1.0), kernels=k)
     with pytest.raises(PicardDiverged):
         run_relaxed(spec, SolverConfig(picard_max=50), m)
+
+
+def _scripted(errs, sizes=None):
+    """A map that counts its sweeps and an energy that reads the scripted
+    update norm (and candidate norm, 1 by default) of each sweep."""
+    sizes = sizes or [1.0] * len(errs)
+    return (lambda it: it + 1), (lambda it, cand: (errs[cand - 1], sizes[cand - 1]))
+
+
+def test_fixed_point_stops_at_the_tolerance():
+    # x -> x / 2 + 1 halves the distance to 2 each sweep
+    def energy(it, cand):
+        return abs(cand - it), abs(cand)
+
+    x, updates = _fixed_point(lambda it: it / 2 + 1, 0.0, energy, SolverConfig(), False, 1)
+    assert x == pytest.approx(2.0, rel=1e-9)
+    assert updates[-1] <= 1e-10 * x < updates[-2]
+    assert all(type(u) is float for u in updates)
+
+
+def test_fixed_point_allows_two_growths_and_raises_on_three():
+    cfg = SolverConfig()
+    sweep, energy = _scripted([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1e-12])
+    assert _fixed_point(sweep, 0, energy, cfg, False, 1) == (7, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1e-12])
+    sweep, energy = _scripted([1.0, 0.5, 2.0, 3.0, 4.0, 1e-12])
+    with pytest.raises(PicardDiverged, match="grew 3 sweeps in a row at step 4"):
+        _fixed_point(sweep, 0, energy, cfg, False, 4)
+
+
+def test_fixed_point_raises_when_picard_max_is_exhausted():
+    sweep, energy = _scripted([1.0] * 5 + [1e-12])
+    with pytest.raises(PicardDiverged, match="picard_max=5 sweeps at step 7"):
+        _fixed_point(sweep, 0, energy, SolverConfig(picard_max=5), False, 7)
+    assert _fixed_point(sweep, 0, energy, SolverConfig(picard_max=6), False, 7)[0] == 6
+
+
+def test_fixed_point_runs_a_linear_map_once():
+    sweep, energy = _scripted([1.0, 1e-12])
+    assert _fixed_point(sweep, 0, energy, SolverConfig(), True, 1) == (1, [1.0])
+
+
+def test_fixed_point_refuses_a_non_finite_candidate():
+    sweep, energy = _scripted([1.0, 0.5], sizes=[1.0, np.nan])
+    with pytest.raises(NonFinite, match="step 3"):
+        _fixed_point(sweep, 0, energy, SolverConfig(), False, 3)
+
+
+def test_exhausted_picard_max_raises():
+    # the unconverged slice is not committed
+    m = build_mesh(0.5, 1.0, 6, 7)
+    spec = build_svir(SvirParams(tau=1e-2, total_S0=100.0), m)
+    with pytest.raises(PicardDiverged, match="picard_max=3 sweeps at step 1"):
+        run_relaxed(spec, SolverConfig(picard_max=3), m)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("picard_tol", 0.0),
+        ("picard_tol", -1e-10),
+        ("picard_tol", np.inf),
+        ("picard_tol", np.nan),
+        ("picard_max", 0),
+        ("picard_max", 2.5),
+        ("picard_max", True),
+        ("store_every", 0),
+        ("store_every", 1.5),
+    ],
+)
+def test_bad_solver_config_is_an_invalid_param(field, value):
+    m = build_mesh(0.5, 1.0, 4, 5)
+    spec = build_svir(SvirParams(tau=1e-2), m)
+    with pytest.raises(InvalidParam, match=field):
+        run_relaxed(spec, SolverConfig(**{field: value}), m)
 
 
 def test_spec_validation_errors():
