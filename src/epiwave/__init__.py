@@ -1,9 +1,9 @@
 """Age- and space-structured epidemic solver with damped-wave relaxation."""
 
-from .birth import BirthLaws, BirthValues, make_compatible, newborn_source, solve_birth_step
+from .birth import BirthLaws, make_compatible, newborn_source, solve_birth_step
 from .char_solver import StepContext, step, step_context
 from .fields import NormReport, StateField, diff_norms, norm_H, norm_V
-from .mesh import Mesh, build_mesh, characteristic_cells, characteristic_ids
+from .mesh import Mesh, build_mesh
 from .operators import (
     FactoredTable,
     KernelSet,
@@ -29,7 +29,6 @@ from .svir import SvirParams, build_svir
 
 __all__ = [
     "BirthLaws",
-    "BirthValues",
     "FactoredTable",
     "KernelSet",
     "KernelTerm",
@@ -46,8 +45,6 @@ __all__ = [
     "attach_tilde",
     "build_mesh",
     "build_svir",
-    "characteristic_cells",
-    "characteristic_ids",
     "compatibility_setup",
     "delta_lambda_apply",
     "derived_initial_slope",

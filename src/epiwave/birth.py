@@ -8,7 +8,7 @@ side and solved exactly per space node (a small n x n system).
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -37,19 +37,12 @@ class BirthLaws:
     g1: Optional[np.ndarray] = None
 
     def check_shape(self, m: Mesh, n: int) -> None:
+        """The four tables; ModelSpec.validate checks the g-series."""
         want = (m.na + 1, m.nx, n, n)
         for name in ("beta0", "beta1", "betaL", "beta_grad"):
             tab = getattr(self, name)
             if tab.shape != want:
                 raise ShapeMismatch(f"{name} shape {tab.shape} != {want}")
-
-
-@dataclass
-class BirthValues:
-    """Newborn value B0 and (when requested) newborn slope B1, (n, nx)."""
-
-    B0: np.ndarray
-    B1: Optional[np.ndarray] = None
 
 
 def zero_laws(
@@ -141,8 +134,9 @@ def solve_birth_step(
     nonlinear_G: Optional[np.ndarray],
     m: Mesh,
     with_slope: bool = True,
-) -> BirthValues:
-    """Births at one time level from the (provisional) age profile.
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Births (B0, B1), each (n, nx), at one time level from the
+    (provisional) age profile; B1 is None when with_slope is False.
 
     y_slice holds values and slopes at all ages; the a = 0 rows are
     treated as unknown.  B0 solves (I - w0 beta0(0)) B0 =
@@ -165,7 +159,7 @@ def solve_birth_step(
         known0 = known0 + g0_now
     B0 = _solve_per_node(eye[None] - w0 * laws.beta0[0], known0)
     if not with_slope:
-        return BirthValues(B0=B0)
+        return B0, None
 
     slope = y_slice.slope
     dvx = space_gradient(vals, m)
@@ -181,5 +175,5 @@ def solve_birth_step(
     if g1_now is not None:
         known1 = known1 + g1_now
     B1 = _solve_per_node(eye[None] - w0 * laws.beta1[0], known1)
-    return BirthValues(B0=B0, B1=B1)
+    return B0, B1
 

@@ -13,10 +13,6 @@ class NonCommensurate(EpiwaveError):
     """Time horizon is not an integer multiple of the age step."""
 
 
-class OutOfRange(EpiwaveError):
-    """Characteristic index outside [-na, nt]."""
-
-
 class ShapeMismatch(EpiwaveError):
     """Array shapes inconsistent with the mesh or with each other."""
 

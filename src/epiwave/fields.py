@@ -86,13 +86,17 @@ def diff_norms(
 ) -> NormReport:
     """Norms of the slice-wise difference between two stored runs.
 
-    Both runs must hold the same number of slices with equal shapes.
-    Time integrals use trapezoid weights over the stored times of run_a,
-    its time indices times dt; a plain list of slices counts as
-    consecutive steps.
+    Both runs must hold the same number of slices with equal shapes,
+    and when both carry time indices these must agree.  Time integrals
+    use trapezoid weights over the stored times of run_a, its time
+    indices times dt; a plain list of slices counts as consecutive steps
+    and as aligned with the other operand.
     """
     if len(run_a) != len(run_b):
         raise LengthMismatch(f"runs of length {len(run_a)} vs {len(run_b)}")
+    ia, ib = getattr(run_a, "indices", None), getattr(run_b, "indices", None)
+    if ia is not None and ib is not None and list(ia) != list(ib):
+        raise LengthMismatch(f"runs stored at steps {list(ia)} vs {list(ib)}")
     if len(run_a) == 0:
         return NormReport()
     sup_v = 0.0

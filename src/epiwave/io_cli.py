@@ -63,11 +63,10 @@ class ModelBlock:
 
 
 @dataclass
-class SolverBlock:
+class SolverBlock(SolverConfig):
+    """The solver settings plus the tau that `run` and `compare` solve at."""
+
     tau: float = 0.0
-    picard_tol: float = 1e-10
-    picard_max: int = 100
-    store_every: int = 1
 
 
 @dataclass
@@ -92,14 +91,9 @@ class RunConfig:
     output: OutputBlock = field(default_factory=OutputBlock)
 
 
-_SVIR_SCALARS = (
-    "c",
-    "phi1",
-    "phi2",
-    "delta_d",
-    "gamma",
-    "total_S0",
-    "I0",
+#: The model.params keys: SvirParams' scalar rates (tau comes from solver).
+_SVIR_SCALARS = tuple(
+    f.name for f in dataclasses.fields(SvirParams) if f.type is float and f.name != "tau"
 )
 
 
@@ -167,10 +161,6 @@ def parse_config(path) -> RunConfig:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{p}: {exc}") from None
     return parse_config_dict(raw)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)
 
 
 def svir_params_from(cfg: RunConfig, tau: float) -> SvirParams:
@@ -256,9 +246,7 @@ def _mesh_and_solver(cfg: RunConfig):
     try:
         m = build_mesh(cfg.mesh.t_max, cfg.mesh.a_max, cfg.mesh.na, cfg.mesh.nx)
         solver = SolverConfig(
-            picard_tol=cfg.solver.picard_tol,
-            picard_max=cfg.solver.picard_max,
-            store_every=cfg.solver.store_every,
+            **{f.name: getattr(cfg.solver, f.name) for f in dataclasses.fields(SolverConfig)}
         )
         solver.validate()
     except (InvalidSize, NonCommensurate, InvalidParam) as exc:

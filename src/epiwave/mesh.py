@@ -1,16 +1,15 @@
 """Discrete (t, a, x) grid with characteristic-aligned time and age steps.
 
-The transport operator d/dt + d/da becomes an exact shift along grid
-diagonals because the time step always equals the age step.  Every grid
-node (i, j) then lies on exactly one diagonal, identified by the signed
-offset t0 = i - j.
+The mesh has one step, da, in both time and age, so the transport
+operator d/dt + d/da becomes an exact shift by one node in age per time
+step: each step carries a whole age slice forward at once.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSize, NonCommensurate, OutOfRange
+from .errors import InvalidSize, NonCommensurate
 
 #: Relative slack for the "t_max is a multiple of da" check.
 _ROUND_TOL = 1e-9
@@ -20,8 +19,8 @@ _ROUND_TOL = 1e-9
 class Mesh:
     """Uniform grid on [0, t_max] x [0, a_max] x [0, 1].
 
-    dt == da always holds; dx = 1/(nx-1) on the unit space interval.
-    Instances are immutable and safe to share between workers.
+    The time step is the age step da; dx = 1/(nx-1) on the unit space
+    interval.  Instances are immutable and safe to share between workers.
     """
 
     t_max: float
@@ -29,9 +28,13 @@ class Mesh:
     nt: int
     na: int
     nx: int
-    dt: float
     da: float
     dx: float
+
+    @property
+    def dt(self) -> float:
+        """The time step, which is the age step."""
+        return self.da
 
     def times(self) -> np.ndarray:
         return np.arange(self.nt + 1) * self.dt
@@ -69,30 +72,9 @@ def build_mesh(t_max: float, a_max: float, na: int, nx: int) -> Mesh:
         nt=nt,
         na=na,
         nx=nx,
-        dt=da,
         da=da,
         dx=1.0 / (nx - 1),
     )
-
-
-def characteristic_ids(m: Mesh) -> range:
-    """All diagonal offsets t0 covering the grid, from -na to nt."""
-    return range(-m.na, m.nt + 1)
-
-
-def characteristic_cells(m: Mesh, t0_index: int) -> list:
-    """Lattice points of the diagonal through (t0, 0), clipped to the grid.
-
-    For t0_index >= 0 the diagonal starts at (t, a) = (t0, 0) and is fed
-    by births; for t0_index < 0 it starts at (0, -t0) and is fed by the
-    initial data.  Returned as (t_index, a_index) pairs with consecutive
-    entries differing by (+1, +1).
-    """
-    if not -m.na <= t0_index <= m.nt:
-        raise OutOfRange(f"t0_index={t0_index} outside [-{m.na}, {m.nt}]")
-    h_lo = max(-t0_index, 0)
-    h_hi = min(m.nt - t0_index, m.na)
-    return [(t0_index + h, h) for h in range(h_lo, h_hi + 1)]
 
 
 def age_weights(m: Mesh) -> np.ndarray:

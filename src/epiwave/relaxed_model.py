@@ -55,9 +55,12 @@ class ModelSpec:
         if not 0.0 <= self.tau < np.inf:
             raise InvalidParam(f"tau={self.tau} must be finite and nonnegative")
         want = (self.n, m.na + 1, m.nx)
-        for name, y in (("y0", self.y0), ("y1", self.y1)):
-            if y is not None and y.shape != want:
-                raise ShapeMismatch(f"{name} shape {y.shape} != {want}")
+        series = (m.nt + 1, self.n, m.nx)  # the birth sources g0 / g1
+        data = {"y0": (self.y0, want), "y1": (self.y1, want),
+                "g0": (self.births.g0, series), "g1": (self.births.g1, series)}
+        for name, (y, shape) in data.items():
+            if y is not None and y.shape != shape:
+                raise ShapeMismatch(f"{name} shape {y.shape} != {shape}")
             if y is not None and not np.all(np.isfinite(y)):
                 raise NonFinite(f"{name} contains NaN/inf")
         if self.f is not None and self.f.shape != (m.nt + 1,) + want:
@@ -76,7 +79,7 @@ class SolverConfig:
     store_every: int = 1
 
     def validate(self) -> None:
-        if not 0.0 < self.picard_tol < np.inf:
+        if isinstance(self.picard_tol, bool) or not 0.0 < self.picard_tol < np.inf:
             raise InvalidParam(f"picard_tol={self.picard_tol} must be finite and positive")
         for name in ("picard_max", "store_every"):
             value = getattr(self, name)
@@ -167,13 +170,7 @@ def derived_initial_slope(spec: ModelSpec, m: Mesh) -> np.ndarray:
     return consistent_slope(spec.linear, y0, forcing, m)
 
 
-def _march(
-    spec: ModelSpec,
-    cfg: SolverConfig,
-    m: Mesh,
-    tau: float,
-    first_order_births: bool,
-) -> Run:
+def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool) -> Run:
     """March spec over the mesh, shared by the relaxed and parabolic solvers.
 
     The implicit matrices of ages 1..na are inverted and the tilde
@@ -182,11 +179,12 @@ def _march(
     of the iterate once (and, with first-order births, forms its
     newborn source once), calls step once to carry ages 0..na-1 of the
     previous slice to ages 1..na, then fills age 0 from the birth law.
+    First-order births solve with spec.tau, the parabolic zeroth-order
+    law with tau = 0.
     """
     spec.validate(m)
     cfg.validate()
-    if m.dt != m.da:
-        raise ShapeMismatch("driver requires dt == da")
+    tau = spec.tau if first_order_births else 0.0
     n, A, X = spec.n, m.na + 1, m.nx
     lin = spec.linear
     births = spec.births
@@ -236,14 +234,11 @@ def _march(
 
             if first_order_births:
                 G = g_op(k, births.beta1, it.values, src, m) if has_nl else None
-                bv = solve_birth_step(births, cand, g0_now, g1_now, G, m)
-                vals[:, 0] = bv.B0
-                slopes[:, 0] = bv.B1
+                vals[:, 0], slopes[:, 0] = solve_birth_step(births, cand, g0_now, g1_now, G, m)
             else:
-                bv = solve_birth_step(
+                vals[:, 0], _ = solve_birth_step(
                     births, cand, g0_now, None, None, m, with_slope=False
                 )
-                vals[:, 0] = bv.B0
                 slopes[:, :1] = consistent_slope(lin, vals[:, :1], forcing[:, :1], m)
             return cand
 
@@ -263,7 +258,7 @@ def _march(
 
 def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh) -> Run:
     """Solve the relaxed system with its first-order birth law."""
-    return _march(spec, cfg, m, tau=spec.tau, first_order_births=True)
+    return _march(spec, cfg, m, first_order_births=True)
 
 
 def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:

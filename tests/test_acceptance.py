@@ -39,8 +39,8 @@ from epiwave import (
 )
 from epiwave.birth import make_compatible
 from epiwave.fields import age_integral
-from epiwave.io_cli import RunConfig, parse_config_dict, serialize_config
-from epiwave.mesh import characteristic_cells, characteristic_ids, space_weights
+from epiwave.io_cli import RunConfig, parse_config_dict
+from epiwave.mesh import space_weights
 from epiwave.operators import lambda_op, neumann_matrix
 from epiwave.reference import (
     damped_eigenmode,
@@ -247,15 +247,6 @@ def test_criterion_8_invariant_suites(desk_mesh, solver_cfg):
         and np.allclose(lap @ np.ones(desk_mesh.nx), 0.0, atol=1e-9)
     )
 
-    # mesh partition property
-    seen = set()
-    ok_part = True
-    for t0 in characteristic_ids(m):
-        for cell in characteristic_cells(m, t0):
-            ok_part &= cell not in seen
-            seen.add(cell)
-    results["mesh-partition"] = ok_part and len(seen) == (m.nt + 1) * (m.na + 1)
-
     # Picard contraction on the criterion-1 configuration (tau = 1e-2)
     run = run_relaxed(
         build_svir(SvirParams(tau=1e-2), desk_mesh), solver_cfg, desk_mesh
@@ -272,7 +263,7 @@ def test_criterion_8_invariant_suites(desk_mesh, solver_cfg):
     cfg = RunConfig()
     cfg.study.taus = [1e-4, 3e-4]
     results["config-round-trip"] = (
-        parse_config_dict(json.loads(serialize_config(cfg))) == cfg
+        parse_config_dict(json.loads(json.dumps(dataclasses.asdict(cfg)))) == cfg
     )
 
     # determinism: identical inputs give bit-identical runs

@@ -1,7 +1,8 @@
-"""The benchmark's contract with epiwave: the names its tracer wraps and
-the kernel tables its workloads read; a rename or a type change must
-fail here."""
+"""The benchmark's contract with epiwave: the names its tracer wraps, the
+names its workloads import and call, and the kernel tables its workloads
+read; a deletion, a rename or a type change must fail here."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -23,14 +24,18 @@ from epiwave.svir import I, S, SvirParams, build_svir, tent_kernel
 
 from conftest import age_kernel_spec
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+    return _load("tracing")
 
 
 def test_traced_names_resolve():
@@ -40,6 +45,29 @@ def test_traced_names_resolve():
         for mod, attr in tracing.WRAPPED
         if not callable(getattr(importlib.import_module(f"epiwave.{mod}"), attr, None))
     ]
+    assert missing == []
+
+
+def test_workload_names_resolve():
+    # the workloads import epiwave names at load time and reach the traced
+    # modules' attributes (study.tau_sweep, ...) at call time
+    workloads = _load("workloads")
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    modules = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "epiwave"
+        for alias in node.names
+    }
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert used, "no epiwave module attributes found in workloads.py"
+    missing = [f"{mod}.{attr}" for mod, attr in used if not hasattr(getattr(workloads, mod), attr)]
     assert missing == []
 
 

@@ -149,6 +149,19 @@ def test_diff_norms_time_weights_follow_stored_times():
     assert rep.h1_V == pytest.approx(np.sqrt(np.trapezoid(v_sq, run.times)), rel=1e-12)
 
 
+def test_diff_norms_rejects_runs_stored_at_different_steps():
+    # nt = 4: store_every 3 keeps steps 0, 3, 4 and store_every 2 keeps 0, 2, 4
+    m = _mesh(na=4, nx=5)
+    spec, _ = manufactured(m)
+    run_a = run_relaxed(spec, SolverConfig(store_every=3), m)
+    run_b = run_relaxed(spec, SolverConfig(store_every=2), m)
+    assert run_a.indices == [0, 3, 4] and run_b.indices == [0, 2, 4]
+    with pytest.raises(LengthMismatch, match="steps"):
+        diff_norms(run_a, run_b, m)
+    # a plain list of slices counts as aligned with the run
+    assert diff_norms(run_a, list(run_b), m).sup_abs > 0.0
+
+
 def test_diff_norms_length_mismatch():
     m = _mesh(na=4, nx=5)
     with pytest.raises(LengthMismatch):

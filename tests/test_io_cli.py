@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -25,7 +26,6 @@ from epiwave.io_cli import (
     build_problem,
     cli_main,
     parse_config_dict,
-    serialize_config,
     write_slices,
 )
 from epiwave.svir import SvirParams, build_svir
@@ -52,7 +52,7 @@ def test_config_round_trip():
     cfg.mesh.na = 12
     cfg.solver.tau = 0.25
     cfg.study.taus = [1e-5, 1e-4]
-    again = parse_config_dict(json.loads(serialize_config(cfg)))
+    again = parse_config_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
     assert again == cfg
 
 

@@ -1,17 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from epiwave.errors import InvalidSize, NonCommensurate, OutOfRange
-from epiwave.mesh import (
-    age_weights,
-    build_mesh,
-    characteristic_cells,
-    characteristic_ids,
-    build_mesh as bm,
-    space_weights,
-)
+from epiwave.errors import InvalidSize, NonCommensurate
+from epiwave.mesh import age_weights, build_mesh, space_weights
 
 
 def test_build_mesh_benchmark_grid():
@@ -40,56 +33,14 @@ def test_build_mesh_invalid_sizes(args):
         build_mesh(*args)
 
 
-def test_characteristic_cells_main_diagonal():
+def test_time_step_is_the_age_step():
+    # one stored step: a mesh with dt != da cannot be built
     m = build_mesh(1.0, 1.0, 4, 3)
-    assert characteristic_cells(m, 0) == [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4)]
-
-
-def test_characteristic_cells_clipped_at_final_time():
-    m = build_mesh(1.0, 1.0, 4, 3)
-    assert characteristic_cells(m, 2) == [(2, 0), (3, 1), (4, 2)]
-
-
-def test_characteristic_cells_initial_data_side():
-    m = build_mesh(1.0, 1.0, 4, 3)
-    assert characteristic_cells(m, -2) == [(0, 2), (1, 3), (2, 4)]
-
-
-def test_characteristic_cells_out_of_range():
-    m = build_mesh(1.0, 1.0, 4, 3)
-    with pytest.raises(OutOfRange):
-        characteristic_cells(m, 5)
-    with pytest.raises(OutOfRange):
-        characteristic_cells(m, -5)
-
-
-@pytest.mark.parametrize("t_max,na", [(1.0, 4), (2.0, 4), (0.5, 2), (3.0, 6)])
-def test_partition_property(t_max, na):
-    # Every grid node lies on exactly one characteristic diagonal.
-    m = build_mesh(t_max, 1.0, na, 3)
-    seen = {}
-    for t0 in characteristic_ids(m):
-        for cell in characteristic_cells(m, t0):
-            assert cell not in seen, f"{cell} on two characteristics"
-            seen[cell] = t0
-    assert len(seen) == (m.nt + 1) * (m.na + 1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    na=st.integers(min_value=2, max_value=12),
-    mult=st.integers(min_value=1, max_value=4),
-    t0_frac=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_cells_monotone_and_length(na, mult, t0_frac):
-    m = bm(float(mult), 1.0, na, 3)
-    t0 = int(round(-m.na + t0_frac * (m.nt + m.na)))
-    cells = characteristic_cells(m, t0)
-    lo = max(-t0, 0)
-    hi = min(m.nt - t0, m.na)
-    assert len(cells) == hi - lo + 1
-    for (t1, a1), (t2, a2) in zip(cells, cells[1:]):
-        assert (t2 - t1, a2 - a1) == (1, 1)
+    assert m.dt == m.da
+    with pytest.raises(TypeError):
+        dataclasses.replace(m, dt=0.5)
+    with pytest.raises(AttributeError):
+        m.dt = 0.5
 
 
 def test_quadrature_weights_sum_to_extent():

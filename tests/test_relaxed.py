@@ -17,7 +17,6 @@ from epiwave import (
 from epiwave import operators
 from epiwave.char_solver import step_context
 from epiwave.errors import InvalidParam, NonFinite, PicardDiverged, ShapeMismatch
-from epiwave.mesh import characteristic_cells, characteristic_ids
 from epiwave.reference import manufactured, scalar_spec
 from epiwave.relaxed_model import _fixed_point, residual_check
 from epiwave.svir import SvirParams, build_svir
@@ -54,8 +53,8 @@ def test_linear_run_matches_characteristic_reassembly():
 
     got = np.stack([sl.values for sl in run])  # (nt+1, 1, A, X)
     want = np.full_like(got, np.nan)
-    for t0 in characteristic_ids(m):
-        cells = characteristic_cells(m, t0)
+    for t0 in range(-m.na, m.nt + 1):  # the diagonal through (t, a) = (t0, 0)
+        cells = [(t0 + h, h) for h in range(max(-t0, 0), min(m.nt - t0, m.na) + 1)]
         ti0, ai0 = cells[0]
         if t0 <= 0:  # t <= a: fed by initial data (t0 = 0 starts at the corner)
             v0, w0 = y0[:, ai0, :], y1[:, ai0, :]
@@ -244,6 +243,7 @@ def test_exhausted_picard_max_raises():
         ("picard_tol", -1e-10),
         ("picard_tol", np.inf),
         ("picard_tol", np.nan),
+        ("picard_tol", True),
         ("picard_max", 0),
         ("picard_max", 2.5),
         ("picard_max", True),
@@ -256,6 +256,27 @@ def test_bad_solver_config_is_an_invalid_param(field, value):
     spec = build_svir(SvirParams(tau=1e-2), m)
     with pytest.raises(InvalidParam, match=field):
         run_relaxed(spec, SolverConfig(**{field: value}), m)
+
+
+@pytest.mark.parametrize(
+    "series, make, error",
+    [
+        ("g0", lambda m: np.zeros((2, 1, m.nx)), ShapeMismatch),
+        ("g0", lambda m: np.zeros((m.nt + 1, 1, m.nx + 1)), ShapeMismatch),
+        ("g0", lambda m: np.full((m.nt + 1, 1, m.nx), np.nan), NonFinite),
+        ("g1", lambda m: np.zeros((m.nt, 1, m.nx)), ShapeMismatch),
+        ("g1", lambda m: np.full((m.nt + 1, 1, m.nx), np.inf), NonFinite),
+    ],
+    ids=["g0-short", "g0-wide", "g0-nan", "g1-short", "g1-inf"],
+)
+def test_bad_birth_series_are_typed_errors(series, make, error):
+    # a malformed birth source is a typed error, naming the series, before
+    # any step: not an IndexError at the step past its end, a numpy
+    # broadcast error, or a NaN reported as a singular birth system
+    m = build_mesh(1.0, 1.0, 4, 5)
+    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=0.1, **{series: make(m)})
+    with pytest.raises(error, match=series):
+        run_relaxed(spec, SolverConfig(), m)
 
 
 def test_spec_validation_errors():
