@@ -2,7 +2,7 @@
 
 from .birth import BirthLaws, make_compatible, newborn_source, solve_birth_step
 from .char_solver import StepContext, step, step_context
-from .fields import NormReport, StateField, diff_norms, norm_H, norm_V
+from .fields import NormReport, Run, StateField, diff_norms, norm_H, norm_V
 from .mesh import Mesh, build_mesh
 from .operators import (
     FactoredTable,
@@ -18,7 +18,6 @@ from .operators import (
 from .parabolic_model import run_parabolic
 from .relaxed_model import (
     ModelSpec,
-    Run,
     SolverConfig,
     derived_initial_slope,
     residual_check,

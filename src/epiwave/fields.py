@@ -1,14 +1,17 @@
-"""Per-time-slice state storage and the discrete norms used everywhere.
+"""Stored runs, their state slices and the discrete norms used everywhere.
 
 A state slice holds the compartment densities y(a, x) together with the
-transport derivative dy = (d/dt + d/da) y on the same nodes.  Norms are
-trapezoid quadratures of the L2(age x space) and L2(age, H1(space))
-integrands; the spatial derivative uses central differences with
-second-order one-sided stencils at the boundary.
+transport derivative dy = (d/dt + d/da) y on the same nodes.  A Run
+stores the slices a solve keeps as two stacked (S, n, na+1, nx) arrays,
+and every reader slices those stacks.  Norms are trapezoid quadratures
+of the L2(age x space) and L2(age, H1(space)) integrands; the spatial
+derivative uses central differences with second-order one-sided
+stencils at the boundary.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Sequence
+from typing import List
 
 import numpy as np
 
@@ -26,8 +29,33 @@ class StateField:
     values: np.ndarray
     slope: np.ndarray
 
-    def copy(self) -> "StateField":
-        return StateField(self.values.copy(), self.slope.copy())
+
+@dataclass(eq=False)
+class Run(Sequence):
+    """The slices a solve stored, plus its diagnostics.
+
+    values and slopes are (S, n, na+1, nx) stacks whose entry s is the
+    slice at time step indices[s]; run[k] is a StateField view of entry
+    k.  picard_updates holds, per committed time step, the sweep update
+    norms.
+    """
+
+    values: np.ndarray
+    slopes: np.ndarray
+    indices: List[int]
+    mesh: Mesh
+    picard_updates: List[List[float]]
+
+    @property
+    def times(self) -> List[float]:
+        """The time of each stored slice."""
+        return [i * self.mesh.dt for i in self.indices]
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, k: int) -> StateField:
+        return StateField(self.values[k], self.slopes[k])
 
 
 @dataclass
@@ -77,54 +105,38 @@ def norm_V(v: np.ndarray, m: Mesh):
 
 
 def age_integral(values: np.ndarray, m: Mesh) -> np.ndarray:
-    """Trapezoid integral over age: (n, na+1, nx) -> (n, nx)."""
-    return np.einsum("iax,a->ix", values, age_weights(m))
+    """Trapezoid integral over age: (..., na+1, nx) -> (..., nx)."""
+    return np.einsum("...ax,a->...x", values, age_weights(m))
 
 
-def diff_norms(
-    run_a: Sequence[StateField], run_b: Sequence[StateField], m: Mesh
-) -> NormReport:
-    """Norms of the slice-wise difference between two stored runs.
+def diff_norms(run: Run, ref: Run, m: Mesh) -> NormReport:
+    """Norms of the difference between run and ref at run's stored steps.
 
-    Both runs must hold the same number of slices with equal shapes,
-    and when both carry time indices these must agree.  Time integrals
-    use trapezoid weights over the stored times of run_a, its time
-    indices times dt; a plain list of slices counts as consecutive steps
-    and as aligned with the other operand.
+    ref must store every step run stores, so a reference stored at every
+    step serves any run on its mesh.  Time integrals use trapezoid
+    weights over run's stored times, its time indices times dt.
     """
-    if len(run_a) != len(run_b):
-        raise LengthMismatch(f"runs of length {len(run_a)} vs {len(run_b)}")
-    ia, ib = getattr(run_a, "indices", None), getattr(run_b, "indices", None)
-    if ia is not None and ib is not None and list(ia) != list(ib):
-        raise LengthMismatch(f"runs stored at steps {list(ia)} vs {list(ib)}")
-    if len(run_a) == 0:
-        return NormReport()
-    sup_v = 0.0
-    sup_h = 0.0
-    sup_abs = 0.0
-    h_sq = []
-    v_sq = []
-    for sa, sb in zip(run_a, run_b):
-        if sa.values.shape != sb.values.shape:
-            raise ShapeMismatch("slice shapes differ between runs")
-        dv = sa.values - sb.values
-        nv = norm_V(dv, m)
-        nh = norm_H(dv, m)
-        sup_v = max(sup_v, nv)
-        sup_abs = max(sup_abs, float(np.max(np.abs(dv))))
-        v_sq.append(nv * nv)
-        h_sq.append(nh * nh)
-        sup_h = max(sup_h, norm_H(sa.slope - sb.slope, m))
+    where = {i: s for s, i in enumerate(ref.indices)}
+    missing = [i for i in run.indices if i not in where]
+    if missing:
+        raise LengthMismatch(f"the reference does not store steps {missing}")
+    if run.values.shape[1:] != ref.values.shape[1:]:
+        raise ShapeMismatch("slice shapes differ between runs")
+    at = [where[i] for i in run.indices]
+    dv = run.values - ref.values[at]
+    nv = norm_V(dv, m)
+    nh = norm_H(dv, m)
+    ns = norm_H(run.slopes - ref.slopes[at], m)
     # Trapezoid in time; integer index gaps keep uniform weights exact.
-    gaps = np.diff(getattr(run_a, "indices", range(len(run_a))))
-    wt = np.zeros(len(run_a))
+    gaps = np.diff(run.indices)
+    wt = np.zeros(len(run))
     wt[:-1] += 0.5 * gaps
     wt[1:] += 0.5 * gaps
     wt *= m.dt
     return NormReport(
-        l2_H=float(np.sqrt(np.dot(wt, h_sq))),
-        h1_V=float(np.sqrt(np.dot(wt, v_sq))),
-        sup_t_V=sup_v,
-        sup_t_H_slope=sup_h,
-        sup_abs=sup_abs,
+        l2_H=float(np.sqrt(np.dot(wt, nh * nh))),
+        h1_V=float(np.sqrt(np.dot(wt, nv * nv))),
+        sup_t_V=float(np.max(nv)),
+        sup_t_H_slope=float(np.max(ns)),
+        sup_abs=float(np.max(np.abs(dv))),
     )

@@ -27,17 +27,11 @@ from .errors import (
     IoError,
     NonCommensurate,
 )
-from .fields import age_integral, diff_norms
+from .fields import Run, age_integral, diff_norms
 from .mesh import Mesh, build_mesh
 from .operators import KernelSet, LinearPart
 from .parabolic_model import run_parabolic
-from .relaxed_model import (
-    ModelSpec,
-    Run,
-    SolverConfig,
-    residual_check,
-    run_relaxed,
-)
+from .relaxed_model import ModelSpec, SolverConfig, residual_check, run_relaxed
 from .svir import COMPARTMENTS, SvirParams, build_svir
 
 _FMT = "%.17g"
@@ -286,12 +280,10 @@ def _mkdir(path) -> Path:
     return out
 
 
-def _writerows(path: Path, header: str, rows) -> None:
+def _writerows(path: Path, header: str, rows, delimiter: str = ",") -> None:
+    """Write the header line(s), then one line of decimals per row."""
     try:
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_FMT % v for v in row) + "\n")
+        np.savetxt(path, rows, fmt=_FMT, delimiter=delimiter, header=header, comments="")
     except OSError as exc:
         raise IoError(str(exc)) from None
 
@@ -307,27 +299,20 @@ def write_slices(
     the given threshold, or at study.front_tracker's default rule.
     """
     out = _mkdir(out_dir)
-    n = run[0].values.shape[0]
+    n = run.values.shape[1]
     names = list(COMPARTMENTS) if n == 4 else [f"y{k + 1}" for k in range(n)]
-    ages = m.ages()
-    xs = m.xs()
+    A, X = m.na + 1, m.nx
+    grid = np.column_stack([np.repeat(m.ages(), X), np.tile(m.xs(), A)])
     written = []
-    for idx, sl in zip(run.indices, run):
+    for idx, values in zip(run.indices, run.values):
         path = out / f"slice_{idx}.csv"
-        rows = (
-            [ages[a], xs[x]] + [sl.values[c, a, x] for c in range(n)]
-            for a in range(m.na + 1)
-            for x in range(m.nx)
-        )
-        _writerows(path, "a,x," + ",".join(names), rows)
+        table = np.column_stack([grid, values.reshape(n, -1).T])
+        _writerows(path, "a,x," + ",".join(names), table)
         written.append(path)
 
     bpath = out / "boundary_x0.csv"
-    rows = (
-        [t] + list(age_integral(sl.values, m)[:, 0])
-        for t, sl in zip(run.times, run)
-    )
-    _writerows(bpath, "t," + ",".join(names), rows)
+    boundary = age_integral(run.values, m)[:, :, 0]
+    _writerows(bpath, "t," + ",".join(names), np.column_stack([run.times, boundary]))
     written.append(bpath)
 
     comp = 2 if n >= 3 else 0
@@ -366,18 +351,12 @@ def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
     written.append(spath)
 
     rpath = out / "ratefit.dat"
-    try:
-        with open(rpath, "w") as fh:
-            fh.write(f"# fitted_rate {_FMT % result.fitted_rate}\n")
-            if result.fitted_rate_energy is not None:
-                fh.write(f"# fitted_rate_energy {_FMT % result.fitted_rate_energy}\n")
-            fh.write(f"# floor {_FMT % result.floor}\n")
-            fh.write("# log10_tau log10_sup_diff\n")
-            for tau, d in zip(result.taus, result.sup_diffs):
-                if d > 0:
-                    fh.write(f"{_FMT % np.log10(tau)} {_FMT % np.log10(d)}\n")
-    except OSError as exc:
-        raise IoError(str(exc)) from None
+    header = [f"# fitted_rate {_FMT % result.fitted_rate}"]
+    if result.fitted_rate_energy is not None:
+        header.append(f"# fitted_rate_energy {_FMT % result.fitted_rate_energy}")
+    header += [f"# floor {_FMT % result.floor}", "# log10_tau log10_sup_diff"]
+    rows = [(np.log10(t), np.log10(d)) for t, d in zip(result.taus, result.sup_diffs) if d > 0]
+    _writerows(rpath, "\n".join(header), rows, delimiter=" ")
     written.append(rpath)
 
     for k, tau in enumerate(result.taus):

@@ -18,9 +18,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .birth import zero_laws
+from .fields import Run
 from .mesh import Mesh
 from .operators import KernelSet, LinearPart
-from .relaxed_model import ModelSpec, Run
+from .relaxed_model import ModelSpec
 
 
 def heat_mode_decay(sigma: float, t) -> np.ndarray:
@@ -238,7 +239,7 @@ def relative_error(values: np.ndarray, exact: np.ndarray) -> float:
 
 def total_births(run: Run, m: Mesh) -> float:
     """Trapezoid integral over time of the age-zero value at x = 0."""
-    b = np.array([sl.values[0, 0, 0] for sl in run])
+    b = run.values[:, 0, 0, 0]
     tw = np.full(len(b), m.dt)
     tw[0] = tw[-1] = 0.5 * m.dt
     return float(np.dot(tw, b))

@@ -4,20 +4,21 @@ Each time step freezes the nonlocal terms at the current fixed-point
 iterate, advances every characteristic of the previous slice with one
 batched implicit solve (the per-age matrices are inverted once per
 solve), computes births, and repeats until the update is small in the
-tau-weighted energy norm.  The parabolic baseline reuses the
-same code path with tau = 0 and the zeroth-order birth law, so the two
-solvers differ only by the tau terms.
+tau-weighted energy norm.  Each stored step is written in place into
+the Run's preallocated value and slope stacks.  The parabolic baseline
+reuses the same code path with tau = 0 and the zeroth-order birth law,
+so the two solvers differ only by the tau terms.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from .birth import BirthLaws, newborn_source, solve_birth_step
 from .char_solver import step, step_context
 from .errors import InvalidParam, LengthMismatch, NonFinite, PicardDiverged, ShapeMismatch
-from .fields import StateField, norm_H, norm_V
+from .fields import Run, StateField, norm_H, norm_V
 from .mesh import Mesh
 from .operators import (
     KernelSet,
@@ -85,28 +86,6 @@ class SolverConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise InvalidParam(f"{name}={value!r} must be a positive integer")
-
-
-class Run(Sequence):
-    """Stored time series of state slices plus solve diagnostics."""
-
-    def __init__(self, slices, indices, mesh, picard_updates):
-        self.slices: List[StateField] = slices
-        self.indices: List[int] = indices
-        self.mesh: Mesh = mesh
-        #: per committed time step, the sweep update norms
-        self.picard_updates: List[List[float]] = picard_updates
-
-    @property
-    def times(self) -> List[float]:
-        """The time of each stored slice."""
-        return [i * self.mesh.dt for i in self.indices]
-
-    def __len__(self) -> int:
-        return len(self.slices)
-
-    def __getitem__(self, k):
-        return self.slices[k]
 
 
 def _mixing(k: KernelSet, y, dy, src, tau: float, m: Mesh) -> np.ndarray:
@@ -199,17 +178,18 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
             r += np.sqrt(tau) * norm_H(np.stack([cand.slope - it.slope, cand.slope]), m)
         return r
 
-    # Initial slice.
-    y0 = np.array(spec.y0, dtype=float)
-    if first_order_births:
-        s0 = np.array(spec.y1, dtype=float) if spec.y1 is not None else np.zeros_like(y0)
-    else:
-        s0 = derived_initial_slope(spec, m)
-    prev = StateField(y0, s0)
+    indices = [i for i in range(m.nt + 1) if i % cfg.store_every == 0 or i == m.nt]
+    slot = {i: s for s, i in enumerate(indices)}
+    shape = (len(indices), n, A, X)
+    run = Run(np.empty(shape), np.empty(shape), indices, m, [])
 
-    slices = [prev.copy()]
-    indices = [0]
-    updates_log: List[List[float]] = []
+    # Initial slice.
+    run.values[0] = spec.y0
+    if first_order_births:
+        run.slopes[0] = 0.0 if spec.y1 is None else spec.y1
+    else:
+        run.slopes[0] = derived_initial_slope(spec, m)
+    prev = run[0]
     prev2: Optional[StateField] = None
 
     for i in range(1, m.nt + 1):
@@ -248,12 +228,11 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
             guess = StateField(2.0 * prev.values - prev2.values, 2.0 * prev.slope - prev2.slope)
         cur, updates = _fixed_point(picard_map, guess, energy, cfg, not has_nl, i)
         prev2, prev = prev, cur
-        updates_log.append(updates)
-        if i % cfg.store_every == 0 or i == m.nt:
-            slices.append(prev.copy())
-            indices.append(i)
+        run.picard_updates.append(updates)
+        if i in slot:
+            run.values[slot[i]], run.slopes[slot[i]] = cur.values, cur.slope
 
-    return Run(slices, indices, m, updates_log)
+    return run
 
 
 def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh) -> Run:
@@ -278,9 +257,7 @@ def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
     dt = m.dt
     worst = 0.0
     for i in range(1, m.nt):
-        y = run[i].values
-        fwd = run[i + 1].values
-        bwd = run[i - 1].values
+        bwd, y, fwd = run.values[i - 1 : i + 2]
         # Centered transport derivatives along the diagonals.
         dy = np.zeros_like(y)
         d2y = np.zeros_like(y)

@@ -4,13 +4,14 @@ A sweep solves the parabolic baseline once on the mesh, every step
 stored, and that one run serves the whole study: it is the coarse half
 of the refinement floor (the difference between the na and 2na
 parabolic runs), it supplies the boundary traces of a compatibility
-setup, and each relaxed member is diffed against it.  The sweep collects
-sup-norm and energy-norm differences and fits the convergence rate on a
-log-log scale.  Points whose difference sits within 10x of the floor are
-flagged non-asymptotic; because both solvers share one scheme, the
-matched-grid differences keep shrinking linearly below that floor, so
-the fit falls back to all usable points when fewer than three remain
-flagged.
+setup, and each relaxed member is diffed against it; these readers
+slice the stacked arrays of the stored runs (fields.Run).  The sweep
+collects sup-norm and energy-norm differences and fits the convergence
+rate on a log-log scale.  Points whose difference sits within 10x of
+the floor are flagged non-asymptotic; because both solvers share one
+scheme, the matched-grid differences keep shrinking linearly below that
+floor, so the fit falls back to all usable points when fewer than three
+remain flagged.
 """
 
 from dataclasses import dataclass, replace
@@ -19,11 +20,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .birth import make_compatible
-from .errors import FitUnderdetermined, InvalidParam, MissingBaseline
-from .fields import NormReport, age_integral, diff_norms
+from .errors import FitUnderdetermined, InvalidParam, LengthMismatch, MissingBaseline
+from .fields import NormReport, Run, age_integral, diff_norms
 from .mesh import Mesh, build_mesh
 from .parabolic_model import run_parabolic
-from .relaxed_model import ModelSpec, Run, SolverConfig, derived_initial_slope, run_relaxed
+from .relaxed_model import ModelSpec, SolverConfig, derived_initial_slope, run_relaxed
 from .svir import I as I_COMP
 from .svir import SvirParams, build_svir
 
@@ -88,20 +89,6 @@ def energy_diff(report: NormReport, tau: float) -> float:
     )
 
 
-def coarse_view(run: Run, factor: int) -> List:
-    """Restrict a finer run to every factor-th time and age index."""
-    out = []
-    for k in range(0, len(run), factor):
-        sl = run[k]
-        out.append(
-            type(sl)(
-                sl.values[:, ::factor, :],
-                sl.slope[:, ::factor, :],
-            )
-        )
-    return out
-
-
 def refinement_floor(coarse: Run, base: SvirParams, m: Mesh, cfg: SolverConfig) -> float:
     """Sup diff between a parabolic run on m and the 2na one.
 
@@ -110,9 +97,11 @@ def refinement_floor(coarse: Run, base: SvirParams, m: Mesh, cfg: SolverConfig) 
     the same Picard settings.  Both runs share nx, and the finer run is
     subsampled onto the coarse lattice, so the comparison is pointwise.
     """
+    if len(coarse) != m.nt + 1:
+        raise LengthMismatch("the coarse run must store every step")
     m2 = build_mesh(m.t_max, m.a_max, 2 * m.na, m.nx)
     fine = run_parabolic(build_svir(base, m2), replace(cfg, store_every=1), m2)
-    return diff_norms(coarse, coarse_view(fine, 2), m).sup_abs
+    return float(np.max(np.abs(coarse.values - fine.values[::2, :, ::2])))
 
 
 def check_taus(taus: Sequence[float]) -> None:
@@ -159,7 +148,7 @@ def tau_sweep(
     reports, fronts = [], []
     for tau in taus:
         run = run_relaxed(replace(template, tau=tau), cfg, m)
-        reports.append(diff_norms(run, [baseline[i] for i in run.indices], m))
+        reports.append(diff_norms(run, baseline, m))
         fronts.append(front_tracker(run, threshold, m))
     sup_diffs = [r.sup_abs for r in reports]
     energies = [energy_diff(r, t) for r, t in zip(reports, taus)]
@@ -182,7 +171,7 @@ def tau_sweep(
 
 
 def front_tracker(
-    run: Sequence, threshold: Optional[float], m: Mesh, compartment: int = I_COMP
+    run: Run, threshold: Optional[float], m: Mesh, compartment: int = I_COMP
 ) -> List[Tuple[float, float]]:
     """Leftmost x where the age-integrated density exceeds the threshold.
 
@@ -191,18 +180,14 @@ def front_tracker(
     the threshold contribute no entry.  A threshold of None means
     FRONT_FACTOR times the sup of the age-integrated density of run[0].
     """
+    prof = age_integral(run.values, m)[:, compartment]
     if threshold is None:
-        threshold = FRONT_FACTOR * float(np.max(age_integral(run[0].values, m)[compartment]))
+        threshold = FRONT_FACTOR * float(np.max(prof[0]))
+    above = prof > threshold
     xs = m.xs()
-    times = getattr(run, "times", None)
-    out = []
-    for k, sl in enumerate(run):
-        prof = age_integral(sl.values, m)[compartment]
-        above = np.nonzero(prof > threshold)[0]
-        if above.size:
-            t = times[k] if times is not None else float(k)
-            out.append((float(t), float(xs[above[0]])))
-    return out
+    return [
+        (float(t), float(xs[np.argmax(row)])) for t, row in zip(run.times, above) if row.any()
+    ]
 
 
 def compatibility_setup(
@@ -229,13 +214,9 @@ def compatibility_setup(
             raise MissingBaseline("baseline must store every step")
     laws = make_compatible(spec.births.beta0, spec.linear, q1, q2, m)
     if q1 != 1.0:
-        laws.g0 = (1.0 - q1) * np.stack(
-            [sl.values[:, 0, :] for sl in baseline]
-        )
+        laws.g0 = (1.0 - q1) * baseline.values[:, :, 0]
     if q2 != 1.0:
-        laws.g1 = (1.0 - q2) * np.stack(
-            [sl.slope[:, 0, :] for sl in baseline]
-        )
+        laws.g1 = (1.0 - q2) * baseline.slopes[:, :, 0]
     spec = replace(spec, births=laws)
     spec = replace(spec, y1=derived_initial_slope(spec, m))
     return spec

@@ -70,8 +70,9 @@ class SvirParams:
 
     def validate(self) -> None:
         for name in ("c", "delta_d", "gamma", "total_S0", "I0"):
-            if getattr(self, name) < 0:
-                raise InvalidParam(f"{name} must be nonnegative")
+            v = getattr(self, name)
+            if not 0.0 <= v < np.inf:
+                raise InvalidParam(f"{name}={v} must be finite and nonnegative")
         for name in ("phi1", "phi2"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

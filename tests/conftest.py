@@ -5,7 +5,7 @@ import pytest
 
 from epiwave import FactoredTable, KernelSet, KernelTerm, SolverConfig, build_mesh, run_parabolic
 from epiwave.char_solver import step
-from epiwave.fields import StateField
+from epiwave.fields import Run, StateField
 from epiwave.reference import scalar_spec
 from epiwave.study import refinement_floor
 from epiwave.svir import SvirParams, build_svir
@@ -56,6 +56,15 @@ def age_kernel_spec(m, tau, g0=None):
 def state_zeros(n, m):
     shape = (n, m.na + 1, m.nx)
     return StateField(np.zeros(shape), np.zeros(shape))
+
+
+def stored_run(values, m, slopes=None, indices=None):
+    """A Run of the (S, n, na+1, nx) stack values, with zero slopes unless
+    given, stored at steps 0..S-1 unless indices are given."""
+    values = np.asarray(values, dtype=float)
+    slopes = np.zeros_like(values) if slopes is None else np.asarray(slopes, dtype=float)
+    indices = list(range(len(values))) if indices is None else list(indices)
+    return Run(values, slopes, indices, m, [])
 
 
 @pytest.fixture(scope="session")

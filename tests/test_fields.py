@@ -3,17 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiwave import SolverConfig, run_relaxed
+from epiwave import SolverConfig, run_parabolic, run_relaxed
 from epiwave.errors import LengthMismatch, ShapeMismatch
-from epiwave.fields import StateField, age_integral, diff_norms, norm_H, norm_V
+from epiwave.fields import age_integral, diff_norms, norm_H, norm_V
 from epiwave.mesh import age_weights, build_mesh, space_weights
 from epiwave.reference import manufactured
 
-from conftest import state_zeros
+from conftest import state_zeros, stored_run
 
 
 def _mesh(na=20, nx=21):
     return build_mesh(1.0, 1.0, na, nx)
+
+
+def _zeros(slices, n, m):
+    return np.zeros((slices, n, m.na + 1, m.nx))
 
 
 def _field(m, fn, n=1):
@@ -84,7 +88,7 @@ def test_norm_shape_mismatch():
 
 def test_diff_norms_identical_runs():
     m = _mesh(na=4, nx=5)
-    run = [state_zeros(2, m) for _ in range(3)]
+    run = stored_run(_zeros(3, 2, m), m)
     rep = diff_norms(run, run, m)
     assert rep.sup_t_V == rep.sup_abs == rep.sup_t_H_slope == 0.0
     assert rep.l2_H == rep.h1_V == 0.0
@@ -92,12 +96,8 @@ def test_diff_norms_identical_runs():
 
 def test_diff_norms_constant_offset():
     m = _mesh(na=4, nx=5)
-    run_a = [state_zeros(1, m) for _ in range(3)]
-    run_b = []
-    for sl in run_a:
-        s = sl.copy()
-        s.values += 1.0
-        run_b.append(s)
+    run_a = stored_run(_zeros(3, 1, m), m)
+    run_b = stored_run(run_a.values + 1.0, m)
     rep = diff_norms(run_a, run_b, m)
     assert np.isclose(rep.sup_t_V, 1.0)
     assert np.isclose(rep.sup_abs, 1.0)
@@ -107,9 +107,10 @@ def test_diff_norms_against_bruteforce():
     # independent oracle: plain loops and np.trapezoid over each slice
     m = _mesh(na=5, nx=7)
     rng = np.random.default_rng(42)
-    shape = (2, m.na + 1, m.nx)
-    run_a = [StateField(rng.normal(size=shape), rng.normal(size=shape)) for _ in range(4)]
-    run_b = [StateField(rng.normal(size=shape), rng.normal(size=shape)) for _ in range(4)]
+    # axis 1 holds the values and the slope of each of the 4 slices
+    a, b = (rng.normal(size=(4, 2, 2, m.na + 1, m.nx)) for _ in range(2))
+    run_a = stored_run(a[:, 0], m, slopes=a[:, 1])
+    run_b = stored_run(b[:, 0], m, slopes=b[:, 1])
 
     def brute_H(v):
         acc = 0.0
@@ -142,7 +143,7 @@ def test_diff_norms_time_weights_follow_stored_times():
     spec, _ = manufactured(m)
     run = run_relaxed(spec, SolverConfig(store_every=3), m)
     assert run.indices[-2:] == [18, 20]
-    rep = diff_norms(run, [state_zeros(1, m)] * len(run), m)
+    rep = diff_norms(run, stored_run(np.zeros_like(run.values), m, indices=run.indices), m)
     h_sq = [norm_H(sl.values, m) ** 2 for sl in run]
     v_sq = [norm_V(sl.values, m) ** 2 for sl in run]
     assert rep.l2_H == pytest.approx(np.sqrt(np.trapezoid(h_sq, run.times)), rel=1e-12)
@@ -158,14 +159,46 @@ def test_diff_norms_rejects_runs_stored_at_different_steps():
     assert run_a.indices == [0, 3, 4] and run_b.indices == [0, 2, 4]
     with pytest.raises(LengthMismatch, match="steps"):
         diff_norms(run_a, run_b, m)
-    # a plain list of slices counts as aligned with the run
-    assert diff_norms(run_a, list(run_b), m).sup_abs > 0.0
 
 
 def test_diff_norms_length_mismatch():
     m = _mesh(na=4, nx=5)
     with pytest.raises(LengthMismatch):
-        diff_norms([state_zeros(1, m)], [state_zeros(1, m)] * 2, m)
+        diff_norms(stored_run(_zeros(2, 1, m), m), stored_run(_zeros(1, 1, m), m), m)
+
+
+def test_diff_norms_sparse_run_against_every_step_reference():
+    # the run stores steps 0, 3, ..., 18, 20; the reference stores all 21
+    m = _mesh(na=20, nx=5)
+    spec, _ = manufactured(m)
+    run = run_relaxed(spec, SolverConfig(store_every=3), m)
+    ref = run_parabolic(spec, SolverConfig(), m)
+    assert len(ref) == m.nt + 1 and len(run) == 8
+    rep = diff_norms(run, ref, m)
+    pairs = [(sl, ref[i]) for sl, i in zip(run, run.indices)]
+    h_sq = [norm_H(a.values - b.values, m) ** 2 for a, b in pairs]
+    v_sq = [norm_V(a.values - b.values, m) ** 2 for a, b in pairs]
+    assert rep.l2_H == pytest.approx(np.sqrt(np.trapezoid(h_sq, run.times)), rel=1e-12)
+    assert rep.h1_V == pytest.approx(np.sqrt(np.trapezoid(v_sq, run.times)), rel=1e-12)
+    assert rep.sup_t_H_slope == max(norm_H(a.slope - b.slope, m) for a, b in pairs)
+    assert rep.sup_abs == max(float(np.max(np.abs(a.values - b.values))) for a, b in pairs)
+    with pytest.raises(LengthMismatch, match="steps"):
+        diff_norms(ref, run, m)
+
+
+def test_run_items_are_views_and_iteration_stops_at_len():
+    m = _mesh(na=4, nx=5)
+    spec, _ = manufactured(m)
+    run = run_relaxed(spec, SolverConfig(store_every=3), m)
+    assert len(run) == len(run.indices) == len(run.values) == 3
+    for k, sl in enumerate(run):
+        assert np.shares_memory(sl.values, run.values[k])
+        assert np.shares_memory(sl.slope, run.slopes[k])
+    assert len(list(run)) == len(run)
+    run[-1].values[...] = 7.0
+    assert np.all(run.values[-1] == 7.0)
+    with pytest.raises(IndexError):
+        run[len(run)]
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
 
-from epiwave import SolverConfig, build_mesh, derived_initial_slope, run_relaxed
-from epiwave.errors import FitUnderdetermined, InvalidParam, MissingBaseline
+from epiwave import SolverConfig, build_mesh, derived_initial_slope, run_parabolic, run_relaxed
+from epiwave.errors import FitUnderdetermined, InvalidParam, LengthMismatch, MissingBaseline
 from epiwave import study
 from epiwave.study import (
     compatibility_setup,
     fit_rate,
     front_tracker,
+    refinement_floor,
     tau_sweep,
 )
 from epiwave.svir import SvirParams, build_svir
 
-from conftest import state_zeros
+from conftest import stored_run
 
 
 def test_fit_rate_rejects_degenerate_diffs():
@@ -41,7 +42,7 @@ def test_fit_rate_window_masks_floor_points():
 
 def test_front_tracker_zero_run():
     m = build_mesh(0.5, 1.0, 4, 5)
-    run = [state_zeros(4, m) for _ in range(3)]
+    run = stored_run(np.zeros((3, 4, m.na + 1, m.nx)), m)
     assert front_tracker(run, 1e-12, m) == []
 
 
@@ -63,6 +64,28 @@ def test_front_positions_monotone_in_tau():
 
 def test_refinement_floor_positive(svir_floor):
     assert svir_floor > 0
+
+
+def test_refinement_floor_is_the_sup_over_the_coarse_lattice(small_mesh):
+    m = small_mesh
+    cfg = SolverConfig(picard_max=400)  # steps need up to 311 sweeps at na=10
+    coarse = run_parabolic(build_svir(SvirParams(), m), cfg, m)
+    m2 = build_mesh(m.t_max, m.a_max, 2 * m.na, m.nx)
+    fine = run_parabolic(build_svir(SvirParams(), m2), cfg, m2)
+    # every other time and age index of the fine run, slice by slice
+    want = max(
+        float(np.max(np.abs(sl.values - fine[2 * k].values[:, ::2, :])))
+        for k, sl in enumerate(coarse)
+    )
+    assert refinement_floor(coarse, SvirParams(), m, cfg) == want
+
+
+def test_refinement_floor_needs_every_step_of_the_coarse_run(small_mesh, monkeypatch):
+    m = small_mesh
+    monkeypatch.setattr(study, "run_parabolic", None)  # fails if the fine run is solved
+    sparse = stored_run(np.zeros((3, 4, m.na + 1, m.nx)), m, indices=[0, 3, 5])
+    with pytest.raises(LengthMismatch, match="every step"):
+        refinement_floor(sparse, SvirParams(), m, SolverConfig())
 
 
 def test_tau_sweep_small_end_to_end(desk_mesh, solver_cfg, svir_floor):

@@ -48,6 +48,13 @@ def test_invalid_params_rejected():
         SvirParams(tau=-0.1).validate()
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["c", "delta_d", "gamma", "total_S0", "I0"])
+def test_rates_reject_nan_and_inf(name, value):
+    with pytest.raises(InvalidParam, match=f"^{name}="):
+        SvirParams(**{name: value}).validate()
+
+
 def test_linear_coupling_signs():
     m = build_mesh(0.5, 1.0, 4, 5)
     p = SvirParams()
