@@ -36,8 +36,8 @@ class Run(Sequence):
 
     values and slopes are (S, n, na+1, nx) stacks whose entry s is the
     slice at time step indices[s]; run[k] is a StateField view of entry
-    k.  picard_updates holds, per committed time step, the sweep update
-    norms.
+    k.  picard_updates holds, per committed time step, each sweep's
+    fixed-point residual norm.
     """
 
     values: np.ndarray
@@ -56,6 +56,11 @@ class Run(Sequence):
 
     def __getitem__(self, k: int) -> StateField:
         return StateField(self.values[k], self.slopes[k])
+
+    def check_mesh(self, m: Mesh) -> None:
+        """Raise ShapeMismatch, naming both meshes, unless m is the run's."""
+        if m != self.mesh:
+            raise ShapeMismatch(f"mesh {m} is not the run's mesh {self.mesh}")
 
 
 @dataclass
@@ -112,10 +117,13 @@ def age_integral(values: np.ndarray, m: Mesh) -> np.ndarray:
 def diff_norms(run: Run, ref: Run, m: Mesh) -> NormReport:
     """Norms of the difference between run and ref at run's stored steps.
 
-    ref must store every step run stores, so a reference stored at every
-    step serves any run on its mesh.  Time integrals use trapezoid
-    weights over run's stored times, its time indices times dt.
+    Both runs must be on m.  ref must store every step run stores, so a
+    reference stored at every step serves any run on its mesh.  Time
+    integrals use trapezoid weights over run's stored times, its time
+    indices times dt.
     """
+    run.check_mesh(m)
+    ref.check_mesh(m)
     where = {i: s for s, i in enumerate(ref.indices)}
     missing = [i for i in run.indices if i not in where]
     if missing:

@@ -298,6 +298,7 @@ def write_slices(
     fronts.csv the front trajectory of compartment 2 (0 when n < 3) at
     the given threshold, or at study.front_tracker's default rule.
     """
+    run.check_mesh(m)
     out = _mkdir(out_dir)
     n = run.values.shape[1]
     names = list(COMPARTMENTS) if n == 4 else [f"y{k + 1}" for k in range(n)]

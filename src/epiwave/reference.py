@@ -239,6 +239,7 @@ def relative_error(values: np.ndarray, exact: np.ndarray) -> float:
 
 def total_births(run: Run, m: Mesh) -> float:
     """Trapezoid integral over time of the age-zero value at x = 0."""
+    run.check_mesh(m)
     b = run.values[:, 0, 0, 0]
     tw = np.full(len(b), m.dt)
     tw[0] = tw[-1] = 0.5 * m.dt

@@ -4,10 +4,13 @@ Each time step freezes the nonlocal terms at the current fixed-point
 iterate, advances every characteristic of the previous slice with one
 batched implicit solve (the per-age matrices are inverted once per
 solve), computes births, and repeats until the update is small in the
-tau-weighted energy norm.  Each stored step is written in place into
-the Run's preallocated value and slope stacks.  The parabolic baseline
-reuses the same code path with tau = 0 and the zeroth-order birth law,
-so the two solvers differ only by the tau terms.
+tau-weighted energy norm.  The iterate is one (2, n, na+1, nx) array of
+values and slopes, and each sweep after a step's first is mixed with
+the step's last three sweeps (Anderson acceleration), which takes fewer
+sweeps than plain Picard iteration.  Each stored step is written in
+place into the Run's preallocated value and slope stacks.  The
+parabolic baseline reuses the same code path with tau = 0 and the
+zeroth-order birth law, so the two solvers differ only by the tau terms.
 """
 
 from dataclasses import dataclass
@@ -98,26 +101,73 @@ def _mixing(k: KernelSet, y, dy, src, tau: float, m: Mesh) -> np.ndarray:
     return out
 
 
-def _fixed_point(picard_map, iterate, energy, cfg: SolverConfig, linear: bool, at: int):
-    """Iterate picard_map from iterate at step `at`: the one stopping rule.
+#: Anderson depth: how many past sweeps each sweep's mixing reads.
+_DEPTH = 3
 
-    energy(iterate, cand) gives the norms of cand - iterate and of cand;
-    a linear map runs once.  Returns the last cand and each sweep's update
-    norm.  Raises PicardDiverged on three growths in a row or after
-    picard_max unconverged sweeps, NonFinite on a non-finite cand.
+
+def _inner(D: np.ndarray, v: np.ndarray, weights) -> np.ndarray:
+    """Inner products of each entry of the (k, c, ...) stack D with the
+    (c, ...) array v, summing component c with weight weights[c]; a zero
+    weight leaves that component out."""
+    k = len(D)
+    out = np.zeros(k)
+    for c, w in enumerate(weights):
+        if w:
+            out += w * (D[:, c].reshape(k, -1) @ v[c].ravel())
+    return out
+
+
+def _fixed_point(picard_map, x, energy, weights, cfg: SolverConfig, linear: bool, at: int):
+    """Solve x = picard_map(x) from x at step `at`: the one stopping rule.
+
+    x is a (c, ...) array and picard_map returns a new one.  Each sweep
+    maps the iterate to g(x), and energy(g(x) - x, g(x)) gives the norms
+    of the residual and of g(x).  Anderson mixing of depth _DEPTH
+    (Walker & Ni 2011) picks the next iterate: g(x) minus the combination
+    of the last sweeps' differences of g whose residual differences best
+    cancel the residual, in the inner product that weights component c
+    by weights[c].  The history starts empty on every call.  A singular
+    or non-finite mixing solve drops it and takes the plain step g(x).
+    A linear map runs once.
+
+    Returns the last g(x) and each sweep's residual norm.  Raises
+    PicardDiverged on three growths in a row or after picard_max
+    unconverged sweeps, NonFinite on a non-finite g(x).
     """
     updates: List[float] = []
+    dF, dG = np.empty((_DEPTH,) + x.shape), np.empty((_DEPTH,) + x.shape)
+    gram = np.empty((_DEPTH, _DEPTH))  # of dF, one row written per sweep
+    filled = 0
+    g_old = f_old = None
     while len(updates) < cfg.picard_max:
-        cand = picard_map(iterate)
-        err, size = energy(iterate, cand)
+        g = picard_map(x)
+        f = g - x
+        err, size = energy(f, g)
         if not np.isfinite(size):
             raise NonFinite(f"non-finite slice at step {at}")
         updates.append(float(err))
         if linear or err <= cfg.picard_tol * max(size, 1e-300):
-            return cand, updates
+            return g, updates
         if len(updates) >= 4 and updates[-4] < updates[-3] < updates[-2] < updates[-1]:
             raise PicardDiverged(f"update grew 3 sweeps in a row at step {at}")
-        iterate = cand
+        x = g
+        if g_old is not None:
+            slot = filled % _DEPTH
+            np.subtract(f, f_old, out=dF[slot])
+            np.subtract(g, g_old, out=dG[slot])
+            filled += 1
+            k = min(filled, _DEPTH)
+            with np.errstate(all="ignore"):  # an overflowing history falls back below
+                gram[slot, :k] = gram[:k, slot] = _inner(dF[:k], dF[slot], weights)
+                try:
+                    gamma = np.linalg.solve(gram[:k, :k], _inner(dF[:k], f, weights))
+                except np.linalg.LinAlgError:
+                    gamma = None
+            if gamma is None or not np.all(np.isfinite(gamma)):
+                filled = 0
+            else:
+                x = g - (gamma @ dG[:k].reshape(k, -1)).reshape(g.shape)
+        g_old, f_old = g, f
     raise PicardDiverged(f"no convergence in picard_max={cfg.picard_max} sweeps at step {at}")
 
 
@@ -172,10 +222,10 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
 
     ctx = step_context(lin, tau, m)
 
-    def energy(it: StateField, cand: StateField) -> np.ndarray:
-        r = norm_V(np.stack([cand.values - it.values, cand.values]), m)
+    def energy(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        r = norm_V(np.stack([f[0], g[0]]), m)
         if tau > 0:
-            r += np.sqrt(tau) * norm_H(np.stack([cand.slope - it.slope, cand.slope]), m)
+            r += np.sqrt(tau) * norm_H(np.stack([f[1], g[1]]), m)
         return r
 
     indices = [i for i in range(m.nt + 1) if i % cfg.store_every == 0 or i == m.nt]
@@ -189,15 +239,16 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
         run.slopes[0] = 0.0 if spec.y1 is None else spec.y1
     else:
         run.slopes[0] = derived_initial_slope(spec, m)
-    prev = run[0]
-    prev2: Optional[StateField] = None
+    prev = np.stack([run.values[0], run.slopes[0]])
+    prev2: Optional[np.ndarray] = None
 
     for i in range(1, m.nt + 1):
         g0_now = None if births.g0 is None else births.g0[i]
         g1_now = None if births.g1 is None else births.g1[i]
         f_now = spec.f[i] if spec.f is not None else None
 
-        def picard_map(it: StateField) -> StateField:
+        def picard_map(x: np.ndarray) -> np.ndarray:
+            it = StateField(*x)
             forcing = np.zeros((n, A, X)) if f_now is None else f_now.copy()
             src = None
             if has_nl:
@@ -205,10 +256,10 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
                     src = newborn_source(births.beta0, it.values, g0_now, m)
                 forcing -= _mixing(k, it.values, it.slope, src, tau, m)
 
-            vals = np.zeros((n, A, X))
-            slopes = np.zeros((n, A, X))
+            out = np.zeros((2, n, A, X))
+            vals, slopes = out
             vals[:, 1:], slopes[:, 1:] = step(
-                prev.values[:, :-1], prev.slope[:, :-1], ctx, m, f=forcing[:, 1:]
+                prev[0, :, :-1], prev[1, :, :-1], ctx, m, f=forcing[:, 1:]
             )
             cand = StateField(vals, slopes)
 
@@ -220,17 +271,18 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
                     births, cand, g0_now, None, None, m, with_slope=False
                 )
                 slopes[:, :1] = consistent_slope(lin, vals[:, :1], forcing[:, :1], m)
-            return cand
+            return out
 
-        # Predictor: linear extrapolation of the last two slices.
-        guess = prev
-        if prev2 is not None:
-            guess = StateField(2.0 * prev.values - prev2.values, 2.0 * prev.slope - prev2.slope)
-        cur, updates = _fixed_point(picard_map, guess, energy, cfg, not has_nl, i)
+        # Predictor: linear extrapolation of the last two slices.  The
+        # mixing's inner product weighs the slopes by tau, the square of
+        # their energy-norm weight, so at tau = 0, where the map never
+        # reads the iterate's slopes, they do not enter.
+        guess = prev if prev2 is None else 2.0 * prev - prev2
+        cur, updates = _fixed_point(picard_map, guess, energy, (1.0, tau), cfg, not has_nl, i)
         prev2, prev = prev, cur
         run.picard_updates.append(updates)
         if i in slot:
-            run.values[slot[i]], run.slopes[slot[i]] = cur.values, cur.slope
+            run.values[slot[i]], run.slopes[slot[i]] = cur
 
     return run
 

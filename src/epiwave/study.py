@@ -180,6 +180,7 @@ def front_tracker(
     the threshold contribute no entry.  A threshold of None means
     FRONT_FACTOR times the sup of the age-integrated density of run[0].
     """
+    run.check_mesh(m)
     prof = age_integral(run.values, m)[:, compartment]
     if threshold is None:
         threshold = FRONT_FACTOR * float(np.max(prof[0]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,9 @@ from epiwave import SolverConfig, run_parabolic, run_relaxed
 from epiwave.errors import LengthMismatch, ShapeMismatch
 from epiwave.fields import age_integral, diff_norms, norm_H, norm_V
 from epiwave.mesh import age_weights, build_mesh, space_weights
-from epiwave.reference import manufactured
+from epiwave.io_cli import write_slices
+from epiwave.reference import manufactured, total_births
+from epiwave.study import front_tracker
 
 from conftest import state_zeros, stored_run
 
@@ -184,6 +188,27 @@ def test_diff_norms_sparse_run_against_every_step_reference():
     assert rep.sup_abs == max(float(np.max(np.abs(a.values - b.values))) for a, b in pairs)
     with pytest.raises(LengthMismatch, match="steps"):
         diff_norms(ref, run, m)
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda run, other, out: diff_norms(run, run, other),
+        lambda run, other, out: diff_norms(run, dataclasses.replace(run, mesh=other), run.mesh),
+        lambda run, other, out: front_tracker(run, None, other),
+        lambda run, other, out: write_slices(run, other, out),
+        lambda run, other, out: total_births(run, other),
+    ],
+    ids=["diff_norms", "diff_norms-ref", "front_tracker", "write_slices", "total_births"],
+)
+def test_run_readers_refuse_a_mesh_that_is_not_the_runs(reader, tmp_path):
+    # same na and nx, so the shapes agree, but twice the step and extent
+    m, other = _mesh(na=20, nx=5), build_mesh(2.0, 2.0, 20, 5)
+    run = stored_run(np.ones((3, 4, m.na + 1, m.nx)), m)
+    with pytest.raises(ShapeMismatch) as info:
+        reader(run, other, tmp_path / "out")
+    assert repr(m) in str(info.value) and repr(other) in str(info.value)
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_items_are_views_and_iteration_stops_at_len():

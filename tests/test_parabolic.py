@@ -60,7 +60,7 @@ def test_derived_slope_eigenmode():
 def test_relaxed_tau_zero_matches_parabolic_exactly():
     # same code path, so the value slices agree to the bit
     m = build_mesh(0.5, 1.0, 10, 11)
-    cfg = SolverConfig(picard_max=400)  # step 1 needs 116 sweeps at na=10
+    cfg = SolverConfig()  # step 1 takes 35 sweeps at na=10 (116 without mixing)
     rel = run_relaxed(build_svir(SvirParams(tau=0.0), m), cfg, m)
     par = run_parabolic(build_svir(SvirParams(tau=0.0), m), cfg, m)
     assert len(rel) == len(par)

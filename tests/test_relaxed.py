@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -124,13 +125,22 @@ def test_relaxed_sweep_contracts_three_times(monkeypatch):
 
 def test_picard_contraction_on_small_svir():
     m = build_mesh(0.5, 1.0, 10, 11)
-    # plain Picard contracts by about 0.85 per sweep here: up to 123 sweeps
-    run = run_relaxed(build_svir(SvirParams(tau=1e-2), m), SolverConfig(picard_max=400), m)
+    # plain Picard contracts by about 0.85 per sweep here (up to 123
+    # sweeps in one step); with mixing the most is 37
+    run = run_relaxed(build_svir(SvirParams(tau=1e-2), m), SolverConfig(), m)
     for updates in run.picard_updates:
         floor = 1e-12 * max(updates)
         for a, b in zip(updates[1:], updates[2:]):
             if a > floor and b > floor:
                 assert b < a
+
+
+def test_mixing_keeps_desk_sweep_counts_down(svir_baseline, desk_mesh):
+    # 260 relaxed and 257 parabolic sweeps with mixing; plain Picard took 433 and 422
+    m = desk_mesh
+    rel = run_relaxed(build_svir(SvirParams(tau=1e-2), m), SolverConfig(), m)
+    for run in (rel, svir_baseline):
+        assert sum(len(u) for u in run.picard_updates) <= 300
 
 
 def test_energy_shape_under_data_scaling():
@@ -184,48 +194,87 @@ def test_picard_divergence_detected():
 
 
 def _scripted(errs, sizes=None):
-    """A map that counts its sweeps and an energy that reads the scripted
-    update norm (and candidate norm, 1 by default) of each sweep."""
+    """A map that adds 1 each sweep, so its residual never changes and
+    every sweep falls back to the plain step, and an energy that reads
+    the scripted residual norm (and g norm, 1 by default) of each sweep."""
     sizes = sizes or [1.0] * len(errs)
-    return (lambda it: it + 1), (lambda it, cand: (errs[cand - 1], sizes[cand - 1]))
+    return (lambda x: x + 1), (lambda f, g: (errs[int(g[0]) - 1], sizes[int(g[0]) - 1]))
+
+
+def _solve(picard_map, energy, cfg=SolverConfig(), linear=False, at=1, x0=np.zeros(1)):
+    return _fixed_point(picard_map, x0, energy, (1.0,) * len(x0), cfg, linear, at)
 
 
 def test_fixed_point_stops_at_the_tolerance():
     # x -> x / 2 + 1 halves the distance to 2 each sweep
-    def energy(it, cand):
-        return abs(cand - it), abs(cand)
-
-    x, updates = _fixed_point(lambda it: it / 2 + 1, 0.0, energy, SolverConfig(), False, 1)
-    assert x == pytest.approx(2.0, rel=1e-9)
-    assert updates[-1] <= 1e-10 * x < updates[-2]
+    x, updates = _solve(lambda x: x / 2 + 1, lambda f, g: (abs(f[0]), abs(g[0])))
+    assert x[0] == pytest.approx(2.0, rel=1e-9)
+    assert updates[-1] <= 1e-10 * x[0] < updates[-2]
     assert all(type(u) is float for u in updates)
 
 
 def test_fixed_point_allows_two_growths_and_raises_on_three():
-    cfg = SolverConfig()
     sweep, energy = _scripted([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1e-12])
-    assert _fixed_point(sweep, 0, energy, cfg, False, 1) == (7, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1e-12])
+    x, updates = _solve(sweep, energy)
+    assert (x[0], updates) == (7, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1e-12])
     sweep, energy = _scripted([1.0, 0.5, 2.0, 3.0, 4.0, 1e-12])
     with pytest.raises(PicardDiverged, match="grew 3 sweeps in a row at step 4"):
-        _fixed_point(sweep, 0, energy, cfg, False, 4)
+        _solve(sweep, energy, at=4)
 
 
 def test_fixed_point_raises_when_picard_max_is_exhausted():
     sweep, energy = _scripted([1.0] * 5 + [1e-12])
     with pytest.raises(PicardDiverged, match="picard_max=5 sweeps at step 7"):
-        _fixed_point(sweep, 0, energy, SolverConfig(picard_max=5), False, 7)
-    assert _fixed_point(sweep, 0, energy, SolverConfig(picard_max=6), False, 7)[0] == 6
+        _solve(sweep, energy, SolverConfig(picard_max=5), at=7)
+    assert _solve(sweep, energy, SolverConfig(picard_max=6), at=7)[0][0] == 6
 
 
 def test_fixed_point_runs_a_linear_map_once():
     sweep, energy = _scripted([1.0, 1e-12])
-    assert _fixed_point(sweep, 0, energy, SolverConfig(), True, 1) == (1, [1.0])
+    x, updates = _solve(sweep, energy, linear=True)
+    assert (x[0], updates) == (1, [1.0])
 
 
 def test_fixed_point_refuses_a_non_finite_candidate():
     sweep, energy = _scripted([1.0, 0.5], sizes=[1.0, np.nan])
     with pytest.raises(NonFinite, match="step 3"):
-        _fixed_point(sweep, 0, energy, SolverConfig(), False, 3)
+        _solve(sweep, energy, at=3)
+
+
+def _norms(f, g):
+    return np.linalg.norm(f), np.linalg.norm(g)
+
+
+def test_fixed_point_mixing_solves_an_affine_contraction():
+    # plain Picard needs 391 sweeps: the slow eigenvalue 0.95 sets its rate
+    M, c = np.array([[0.95, 0.0], [0.3, 0.5]]), np.array([1.0, 2.0])
+    x, updates = _solve(lambda x: M @ x + c, _norms, x0=np.zeros(2))
+    assert len(updates) <= 6
+    assert np.allclose(x, np.linalg.solve(np.eye(2) - M, c), rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "picard_map",
+    [lambda x: x + np.array([1.0, -2.0]), lambda x: 3.0 * x + 1e160],
+    ids=["singular-history", "overflowing-history"],
+)
+def test_fixed_point_falls_back_to_plain_steps(picard_map):
+    # a constant residual makes the Gram system singular; residual
+    # differences near 1e160 overflow it: both take the plain step g(x)
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return picard_map(x)
+
+    errs = iter([1.0, 0.9, 0.8, 0.7, 1e-12])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, updates = _solve(recorded, lambda f, g: (next(errs), 1.0), x0=np.zeros(2))
+    assert len(updates) == len(seen) == 5
+    for a, b in zip(seen, seen[1:]):
+        assert np.array_equal(b, picard_map(a))
+    assert np.array_equal(x, picard_map(seen[-1]))
 
 
 def test_exhausted_picard_max_raises():
