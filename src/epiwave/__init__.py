@@ -1,6 +1,13 @@
 """Age- and space-structured epidemic solver with damped-wave relaxation."""
 
-from .birth import BirthLaws, make_compatible, newborn_source, solve_birth_step
+from .birth import (
+    BirthContext,
+    BirthLaws,
+    birth_context,
+    make_compatible,
+    newborn_source,
+    solve_birth_step,
+)
 from .char_solver import StepContext, step, step_context
 from .fields import NormReport, Run, StateField, diff_norms, norm_H, norm_V
 from .mesh import Mesh, build_mesh
@@ -27,6 +34,7 @@ from .study import SweepResult, compatibility_setup, front_tracker, tau_sweep
 from .svir import SvirParams, build_svir
 
 __all__ = [
+    "BirthContext",
     "BirthLaws",
     "FactoredTable",
     "KernelSet",
@@ -42,6 +50,7 @@ __all__ = [
     "SvirParams",
     "SweepResult",
     "attach_tilde",
+    "birth_context",
     "build_mesh",
     "build_svir",
     "compatibility_setup",

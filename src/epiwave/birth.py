@@ -4,7 +4,12 @@ With dt = da alignment the renewal history is exactly the current age
 profile, so births are computed incrementally per time step: the
 trapezoid over ages feeds the known part, and the alpha = 0 weight that
 multiplies the unknown newborn value itself is moved to the left-hand
-side and solved exactly per space node (a small n x n system).
+side, a small n x n system per space node.  Both laws are linear in the
+slice and their tables do not depend on time, so births are a linear
+map fixed per solve: birth_context inverts the per-node systems once and
+folds the inverses and age weights into the laws' tables, dropping the
+zero ones, and each sweep's solve_birth_step applies a few batched
+products.
 """
 
 from dataclasses import dataclass
@@ -115,28 +120,98 @@ def newborn_source(
     return src
 
 
-def _solve_per_node(mats: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (nx, n, n) systems against an (n, nx) right side."""
-    try:
-        sol = np.linalg.solve(mats, rhs.T[:, :, None])[:, :, 0].T
-    except np.linalg.LinAlgError as exc:
-        raise SingularBirthSystem(str(exc)) from None
-    if not np.all(np.isfinite(sol)):
-        raise SingularBirthSystem("birth system produced non-finite values")
-    return sol
+@dataclass(frozen=True)
+class BirthContext:
+    """The birth laws as an affine map of the slice, fixed per solve.
+
+    inv0 / inv1 are the (nx, n, n) per-node inverses of I - w0 beta0(0)
+    and I - w0 beta1(0).  t0, t1, tL and tgrad are (nx, n, n na) tables:
+    a law's table at ages 1..na times its age weight, from the left by
+    the inverse, columns ordered (i, a).  fL and fgrad are the (nx, n, n)
+    age-zero feedback inv1 w0 betaL(0) and inv1 w0 beta_grad(0) of B0 and
+    its gradient.  A table that is all zero is None; so is everything
+    after t0 for the zeroth-order law, which has no slope law.
+    """
+
+    inv0: np.ndarray
+    t0: Optional[np.ndarray]
+    inv1: Optional[np.ndarray] = None
+    t1: Optional[np.ndarray] = None
+    tL: Optional[np.ndarray] = None
+    tgrad: Optional[np.ndarray] = None
+    fL: Optional[np.ndarray] = None
+    fgrad: Optional[np.ndarray] = None
+
+
+def _invert(mats: np.ndarray, law: str) -> np.ndarray:
+    """Inverses of the (nx, n, n) per-node birth matrices of one law.
+
+    Raises SingularBirthSystem, naming the law and the space node, when
+    inversion fails or max|inv| max(max|M|, 1) exceeds 1e14."""
+    inv = np.empty_like(mats)
+    for x, mat in enumerate(mats):
+        try:
+            inv[x] = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            inv[x] = np.nan
+    scale = np.maximum(np.max(np.abs(mats), axis=(1, 2)), 1.0)
+    bad = ~(np.max(np.abs(inv), axis=(1, 2)) * scale <= 1e14)  # also true for NaN / inf
+    if bad.any():
+        raise SingularBirthSystem(f"{law} birth system singular at space node {np.argmax(bad)}")
+    return inv
+
+
+def birth_context(laws: BirthLaws, m: Mesh, with_slope: bool = True) -> BirthContext:
+    """Fold the birth laws into the map solve_birth_step applies.
+
+    Inverts I - w0 beta0(0) and, with the slope law, I - w0 beta1(0) at
+    every space node, and folds each inverse with the age weights into
+    the tables of its law.  The zeroth-order law (with_slope False)
+    reads nothing of beta1, betaL or beta_grad.
+    """
+    wa = age_weights(m)
+    w0, eye = wa[0], np.eye(laws.beta0.shape[-1])
+
+    def fold(inv, tab):  # (nx, n, n na) table, or None for a zero one
+        if not np.any(tab[1:]):
+            return None
+        folded = inv @ (wa[1:, None, None, None] * tab[1:])  # (na, nx, n, n)
+        return folded.transpose(1, 2, 3, 0).reshape(inv.shape[0], inv.shape[1], -1)
+
+    def feedback(inv, tab0):  # (nx, n, n), or None for a zero one
+        return inv @ (w0 * tab0) if np.any(tab0) else None
+
+    inv0 = _invert(eye - w0 * laws.beta0[0], "B0")
+    if not with_slope:
+        return BirthContext(inv0, fold(inv0, laws.beta0))
+    inv1 = _invert(eye - w0 * laws.beta1[0], "B1")
+    return BirthContext(
+        inv0, fold(inv0, laws.beta0),
+        inv1=inv1,
+        t1=fold(inv1, laws.beta1),
+        tL=fold(inv1, laws.betaL),
+        tgrad=fold(inv1, laws.beta_grad),
+        fL=feedback(inv1, laws.betaL[0]),
+        fgrad=feedback(inv1, laws.beta_grad[0]),
+    )
+
+
+def _ages(f: np.ndarray) -> np.ndarray:
+    """Ages 1..na of the (n, na+1, nx) field f per node: (nx, n na, 1)."""
+    n, A, X = f.shape
+    return f[:, 1:].transpose(2, 0, 1).reshape(X, n * (A - 1), 1)
 
 
 def solve_birth_step(
-    laws: BirthLaws,
+    ctx: BirthContext,
     y_slice: StateField,
     g0_now: Optional[np.ndarray],
     g1_now: Optional[np.ndarray],
     nonlinear_G: Optional[np.ndarray],
     m: Mesh,
-    with_slope: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Births (B0, B1), each (n, nx), at one time level from the
-    (provisional) age profile; B1 is None when with_slope is False.
+    (provisional) age profile; B1 is None when ctx has no slope law.
 
     y_slice holds values and slopes at all ages; the a = 0 rows are
     treated as unknown.  B0 solves (I - w0 beta0(0)) B0 =
@@ -144,36 +219,26 @@ def solve_birth_step(
     with beta1(0) on the left and the beta1 dy + betaL y + beta_grad
     dy/dx quadrature, the G term and g1 on the right; the alpha = 0
     contributions of betaL and beta_grad use the freshly solved B0.
+    ctx (birth_context) holds the inverses and folded tables.
     """
     vals = y_slice.values
-    n = vals.shape[0]
-    wa = age_weights(m)
-    w0 = wa[0]
-    eye = np.eye(n)
-
-    def quad(tab, f):  # trapezoid over ages alpha > 0 of tab(alpha) f(alpha)
-        return np.tensordot(wa[1:], np.einsum("axhi,iax->ahx", tab[1:], f[:, 1:]), 1)
-
-    known0 = quad(laws.beta0, vals)
+    n, X = vals.shape[0], m.nx
+    B0 = np.zeros((X, n, 1)) if ctx.t0 is None else ctx.t0 @ _ages(vals)
     if g0_now is not None:
-        known0 = known0 + g0_now
-    B0 = _solve_per_node(eye[None] - w0 * laws.beta0[0], known0)
-    if not with_slope:
-        return B0, None
+        B0 += ctx.inv0 @ g0_now.T[:, :, None]
+    if ctx.inv1 is None:
+        return B0[:, :, 0].T, None
 
-    slope = y_slice.slope
-    dvx = space_gradient(vals, m)
-    known1 = quad(laws.beta1, slope)
-    known1 += quad(laws.betaL, vals)
-    known1 += quad(laws.beta_grad, dvx)
-    known1 += w0 * np.einsum("xhi,ix->hx", laws.betaL[0], B0)
-    known1 += w0 * np.einsum(
-        "xhi,ix->hx", laws.beta_grad[0], space_gradient(B0, m)
-    )
-    if nonlinear_G is not None:
-        known1 = known1 + nonlinear_G
-    if g1_now is not None:
-        known1 = known1 + g1_now
-    B1 = _solve_per_node(eye[None] - w0 * laws.beta1[0], known1)
-    return B0, B1
-
+    src = [s for s in (nonlinear_G, g1_now) if s is not None]
+    B1 = ctx.inv1 @ sum(src).T[:, :, None] if src else np.zeros((X, n, 1))
+    if ctx.t1 is not None:
+        B1 += ctx.t1 @ _ages(y_slice.slope)
+    if ctx.tL is not None:
+        B1 += ctx.tL @ _ages(vals)
+    if ctx.tgrad is not None:
+        B1 += ctx.tgrad @ _ages(space_gradient(vals, m))
+    if ctx.fL is not None:
+        B1 += ctx.fL @ B0
+    if ctx.fgrad is not None:
+        B1 += ctx.fgrad @ space_gradient(B0[:, :, 0].T, m).T[:, :, None]
+    return B0[:, :, 0].T, B1[:, :, 0].T

@@ -253,7 +253,8 @@ def build_problem(cfg: RunConfig, tau: Optional[float] = None):
 
     Every error in the configuration or the model tables it names is
     raised as a ConfigError; non-finite kernel values raise NonFinite
-    here, other non-finite table values at solve time.
+    here, and any other non-finite table raises NonFinite, naming it,
+    when the solve validates the spec, before any step.
     """
     m, solver = _mesh_and_solver(cfg)
     t = cfg.solver.tau if tau is None else tau

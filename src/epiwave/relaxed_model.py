@@ -18,7 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .birth import BirthLaws, newborn_source, solve_birth_step
+from .birth import BirthLaws, birth_context, newborn_source, solve_birth_step
 from .char_solver import step, step_context
 from .errors import InvalidParam, LengthMismatch, NonFinite, PicardDiverged, ShapeMismatch
 from .fields import Run, StateField, norm_H, norm_V
@@ -56,6 +56,9 @@ class ModelSpec:
     tau: float = 0.0
 
     def validate(self, m: Mesh) -> None:
+        """ShapeMismatch for a table off the mesh, then NonFinite, naming
+        the table, for NaN/inf in any table but the (factored, checked on
+        load) kernels."""
         if not 0.0 <= self.tau < np.inf:
             raise InvalidParam(f"tau={self.tau} must be finite and nonnegative")
         want = (self.n, m.na + 1, m.nx)
@@ -65,13 +68,18 @@ class ModelSpec:
         for name, (y, shape) in data.items():
             if y is not None and y.shape != shape:
                 raise ShapeMismatch(f"{name} shape {y.shape} != {shape}")
-            if y is not None and not np.all(np.isfinite(y)):
-                raise NonFinite(f"{name} contains NaN/inf")
         if self.f is not None and self.f.shape != (m.nt + 1,) + want:
             raise ShapeMismatch("forcing table shape does not match mesh")
         self.linear.check_shape(m)
         self.kernels.check_shape(m, self.n)
         self.births.check_shape(m, self.n)
+        lin, b = self.linear, self.births
+        tables = {"y0": self.y0, "y1": self.y1, "f": self.f, "L": lin.L, "L_a": lin.L_a,
+                  "sigma": lin.sigma, "beta0": b.beta0, "beta1": b.beta1, "betaL": b.betaL,
+                  "beta_grad": b.beta_grad, "g0": b.g0, "g1": b.g1}
+        for name, tab in tables.items():
+            if tab is not None and not np.all(np.isfinite(tab)):
+                raise NonFinite(f"{name} contains NaN/inf")
 
 
 @dataclass
@@ -202,12 +210,13 @@ def derived_initial_slope(spec: ModelSpec, m: Mesh) -> np.ndarray:
 def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool) -> Run:
     """March spec over the mesh, shared by the relaxed and parabolic solvers.
 
-    The implicit matrices of ages 1..na are inverted and the tilde
-    kernel terms derived once per call.  Each time step hands its
-    Picard map to _fixed_point.  One sweep of the map contracts Lambda
-    of the iterate once (and, with first-order births, forms its
-    newborn source once), calls step once to carry ages 0..na-1 of the
-    previous slice to ages 1..na, then fills age 0 from the birth law.
+    The implicit matrices of ages 1..na are inverted, the birth laws
+    folded into their map (birth_context) and the tilde kernel terms
+    derived once per call.  Each time step hands its Picard map to
+    _fixed_point.  One sweep of the map contracts Lambda of the iterate
+    once (and, with first-order births, forms its newborn source once),
+    calls step once to carry ages 0..na-1 of the previous slice to ages
+    1..na, then fills age 0 with one solve_birth_step.
     First-order births solve with spec.tau, the parabolic zeroth-order
     law with tau = 0.
     """
@@ -221,6 +230,7 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
     has_nl = bool(k.terms)
 
     ctx = step_context(lin, tau, m)
+    bctx = birth_context(births, m, with_slope=first_order_births)
 
     def energy(f: np.ndarray, g: np.ndarray) -> np.ndarray:
         r = norm_V(np.stack([f[0], g[0]]), m)
@@ -265,11 +275,9 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
 
             if first_order_births:
                 G = g_op(k, births.beta1, it.values, src, m) if has_nl else None
-                vals[:, 0], slopes[:, 0] = solve_birth_step(births, cand, g0_now, g1_now, G, m)
+                vals[:, 0], slopes[:, 0] = solve_birth_step(bctx, cand, g0_now, g1_now, G, m)
             else:
-                vals[:, 0], _ = solve_birth_step(
-                    births, cand, g0_now, None, None, m, with_slope=False
-                )
+                vals[:, 0], _ = solve_birth_step(bctx, cand, g0_now, None, None, m)
                 slopes[:, :1] = consistent_slope(lin, vals[:, :1], forcing[:, :1], m)
             return out
 

@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from epiwave import SolverConfig, run_parabolic
+from epiwave import SolverConfig, SvirParams, build_svir, run_parabolic, run_relaxed
 from epiwave.birth import (
     BirthLaws,
+    birth_context,
     make_compatible,
     newborn_source,
     solve_birth_step,
@@ -88,7 +89,11 @@ def test_make_compatible_singular_sigma():
 
 
 # --------------------------------------------------------------------------
-# solve_birth_step
+# birth_context and solve_birth_step
+
+
+def _births(laws, sl, g0, g1, G, m, with_slope=True):
+    return solve_birth_step(birth_context(laws, m, with_slope), sl, g0, g1, G, m)
 
 
 def _slice(m, n, rng=None, value=None):
@@ -105,7 +110,7 @@ def test_explicit_births():
     rng = np.random.default_rng(1)
     g = rng.normal(size=(2, m.nx))
     h = rng.normal(size=(2, m.nx))
-    B0, B1 = solve_birth_step(laws, _slice(m, 2, rng), g, h, None, m)
+    B0, B1 = _births(laws, _slice(m, 2, rng), g, h, None, m)
     assert np.allclose(B0, g)
     assert np.allclose(B1, h)
 
@@ -118,7 +123,7 @@ def test_constant_rate_closed_form():
         m = build_mesh(1.0, 1.0, na, 3)
         laws = zero_laws(1, m)
         laws.beta0[:] = b
-        B0, _ = solve_birth_step(laws, _slice(m, 1, value=1.0), None, None, None, m)
+        B0, _ = _births(laws, _slice(m, 1, value=1.0), None, None, None, m)
         w0 = 0.5 * m.da
         want = b * (m.a_max - w0) / (1.0 - b * w0)
         assert np.allclose(B0, want, rtol=1e-12)
@@ -149,25 +154,19 @@ def test_birth_linearity_without_G():
     g0a, g1a = rng.normal(size=(2, m.nx)), rng.normal(size=(2, m.nx))
     g0b, g1b = rng.normal(size=(2, m.nx)), rng.normal(size=(2, m.nx))
     both = StateField(s1.values + s2.values, s1.slope + s2.slope)
-    sum0, sum1 = solve_birth_step(laws, both, g0a + g0b, g1a + g1b, None, m)
-    a0, a1 = solve_birth_step(laws, s1, g0a, g1a, None, m)
-    b0, b1 = solve_birth_step(laws, s2, g0b, g1b, None, m)
+    ctx = birth_context(laws, m)
+    sum0, sum1 = solve_birth_step(ctx, both, g0a + g0b, g1a + g1b, None, m)
+    a0, a1 = solve_birth_step(ctx, s1, g0a, g1a, None, m)
+    b0, b1 = solve_birth_step(ctx, s2, g0b, g1b, None, m)
     assert np.allclose(sum0, a0 + b0, rtol=1e-10, atol=1e-12)
     assert np.allclose(sum1, a1 + b1, rtol=1e-10, atol=1e-12)
 
 
-def test_birth_step_against_per_node_loop():
-    # the trapezoid sums over ages and the two per-node solves written out
-    # one node at a time, with tables varying in age, space and pair
-    m = _mesh()
-    n, A, X = 2, m.na + 1, m.nx
-    rng = np.random.default_rng(11)
-    b0, b1, bL, bg = 0.3 * rng.normal(size=(4, A, X, n, n))
-    laws = BirthLaws(beta0=b0, beta1=b1, betaL=bL, beta_grad=bg)
-    sl = _slice(m, n, rng)
-    g0, g1, G = (rng.normal(size=(n, X)) for _ in range(3))
-    got0, got1 = solve_birth_step(laws, sl, g0, g1, G, m)
-
+def _per_node_births(laws, sl, g0, g1, G, m):
+    # the trapezoid sums over ages and the two per-node solves written
+    # out one node at a time
+    n, A, X = sl.values.shape
+    b0, b1, bL, bg = laws.beta0, laws.beta1, laws.betaL, laws.beta_grad
     wa = np.full(A, m.da)
     wa[0] = wa[-1] = 0.5 * m.da
     y, dy = sl.values, sl.slope
@@ -185,25 +184,79 @@ def test_birth_step_against_per_node_loop():
                 b1[a, x] @ dy[:, a, x] + bL[a, x] @ y[:, a, x] + bg[a, x] @ yx[:, a, x]
             )
         B1[:, x] = np.linalg.solve(np.eye(n) - wa[0] * b1[0, x], k1)
-    assert np.max(np.abs(got0 - B0)) <= 1e-13 * np.max(np.abs(B0))
-    assert np.max(np.abs(got1 - B1)) <= 1e-13 * np.max(np.abs(B1))
+    return B0, B1
+
+
+def _close(got, want):
+    return np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_birth_step_against_per_node_loop():
+    # tables varying in age, space and pair: every folded table is kept
+    m = _mesh()
+    n, A, X = 2, m.na + 1, m.nx
+    rng = np.random.default_rng(11)
+    b0, b1, bL, bg = 0.3 * rng.normal(size=(4, A, X, n, n))
+    laws = BirthLaws(beta0=b0, beta1=b1, betaL=bL, beta_grad=bg)
+    sl = _slice(m, n, rng)
+    g0, g1, G = (rng.normal(size=(n, X)) for _ in range(3))
+    got0, got1 = _births(laws, sl, g0, g1, G, m)
+    want0, want1 = _per_node_births(laws, sl, g0, g1, G, m)
+    assert _close(got0, want0)
+    assert _close(got1, want1)
+
+
+def test_zero_tables_dropped_from_the_map():
+    # SVIR-shaped laws: betaL and beta_grad zero, beta0(0) = beta1(0) = 0
+    m = _mesh()
+    n, A, X = 2, m.na + 1, m.nx
+    rng = np.random.default_rng(13)
+    laws = zero_laws(n, m)
+    laws.beta0[1:] = 0.3 * rng.normal(size=(A - 1, X, n, n))
+    laws.beta1[1:] = 0.3 * rng.normal(size=(A - 1, X, n, n))
+    ctx = birth_context(laws, m)
+    assert all(t is None for t in (ctx.tL, ctx.tgrad, ctx.fL, ctx.fgrad))
+    assert ctx.t0 is not None and ctx.t1 is not None
+    sl = _slice(m, n, rng)
+    g0, g1, G = (rng.normal(size=(n, X)) for _ in range(3))
+    got0, got1 = solve_birth_step(ctx, sl, g0, g1, G, m)
+    want0, want1 = _per_node_births(laws, sl, g0, g1, G, m)
+    assert _close(got0, want0)
+    assert _close(got1, want1)
 
 
 def test_birth_missing_slope():
+    # the zeroth-order law returns no newborn slope; it neither inverts
+    # the slope law's singular system nor reads its tables
     m = _mesh()
     laws = zero_laws(1, m)
-    sl = _slice(m, 1, value=1.0)
-    # the zeroth-order law returns no newborn slope
-    _, B1 = solve_birth_step(laws, sl, None, None, None, m, with_slope=False)
+    laws.beta1[0] = 2.0 / m.da
+    laws.betaL[:] = np.nan
+    _, B1 = _births(laws, _slice(m, 1, value=1.0), None, None, None, m, with_slope=False)
     assert B1 is None
+    with pytest.raises(SingularBirthSystem, match="B1"):
+        birth_context(laws, m)
 
 
 def test_singular_birth_system():
     m = _mesh()
     laws = zero_laws(1, m)
-    laws.beta0[0] = 2.0 / m.da  # makes 1 - w0*beta0(0) = 0
-    with pytest.raises(SingularBirthSystem):
-        solve_birth_step(laws, _slice(m, 1, value=1.0), None, None, None, m)
+    laws.beta0[0, 3] = 2.0 / m.da  # makes 1 - w0*beta0(0) = 0 at node 3
+    # raised when the map is built, before any slice is seen
+    with pytest.raises(SingularBirthSystem, match="B0 birth system singular at space node 3"):
+        birth_context(laws, m)
+
+
+def test_parabolic_solve_never_builds_the_slope_law():
+    # I - w0 beta1(0) exactly singular at node 2: the zeroth-order law
+    # does not read beta1(0); the first-order law names the law and node
+    m = build_mesh(0.5, 1.0, 6, 7)
+    spec = build_svir(SvirParams(tau=1e-2, total_S0=100.0), m)
+    spec.births.beta1[0, 2, 0, 0] = 2.0 / m.da
+    run = run_parabolic(spec, SolverConfig(), m)
+    assert np.all(np.isfinite(run.values))
+    with pytest.raises(SingularBirthSystem, match="B1 birth system singular at space node 2"):
+        run_relaxed(spec, SolverConfig(), m)
 
 
 def test_driver_births_are_causal():

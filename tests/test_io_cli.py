@@ -390,6 +390,21 @@ def test_non_finite_kernel_exits_1(tmp_path, capsys):
     assert "solver error" in err and "NaN" in err
 
 
+@pytest.mark.parametrize("name", ["beta1", "L"])
+def test_non_finite_model_table_exits_1(tmp_path, capsys, name):
+    # named before the solve, not reported as a singular system
+    m = build_mesh(0.5, 1.0, 4, 5)
+    table = np.zeros((m.na + 1, m.nx, 1, 1))
+    table[3, 2] = np.nan
+    np.savez(tmp_path / "model.npz", **_tables(m, **{name: table}))
+    path = _write_config(
+        tmp_path, model={"kind": "tables", "path": str(tmp_path / "model.npz")}
+    )
+    assert cli_main(["run", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "solver error" in err and f"{name} contains NaN/inf" in err
+
+
 @pytest.mark.parametrize("tau", ["0", "0.01"])
 def test_unconverged_picard_exits_1(tmp_path, capsys, tau):
     # two sweeps cannot reach picard_tol: the run stops, no slice is written

@@ -13,9 +13,10 @@ from epiwave import (
     build_mesh,
     norm_H,
     norm_V,
+    run_parabolic,
     run_relaxed,
 )
-from epiwave import operators
+from epiwave import operators, relaxed_model
 from epiwave.char_solver import step_context
 from epiwave.errors import InvalidParam, NonFinite, PicardDiverged, ShapeMismatch
 from epiwave.reference import manufactured, scalar_spec
@@ -121,6 +122,24 @@ def test_relaxed_sweep_contracts_three_times(monkeypatch):
     sweeps = sum(len(u) for u in run.picard_updates)
     assert sweeps > m.nt
     assert len(calls) == 3 * sweeps
+
+
+@pytest.mark.parametrize("solve", [run_relaxed, run_parabolic])
+def test_one_birth_step_per_sweep(monkeypatch, solve):
+    # the benchmark tracer times and counts births through this name
+    calls = []
+    births = relaxed_model.solve_birth_step
+
+    def counted(*args):
+        calls.append(1)
+        return births(*args)
+
+    monkeypatch.setattr(relaxed_model, "solve_birth_step", counted)
+    m = build_mesh(0.5, 1.0, 6, 7)
+    run = solve(build_svir(SvirParams(tau=1e-2, total_S0=100.0), m), SolverConfig(), m)
+    sweeps = sum(len(u) for u in run.picard_updates)
+    assert sweeps > m.nt
+    assert len(calls) == sweeps
 
 
 def test_picard_contraction_on_small_svir():
@@ -333,6 +352,28 @@ def test_spec_validation_errors():
     spec = scalar_spec(m, np.zeros((1, 3, 3)))
     with pytest.raises(ShapeMismatch):
         run_relaxed(spec, SolverConfig(), m)
+
+
+def _poisoned(spec, name, m):
+    """spec with one NaN in the table called name."""
+    if name == "f":
+        spec.f = np.zeros((m.nt + 1,) + spec.y0.shape)
+    owner = next(o for o in (spec, spec.linear, spec.births) if hasattr(o, name))
+    getattr(owner, name).flat[7] = np.nan
+    return spec
+
+
+@pytest.mark.parametrize("solve", [run_relaxed, run_parabolic])
+@pytest.mark.parametrize(
+    "name", ["beta0", "beta1", "betaL", "beta_grad", "L", "L_a", "sigma", "f"]
+)
+def test_non_finite_tables_are_named_before_the_solve(monkeypatch, solve, name):
+    # not a singular birth or step system, and not silently accepted
+    monkeypatch.setattr(relaxed_model, "step_context", None)  # never reached
+    m = build_mesh(0.75, 1.0, 4, 5)
+    spec = _poisoned(build_svir(SvirParams(tau=1e-2), m), name, m)
+    with pytest.raises(NonFinite, match=f"^{name} contains NaN/inf$"):
+        solve(spec, SolverConfig(), m)
 
 
 @pytest.mark.parametrize(
