@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ShapeMismatch, SingularBirthSystem, SingularSigma
+from .errors import SingularBirthSystem, SingularSigma
 from .fields import StateField, space_gradient
 from .mesh import Mesh, age_weights
 from .operators import LinearPart
@@ -40,14 +40,6 @@ class BirthLaws:
     beta_grad: np.ndarray
     g0: Optional[np.ndarray] = None
     g1: Optional[np.ndarray] = None
-
-    def check_shape(self, m: Mesh, n: int) -> None:
-        """The four tables; ModelSpec.validate checks the g-series."""
-        want = (m.na + 1, m.nx, n, n)
-        for name in ("beta0", "beta1", "betaL", "beta_grad"):
-            tab = getattr(self, name)
-            if tab.shape != want:
-                raise ShapeMismatch(f"{name} shape {tab.shape} != {want}")
 
 
 def zero_laws(

@@ -38,7 +38,9 @@ class SingularBirthSystem(EpiwaveError):
 
 
 class PicardDiverged(EpiwaveError):
-    """A step's update grew 3 sweeps in a row, or picard_max sweeps missed picard_tol."""
+    """A step's update grew 3 sweeps in a row, or picard_max sweeps missed
+    picard_tol.  The message names the step, its time and da, the sweeps
+    taken and the best and last residuals."""
 
 
 class InvalidParam(EpiwaveError):
@@ -50,7 +52,8 @@ class FitUnderdetermined(EpiwaveError):
 
 
 class MissingBaseline(EpiwaveError):
-    """A baseline run is required to sample boundary traces."""
+    """The baseline run does not store every step, so its boundary traces
+    cannot be sampled."""
 
 
 class ConfigError(EpiwaveError):

@@ -57,11 +57,6 @@ class Run(Sequence):
     def __getitem__(self, k: int) -> StateField:
         return StateField(self.values[k], self.slopes[k])
 
-    def check_mesh(self, m: Mesh) -> None:
-        """Raise ShapeMismatch, naming both meshes, unless m is the run's."""
-        if m != self.mesh:
-            raise ShapeMismatch(f"mesh {m} is not the run's mesh {self.mesh}")
-
 
 @dataclass
 class NormReport:
@@ -114,16 +109,17 @@ def age_integral(values: np.ndarray, m: Mesh) -> np.ndarray:
     return np.einsum("...ax,a->...x", values, age_weights(m))
 
 
-def diff_norms(run: Run, ref: Run, m: Mesh) -> NormReport:
+def diff_norms(run: Run, ref: Run) -> NormReport:
     """Norms of the difference between run and ref at run's stored steps.
 
-    Both runs must be on m.  ref must store every step run stores, so a
-    reference stored at every step serves any run on its mesh.  Time
-    integrals use trapezoid weights over run's stored times, its time
-    indices times dt.
+    Both runs must be on one mesh.  ref must store every step run
+    stores, so a reference stored at every step serves any run on its
+    mesh.  Time integrals use trapezoid weights over run's stored times,
+    its time indices times dt.
     """
-    run.check_mesh(m)
-    ref.check_mesh(m)
+    m = run.mesh
+    if ref.mesh != m:
+        raise ShapeMismatch(f"the reference's mesh {ref.mesh} is not the run's mesh {m}")
     where = {i: s for s, i in enumerate(ref.indices)}
     missing = [i for i in run.indices if i not in where]
     if missing:

@@ -18,7 +18,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import study
-from .birth import zero_laws
+from .birth import BirthLaws
 from .errors import (
     ConfigError,
     EpiwaveError,
@@ -31,7 +31,7 @@ from .fields import Run, age_integral, diff_norms
 from .mesh import Mesh, build_mesh
 from .operators import KernelSet, LinearPart
 from .parabolic_model import run_parabolic
-from .relaxed_model import ModelSpec, SolverConfig, residual_check, run_relaxed
+from .relaxed_model import ModelSpec, SolverConfig, residual_check, run_relaxed, table_shapes
 from .svir import COMPARTMENTS, SvirParams, build_svir
 
 _FMT = "%.17g"
@@ -132,6 +132,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
         output=_fill(OutputBlock, raw.get("output", {}), "output"),
     )
     if cfg.model.kind == "svir":
+        if cfg.model.path is not None:
+            raise ConfigError("model.path is read only with model.kind 'tables'")
         unknown = set(cfg.model.params) - set(_SVIR_SCALARS)
         if unknown:
             raise ConfigError(f"unknown model.params key(s) {sorted(unknown)}")
@@ -139,6 +141,8 @@ def parse_config_dict(raw: dict) -> RunConfig:
             if not _fits(value, float):
                 raise ConfigError(f"model.params.{name} must be a number: {value!r}")
     elif cfg.model.kind == "tables":
+        if cfg.model.params:
+            raise ConfigError("model.params is read only with model.kind 'svir'")
         if not cfg.model.path:
             raise ConfigError("model.kind 'tables' needs model.path")
     else:
@@ -181,9 +185,11 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
     """Generic model loaded from an .npz of sampled tables.
 
     L, sigma and y0 are required; every table present must hold real
-    numbers in the shape the mesh and the compartment count
-    n = L.shape[-1] imply.  Kernel tables are factored on load into the
-    model's kernel terms; the solve derives their Lambda_1 (tilde) terms.
+    numbers in its relaxed_model.table_shapes shape, and kernels, the
+    one table a ModelSpec does not hold as loaded, must be a dense
+    (n, n, n, na+1, nx, na+1, nx) table.  It is factored on load into
+    the model's kernel terms; the solve derives their Lambda_1 (tilde)
+    terms.
     """
     try:
         data = np.load(path)
@@ -193,20 +199,9 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
         if key not in data:
             raise ConfigError(f"model tables lack the required key {key!r}")
     L = _load_table(data, "L")
-    n = max(L.shape[-1] if L.ndim else 0, 1)  # an L without compartments fails below
-    A, X, T = m.na + 1, m.nx, m.nt + 1
-    shapes = {
-        "L": (A, X, n, n),
-        "L_a": (A, X, n, n),
-        "sigma": (A, n),
-        "kernels": (n, n, n, A, X, A, X),
-        "g0": (T, n, X),
-        "g1": (T, n, X),
-        "y0": (n, A, X),
-        "y1": (n, A, X),
-        "f": (T, n, A, X),
-        **dict.fromkeys(("beta0", "beta1", "betaL", "beta_grad"), (A, X, n, n)),
-    }
+    shapes = table_shapes(L, m)
+    n, A, X = shapes["y0"]
+    shapes["kernels"] = (n, n, n, A, X, A, X)
     tabs = {key: L if key == "L" else _load_table(data, key) for key in shapes if key in data}
     for key, tab in tabs.items():
         if tab.shape != shapes[key]:
@@ -218,13 +213,11 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
         L_a=tabs["L_a"] if "L_a" in tabs else np.gradient(L, m.da, axis=0, edge_order=2),
         sigma=tabs["sigma"],
     )
-    kernels = KernelSet.from_dense(tabs.pop("kernels")) if "kernels" in tabs else KernelSet(n)
-    births = zero_laws(n, m, g0=tabs.get("g0"), g1=tabs.get("g1"))
-    for key in ("beta0", "beta1", "betaL", "beta_grad"):
-        if key in tabs:
-            setattr(births, key, tabs[key])
+    kernels = KernelSet.from_dense(tabs.pop("kernels")) if "kernels" in tabs else KernelSet()
+    laws = ("beta0", "beta1", "betaL", "beta_grad")
+    births = BirthLaws(**{k: tabs[k] if k in tabs else np.zeros(shapes[k]) for k in laws},
+                       g0=tabs.get("g0"), g1=tabs.get("g1"))
     return ModelSpec(
-        n=n,
         linear=linear,
         kernels=kernels,
         births=births,
@@ -289,9 +282,7 @@ def _writerows(path: Path, header: str, rows, delimiter: str = ",") -> None:
         raise IoError(str(exc)) from None
 
 
-def write_slices(
-    run: Run, m: Mesh, out_dir, front_threshold: Optional[float] = None
-) -> List[Path]:
+def write_slices(run: Run, out_dir, front_threshold: Optional[float] = None) -> List[Path]:
     """Persist a run: per-slice CSVs, the x=0 boundary series, fronts.
 
     slice_{t_index}.csv holds rows (a, x, y1..yn) row-major over (a, x);
@@ -299,7 +290,7 @@ def write_slices(
     fronts.csv the front trajectory of compartment 2 (0 when n < 3) at
     the given threshold, or at study.front_tracker's default rule.
     """
-    run.check_mesh(m)
+    m = run.mesh
     out = _mkdir(out_dir)
     n = run.values.shape[1]
     names = list(COMPARTMENTS) if n == 4 else [f"y{k + 1}" for k in range(n)]
@@ -318,7 +309,7 @@ def write_slices(
     written.append(bpath)
 
     comp = 2 if n >= 3 else 0
-    fronts = study.front_tracker(run, front_threshold, m, compartment=comp)
+    fronts = study.front_tracker(run, front_threshold, compartment=comp)
     fpath = out / "fronts.csv"
     _writerows(fpath, "t,front_x", fronts)
     written.append(fpath)
@@ -393,14 +384,14 @@ def validation_cases() -> List[tuple]:
     mr = build_mesh(1.0, 1.0, 40, 3)
     spec, total_ref = reference.renewal(mr)
     run = run_parabolic(spec, SolverConfig(), mr)
-    total = reference.total_births(run, mr)
+    total = reference.total_births(run)
     case("renewal", abs(total - total_ref) / abs(total_ref))
 
     mm = build_mesh(0.5, 1.0, 20, 21)
     spec, exact = reference.manufactured(mm)
     run = run_relaxed(spec, SolverConfig(), mm)
     err = float(np.max(np.abs(run[-1].values - exact)))
-    case("manufactured-solution", err, np.isfinite(residual_check(run, spec, mm)))
+    case("manufactured-solution", err, np.isfinite(residual_check(run, spec)))
     return cases
 
 
@@ -464,9 +455,7 @@ def cli_main(argv=None) -> int:
                 if spec.tau > 0
                 else run_parabolic(spec, solver, m)
             )
-            files = write_slices(
-                run, m, out_dir, front_threshold=cfg.study.threshold
-            )
+            files = write_slices(run, out_dir, front_threshold=cfg.study.threshold)
             print(f"wrote {len(files)} files to {out_dir}")
             return 0
 
@@ -475,7 +464,7 @@ def cli_main(argv=None) -> int:
             out = _mkdir(out_dir)
             rel = run_relaxed(spec, solver, m)
             par = run_parabolic(spec, solver, m)
-            rep = diff_norms(rel, par, m)
+            rep = diff_norms(rel, par)
             _writerows(
                 out / "diffs.csv",
                 "sup_abs,sup_t_V,sup_t_H_slope,l2_H,h1_V",

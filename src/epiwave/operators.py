@@ -69,14 +69,6 @@ class LinearPart:
     def n(self) -> int:
         return self.L.shape[-1]
 
-    def check_shape(self, m: Mesh) -> None:
-        n = self.n
-        want = (m.na + 1, m.nx, n, n)
-        if self.L.shape != want or self.L_a.shape != want:
-            raise ShapeMismatch(f"L tables must have shape {want}")
-        if self.sigma.shape != (m.na + 1, n):
-            raise ShapeMismatch(f"sigma must have shape {(m.na + 1, n)}")
-
 
 @dataclass(frozen=True, eq=False)
 class FactoredTable:
@@ -152,10 +144,10 @@ class KernelSet:
     terms are the model's kernel.  tilde_terms realize the kernel of the
     Lambda_1 correction, the age derivative k_a + k_alpha; they follow
     from terms alone, so only attach_tilde fills them, and the solvers
-    call it once per solve.
+    call it once per solve.  The compartment count is not stored: each
+    contraction reads it from the field it contracts.
     """
 
-    n: int
     terms: List[KernelTerm] = field(default_factory=list)
     tilde_terms: List[KernelTerm] = field(default_factory=list)
 
@@ -175,14 +167,12 @@ class KernelSet:
                 raise NonFinite(f"kernel table (h={h}, i={i}, j={j}) contains NaN/inf")
             for table in _cross_factors(tab, _FACTOR_RTOL * scale):
                 terms.append(KernelTerm(h, i, j, 1.0, table))
-        return cls(n=n, terms=terms)
+        return cls(terms=terms)
 
     def check_shape(self, m: Mesh, n: int) -> None:
         """ShapeMismatch, naming the term, unless every term couples
         compartments in [0, n) through a FactoredTable on the mesh."""
         A, X = m.na + 1, m.nx
-        if self.n != n:
-            raise ShapeMismatch(f"kernels are for n={self.n}, the model has n={n}")
         for t in self.terms:
             tab, name = t.table, f"kernel term (h={t.h}, i={t.i}, j={t.j})"
             if not all(0 <= c < n for c in (t.h, t.i, t.j)):
@@ -231,7 +221,7 @@ def attach_tilde(k: KernelSet, m: Mesh) -> KernelSet:
         if key not in derivs:
             derivs[key] = _age_derivatives(t.table, m)
         tilde.extend(KernelTerm(t.h, t.i, t.j, t.weight, d) for d in derivs[key])
-    return KernelSet(n=k.n, terms=list(k.terms), tilde_terms=tilde)
+    return KernelSet(terms=list(k.terms), tilde_terms=tilde)
 
 
 def _weighted(w: np.ndarray, m: Mesh) -> np.ndarray:
@@ -249,17 +239,22 @@ def _integrate(table: FactoredTable, f: np.ndarray) -> np.ndarray:
     return table.row @ s
 
 
-def _contract(terms: List[KernelTerm], f: np.ndarray, n: int, m: Mesh, integral=_integrate):
-    """Sum of weight * integral(table, f[j]) over terms, (n, n, A, X); a
-    (table, j) pair that several terms share is integrated once."""
+def _contract(terms: List[KernelTerm], f: np.ndarray, m: Mesh, integral=_integrate):
+    """Sum of weight * integral(table, f[j]) over terms, (n, n, A, X) for
+    the n compartments of f's leading axis; a (table, j) pair that
+    several terms share is integrated once."""
+    n = len(f)
     out = np.zeros((n, n, m.na + 1, m.nx))
     cache: dict = {}
-    for t in terms:
-        key = (id(t.table), t.j)
-        g = cache.get(key)
-        if g is None:
-            g = cache[key] = integral(t.table, f[t.j])
-        out[t.h, t.i] += t.weight * g
+    try:
+        for t in terms:
+            key = (id(t.table), t.j)
+            g = cache.get(key)
+            if g is None:
+                g = cache[key] = integral(t.table, f[t.j])
+            out[t.h, t.i] += t.weight * g
+    except IndexError:
+        raise ShapeMismatch(f"kernel terms index compartments beyond the field's {n}") from None
     return out
 
 
@@ -269,22 +264,21 @@ def lambda_op(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
     Entry (h, i) integrates w_j against k^{hij} over (alpha, xi) with
     trapezoid weights; w is an (n, na+1, nx) array.
     """
-    wq = _weighted(w, m)
-    if wq.shape != (k.n, m.na + 1, m.nx):
-        raise ShapeMismatch(f"field shape {wq.shape} does not match kernels")
-    return _contract(k.terms, wq, k.n, m)
+    if w.ndim != 3 or w.shape[1:] != (m.na + 1, m.nx):
+        raise ShapeMismatch(f"field shape {w.shape} is not (n, na+1, nx)")
+    return _contract(k.terms, _weighted(w, m), m)
 
 
 def lambda_one(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
     """Lambda_1: same contraction through the tilde kernel terms."""
-    return _contract(k.tilde_terms, _weighted(w, m), k.n, m)
+    return _contract(k.tilde_terms, _weighted(w, m), m)
 
 
 def lambda_two(k: KernelSet, src: np.ndarray, m: Mesh) -> np.ndarray:
     """Lambda_2: xi-only integral of k(a, x, 0, xi) against the (n, nx)
     newborn source src (birth.newborn_source)."""
     sw = src * space_weights(m)
-    return _contract(k.terms, sw, k.n, m, lambda tab, s: _at_alpha_zero(tab) @ s)
+    return _contract(k.terms, sw, m, lambda tab, s: _at_alpha_zero(tab) @ s)
 
 
 def apply_matrix_field(mat: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -133,9 +133,8 @@ def scalar_spec(
         sigma=np.full((A, 1), sigma),
     )
     return ModelSpec(
-        n=1,
         linear=linear,
-        kernels=kernels if kernels is not None else KernelSet(1),
+        kernels=kernels if kernels is not None else KernelSet(),
         births=zero_laws(1, m, g0=g0, g1=g1),
         y0=y0,
         **fields,
@@ -237,10 +236,9 @@ def relative_error(values: np.ndarray, exact: np.ndarray) -> float:
     return float(np.max(np.abs(values - exact))) / float(np.max(np.abs(exact)))
 
 
-def total_births(run: Run, m: Mesh) -> float:
+def total_births(run: Run) -> float:
     """Trapezoid integral over time of the age-zero value at x = 0."""
-    run.check_mesh(m)
     b = run.values[:, 0, 0, 0]
-    tw = np.full(len(b), m.dt)
-    tw[0] = tw[-1] = 0.5 * m.dt
+    tw = np.full(len(b), run.mesh.dt)
+    tw[0] = tw[-1] = 0.5 * run.mesh.dt
     return float(np.dot(tw, b))

@@ -35,18 +35,35 @@ from .operators import (
 )
 
 
+def table_shapes(L: np.ndarray, m: Mesh) -> dict:
+    """The shape on m of each table of a model whose L table is L, by name.
+
+    The compartment count n is the last axis of L; an L without one, or
+    with none of length 0, is counted as n = 1 and so fails its own shape.
+    """
+    n = max(np.shape(L)[-1:] + (1,))
+    A, X, T = m.na + 1, m.nx, m.nt + 1
+    return {
+        **dict.fromkeys(("L", "L_a", "beta0", "beta1", "betaL", "beta_grad"), (A, X, n, n)),
+        "sigma": (A, n),
+        **dict.fromkeys(("y0", "y1"), (n, A, X)),
+        **dict.fromkeys(("g0", "g1"), (T, n, X)),  # the birth source series
+        "f": (T, n, A, X),
+    }
+
+
 @dataclass
 class ModelSpec:
     """Full problem description on a fixed mesh.
 
-    kernels holds the model's kernel terms; the solvers derive the
-    Lambda_1 (tilde) terms from them alone once per solve, so any
-    tilde_terms given here are ignored.  y0 / y1 are (n, na+1, nx)
-    initial value and slope (y1 may be None, meaning zero).  f is an
-    optional (nt+1, n, na+1, nx) forcing table.
+    The compartment count n is read from linear.L.  kernels holds the
+    model's kernel terms; the solvers derive the Lambda_1 (tilde) terms
+    from them alone once per solve, so any tilde_terms given here are
+    ignored.  y0 / y1 are (n, na+1, nx) initial value and slope (y1 may
+    be None, meaning zero).  f is an optional (nt+1, n, na+1, nx)
+    forcing table; table_shapes gives every table's shape.
     """
 
-    n: int
     linear: LinearPart
     kernels: KernelSet
     births: BirthLaws
@@ -55,28 +72,26 @@ class ModelSpec:
     f: Optional[np.ndarray] = None
     tau: float = 0.0
 
+    @property
+    def n(self) -> int:
+        """The compartment count, the last axis of linear.L."""
+        return self.linear.n
+
     def validate(self, m: Mesh) -> None:
         """ShapeMismatch for a table off the mesh, then NonFinite, naming
         the table, for NaN/inf in any table but the (factored, checked on
         load) kernels."""
         if not 0.0 <= self.tau < np.inf:
             raise InvalidParam(f"tau={self.tau} must be finite and nonnegative")
-        want = (self.n, m.na + 1, m.nx)
-        series = (m.nt + 1, self.n, m.nx)  # the birth sources g0 / g1
-        data = {"y0": (self.y0, want), "y1": (self.y1, want),
-                "g0": (self.births.g0, series), "g1": (self.births.g1, series)}
-        for name, (y, shape) in data.items():
-            if y is not None and y.shape != shape:
-                raise ShapeMismatch(f"{name} shape {y.shape} != {shape}")
-        if self.f is not None and self.f.shape != (m.nt + 1,) + want:
-            raise ShapeMismatch("forcing table shape does not match mesh")
-        self.linear.check_shape(m)
-        self.kernels.check_shape(m, self.n)
-        self.births.check_shape(m, self.n)
         lin, b = self.linear, self.births
         tables = {"y0": self.y0, "y1": self.y1, "f": self.f, "L": lin.L, "L_a": lin.L_a,
                   "sigma": lin.sigma, "beta0": b.beta0, "beta1": b.beta1, "betaL": b.betaL,
                   "beta_grad": b.beta_grad, "g0": b.g0, "g1": b.g1}
+        shapes = table_shapes(lin.L, m)
+        for name, tab in tables.items():
+            if tab is not None and np.shape(tab) != shapes[name]:
+                raise ShapeMismatch(f"{name} shape {np.shape(tab)} != {shapes[name]}")
+        self.kernels.check_shape(m, self.n)
         for name, tab in tables.items():
             if tab is not None and not np.all(np.isfinite(tab)):
                 raise NonFinite(f"{name} contains NaN/inf")
@@ -125,7 +140,7 @@ def _inner(D: np.ndarray, v: np.ndarray, weights) -> np.ndarray:
     return out
 
 
-def _fixed_point(picard_map, x, energy, weights, cfg: SolverConfig, linear: bool, at: int):
+def _fixed_point(picard_map, x, energy, weights, cfg: SolverConfig, linear: bool, at):
     """Solve x = picard_map(x) from x at step `at`: the one stopping rule.
 
     x is a (c, ...) array and picard_map returns a new one.  Each sweep
@@ -140,13 +155,16 @@ def _fixed_point(picard_map, x, energy, weights, cfg: SolverConfig, linear: bool
 
     Returns the last g(x) and each sweep's residual norm.  Raises
     PicardDiverged on three growths in a row or after picard_max
-    unconverged sweeps, NonFinite on a non-finite g(x).
+    unconverged sweeps, naming the sweeps taken and the best and last
+    residuals, NonFinite on a non-finite g(x).  Messages name the step
+    as `at`; _march passes its index with its time and da.
     """
     updates: List[float] = []
     dF, dG = np.empty((_DEPTH,) + x.shape), np.empty((_DEPTH,) + x.shape)
     gram = np.empty((_DEPTH, _DEPTH))  # of dF, one row written per sweep
     filled = 0
     g_old = f_old = None
+    why = f"no convergence in picard_max={cfg.picard_max} sweeps"
     while len(updates) < cfg.picard_max:
         g = picard_map(x)
         f = g - x
@@ -157,7 +175,8 @@ def _fixed_point(picard_map, x, energy, weights, cfg: SolverConfig, linear: bool
         if linear or err <= cfg.picard_tol * max(size, 1e-300):
             return g, updates
         if len(updates) >= 4 and updates[-4] < updates[-3] < updates[-2] < updates[-1]:
-            raise PicardDiverged(f"update grew 3 sweeps in a row at step {at}")
+            why = "update grew 3 sweeps in a row"
+            break
         x = g
         if g_old is not None:
             slot = filled % _DEPTH
@@ -176,7 +195,8 @@ def _fixed_point(picard_map, x, energy, weights, cfg: SolverConfig, linear: bool
             else:
                 x = g - (gamma @ dG[:k].reshape(k, -1)).reshape(g.shape)
         g_old, f_old = g, f
-    raise PicardDiverged(f"no convergence in picard_max={cfg.picard_max} sweeps at step {at}")
+    raise PicardDiverged(f"{why} at step {at}, after {len(updates)} sweeps: "
+                         f"best residual {min(updates):.3e}, last {updates[-1]:.3e}")
 
 
 def consistent_slope(
@@ -286,7 +306,8 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
         # their energy-norm weight, so at tau = 0, where the map never
         # reads the iterate's slopes, they do not enter.
         guess = prev if prev2 is None else 2.0 * prev - prev2
-        cur, updates = _fixed_point(picard_map, guess, energy, (1.0, tau), cfg, not has_nl, i)
+        at = f"{i} (t={i * m.dt:.6g}, da={m.da:.6g})"
+        cur, updates = _fixed_point(picard_map, guess, energy, (1.0, tau), cfg, not has_nl, at)
         prev2, prev = prev, cur
         run.picard_updates.append(updates)
         if i in slot:
@@ -300,7 +321,7 @@ def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh) -> Run:
     return _march(spec, cfg, m, first_order_births=True)
 
 
-def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
+def residual_check(run: Run, spec: ModelSpec) -> float:
     """Sup of the discrete strong-form residual on interior nodes.
 
     Derivatives along characteristics are recomputed from the stored
@@ -308,6 +329,7 @@ def residual_check(run: Run, spec: ModelSpec, m: Mesh) -> float:
     stepper produced, so the result measures truncation error rather
     than the scheme's own identity.  Requires store_every = 1.
     """
+    m = run.mesh
     spec.validate(m)
     if len(run) != m.nt + 1:
         raise LengthMismatch("residual_check needs every step stored")

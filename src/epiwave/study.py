@@ -89,14 +89,16 @@ def energy_diff(report: NormReport, tau: float) -> float:
     )
 
 
-def refinement_floor(coarse: Run, base: SvirParams, m: Mesh, cfg: SolverConfig) -> float:
-    """Sup diff between a parabolic run on m and the 2na one.
+def refinement_floor(coarse: Run, base: SvirParams, cfg: SolverConfig) -> float:
+    """Sup diff between a parabolic run and the one on twice its na.
 
-    coarse is the parabolic run of build_svir(base, m) with every step
-    stored, solved with cfg; only the 2na problem is solved here, with
-    the same Picard settings.  Both runs share nx, and the finer run is
-    subsampled onto the coarse lattice, so the comparison is pointwise.
+    coarse is the parabolic run of build_svir(base, m) on its mesh m
+    with every step stored, solved with cfg; only the 2na problem is
+    solved here, with the same Picard settings.  Both runs share nx, and
+    the finer run is subsampled onto the coarse lattice, so the
+    comparison is pointwise.
     """
+    m = coarse.mesh
     if len(coarse) != m.nt + 1:
         raise LengthMismatch("the coarse run must store every step")
     m2 = build_mesh(m.t_max, m.a_max, 2 * m.na, m.nx)
@@ -134,22 +136,22 @@ def tau_sweep(
     step stored; it gives the refinement floor, the boundary traces of
     compat = (q1, q2) and the slices each member is diffed against.  The
     members are one spec at each tau: build_svir(base, m), or its
-    compatibility_setup(spec, q1, q2, baseline, m) when compat is given.
+    compatibility_setup(spec, q1, q2, baseline) when compat is given.
     front_positions uses the front_tracker threshold rule.
     """
     taus = list(taus)
     check_taus(taus)
     template = build_svir(base, m)
     baseline = run_parabolic(template, replace(cfg, store_every=1), m)
-    floor = refinement_floor(baseline, base, m, cfg)
+    floor = refinement_floor(baseline, base, cfg)
     if compat is not None:
-        template = compatibility_setup(template, *compat, baseline, m)
+        template = compatibility_setup(template, *compat, baseline)
 
     reports, fronts = [], []
     for tau in taus:
         run = run_relaxed(replace(template, tau=tau), cfg, m)
-        reports.append(diff_norms(run, baseline, m))
-        fronts.append(front_tracker(run, threshold, m))
+        reports.append(diff_norms(run, baseline))
+        fronts.append(front_tracker(run, threshold))
     sup_diffs = [r.sup_abs for r in reports]
     energies = [energy_diff(r, t) for r, t in zip(reports, taus)]
     rate, mask, window = fit_rate(taus, sup_diffs, floor)
@@ -171,7 +173,7 @@ def tau_sweep(
 
 
 def front_tracker(
-    run: Run, threshold: Optional[float], m: Mesh, compartment: int = I_COMP
+    run: Run, threshold: Optional[float], compartment: int = I_COMP
 ) -> List[Tuple[float, float]]:
     """Leftmost x where the age-integrated density exceeds the threshold.
 
@@ -180,7 +182,7 @@ def front_tracker(
     the threshold contribute no entry.  A threshold of None means
     FRONT_FACTOR times the sup of the age-integrated density of run[0].
     """
-    run.check_mesh(m)
+    m = run.mesh
     prof = age_integral(run.values, m)[:, compartment]
     if threshold is None:
         threshold = FRONT_FACTOR * float(np.max(prof[0]))
@@ -191,28 +193,18 @@ def front_tracker(
     ]
 
 
-def compatibility_setup(
-    spec: ModelSpec,
-    q1: float,
-    q2: float,
-    baseline: Optional[Run],
-    m: Mesh,
-) -> ModelSpec:
-    """spec with matched zeroth/first-order boundary data.
+def compatibility_setup(spec: ModelSpec, q1: float, q2: float, baseline: Run) -> ModelSpec:
+    """spec with matched zeroth/first-order boundary data on baseline's mesh.
 
     With beta = spec.births.beta0, uses the derived coefficient tables
     beta0 = q1 beta, beta1 = q2 sigma(0) beta sigma^-1 (and friends), the
     compatible initial slope, and boundary source series sampled from the
     age-zero traces of baseline, spec's parabolic run: g0 = (1-q1) y(a=0),
-    g1 = (1-q2) dy(a=0).  A baseline with every step stored is required
-    whenever q1 != 1 or q2 != 1.
+    g1 = (1-q2) dy(a=0).  baseline must store every step.
     """
-    needs_trace = (q1 != 1.0) or (q2 != 1.0)
-    if needs_trace:
-        if baseline is None:
-            raise MissingBaseline("q1 or q2 != 1 needs a baseline run")
-        if len(baseline) != m.nt + 1:
-            raise MissingBaseline("baseline must store every step")
+    m = baseline.mesh
+    if len(baseline) != m.nt + 1:
+        raise MissingBaseline("baseline must store every step")
     laws = make_compatible(spec.births.beta0, spec.linear, q1, q2, m)
     if q1 != 1.0:
         laws.g0 = (1.0 - q1) * baseline.values[:, :, 0]

@@ -49,7 +49,11 @@ def sigma_infective(a):
 
 @dataclass
 class SvirParams:
-    """Benchmark parameter set; scalar rates plus age/space profiles."""
+    """Benchmark parameter set; scalar rates plus age/space profiles.
+
+    mu_da is the age derivative of mu, or None for a numerical one; a
+    replaced mu needs its own mu_da (or None).
+    """
 
     c: float = 0.18564
     phi1: float = 0.0052
@@ -79,6 +83,11 @@ class SvirParams:
                 raise InvalidParam(f"{name}={v} outside [0, 1]")
         if not 0.0 <= self.tau < np.inf:
             raise InvalidParam(f"tau={self.tau} must be finite and nonnegative")
+        if self.mu is not default_mortality and self.mu_da is default_mortality_da:
+            raise InvalidParam(
+                "mu_da is the default mortality's derivative, but mu is replaced: "
+                "give mu_da for the new mu, or None for a numerical derivative"
+            )
 
 
 def boundary_bump(m: Mesh) -> np.ndarray:
@@ -103,7 +112,7 @@ def build_svir(p: SvirParams, m: Mesh) -> ModelSpec:
     population enter S.
     """
     p.validate()
-    A, X = m.na + 1, m.nx
+    A, X, n = m.na + 1, m.nx, len(COMPARTMENTS)
     ages = m.ages()
     xs = m.xs()
 
@@ -113,9 +122,9 @@ def build_svir(p: SvirParams, m: Mesh) -> ModelSpec:
     else:
         mu_da = np.gradient(mu, m.da, edge_order=2)
 
-    L = np.zeros((A, X, 4, 4))
-    L_a = np.zeros((A, X, 4, 4))
-    for h in range(4):
+    L = np.zeros((A, X, n, n))
+    L_a = np.zeros((A, X, n, n))
+    for h in range(n):
         L[:, :, h, h] = mu[:, None]
         L_a[:, :, h, h] = mu_da[:, None]
     L[:, :, S, V] += -p.c
@@ -139,19 +148,16 @@ def build_svir(p: SvirParams, m: Mesh) -> ModelSpec:
         (I, R, I, -p.phi2),
         (R, R, I, p.phi2),
     ]
-    kernels = KernelSet(
-        n=4, terms=[KernelTerm(h, i, j, w, base) for h, i, j, w in couplings]
-    )
+    kernels = KernelSet([KernelTerm(h, i, j, w, base) for h, i, j, w in couplings])
 
-    births = zero_laws(4, m)
+    births = zero_laws(n, m)
     births.beta0[:, :, S, :] = births.beta1[:, :, S, :] = p.beta(ages, m.a_max)[:, None, None]
 
-    y0 = np.zeros((4, A, X))
+    y0 = np.zeros((n, A, X))
     y0[S] = p.total_S0 / m.a_max
     y0[I] = (p.I0 / m.a_max) * boundary_bump(m)[None, :]
 
     return ModelSpec(
-        n=4,
         linear=linear,
         kernels=kernels,
         births=births,

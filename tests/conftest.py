@@ -43,7 +43,7 @@ def age_kernel_spec(m, tau, g0=None):
     A, X = m.na + 1, m.nx
     a, x = m.ages(), m.xs()
     row = 0.5 * (1.0 + a)[:, None, None] * np.exp(-((x[:, None] - x[None, :]) ** 2))
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, 1.0, FactoredTable(row, None, A))])
+    k = KernelSet(terms=[KernelTerm(0, 0, 0, 1.0, FactoredTable(row, None, A))])
     y0 = (1.0 + 0.5 * np.cos(np.pi * x))[None, None, :] * (1.0 - 0.5 * a)[None, :, None]
     spec = scalar_spec(m, y0, sigma=0.1, mu=0.2, kernels=k, tau=tau)
     spec.births.beta0 = np.full((A, X, 1, 1), 0.8)
@@ -87,7 +87,7 @@ def svir_baseline(desk_mesh, solver_cfg):
 @pytest.fixture(scope="session")
 def svir_floor(desk_mesh, solver_cfg, svir_baseline):
     """Sup refinement floor between the na=20 baseline and an na=40 run."""
-    return refinement_floor(svir_baseline, SvirParams(), desk_mesh, solver_cfg)
+    return refinement_floor(svir_baseline, SvirParams(), solver_cfg)
 
 
 @pytest.fixture(scope="session")

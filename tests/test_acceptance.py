@@ -105,7 +105,7 @@ def test_criterion_2_compatibility_ordering(desk_mesh, solver_cfg, svir_baseline
             run = run_relaxed(
                 dataclasses.replace(spec, tau=tau), solver_cfg, desk_mesh
             )
-            rep = diff_norms(run, svir_baseline, desk_mesh)
+            rep = diff_norms(run, svir_baseline)
             diffs.append(energy_diff(rep, tau))
         rates[name], _, _ = fit_rate(taus, diffs)
     ok = rates["mismatched"] >= 0.4 and (
@@ -125,7 +125,7 @@ def test_criterion_3_tau_to_zero_consistency(
     desk_mesh, solver_cfg, svir_baseline, svir_floor
 ):
     run = run_relaxed(build_svir(SvirParams(tau=1e-8), desk_mesh), solver_cfg, desk_mesh)
-    rep = diff_norms(run, svir_baseline, desk_mesh)
+    rep = diff_norms(run, svir_baseline)
     floor = svir_floor
     ok = rep.sup_abs <= 10.0 * floor
     _report(
@@ -210,7 +210,7 @@ def test_criterion_7_renewal_oracle():
         m = build_mesh(1.0, 1.0, na, 3)
         spec, total_ref = renewal(m, n_fine=2560)
         run = run_parabolic(spec, SolverConfig(), m)
-        return abs(total_births(run, m) - total_ref) / total_ref
+        return abs(total_births(run) - total_ref) / total_ref
 
     e1, e2 = err(20), err(40)
     ok = e1 / e2 >= 1.8

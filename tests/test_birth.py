@@ -137,7 +137,7 @@ def test_renewal_against_fine_grid_oracle():
     m = build_mesh(1.0, 1.0, 20, 3)
     spec, total_ref = renewal(m, n_fine=2560)
     run = run_parabolic(spec, SolverConfig(), m)
-    assert abs(total_births(run, m) - total_ref) / total_ref < 0.05
+    assert abs(total_births(run) - total_ref) / total_ref < 0.05
 
 
 def test_birth_linearity_without_G():
@@ -281,7 +281,7 @@ def test_driver_births_are_causal():
 
 def test_nonlinear_birth_zero_state():
     m = _mesh()
-    k = KernelSet(1)
+    k = KernelSet()
     laws = zero_laws(1, m)
     sl = _slice(m, 1, value=0.0)
     out = g_op(k, laws.beta1, sl.values, newborn_source(laws.beta0, sl.values, None, m), m)

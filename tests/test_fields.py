@@ -93,7 +93,7 @@ def test_norm_shape_mismatch():
 def test_diff_norms_identical_runs():
     m = _mesh(na=4, nx=5)
     run = stored_run(_zeros(3, 2, m), m)
-    rep = diff_norms(run, run, m)
+    rep = diff_norms(run, run)
     assert rep.sup_t_V == rep.sup_abs == rep.sup_t_H_slope == 0.0
     assert rep.l2_H == rep.h1_V == 0.0
 
@@ -102,7 +102,7 @@ def test_diff_norms_constant_offset():
     m = _mesh(na=4, nx=5)
     run_a = stored_run(_zeros(3, 1, m), m)
     run_b = stored_run(run_a.values + 1.0, m)
-    rep = diff_norms(run_a, run_b, m)
+    rep = diff_norms(run_a, run_b)
     assert np.isclose(rep.sup_t_V, 1.0)
     assert np.isclose(rep.sup_abs, 1.0)
 
@@ -134,7 +134,7 @@ def test_diff_norms_against_bruteforce():
     sup_v = max(brute_V(a.values - b.values) for a, b in zip(run_a, run_b))
     sup_h = max(brute_H(a.slope - b.slope) for a, b in zip(run_a, run_b))
     sup_abs = max(np.max(np.abs(a.values - b.values)) for a, b in zip(run_a, run_b))
-    rep = diff_norms(run_a, run_b, m)
+    rep = diff_norms(run_a, run_b)
     assert np.isclose(rep.sup_t_V, sup_v)
     assert np.isclose(rep.sup_t_H_slope, sup_h)
     assert np.isclose(rep.sup_abs, sup_abs)
@@ -147,7 +147,7 @@ def test_diff_norms_time_weights_follow_stored_times():
     spec, _ = manufactured(m)
     run = run_relaxed(spec, SolverConfig(store_every=3), m)
     assert run.indices[-2:] == [18, 20]
-    rep = diff_norms(run, stored_run(np.zeros_like(run.values), m, indices=run.indices), m)
+    rep = diff_norms(run, stored_run(np.zeros_like(run.values), m, indices=run.indices))
     h_sq = [norm_H(sl.values, m) ** 2 for sl in run]
     v_sq = [norm_V(sl.values, m) ** 2 for sl in run]
     assert rep.l2_H == pytest.approx(np.sqrt(np.trapezoid(h_sq, run.times)), rel=1e-12)
@@ -162,13 +162,13 @@ def test_diff_norms_rejects_runs_stored_at_different_steps():
     run_b = run_relaxed(spec, SolverConfig(store_every=2), m)
     assert run_a.indices == [0, 3, 4] and run_b.indices == [0, 2, 4]
     with pytest.raises(LengthMismatch, match="steps"):
-        diff_norms(run_a, run_b, m)
+        diff_norms(run_a, run_b)
 
 
 def test_diff_norms_length_mismatch():
     m = _mesh(na=4, nx=5)
     with pytest.raises(LengthMismatch):
-        diff_norms(stored_run(_zeros(2, 1, m), m), stored_run(_zeros(1, 1, m), m), m)
+        diff_norms(stored_run(_zeros(2, 1, m), m), stored_run(_zeros(1, 1, m), m))
 
 
 def test_diff_norms_sparse_run_against_every_step_reference():
@@ -178,7 +178,7 @@ def test_diff_norms_sparse_run_against_every_step_reference():
     run = run_relaxed(spec, SolverConfig(store_every=3), m)
     ref = run_parabolic(spec, SolverConfig(), m)
     assert len(ref) == m.nt + 1 and len(run) == 8
-    rep = diff_norms(run, ref, m)
+    rep = diff_norms(run, ref)
     pairs = [(sl, ref[i]) for sl, i in zip(run, run.indices)]
     h_sq = [norm_H(a.values - b.values, m) ** 2 for a, b in pairs]
     v_sq = [norm_V(a.values - b.values, m) ** 2 for a, b in pairs]
@@ -187,28 +187,45 @@ def test_diff_norms_sparse_run_against_every_step_reference():
     assert rep.sup_t_H_slope == max(norm_H(a.slope - b.slope, m) for a, b in pairs)
     assert rep.sup_abs == max(float(np.max(np.abs(a.values - b.values))) for a, b in pairs)
     with pytest.raises(LengthMismatch, match="steps"):
-        diff_norms(ref, run, m)
+        diff_norms(ref, run)
 
 
 @pytest.mark.parametrize(
     "reader",
     [
-        lambda run, other, out: diff_norms(run, run, other),
-        lambda run, other, out: diff_norms(run, dataclasses.replace(run, mesh=other), run.mesh),
-        lambda run, other, out: front_tracker(run, None, other),
-        lambda run, other, out: write_slices(run, other, out),
-        lambda run, other, out: total_births(run, other),
+        lambda run, other: diff_norms(dataclasses.replace(run, mesh=other), run),
+        lambda run, other: diff_norms(run, dataclasses.replace(run, mesh=other)),
     ],
-    ids=["diff_norms", "diff_norms-ref", "front_tracker", "write_slices", "total_births"],
+    ids=["diff_norms", "diff_norms-ref"],
 )
-def test_run_readers_refuse_a_mesh_that_is_not_the_runs(reader, tmp_path):
+def test_run_readers_refuse_a_mesh_that_is_not_the_runs(reader):
     # same na and nx, so the shapes agree, but twice the step and extent
     m, other = _mesh(na=20, nx=5), build_mesh(2.0, 2.0, 20, 5)
     run = stored_run(np.ones((3, 4, m.na + 1, m.nx)), m)
     with pytest.raises(ShapeMismatch) as info:
-        reader(run, other, tmp_path / "out")
+        reader(run, other)
     assert repr(m) in str(info.value) and repr(other) in str(info.value)
-    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda run, out: np.array(front_tracker(run, 0.5, compartment=0)),
+        lambda run, out: np.loadtxt(write_slices(run, out)[0], delimiter=",", skiprows=1)[:, :2],
+        lambda run, out: np.array([[total_births(run)]]),
+    ],
+    ids=["front_tracker", "write_slices", "total_births"],
+)
+def test_run_readers_take_the_mesh_from_the_run(reader, tmp_path):
+    # the same unit stacks on twice the step and extent: the front
+    # times, the slice ages and the time integral of births double
+    m, other = _mesh(na=20, nx=5), build_mesh(2.0, 2.0, 20, 5)
+    values = np.ones((m.nt + 1, 1, m.na + 1, m.nx))
+    got, got_other = (reader(stored_run(values, mesh), tmp_path / f"out{k}")
+                      for k, mesh in enumerate((m, other)))
+    want = got.copy()
+    want[:, 0] *= 2.0
+    assert len(got) and np.array_equal(got_other, want)
 
 
 def test_run_items_are_views_and_iteration_stops_at_len():

@@ -76,6 +76,22 @@ def test_unknown_model_kind_rejected():
         parse_config_dict({"model": {"kind": "seir"}})
 
 
+@pytest.mark.parametrize(
+    "model, field",
+    [
+        ({"kind": "tables", "path": "model.npz", "params": {"c": 1.0, "bogus": 3}}, "model.params"),
+        ({"kind": "svir", "path": "model.npz"}, "model.path"),
+    ],
+    ids=["params-with-tables", "path-with-svir"],
+)
+def test_fields_the_model_kind_ignores_are_rejected(tmp_path, capsys, model, field):
+    # nothing reads them, so they are errors, not silently dropped settings
+    with pytest.raises(ConfigError, match=field):
+        parse_config_dict({"model": model})
+    assert cli_main(["run", "--config", str(_tiny_config(tmp_path, model=model))]) == 2
+    assert field in capsys.readouterr().err
+
+
 def test_missing_config_exit_code(tmp_path, capsys):
     # a missing file, a directory and a file that is not UTF-8 text
     (tmp_path / "dir.json").mkdir()
@@ -174,7 +190,7 @@ def test_slice_round_trip_is_bit_exact(tmp_path):
     run = run_parabolic(
         build_svir(SvirParams(total_S0=100.0, I0=1.0), m), SolverConfig(), m
     )
-    write_slices(run, m, tmp_path)
+    write_slices(run, tmp_path)
     data = np.loadtxt(tmp_path / "slice_1.csv", delimiter=",", skiprows=1)
     k = 0
     for a in range(m.na + 1):

@@ -48,7 +48,7 @@ def _factored_kernel(m, n, rng):
     ]
     shared = FactoredTable(rng.normal(size=(X, X)), None, A)
     terms += [KernelTerm(0, n - 1, n - 1, 0.5, shared), KernelTerm(n - 1, 0, n - 1, -2.0, shared)]
-    return KernelSet(n=n, terms=terms)
+    return KernelSet(terms)
 
 
 KINDS = ("dense", "factored")
@@ -68,9 +68,10 @@ def _terms(kind, row, col, m):
 
 
 def _dense(k, m, tilde=False):
-    """The (n, n, n, A, X, A, X) table of k's terms (or tilde terms)."""
-    A, X = m.na + 1, m.nx
-    out = np.zeros((k.n, k.n, k.n, A, X, A, X))
+    """The (n, n, n, A, X, A, X) table of k's terms (or tilde terms), n
+    one more than the largest compartment index of the terms."""
+    A, X, n = m.na + 1, m.nx, 1 + max(max(t.h, t.i, t.j) for t in k.terms)
+    out = np.zeros((n, n, n, A, X, A, X))
     for t in k.tilde_terms if tilde else k.terms:
         out[t.h, t.i, t.j] += t.weight * np.asarray(t.table)
     return out
@@ -174,7 +175,7 @@ def test_lambda_tent_kernel_closed_form():
             A, X = m.na + 1, m.nx
             xs = m.xs()
             tent = np.maximum(0.1 - np.abs(xs[:, None] - xs[None, :]), 0.0)
-            k = KernelSet(n=1, terms=_terms(kind, tent, None, m))
+            k = KernelSet(terms=_terms(kind, tent, None, m))
             out = lambda_op(k, np.ones((1, A, X)), m)
             mid = np.argmin(np.abs(xs - 0.5))
             assert np.isclose(out[0, 0, 0, mid], 0.01, atol=1e-14)
@@ -258,7 +259,7 @@ def test_from_dense_finds_the_rank_and_skips_zero_tables():
     rows, cols = rng.normal(size=(3, A, X, X)), rng.normal(size=(3, A, X))
     k7[1, 0, 1] = np.einsum("raxz,rbz->axbz", rows, cols)
     k = KernelSet.from_dense(k7)
-    assert k.n == 2
+    assert _dense(k, m).shape == k7.shape
     assert len(k.terms) == 3
     assert all((t.h, t.i, t.j) == (1, 0, 1) for t in k.terms)
     _assert_close(_dense(k, m), k7, rtol=1e-14)
@@ -279,7 +280,7 @@ def test_attach_tilde_matches_definition(kind):
         xz = np.multiply.outer(m.xs(), m.xs())
         row = np.sin(m.ages())[:, None, None] * (1 + 0.5 * xz)  # (A, X, X)
         col = np.broadcast_to(np.cos(2 * m.ages())[:, None], (A, X))
-        k = KernelSet(n=1, terms=_terms(kind, row, col, m))
+        k = KernelSet(terms=_terms(kind, row, col, m))
         kt = attach_tilde(k, m)
         dense = _dense(kt, m, tilde=True)[0, 0, 0]
         analytic = (np.cos(a) * np.cos(2 * alf) - 2 * np.sin(a) * np.sin(2 * alf)) * (
@@ -296,7 +297,7 @@ def test_attach_tilde_matches_definition(kind):
     A, X = m.na + 1, m.nx
     rng = np.random.default_rng(4)
     row, col = rng.normal(size=(A, X, X)), rng.normal(size=(A, X))
-    kt = attach_tilde(KernelSet(n=1, terms=_terms(kind, row, col, m)), m)
+    kt = attach_tilde(KernelSet(terms=_terms(kind, row, col, m)), m)
     dense = np.asarray(FactoredTable(row, col, A))
     want = np.gradient(dense, m.da, axis=0, edge_order=2)
     want += np.gradient(dense, m.da, axis=2, edge_order=2)
@@ -304,7 +305,7 @@ def test_attach_tilde_matches_definition(kind):
 
     # an age-constant table has no derivative term
     flat = rng.normal(size=(X, X))
-    kt_flat = attach_tilde(KernelSet(n=1, terms=_terms(kind, flat, None, m)), m)
+    kt_flat = attach_tilde(KernelSet(terms=_terms(kind, flat, None, m)), m)
     assert kt_flat.tilde_terms == []
 
 
@@ -323,7 +324,7 @@ def test_delta_lambda_product_rule_reduction():
         m = _mesh(nx=5)
         A, X = m.na + 1, m.nx
         rng = np.random.default_rng(8)
-        k = KernelSet(n=1, terms=_terms(kind, rng.normal(size=(X, X)), None, m))
+        k = KernelSet(terms=_terms(kind, rng.normal(size=(X, X)), None, m))
         k = attach_tilde(k, m)
         assert not k.tilde_terms
         y = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
@@ -347,6 +348,20 @@ def test_lambda_contractions_against_bruteforce(kind):
     _assert_close(lambda_op(k, w, m), _lambda_dense(_dense(k, m), w, m))
     _assert_close(lambda_one(k, w, m), _lambda_dense(_dense(k, m, tilde=True), w, m))
     _assert_close(lambda_two(k, g0, m), _lambda_two_dense(_dense(k, m), g0, m))
+
+
+@pytest.mark.parametrize(
+    "contract, shape",
+    [(lambda_op, (1, 4, 4)), (lambda_op, (2, 5, 4)), (lambda_op, (4, 4)),
+     (lambda_one, (1, 4, 4)), (lambda_two, (1, 4))],
+)
+def test_contractions_refuse_a_field_off_the_kernels(contract, shape):
+    # the kernels hold no compartment count: one read off the field that
+    # is too small for their indices is a ShapeMismatch, not an IndexError
+    m = build_mesh(1.0, 1.0, 3, 4)
+    k = attach_tilde(_kernel("factored", m, 2, np.random.default_rng(17)), m)
+    with pytest.raises(ShapeMismatch):
+        contract(k, np.ones(shape), m)
 
 
 def test_delta_lambda_against_bruteforce():
@@ -392,7 +407,7 @@ def test_g_op_scalar_cancellation():
         m = _mesh(nx=5)
         A, X = m.na + 1, m.nx
         rng = np.random.default_rng(13)
-        k = KernelSet(n=1, terms=_terms(kind, rng.normal(size=(X, X)), None, m))
+        k = KernelSet(terms=_terms(kind, rng.normal(size=(X, X)), None, m))
         beta = np.abs(_dense_beta(m, 1, rng))
         y = rng.normal(size=(1, A, X))
         out = g_op(k, beta, y, newborn_source(beta, y, None, m), m)

@@ -42,7 +42,7 @@ def test_derived_slope_constant_state_closed_form():
     A, X = m.na + 1, m.nx
     c, mu, kap = 2.0, 0.4, 0.3
     flat = FactoredTable(np.ones((X, X)), None, A)
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, kap, flat)])
+    k = KernelSet(terms=[KernelTerm(0, 0, 0, kap, flat)])
     spec = scalar_spec(m, np.full((1, A, X), c), sigma=0.2, mu=mu, kernels=k)
     out = derived_initial_slope(spec, m)
     assert np.allclose(out, -(mu + kap * c) * c, rtol=1e-12)

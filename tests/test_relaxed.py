@@ -74,7 +74,7 @@ def test_residual_zero_run():
     m = build_mesh(0.5, 1.0, 4, 5)
     spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=0.1)
     run = run_relaxed(spec, SolverConfig(), m)
-    assert residual_check(run, spec, m) == 0.0
+    assert residual_check(run, spec) == 0.0
 
 
 def test_manufactured_solution_residual_and_error():
@@ -84,7 +84,7 @@ def test_manufactured_solution_residual_and_error():
         spec, exact = manufactured(m)
         run = run_relaxed(spec, SolverConfig(), m)
         errs.append(float(np.max(np.abs(run[-1].values - exact))))
-        resids.append(residual_check(run, spec, m))
+        resids.append(residual_check(run, spec))
     assert errs[0] < 0.05
     assert errs[0] / errs[1] > 1.7
     assert resids[0] / resids[1] > 1.5
@@ -103,7 +103,7 @@ def test_solve_derives_the_tilde_terms():
     for sg, sw in zip(got, want):
         assert np.array_equal(sg.values, sw.values)
         assert np.array_equal(sg.slope, sw.slope)
-    assert residual_check(got, spec, m) == residual_check(want, attached, m)
+    assert residual_check(got, spec) == residual_check(want, attached)
 
 
 def test_relaxed_sweep_contracts_three_times(monkeypatch):
@@ -206,10 +206,21 @@ def test_picard_divergence_detected():
     m = build_mesh(1.0, 1.0, 2, 5)
     A, X = m.na + 1, m.nx
     flat = FactoredTable(np.ones((X, X)), None, A)
-    k = KernelSet(n=1, terms=[KernelTerm(0, 0, 0, -80.0, flat)])
+    k = KernelSet(terms=[KernelTerm(0, 0, 0, -80.0, flat)])
     spec = scalar_spec(m, np.full((1, A, X), 1.0), kernels=k)
     with pytest.raises(PicardDiverged):
         run_relaxed(spec, SolverConfig(picard_max=50), m)
+
+
+@pytest.mark.parametrize("solve", [run_relaxed, run_parabolic])
+def test_divergence_names_the_step_its_time_da_and_residuals(solve):
+    # at da = 0.25 the frozen-kernel map of default SVIR does not contract
+    m = build_mesh(0.5, 1.0, 4, 5)
+    with pytest.raises(PicardDiverged) as err:
+        solve(build_svir(SvirParams(tau=1e-2), m), SolverConfig(), m)
+    msg = str(err.value)
+    for part in ("at step 1 (t=0.25, da=0.25)", "sweeps", "best residual", "last"):
+        assert part in msg
 
 
 def _scripted(errs, sizes=None):
@@ -237,13 +248,14 @@ def test_fixed_point_allows_two_growths_and_raises_on_three():
     x, updates = _solve(sweep, energy)
     assert (x[0], updates) == (7, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1e-12])
     sweep, energy = _scripted([1.0, 0.5, 2.0, 3.0, 4.0, 1e-12])
-    with pytest.raises(PicardDiverged, match="grew 3 sweeps in a row at step 4"):
+    with pytest.raises(PicardDiverged, match="grew 3 sweeps in a row at step 4, after 5 sweeps: "
+                       "best residual 5.000e-01, last 4.000e"):
         _solve(sweep, energy, at=4)
 
 
 def test_fixed_point_raises_when_picard_max_is_exhausted():
     sweep, energy = _scripted([1.0] * 5 + [1e-12])
-    with pytest.raises(PicardDiverged, match="picard_max=5 sweeps at step 7"):
+    with pytest.raises(PicardDiverged, match="picard_max=5 sweeps at step 7, after 5 sweeps"):
         _solve(sweep, energy, SolverConfig(picard_max=5), at=7)
     assert _solve(sweep, energy, SolverConfig(picard_max=6), at=7)[0][0] == 6
 
@@ -354,6 +366,17 @@ def test_spec_validation_errors():
         run_relaxed(spec, SolverConfig(), m)
 
 
+@pytest.mark.parametrize("shape", [(), (5,), (5, 5, 1, 0), (5, 5, 2, 2)])
+def test_malformed_L_is_a_shape_mismatch(shape):
+    # n is read from L, so an L without a compartment axis must still be
+    # named, not fail as an IndexError
+    m = build_mesh(0.5, 1.0, 4, 5)
+    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)))
+    spec.linear.L = np.zeros(shape)
+    with pytest.raises(ShapeMismatch, match="^(L|L_a|sigma|y0) shape"):
+        run_relaxed(spec, SolverConfig(), m)
+
+
 def _poisoned(spec, name, m):
     """spec with one NaN in the table called name."""
     if name == "f":
@@ -389,7 +412,7 @@ def test_bad_kernel_terms_are_shape_mismatches(bad, match):
     m = build_mesh(0.5, 1.0, 4, 5)
     spec = build_svir(SvirParams(tau=1e-2), m)
     term = bad(m.na + 1, m.nx)
-    spec = dataclasses.replace(spec, kernels=KernelSet(4, spec.kernels.terms + [term]))
+    spec = dataclasses.replace(spec, kernels=KernelSet(spec.kernels.terms + [term]))
     with pytest.raises(ShapeMismatch, match=match) as err:
         run_relaxed(spec, SolverConfig(), m)
     assert f"kernel term (h={term.h}, i=0, j=2)" in str(err.value)
@@ -401,9 +424,9 @@ def test_residual_check_validates_the_spec():
     spec = build_svir(SvirParams(tau=1e-2, total_S0=100.0, I0=1.0), m)
     run = run_relaxed(spec, SolverConfig(), m)
     term = KernelTerm(7, 0, 2, 1.0, FactoredTable(np.ones((m.nx, m.nx)), None, m.na + 1))
-    bad = dataclasses.replace(spec, kernels=KernelSet(4, spec.kernels.terms + [term]))
+    bad = dataclasses.replace(spec, kernels=KernelSet(spec.kernels.terms + [term]))
     with pytest.raises(ShapeMismatch, match="outside"):
-        residual_check(run, bad, m)
+        residual_check(run, bad)
 
 
 @pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf])

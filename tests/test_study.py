@@ -43,7 +43,7 @@ def test_fit_rate_window_masks_floor_points():
 def test_front_tracker_zero_run():
     m = build_mesh(0.5, 1.0, 4, 5)
     run = stored_run(np.zeros((3, 4, m.na + 1, m.nx)), m)
-    assert front_tracker(run, 1e-12, m) == []
+    assert front_tracker(run, 1e-12) == []
 
 
 def test_front_positions_monotone_in_tau():
@@ -56,7 +56,7 @@ def test_front_positions_monotone_in_tau():
     dists = []
     for tau in (0.1, 1.0, 10.0, 100.0):
         run = run_relaxed(build_svir(SvirParams(tau=tau), m), cfg, m)
-        fr = dict((round(t, 10), x) for t, x in front_tracker(run, thr, m))
+        fr = dict((round(t, 10), x) for t, x in front_tracker(run, thr))
         x_left = fr.get(round(t_probe, 10), 1.0)
         dists.append(1.0 - x_left)
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))
@@ -77,7 +77,7 @@ def test_refinement_floor_is_the_sup_over_the_coarse_lattice(small_mesh):
         float(np.max(np.abs(sl.values - fine[2 * k].values[:, ::2, :])))
         for k, sl in enumerate(coarse)
     )
-    assert refinement_floor(coarse, SvirParams(), m, cfg) == want
+    assert refinement_floor(coarse, SvirParams(), cfg) == want
 
 
 def test_refinement_floor_needs_every_step_of_the_coarse_run(small_mesh, monkeypatch):
@@ -85,7 +85,7 @@ def test_refinement_floor_needs_every_step_of_the_coarse_run(small_mesh, monkeyp
     monkeypatch.setattr(study, "run_parabolic", None)  # fails if the fine run is solved
     sparse = stored_run(np.zeros((3, 4, m.na + 1, m.nx)), m, indices=[0, 3, 5])
     with pytest.raises(LengthMismatch, match="every step"):
-        refinement_floor(sparse, SvirParams(), m, SolverConfig())
+        refinement_floor(sparse, SvirParams(), SolverConfig())
 
 
 def test_tau_sweep_small_end_to_end(desk_mesh, solver_cfg, svir_floor):
@@ -101,8 +101,8 @@ def test_tau_sweep_small_end_to_end(desk_mesh, solver_cfg, svir_floor):
     assert not res.window_applied
 
 
-def test_compatibility_setup_matched_case(desk_mesh):
-    spec = compatibility_setup(build_svir(SvirParams(), desk_mesh), 1.0, 1.0, None, desk_mesh)
+def test_compatibility_setup_matched_case(desk_mesh, svir_baseline):
+    spec = compatibility_setup(build_svir(SvirParams(), desk_mesh), 1.0, 1.0, svir_baseline)
     assert spec.births.g0 is None and spec.births.g1 is None
     gap = spec.y1 - derived_initial_slope(spec, desk_mesh)
     assert np.max(np.abs(gap)) < 1e-10
@@ -110,7 +110,7 @@ def test_compatibility_setup_matched_case(desk_mesh):
 
 def test_compatibility_setup_reads_baseline_trace(desk_mesh, svir_baseline):
     spec = compatibility_setup(
-        build_svir(SvirParams(), desk_mesh), 0.0, 1.0, svir_baseline, desk_mesh
+        build_svir(SvirParams(), desk_mesh), 0.0, 1.0, svir_baseline
     )
     assert np.allclose(spec.births.beta0, 0.0)
     for k in (0, 3, 7):
@@ -118,8 +118,10 @@ def test_compatibility_setup_reads_baseline_trace(desk_mesh, svir_baseline):
 
 
 def test_compatibility_setup_requires_baseline(desk_mesh):
-    with pytest.raises(MissingBaseline):
-        compatibility_setup(build_svir(SvirParams(), desk_mesh), 0.5, 1.0, None, desk_mesh)
+    # a baseline without every step has no boundary trace to sample
+    sparse = stored_run(np.zeros((3, 4, desk_mesh.na + 1, desk_mesh.nx)), desk_mesh, [0, 10, 20])
+    with pytest.raises(MissingBaseline, match="every step"):
+        compatibility_setup(build_svir(SvirParams(), desk_mesh), 0.5, 1.0, sparse)
 
 
 def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
@@ -128,7 +130,7 @@ def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
     import dataclasses
 
     spec = compatibility_setup(
-        build_svir(SvirParams(), desk_mesh), 0.5, 1.0, svir_baseline, desk_mesh
+        build_svir(SvirParams(), desk_mesh), 0.5, 1.0, svir_baseline
     )
     spec = dataclasses.replace(spec, tau=1e-8)
     run = run_relaxed(spec, solver_cfg, desk_mesh)

@@ -25,6 +25,7 @@ from epiwave.svir import (
     default_fertility,
     default_mortality,
     sigma_susceptible,
+    tent_kernel,
 )
 
 
@@ -53,6 +54,28 @@ def test_invalid_params_rejected():
 def test_rates_reject_nan_and_inf(name, value):
     with pytest.raises(InvalidParam, match=f"^{name}="):
         SvirParams(**{name: value}).validate()
+
+
+def test_replaced_mortality_needs_its_own_derivative():
+    # the default mu_da with a new mu would give L_a = 2.9e-5, not 0.5,
+    # at a = 0.05 for mu = 0.5 a
+    m = build_mesh(1.0, 1.0, 20, 5)
+    with pytest.raises(InvalidParam, match="mu_da"):
+        build_svir(SvirParams(mu=lambda a: 0.5 * a), m)
+    spec = build_svir(SvirParams(mu=lambda a: 0.5 * a, mu_da=None), m)
+    assert spec.linear.L_a[1, 0, S, S] == pytest.approx(0.5, rel=1e-12)
+    spec = build_svir(SvirParams(mu=lambda a: 0.5 * a, mu_da=lambda a: 0.5 + 0 * a), m)
+    assert np.all(spec.linear.L_a[:, :, I, I] == 0.5)
+
+
+@pytest.mark.parametrize("nx", [11, 21, 41])
+def test_tent_kernel_grid_row_integral(nx):
+    # the nodes fall on the tent's kinks, so the trapezoid row integral
+    # at the middle node is the exact reach^2 = 0.01
+    m = build_mesh(1.0, 1.0, 4, nx)
+    xs = m.xs()
+    k = tent_kernel(xs[:, None], xs[None, :])
+    assert abs((k @ space_weights(m))[nx // 2] - 0.01) <= 1e-15
 
 
 def test_linear_coupling_signs():
@@ -145,9 +168,8 @@ def test_sum_dynamics_match_single_compartment():
     for k in range(m.nt + 1):
         f[k, 0] = -p.delta_d * run[k].values[I]
     nspec = ModelSpec(
-        n=1,
         linear=lin,
-        kernels=KernelSet(1),
+        kernels=KernelSet(),
         births=laws,
         y0=np.sum(spec.y0, axis=0, keepdims=True),
         f=f,
