@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SingularBirthSystem, SingularSigma
 from .fields import StateField, space_gradient
 from .mesh import Mesh, age_weights
-from .operators import LinearPart
+from .operators import LinearPart, invert_in_place
 
 _SIGMA_FLOOR = 1e-14
 
@@ -135,31 +135,14 @@ class BirthContext:
     fgrad: Optional[np.ndarray] = None
 
 
-def _invert(mats: np.ndarray, law: str) -> np.ndarray:
-    """Inverses of the (nx, n, n) per-node birth matrices of one law.
-
-    Raises SingularBirthSystem, naming the law and the space node, when
-    inversion fails or max|inv| max(max|M|, 1) exceeds 1e14."""
-    inv = np.empty_like(mats)
-    for x, mat in enumerate(mats):
-        try:
-            inv[x] = np.linalg.inv(mat)
-        except np.linalg.LinAlgError:
-            inv[x] = np.nan
-    scale = np.maximum(np.max(np.abs(mats), axis=(1, 2)), 1.0)
-    bad = ~(np.max(np.abs(inv), axis=(1, 2)) * scale <= 1e14)  # also true for NaN / inf
-    if bad.any():
-        raise SingularBirthSystem(f"{law} birth system singular at space node {np.argmax(bad)}")
-    return inv
-
-
 def birth_context(laws: BirthLaws, m: Mesh, with_slope: bool = True) -> BirthContext:
     """Fold the birth laws into the map solve_birth_step applies.
 
     Inverts I - w0 beta0(0) and, with the slope law, I - w0 beta1(0) at
     every space node, and folds each inverse with the age weights into
-    the tables of its law.  The zeroth-order law (with_slope False)
-    reads nothing of beta1, betaL or beta_grad.
+    the tables of its law, raising SingularBirthSystem, naming the law
+    and the node, for a singular system.  The zeroth-order law
+    (with_slope False) reads nothing of beta1, betaL or beta_grad.
     """
     wa = age_weights(m)
     w0, eye = wa[0], np.eye(laws.beta0.shape[-1])
@@ -173,10 +156,16 @@ def birth_context(laws: BirthLaws, m: Mesh, with_slope: bool = True) -> BirthCon
     def feedback(inv, tab0):  # (nx, n, n), or None for a zero one
         return inv @ (w0 * tab0) if np.any(tab0) else None
 
-    inv0 = _invert(eye - w0 * laws.beta0[0], "B0")
+    def invert(law, beta):  # the (nx, n, n) inverses of I - w0 beta(0)
+        mats = eye - w0 * beta[0]
+        if (bad := invert_in_place(mats)) is not None:
+            raise SingularBirthSystem(f"{law} birth system singular at space node {bad}")
+        return mats
+
+    inv0 = invert("B0", laws.beta0)
     if not with_slope:
         return BirthContext(inv0, fold(inv0, laws.beta0))
-    inv1 = _invert(eye - w0 * laws.beta1[0], "B1")
+    inv1 = invert("B1", laws.beta1)
     return BirthContext(
         inv0, fold(inv0, laws.beta0),
         inv1=inv1,

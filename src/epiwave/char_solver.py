@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NonFinite, SingularSystem
 from .mesh import Mesh
-from .operators import LinearPart, laplacian_neumann, neumann_matrix
+from .operators import LinearPart, invert_in_place, laplacian_neumann, neumann_matrix
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def step_context(lin: LinearPart, tau: float, m: Mesh) -> StepContext:
     Each age's matrix tau I + da (I + tau L) + da^2 (L + tau L_a)
     - da^2 sigma Lap is assembled in one (na, nx, n, nx, n) stack and
     overwritten by its inverse.  Raises SingularSystem, naming the age,
-    when inversion fails or max|inv| max(max|M|, 1) exceeds 1e14.
+    for a matrix that invert_in_place finds singular.
     """
     n, da, nx = lin.n, m.da, m.nx
     L, L_a, sigma = lin.L[1:], lin.L_a[1:], lin.sigma[1:]
@@ -62,14 +62,8 @@ def step_context(lin: LinearPart, tau: float, m: Mesh) -> StepContext:
     # ... and (n, na, nx, nx) diffusion per compartment
     mats[:, :, hs, :, hs] -= (da * da) * sigma.T[:, :, None, None] * neumann_matrix(m)
     inv = mats.reshape(m.na, n * nx, n * nx)  # a view: inverses overwrite matrices
-    for a, mat in enumerate(inv):
-        scale = max(np.max(np.abs(mat)), 1.0)
-        try:
-            mat[:] = np.linalg.inv(mat)
-        except np.linalg.LinAlgError:
-            mat[:] = np.nan
-        if not np.max(np.abs(mat)) * scale <= 1e14:  # also false for NaN / inf
-            raise SingularSystem(f"implicit step matrix singular at age index {a + 1}")
+    if (bad := invert_in_place(inv)) is not None:
+        raise SingularSystem(f"implicit step matrix singular at age index {bad + 1}")
     return StepContext(tau, inv, L + tau * L_a, sigma)
 
 

@@ -18,7 +18,7 @@ class ShapeMismatch(EpiwaveError):
 
 
 class LengthMismatch(EpiwaveError):
-    """Series lengths inconsistent."""
+    """Series lengths inconsistent, or a run that lacks steps a reader needs."""
 
 
 class SingularSystem(EpiwaveError):
@@ -38,9 +38,10 @@ class SingularBirthSystem(EpiwaveError):
 
 
 class PicardDiverged(EpiwaveError):
-    """A step's update grew 3 sweeps in a row, or picard_max sweeps missed
-    picard_tol.  The message names the step, its time and da, the sweeps
-    taken and the best and last residuals."""
+    """A step's picard_max sweeps all missed picard_tol.  The message names
+    the step, its time and da, the sweeps taken, the best and last residual
+    and the observed ratio per sweep, (last / first) ** (1 / (sweeps - 1)):
+    above 1 the step diverged, below it converged too slowly."""
 
 
 class InvalidParam(EpiwaveError):
@@ -49,11 +50,6 @@ class InvalidParam(EpiwaveError):
 
 class FitUnderdetermined(EpiwaveError):
     """Fewer than three usable points for the log-log rate fit."""
-
-
-class MissingBaseline(EpiwaveError):
-    """The baseline run does not store every step, so its boundary traces
-    cannot be sampled."""
 
 
 class ConfigError(EpiwaveError):

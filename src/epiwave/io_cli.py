@@ -152,8 +152,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
 
 def parse_config(path) -> RunConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
         raw = json.loads(p.read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -441,12 +439,7 @@ def cli_main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    out_dir = args.out or cfg.output.directory
-    try:
+        out_dir = args.out or cfg.output.directory
         if args.command == "run":
             m, spec, solver = build_problem(cfg, tau=args.tau)
             _mkdir(out_dir)

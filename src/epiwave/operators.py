@@ -52,6 +52,24 @@ def neumann_matrix(m: Mesh) -> np.ndarray:
     return laplacian_neumann(np.eye(m.nx), m).T
 
 
+def invert_in_place(mats: np.ndarray) -> Optional[int]:
+    """Overwrite each matrix M of the (k, d, d) stack mats by its inverse.
+
+    The one rule for a numerically singular system: inversion fails, or
+    max|M^-1| max(max|M|, 1) exceeds 1e14.  Returns the index of the
+    first such matrix, where the inversion stops, or None.
+    """
+    for i, mat in enumerate(mats):
+        scale = max(np.max(np.abs(mat)), 1.0)
+        try:
+            mat[:] = np.linalg.inv(mat)
+        except np.linalg.LinAlgError:
+            return i
+        if not np.max(np.abs(mat)) * scale <= 1e14:  # also true for NaN / inf
+            return i
+    return None
+
+
 @dataclass
 class LinearPart:
     """Linear coefficient tables sampled on the (age, space) grid.

@@ -140,6 +140,18 @@ def _inner(D: np.ndarray, v: np.ndarray, weights) -> np.ndarray:
     return out
 
 
+def _failure(what: str, at, updates: List[float]) -> str:
+    """The message `what` at step `at` after the sweeps whose residuals are
+    updates, with the best, the last and the observed ratio per sweep."""
+    n = len(updates)
+    msg = f"{what} at step {at}, after {n} sweeps"
+    if n:
+        msg += f": best residual {min(updates):.3e}, last {updates[-1]:.3e}"
+    if n > 1:
+        msg += f", observed ratio {(updates[-1] / updates[0]) ** (1 / (n - 1)):.3g} per sweep"
+    return msg
+
+
 def _fixed_point(picard_map, x, energy, weights, cfg: SolverConfig, linear: bool, at):
     """Solve x = picard_map(x) from x at step `at`: the one stopping rule.
 
@@ -153,50 +165,47 @@ def _fixed_point(picard_map, x, energy, weights, cfg: SolverConfig, linear: bool
     or non-finite mixing solve drops it and takes the plain step g(x).
     A linear map runs once.
 
-    Returns the last g(x) and each sweep's residual norm.  Raises
-    PicardDiverged on three growths in a row or after picard_max
-    unconverged sweeps, naming the sweeps taken and the best and last
-    residuals, NonFinite on a non-finite g(x).  Messages name the step
-    as `at`; _march passes its index with its time and da.
+    Returns the last g(x) and each sweep's residual norm.  The sweep
+    budget is the only stop short of an answer: PicardDiverged once
+    picard_max sweeps have all missed picard_tol.  Floating-point
+    warnings are off for the whole loop, and a non-finite g(x) raises
+    NonFinite.  Both messages come from _failure and name the step as
+    `at`; _march passes its index with its time and da.
     """
     updates: List[float] = []
     dF, dG = np.empty((_DEPTH,) + x.shape), np.empty((_DEPTH,) + x.shape)
     gram = np.empty((_DEPTH, _DEPTH))  # of dF, one row written per sweep
     filled = 0
     g_old = f_old = None
-    why = f"no convergence in picard_max={cfg.picard_max} sweeps"
-    while len(updates) < cfg.picard_max:
-        g = picard_map(x)
-        f = g - x
-        err, size = energy(f, g)
-        if not np.isfinite(size):
-            raise NonFinite(f"non-finite slice at step {at}")
-        updates.append(float(err))
-        if linear or err <= cfg.picard_tol * max(size, 1e-300):
-            return g, updates
-        if len(updates) >= 4 and updates[-4] < updates[-3] < updates[-2] < updates[-1]:
-            why = "update grew 3 sweeps in a row"
-            break
-        x = g
-        if g_old is not None:
-            slot = filled % _DEPTH
-            np.subtract(f, f_old, out=dF[slot])
-            np.subtract(g, g_old, out=dG[slot])
-            filled += 1
-            k = min(filled, _DEPTH)
-            with np.errstate(all="ignore"):  # an overflowing history falls back below
+    with np.errstate(all="ignore"):  # a blow-up is caught by the checks below
+        while len(updates) < cfg.picard_max:
+            g = picard_map(x)
+            f = g - x
+            err, size = energy(f, g)
+            if not np.isfinite(size):
+                raise NonFinite(_failure("non-finite slice", at, updates))
+            updates.append(float(err))
+            if linear or err <= cfg.picard_tol * max(size, 1e-300):
+                return g, updates
+            x = g
+            if g_old is not None:
+                slot = filled % _DEPTH
+                np.subtract(f, f_old, out=dF[slot])
+                np.subtract(g, g_old, out=dG[slot])
+                filled += 1
+                k = min(filled, _DEPTH)
                 gram[slot, :k] = gram[:k, slot] = _inner(dF[:k], dF[slot], weights)
                 try:
                     gamma = np.linalg.solve(gram[:k, :k], _inner(dF[:k], f, weights))
                 except np.linalg.LinAlgError:
                     gamma = None
-            if gamma is None or not np.all(np.isfinite(gamma)):
-                filled = 0
-            else:
-                x = g - (gamma @ dG[:k].reshape(k, -1)).reshape(g.shape)
-        g_old, f_old = g, f
-    raise PicardDiverged(f"{why} at step {at}, after {len(updates)} sweeps: "
-                         f"best residual {min(updates):.3e}, last {updates[-1]:.3e}")
+                if gamma is None or not np.all(np.isfinite(gamma)):
+                    filled = 0
+                else:
+                    x = g - (gamma @ dG[:k].reshape(k, -1)).reshape(g.shape)
+            g_old, f_old = g, f
+    raise PicardDiverged(_failure(f"no convergence in picard_max={cfg.picard_max} sweeps",
+                                  at, updates))
 
 
 def consistent_slope(

@@ -20,7 +20,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .birth import make_compatible
-from .errors import FitUnderdetermined, InvalidParam, LengthMismatch, MissingBaseline
+from .errors import FitUnderdetermined, InvalidParam, LengthMismatch
 from .fields import NormReport, Run, age_integral, diff_norms
 from .mesh import Mesh, build_mesh
 from .parabolic_model import run_parabolic
@@ -204,7 +204,7 @@ def compatibility_setup(spec: ModelSpec, q1: float, q2: float, baseline: Run) ->
     """
     m = baseline.mesh
     if len(baseline) != m.nt + 1:
-        raise MissingBaseline("baseline must store every step")
+        raise LengthMismatch("the baseline must store every step")
     laws = make_compatible(spec.births.beta0, spec.linear, q1, q2, m)
     if q1 != 1.0:
         laws.g0 = (1.0 - q1) * baseline.values[:, :, 0]

@@ -15,6 +15,7 @@ from epiwave.operators import (
     attach_tilde,
     delta_lambda_apply,
     g_op,
+    invert_in_place,
     lambda_one,
     lambda_op,
     lambda_two,
@@ -138,6 +139,21 @@ def test_neumann_summation_by_parts():
     rng = np.random.default_rng(5)
     u = rng.normal(size=m.nx)
     assert abs(np.dot(w, lap @ u)) < 1e-10 * np.max(np.abs(u)) / m.dx**2
+
+
+@pytest.mark.parametrize(
+    "bad, first",
+    [(np.ones((2, 2)), 1), (np.diag([1.0, 1e-15]), 1), (np.diag([1e8, 1e-7]), 1), (None, None)],
+    ids=["exactly-singular", "inverse-too-large", "badly-scaled", "all-regular"],
+)
+def test_invert_in_place_names_the_first_singular_matrix(bad, first):
+    # max|M^-1| max(max|M|, 1) > 1e14 is singular too; the stack is
+    # overwritten where it stands and left as it is after a singular entry
+    good = np.array([[2.0, 1.0], [1.0, 3.0]])
+    mats = np.stack([good, good if bad is None else bad, 4.0 * good])
+    assert invert_in_place(mats) == first
+    assert np.array_equal(mats[0], np.linalg.inv(good))
+    assert np.array_equal(mats[2], np.linalg.inv(4.0 * good) if bad is None else 4.0 * good)
 
 
 def test_laplacian_matrix_matches_stencil():

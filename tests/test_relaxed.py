@@ -212,15 +212,32 @@ def test_picard_divergence_detected():
         run_relaxed(spec, SolverConfig(picard_max=50), m)
 
 
-@pytest.mark.parametrize("solve", [run_relaxed, run_parabolic])
-def test_divergence_names_the_step_its_time_da_and_residuals(solve):
-    # at da = 0.25 the frozen-kernel map of default SVIR does not contract
+@pytest.mark.parametrize(
+    "solve, error, sweeps",
+    [(run_parabolic, PicardDiverged, "after 100 sweeps: best residual 1.573e+01"),
+     (run_relaxed, NonFinite, "sweeps: best residual")],
+    ids=["run_parabolic", "run_relaxed"],
+)
+def test_divergence_names_the_step_its_time_da_and_residuals(solve, error, sweeps):
+    # at da = 0.25 the frozen-kernel map of default SVIR does not contract:
+    # the parabolic step exhausts picard_max, the relaxed one overflows
     m = build_mesh(0.5, 1.0, 4, 5)
-    with pytest.raises(PicardDiverged) as err:
-        solve(build_svir(SvirParams(tau=1e-2), m), SolverConfig(), m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as err:
+            solve(build_svir(SvirParams(tau=1e-2), m), SolverConfig(), m)
     msg = str(err.value)
-    for part in ("at step 1 (t=0.25, da=0.25)", "sweeps", "best residual", "last"):
+    for part in ("at step 1 (t=0.25, da=0.25)", sweeps, "last", "per sweep"):
         assert part in msg
+
+
+def test_five_age_svir_mesh_converges():
+    # Anderson residuals are not monotone: the first step's residual grows
+    # in 66 of its 244 sweeps, up to three in a row, and still converges
+    m = build_mesh(1.0, 1.0, 5, 21)
+    run = run_relaxed(build_svir(SvirParams(tau=1e-2), m), SolverConfig(picard_max=400), m)
+    assert len(run) == m.nt + 1
+    assert np.all(np.isfinite(run.values))
 
 
 def _scripted(errs, sizes=None):
@@ -243,19 +260,17 @@ def test_fixed_point_stops_at_the_tolerance():
     assert all(type(u) is float for u in updates)
 
 
-def test_fixed_point_allows_two_growths_and_raises_on_three():
-    sweep, energy = _scripted([1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1e-12])
+def test_fixed_point_accepts_a_residual_that_grows_before_it_converges():
+    sweep, energy = _scripted([1.0, 2.0, 3.0, 4.0, 5.0, 1e-12])
     x, updates = _solve(sweep, energy)
-    assert (x[0], updates) == (7, [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1e-12])
-    sweep, energy = _scripted([1.0, 0.5, 2.0, 3.0, 4.0, 1e-12])
-    with pytest.raises(PicardDiverged, match="grew 3 sweeps in a row at step 4, after 5 sweeps: "
-                       "best residual 5.000e-01, last 4.000e"):
-        _solve(sweep, energy, at=4)
+    assert (x[0], updates) == (6, [1.0, 2.0, 3.0, 4.0, 5.0, 1e-12])
 
 
 def test_fixed_point_raises_when_picard_max_is_exhausted():
-    sweep, energy = _scripted([1.0] * 5 + [1e-12])
-    with pytest.raises(PicardDiverged, match="picard_max=5 sweeps at step 7, after 5 sweeps"):
+    sweep, energy = _scripted([1.0, 2.0, 4.0, 8.0, 16.0, 1e-12])
+    with pytest.raises(PicardDiverged, match=r"^no convergence in picard_max=5 sweeps at step 7, "
+                       r"after 5 sweeps: best residual 1.000e\+00, last 1.600e\+01, "
+                       r"observed ratio 2 per sweep$"):
         _solve(sweep, energy, SolverConfig(picard_max=5), at=7)
     assert _solve(sweep, energy, SolverConfig(picard_max=6), at=7)[0][0] == 6
 
@@ -268,7 +283,11 @@ def test_fixed_point_runs_a_linear_map_once():
 
 def test_fixed_point_refuses_a_non_finite_candidate():
     sweep, energy = _scripted([1.0, 0.5], sizes=[1.0, np.nan])
-    with pytest.raises(NonFinite, match="step 3"):
+    with pytest.raises(NonFinite, match=r"^non-finite slice at step 3, after 1 sweeps: "
+                       r"best residual 1.000e\+00, last 1.000e\+00$"):
+        _solve(sweep, energy, at=3)
+    sweep, energy = _scripted([np.inf], sizes=[np.inf])
+    with pytest.raises(NonFinite, match="^non-finite slice at step 3, after 0 sweeps$"):
         _solve(sweep, energy, at=3)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epiwave import SolverConfig, build_mesh, derived_initial_slope, run_parabolic, run_relaxed
-from epiwave.errors import FitUnderdetermined, InvalidParam, LengthMismatch, MissingBaseline
+from epiwave.errors import FitUnderdetermined, InvalidParam, LengthMismatch
 from epiwave import study
 from epiwave.study import (
     compatibility_setup,
@@ -120,7 +120,7 @@ def test_compatibility_setup_reads_baseline_trace(desk_mesh, svir_baseline):
 def test_compatibility_setup_requires_baseline(desk_mesh):
     # a baseline without every step has no boundary trace to sample
     sparse = stored_run(np.zeros((3, 4, desk_mesh.na + 1, desk_mesh.nx)), desk_mesh, [0, 10, 20])
-    with pytest.raises(MissingBaseline, match="every step"):
+    with pytest.raises(LengthMismatch, match="every step"):
         compatibility_setup(build_svir(SvirParams(), desk_mesh), 0.5, 1.0, sparse)
 
 
