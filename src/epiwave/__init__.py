@@ -8,7 +8,7 @@ from .birth import (
     newborn_source,
     solve_birth_step,
 )
-from .char_solver import StepContext, step, step_context
+from .char_solver import StepContext, step, step_context, step_rhs
 from .fields import NormReport, Run, StateField, diff_norms, norm_H, norm_V
 from .mesh import Mesh, build_mesh
 from .operators import (
@@ -71,6 +71,7 @@ __all__ = [
     "solve_birth_step",
     "step",
     "step_context",
+    "step_rhs",
     "tau_sweep",
 ]
 

@@ -16,6 +16,11 @@ as forcing), so a step advances a whole time slice at once: the states
 at ages 0..na-1 move to ages 1..na with one batched product against the
 inverses of the target ages' implicit matrices, inverted once per solve
 (they are well conditioned, so this is as accurate as a factored solve).
+
+A step always advances the previous slice, so only its forcing can
+change from one fixed-point sweep to the next: step_rhs forms the rest
+of the right-hand side once per time step, and step adds da f and does
+the one batched product.
 """
 
 from dataclasses import dataclass
@@ -67,26 +72,37 @@ def step_context(lin: LinearPart, tau: float, m: Mesh) -> StepContext:
     return StepContext(tau, inv, L + tau * L_a, sigma)
 
 
+def step_rhs(v: np.ndarray, w: np.ndarray, ctx: StepContext, m: Mesh) -> np.ndarray:
+    """The forcing-free right-hand side of a step from the (n, na, nx)
+    values v and slopes w at ages 0..na-1: tau w + da (sigma Lap v - lcomb v).
+
+    It reads only the slice being advanced, so a solve forms it once per
+    time step however many sweeps the step takes.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):  # step raises NonFinite
+        lapv = laplacian_neumann(v, m)
+        return ctx.tau * w + m.da * (
+            ctx.sigma.T[:, :, None] * lapv - np.einsum("axhi,iax->hax", ctx.lcomb, v)
+        )
+
+
 def step(
     v: np.ndarray,
-    w: np.ndarray,
+    rhs: np.ndarray,
     ctx: StepContext,
     m: Mesh,
     f: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance the (n, na, nx) values and slopes at ages 0..na-1 by da.
+    """Advance the (n, na, nx) values v at ages 0..na-1 by da.
 
-    f is the optional (n, na, nx) forcing at the target ages 1..na.
+    rhs is step_rhs of v and its slopes; f is the optional (n, na, nx)
+    forcing at the target ages 1..na, which enters as rhs + da f.
     Returns the values and slopes at ages 1..na.  Raises NonFinite when
     NaN/inf appear.
     """
     n, na, nx = v.shape
     da = m.da
     with np.errstate(invalid="ignore", over="ignore"):  # NonFinite raised below
-        lapv = laplacian_neumann(v, m)
-        rhs = ctx.tau * w + da * (
-            ctx.sigma.T[:, :, None] * lapv - np.einsum("axhi,iax->hax", ctx.lcomb, v)
-        )
         if f is not None:
             rhs = rhs + da * f
         b = rhs.transpose(1, 2, 0).reshape(na, nx * n, 1)

@@ -6,11 +6,14 @@ stores the slices a solve keeps as two stacked (S, n, na+1, nx) arrays,
 and every reader slices those stacks.  Norms are trapezoid quadratures
 of the L2(age x space) and L2(age, H1(space)) integrands; the spatial
 derivative uses central differences with second-order one-sided
-stencils at the boundary.
+stencils at the boundary.  The H1 norm's space part is one quadratic
+form per mesh, K_V = W_x + D^T W_x D, so a norm call does one product
+against it instead of differencing its field.
 """
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List
 
 import numpy as np
@@ -99,9 +102,25 @@ def space_gradient(v: np.ndarray, m: Mesh) -> np.ndarray:
     return np.gradient(v, m.dx, axis=-1, edge_order=2)
 
 
+@lru_cache(maxsize=64)
+def _energy_matrix(m: Mesh) -> np.ndarray:
+    """K_V = W_x + D^T W_x D, read-only, for W_x the space weights and D
+    space_gradient's stencil matrix: v K_V v^T is the trapezoid integral
+    of v^2 + (dv/dx)^2 over space."""
+    wx = space_weights(m)
+    dt = space_gradient(np.eye(m.nx), m)  # row k is the gradient of node k: D^T
+    k = np.diag(wx) + dt @ (wx[:, None] * dt.T)
+    k.flags.writeable = False
+    return k
+
+
 def norm_V(v: np.ndarray, m: Mesh):
-    """Discrete L2(age, H1(space)) norm; batched like norm_H."""
-    return _root_quadrature(_checked(v, m) ** 2 + space_gradient(v, m) ** 2, m)
+    """Discrete L2(age, H1(space)) norm, sqrt(sum_a wa_a sum_h v K_V v^T)
+    with the (nx, nx) K_V built once per mesh; batched like norm_H."""
+    v = _checked(v, m)
+    q = (v @ _energy_matrix(m) * v).sum(-1).sum(-2)  # (..., na+1)
+    r = np.sqrt((q[..., None, :] @ age_weights(m))[..., 0])
+    return float(r) if r.ndim == 0 else r
 
 
 def age_integral(values: np.ndarray, m: Mesh) -> np.ndarray:

@@ -6,6 +6,7 @@ step: each step carries a whole age slice forward at once.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,7 +21,8 @@ class Mesh:
     """Uniform grid on [0, t_max] x [0, a_max] x [0, 1].
 
     The time step is the age step da; dx = 1/(nx-1) on the unit space
-    interval.  Instances are immutable and safe to share between workers.
+    interval.  Instances are immutable, hashable and safe to share between
+    workers; age_weights and space_weights are computed once per mesh.
     """
 
     t_max: float
@@ -77,15 +79,21 @@ def build_mesh(t_max: float, a_max: float, na: int, nx: int) -> Mesh:
     )
 
 
+@lru_cache(maxsize=64)
 def age_weights(m: Mesh) -> np.ndarray:
-    """Trapezoid quadrature weights over the age nodes."""
+    """Trapezoid quadrature weights over the age nodes, built once per
+    mesh and returned read-only."""
     w = np.full(m.na + 1, m.da)
     w[0] = w[-1] = 0.5 * m.da
+    w.flags.writeable = False
     return w
 
 
+@lru_cache(maxsize=64)
 def space_weights(m: Mesh) -> np.ndarray:
-    """Trapezoid quadrature weights over the space nodes."""
+    """Trapezoid quadrature weights over the space nodes, built once per
+    mesh and returned read-only."""
     w = np.full(m.nx, m.dx)
     w[0] = w[-1] = 0.5 * m.dx
+    w.flags.writeable = False
     return w

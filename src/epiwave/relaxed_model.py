@@ -19,7 +19,7 @@ from typing import List, Optional
 import numpy as np
 
 from .birth import BirthLaws, birth_context, newborn_source, solve_birth_step
-from .char_solver import step, step_context
+from .char_solver import step, step_context, step_rhs
 from .errors import InvalidParam, LengthMismatch, NonFinite, PicardDiverged, ShapeMismatch
 from .fields import Run, StateField, norm_H, norm_V
 from .mesh import Mesh
@@ -52,6 +52,12 @@ def table_shapes(L: np.ndarray, m: Mesh) -> dict:
     }
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy integer or float that is not a bool, so
+    a setting can be range-checked without a raw TypeError."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass
 class ModelSpec:
     """Full problem description on a fixed mesh.
@@ -78,11 +84,12 @@ class ModelSpec:
         return self.linear.n
 
     def validate(self, m: Mesh) -> None:
-        """ShapeMismatch for a table off the mesh, then NonFinite, naming
+        """InvalidParam for a tau that is not a finite nonnegative number,
+        ShapeMismatch for a table off the mesh, then NonFinite, naming
         the table, for NaN/inf in any table but the (factored, checked on
         load) kernels."""
-        if not 0.0 <= self.tau < np.inf:
-            raise InvalidParam(f"tau={self.tau} must be finite and nonnegative")
+        if not (is_real(self.tau) and 0.0 <= self.tau < np.inf):
+            raise InvalidParam(f"tau={self.tau!r} must be finite and nonnegative")
         lin, b = self.linear, self.births
         tables = {"y0": self.y0, "y1": self.y1, "f": self.f, "L": lin.L, "L_a": lin.L_a,
                   "sigma": lin.sigma, "beta0": b.beta0, "beta1": b.beta1, "betaL": b.betaL,
@@ -106,8 +113,10 @@ class SolverConfig:
     store_every: int = 1
 
     def validate(self) -> None:
-        if isinstance(self.picard_tol, bool) or not 0.0 < self.picard_tol < np.inf:
-            raise InvalidParam(f"picard_tol={self.picard_tol} must be finite and positive")
+        """InvalidParam, naming the field, for a picard_tol that is not a
+        finite positive number or a count that is not a positive integer."""
+        if not (is_real(self.picard_tol) and 0.0 < self.picard_tol < np.inf):
+            raise InvalidParam(f"picard_tol={self.picard_tol!r} must be finite and positive")
         for name in ("picard_max", "store_every"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
@@ -241,11 +250,13 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
 
     The implicit matrices of ages 1..na are inverted, the birth laws
     folded into their map (birth_context) and the tilde kernel terms
-    derived once per call.  Each time step hands its Picard map to
-    _fixed_point.  One sweep of the map contracts Lambda of the iterate
-    once (and, with first-order births, forms its newborn source once),
-    calls step once to carry ages 0..na-1 of the previous slice to ages
-    1..na, then fills age 0 with one solve_birth_step.
+    derived once per call.  Each time step forms the forcing-free
+    right-hand side of the previous slice's advance once (step_rhs) and
+    hands its Picard map to _fixed_point.  One sweep of the map
+    contracts Lambda of the iterate once (and, with first-order births,
+    forms its newborn source once), calls step once to carry ages
+    0..na-1 of the previous slice to ages 1..na, then fills age 0 with
+    one solve_birth_step.
     First-order births solve with spec.tau, the parabolic zeroth-order
     law with tau = 0.
     """
@@ -285,6 +296,7 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
         g0_now = None if births.g0 is None else births.g0[i]
         g1_now = None if births.g1 is None else births.g1[i]
         f_now = spec.f[i] if spec.f is not None else None
+        rhs = step_rhs(prev[0, :, :-1], prev[1, :, :-1], ctx, m)
 
         def picard_map(x: np.ndarray) -> np.ndarray:
             it = StateField(*x)
@@ -297,9 +309,7 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
 
             out = np.zeros((2, n, A, X))
             vals, slopes = out
-            vals[:, 1:], slopes[:, 1:] = step(
-                prev[0, :, :-1], prev[1, :, :-1], ctx, m, f=forcing[:, 1:]
-            )
+            vals[:, 1:], slopes[:, 1:] = step(prev[0, :, :-1], rhs, ctx, m, f=forcing[:, 1:])
             cand = StateField(vals, slopes)
 
             if first_order_births:

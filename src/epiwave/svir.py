@@ -17,7 +17,7 @@ from .birth import zero_laws
 from .errors import InvalidParam
 from .mesh import Mesh
 from .operators import FactoredTable, KernelSet, KernelTerm, LinearPart
-from .relaxed_model import ModelSpec
+from .relaxed_model import ModelSpec, is_real
 
 S, V, I, R = 0, 1, 2, 3
 COMPARTMENTS = ("S", "V", "I", "R")
@@ -75,14 +75,14 @@ class SvirParams:
     def validate(self) -> None:
         for name in ("c", "delta_d", "gamma", "total_S0", "I0"):
             v = getattr(self, name)
-            if not 0.0 <= v < np.inf:
-                raise InvalidParam(f"{name}={v} must be finite and nonnegative")
+            if not (is_real(v) and 0.0 <= v < np.inf):
+                raise InvalidParam(f"{name}={v!r} must be finite and nonnegative")
         for name in ("phi1", "phi2"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise InvalidParam(f"{name}={v} outside [0, 1]")
-        if not 0.0 <= self.tau < np.inf:
-            raise InvalidParam(f"tau={self.tau} must be finite and nonnegative")
+            if not (is_real(v) and 0.0 <= v <= 1.0):
+                raise InvalidParam(f"{name}={v!r} outside [0, 1]")
+        if not (is_real(self.tau) and 0.0 <= self.tau < np.inf):
+            raise InvalidParam(f"tau={self.tau!r} must be finite and nonnegative")
         if self.mu is not default_mortality and self.mu_da is default_mortality_da:
             raise InvalidParam(
                 "mu_da is the default mortality's derivative, but mu is replaced: "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epiwave import FactoredTable, KernelSet, KernelTerm, SolverConfig, build_mesh, run_parabolic
-from epiwave.char_solver import step
+from epiwave.char_solver import step, step_rhs
 from epiwave.fields import Run, StateField
 from epiwave.reference import scalar_spec
 from epiwave.study import refinement_floor
@@ -29,7 +29,7 @@ def propagate_characteristic(init_v, init_w, forcing, ages, ctx, m):
         vs[:, a - 1], ws[:, a - 1] = v, w
         if fk is not None:
             fs[:, a - 1] = fk
-        vs, ws = step(vs, ws, ctx, m, f=fs)
+        vs, ws = step(vs, step_rhs(vs, ws, ctx, m), ctx, m, f=fs)
         v, w = vs[:, a - 1], ws[:, a - 1]
         out.append((v, w))
     return out

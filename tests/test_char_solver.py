@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from epiwave.char_solver import step, step_context
+from epiwave.char_solver import step, step_context, step_rhs
 from epiwave.errors import NonFinite, SingularSystem
 from epiwave.fields import space_gradient
 from epiwave.mesh import build_mesh, space_weights
-from epiwave.operators import LinearPart
+from epiwave.operators import LinearPart, laplacian_neumann
 from epiwave.reference import damped_mode_solution, heat_mode_decay
 
 from conftest import propagate_characteristic
@@ -39,11 +39,13 @@ def test_step_free_transport_update():
     v = rng.normal(size=(1, m.na, m.nx))
     w = rng.normal(size=(1, m.na, m.nx))
     for tau in (0.0, 0.3, 7.0):
-        v_new, w_new = step(v.copy(), w.copy(), _ctx(m, tau), m)
+        ctx = _ctx(m, tau)
+        v_new, w_new = step(v.copy(), step_rhs(v, w, ctx, m), ctx, m)
         want_w = tau * w / (tau + m.da)
         assert np.allclose(w_new, want_w, rtol=1e-12)
         assert np.allclose(v_new, v + m.da * want_w, rtol=1e-12)
-    v0, w0 = step(v.copy(), w.copy(), _ctx(m, 0.0), m)
+    ctx = _ctx(m, 0.0)
+    v0, w0 = step(v.copy(), step_rhs(v, w, ctx, m), ctx, m)
     assert np.allclose(w0, 0.0)
     assert np.allclose(v0, v)
 
@@ -54,7 +56,7 @@ def _run_eigenmode(m, tau, sigma, steps):
     w = np.zeros_like(v)
     ctx = _ctx(m, tau, sigma=sigma)
     for _ in range(steps):
-        v, w = step(v, w, ctx, m)
+        v, w = step(v, step_rhs(v, w, ctx, m), ctx, m)
     return v[:, 0], w[:, 0]
 
 
@@ -177,7 +179,7 @@ def test_unconditional_stability_stiff_ratio():
     w = np.zeros_like(v)
     ctx = _ctx(m, 0.0, sigma=1.0)
     for _ in range(10):
-        v, w = step(v, w, ctx, m)
+        v, w = step(v, step_rhs(v, w, ctx, m), ctx, m)
         assert np.max(np.abs(v)) <= bound * (1 + 1e-12)
 
 
@@ -192,7 +194,7 @@ def test_mass_conservation_every_tau():
         w = np.zeros_like(v)
         ctx = _ctx(m, tau, sigma=0.7)
         for _ in range(m.na):
-            v, w = step(v, w, ctx, m)
+            v, w = step(v, step_rhs(v, w, ctx, m), ctx, m)
             assert v[0] @ wx == pytest.approx(mass0, rel=1e-12)
 
 
@@ -232,7 +234,8 @@ def test_non_finite_detected():
     v = np.ones((1, m.na, m.nx))
     v[0, 0, 0] = np.inf
     with pytest.raises(NonFinite):
-        step(v, np.zeros_like(v), _ctx(m, 0.1, sigma=0.1), m)
+        ctx = _ctx(m, 0.1, sigma=0.1)
+        step(v, step_rhs(v, np.zeros_like(v), ctx, m), ctx, m)
 
 
 def _lap_matrix(m):
@@ -257,7 +260,8 @@ def test_step_matches_per_age_dense_solve():
     v = rng.normal(size=(n, m.na, X))
     w = rng.normal(size=(n, m.na, X))
     f = rng.normal(size=(n, m.na, X))
-    v_new, w_new = step(v, w, step_context(lin, tau, m), m, f=f)
+    ctx = step_context(lin, tau, m)
+    v_new, w_new = step(v, step_rhs(v, w, ctx, m), ctx, m, f=f)
 
     lap = _lap_matrix(m)
     for a in range(1, A):
@@ -278,3 +282,34 @@ def test_step_matches_per_age_dense_solve():
         want_w = np.linalg.solve(mat, rhs).reshape(n, X)
         assert np.allclose(w_new[:, a - 1], want_w, rtol=1e-12, atol=1e-12)
         assert np.allclose(v_new[:, a - 1], v[:, a - 1] + da * want_w, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("tau", [0.0, 0.3, 7.0])
+def test_split_step_equals_the_one_shot_formula_to_the_bit(tau, forced):
+    # the right-hand side formed once per time step plus da f, then one
+    # product: the arithmetic of a step that forms it all in one go
+    m = _mesh(na=5, nx=6)
+    n, A, X, da = 2, m.na + 1, m.nx, m.da
+    rng = np.random.default_rng(43)
+    lin = LinearPart(
+        L=rng.uniform(0.0, 1.0, size=(A, X, n, n)),
+        L_a=rng.uniform(-1.0, 1.0, size=(A, X, n, n)),
+        sigma=rng.uniform(0.05, 0.5, size=(A, n)),
+    )
+    v, w = rng.normal(size=(2, n, m.na, X))
+    f = rng.normal(size=(n, m.na, X)) if forced else None
+    ctx = step_context(lin, tau, m)
+    v_new, w_new = step(v, step_rhs(v, w, ctx, m), ctx, m, f=f)
+
+    lcomb = lin.L[1:] + tau * lin.L_a[1:]
+    rhs = tau * w + da * (
+        lin.sigma[1:].T[:, :, None] * laplacian_neumann(v, m)
+        - np.einsum("axhi,iax->hax", lcomb, v)
+    )
+    if forced:
+        rhs = rhs + da * f
+    b = rhs.transpose(1, 2, 0).reshape(m.na, X * n, 1)
+    want_w = (ctx.inv @ b).reshape(m.na, X, n).transpose(2, 0, 1)
+    assert np.array_equal(w_new, want_w)
+    assert np.array_equal(v_new, v + da * want_w)

@@ -81,6 +81,19 @@ def test_batched_norms_equal_member_norms_to_the_bit(na, nx, n):
         assert got.tolist() == want
 
 
+@pytest.mark.parametrize(
+    "na, nx, n", [(4, 5, 1), (20, 21, 4), (40, 41, 4), (7, 12, 2), (40, 3, 1)]
+)
+def test_norm_V_is_the_stencil_quadrature(na, nx, n):
+    # the quadratic form against the trapezoid integral of v^2 + (dv/dx)^2
+    # with np.gradient's stencil; (40, 3) is the renewal oracle's mesh
+    m = build_mesh(1.0, 1.0, na, nx)
+    v = np.random.default_rng(nx).normal(size=(n, na + 1, nx))
+    sq = v**2 + np.gradient(v, m.dx, axis=-1, edge_order=2) ** 2
+    want = np.sqrt(age_weights(m) @ sq.sum(0) @ space_weights(m))
+    assert norm_V(v, m) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
 def test_norm_shape_mismatch():
     m = _mesh()
     with pytest.raises(ShapeMismatch):

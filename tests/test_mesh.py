@@ -47,3 +47,16 @@ def test_quadrature_weights_sum_to_extent():
     m = build_mesh(2.0, 1.5, 6, 7)
     assert np.isclose(age_weights(m).sum(), 1.5)
     assert np.isclose(space_weights(m).sum(), 1.0)
+
+
+def test_quadrature_weights_are_read_only_trapezoid_weights():
+    m = build_mesh(2.0, 1.5, 6, 7)
+    wa, wx = np.full(m.na + 1, m.da), np.full(m.nx, m.dx)
+    wa[0] = wa[-1] = 0.5 * m.da
+    wx[0] = wx[-1] = 0.5 * m.dx
+    for got, want in ((age_weights(m), wa), (space_weights(m), wx)):
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            got[1] = 0.0
+    # one array per mesh: an equal mesh built again shares it
+    assert age_weights(build_mesh(2.0, 1.5, 6, 7)) is age_weights(m)

@@ -142,6 +142,29 @@ def test_one_birth_step_per_sweep(monkeypatch, solve):
     assert len(calls) == sweeps
 
 
+@pytest.mark.parametrize("solve", [run_relaxed, run_parabolic])
+def test_step_rhs_once_per_time_step_and_step_once_per_sweep(monkeypatch, solve):
+    # the benchmark tracer times and counts steps through relaxed_model.step
+    calls = {"step_rhs": 0, "step": 0}
+
+    def counting(name):
+        fn = getattr(relaxed_model, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(relaxed_model, name, counting(name))
+    m = build_mesh(0.5, 1.0, 6, 7)
+    run = solve(build_svir(SvirParams(tau=1e-2, total_S0=100.0), m), SolverConfig(), m)
+    sweeps = sum(len(u) for u in run.picard_updates)
+    assert sweeps > m.nt
+    assert calls == {"step_rhs": m.nt, "step": sweeps}
+
+
 def test_picard_contraction_on_small_svir():
     m = build_mesh(0.5, 1.0, 10, 11)
     # plain Picard contracts by about 0.85 per sweep here (up to 123
@@ -343,6 +366,9 @@ def test_exhausted_picard_max_raises():
         ("picard_tol", np.inf),
         ("picard_tol", np.nan),
         ("picard_tol", True),
+        ("picard_tol", "1e-10"),
+        ("picard_tol", None),
+        ("picard_tol", 1e-10 + 0j),
         ("picard_max", 0),
         ("picard_max", 2.5),
         ("picard_max", True),
@@ -448,7 +474,7 @@ def test_residual_check_validates_the_spec():
         residual_check(run, bad)
 
 
-@pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf])
+@pytest.mark.parametrize("tau", [-0.1, np.nan, np.inf, "0.1", None, 0.1 + 0j])
 def test_negative_tau_is_an_invalid_param(tau):
     m = build_mesh(0.5, 1.0, 4, 5)
     spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=tau)

@@ -56,6 +56,13 @@ def test_rates_reject_nan_and_inf(name, value):
         SvirParams(**{name: value}).validate()
 
 
+@pytest.mark.parametrize("value", ["0.1", None, 0.1 + 0j])
+@pytest.mark.parametrize("name", ["c", "phi1", "tau"])
+def test_non_numeric_params_are_invalid(name, value):
+    with pytest.raises(InvalidParam, match=f"^{name}="):
+        SvirParams(**{name: value}).validate()
+
+
 def test_replaced_mortality_needs_its_own_derivative():
     # the default mu_da with a new mu would give L_a = 2.9e-5, not 0.5,
     # at a = 0.05 for mu = 0.5 a
