@@ -5,7 +5,7 @@ operator d/dt + d/da becomes an exact shift by one node in age per time
 step: each step carries a whole age slice forward at once.
 """
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -23,6 +23,8 @@ class Mesh:
     The time step is the age step da; dx = 1/(nx-1) on the unit space
     interval.  Instances are immutable, hashable and safe to share between
     workers; age_weights and space_weights are computed once per mesh.
+    The hash is computed once per instance, since every per-mesh lookup
+    takes it.
     """
 
     t_max: float
@@ -32,6 +34,12 @@ class Mesh:
     nx: int
     da: float
     dx: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(astuple(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dt(self) -> float:

@@ -19,7 +19,7 @@ normalization is applied.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -52,22 +52,48 @@ def neumann_matrix(m: Mesh) -> np.ndarray:
     return laplacian_neumann(np.eye(m.nx), m).T
 
 
+def neumann_modes(m: Mesh) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenbasis of neumann_matrix in closed form: (V, lam, V_inv)
+    with neumann_matrix(m) @ V = V * lam and V_inv @ V = I.
+
+    V[j, k] = cos(pi j k / N) and lam_k = -4 sin^2(pi k / (2 N)) / dx^2
+    for N = nx - 1, and V^-1 = (2 / N) W V W with W = diag(1/2, 1, ...,
+    1, 1/2) (the DCT-I).  Built from cos and sin alone, with no LAPACK
+    routine on an (nx, nx) matrix.
+    """
+    N = m.nx - 1
+    k = np.arange(m.nx)
+    V = np.cos(np.pi * (np.outer(k, k) % (2 * N)) / N)  # the phase j k reduced exactly
+    lam = -4.0 * np.sin(np.pi * k / (2 * N)) ** 2 / m.dx**2
+    wt = np.ones(m.nx)
+    wt[0] = wt[-1] = 0.5
+    return V, lam, (2.0 / N) * wt[:, None] * V * wt
+
+
 def invert_in_place(mats: np.ndarray) -> Optional[int]:
     """Overwrite each matrix M of the (k, d, d) stack mats by its inverse.
 
     The one rule for a numerically singular system: inversion fails, or
     max|M^-1| max(max|M|, 1) exceeds 1e14.  Returns the index of the
-    first such matrix, where the inversion stops, or None.
+    first such matrix, or None; the matrices before it are overwritten
+    and the rest left as they are.
     """
-    for i, mat in enumerate(mats):
-        scale = max(np.max(np.abs(mat)), 1.0)
-        try:
-            mat[:] = np.linalg.inv(mat)
-        except np.linalg.LinAlgError:
-            return i
-        if not np.max(np.abs(mat)) * scale <= 1e14:  # also true for NaN / inf
-            return i
-    return None
+    scale = np.maximum(np.max(np.abs(mats), axis=(-2, -1)), 1.0)
+    try:
+        inv = np.linalg.inv(mats)
+    except np.linalg.LinAlgError:  # one is exactly singular: NaN marks each such
+        inv = np.stack([_inverse_or_nan(mat) for mat in mats])
+    ok = np.max(np.abs(inv), axis=(-2, -1)) * scale <= 1e14  # False for NaN / inf
+    bad = None if ok.all() else int(np.argmin(ok))
+    mats[:bad] = inv[:bad]
+    return bad
+
+
+def _inverse_or_nan(mat: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.inv(mat)
+    except np.linalg.LinAlgError:
+        return np.full_like(mat, np.nan)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from epiwave.fields import space_gradient
 from epiwave.mesh import build_mesh, space_weights
 from epiwave.operators import LinearPart, laplacian_neumann
 from epiwave.reference import damped_mode_solution, heat_mode_decay
+from epiwave.svir import SvirParams, build_svir
 
 from conftest import propagate_characteristic
 
@@ -219,6 +222,23 @@ def test_singular_system_named_at_a_later_age():
         step_context(lin, 0.0, m)
 
 
+def test_singular_system_named_on_the_dense_path():
+    # tables that vary in space keep the dense per-age inverse; only
+    # target age index 2 has tau = sigma = 0 with L = -1/da
+    m = _mesh(na=4, nx=5)
+    A, X = m.na + 1, m.nx
+    L = np.zeros((A, X, 1, 1))
+    L[:, :, 0, 0] = np.linspace(0.5, 1.5, X)
+    L[2] = -1.0 / m.da
+    sigma = np.full((A, 1), 0.2)
+    sigma[2] = 0.0
+    lin = LinearPart(L=L, L_a=np.zeros_like(L), sigma=sigma)
+    with pytest.raises(SingularSystem, match="age index 2"):
+        step_context(lin, 0.0, m)
+    L[2] = 1.0
+    assert step_context(lin, 0.0, m).inv is not None
+
+
 def test_near_singular_system_detected():
     # da = 1/4 and L = -(1 - 2^-52)/da are exact, so 1 + da L = 2^-52 is the
     # smallest nonzero value the matrix can hold: invertible, but not usably
@@ -282,6 +302,47 @@ def test_step_matches_per_age_dense_solve():
         want_w = np.linalg.solve(mat, rhs).reshape(n, X)
         assert np.allclose(w_new[:, a - 1], want_w, rtol=1e-12, atol=1e-12)
         assert np.allclose(v_new[:, a - 1], v[:, a - 1] + da * want_w, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.3, 7.0])
+def test_modal_step_matches_per_age_dense_solve(tau):
+    # tables constant in space but varying with age, two coupled
+    # compartments: the cosine-mode solve equals the dense one
+    m = _mesh(na=5, nx=6)
+    n, A, X, da = 2, m.na + 1, m.nx, m.da
+    rng = np.random.default_rng(47)
+    L = rng.uniform(0.0, 1.0, size=(A, 1, n, n))
+    L_a = rng.uniform(-1.0, 1.0, size=(A, 1, n, n))
+    lin = LinearPart(
+        L=np.repeat(L, X, axis=1),
+        L_a=np.repeat(L_a, X, axis=1),
+        sigma=rng.uniform(0.05, 0.5, size=(A, n)),
+    )
+    v, w, f = rng.normal(size=(3, n, m.na, X))
+    ctx = step_context(lin, tau, m)
+    assert ctx.modes is not None and ctx.inv is None
+    v_new, w_new = step(v, step_rhs(v, w, ctx, m), ctx, m, f=f)
+
+    lap, eye = _lap_matrix(m), np.eye(X)
+    for a in range(1, A):
+        lc = L[a, 0] + tau * L_a[a, 0]
+        blk = tau * np.eye(n) + da * (np.eye(n) + tau * L[a, 0]) + da * da * lc
+        mat = np.kron(blk, eye) - da * da * np.kron(np.diag(lin.sigma[a]), lap)
+        rhs = tau * w[:, a - 1] + da * (
+            lin.sigma[a][:, None] * (v[:, a - 1] @ lap.T) - lc @ v[:, a - 1] + f[:, a - 1]
+        )
+        want_w = np.linalg.solve(mat, rhs.ravel()).reshape(n, X)
+        assert np.allclose(w_new[:, a - 1], want_w, rtol=1e-12, atol=1e-12)
+        assert np.allclose(v_new[:, a - 1], v[:, a - 1] + da * want_w, rtol=1e-12, atol=1e-12)
+
+
+def test_svir_step_context_is_small_at_na80():
+    # x-constant tables hold n x n mode blocks, not an (na, n nx, n nx) stack
+    m = build_mesh(1.0, 1.0, 80, 81)
+    ctx = step_context(build_svir(SvirParams(tau=1e-2), m).linear, 1e-2, m)
+    assert ctx.inv is None
+    arrays = [ctx.lcomb, ctx.sigma, *dataclasses.astuple(ctx.modes)]
+    assert sum(a.nbytes for a in arrays) < 2e6
 
 
 @pytest.mark.parametrize("forced", [False, True])

@@ -60,3 +60,10 @@ def test_quadrature_weights_are_read_only_trapezoid_weights():
             got[1] = 0.0
     # one array per mesh: an equal mesh built again shares it
     assert age_weights(build_mesh(2.0, 1.5, 6, 7)) is age_weights(m)
+
+
+def test_mesh_hash_is_the_hash_of_its_fields():
+    m = build_mesh(2.0, 1.5, 6, 7)
+    assert hash(m) == hash(dataclasses.astuple(m)) == hash(build_mesh(2.0, 1.5, 6, 7))
+    other = dataclasses.replace(m, nx=9)
+    assert hash(other) == hash(dataclasses.astuple(other)) != hash(m)

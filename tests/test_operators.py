@@ -21,6 +21,7 @@ from epiwave.operators import (
     lambda_two,
     laplacian_neumann,
     neumann_matrix,
+    neumann_modes,
 )
 
 
@@ -154,6 +155,16 @@ def test_invert_in_place_names_the_first_singular_matrix(bad, first):
     assert invert_in_place(mats) == first
     assert np.array_equal(mats[0], np.linalg.inv(good))
     assert np.array_equal(mats[2], np.linalg.inv(4.0 * good) if bad is None else 4.0 * good)
+
+
+@pytest.mark.parametrize("nx", [3, 5, 21, 41, 81])
+def test_neumann_modes_diagonalise_the_laplacian(nx):
+    m = _mesh(nx=nx)
+    lap = neumann_matrix(m)
+    V, lam, V_inv = neumann_modes(m)
+    assert np.max(np.abs(lap @ V - V * lam)) <= 1e-13 * np.max(np.abs(lap))
+    assert np.max(np.abs(V_inv @ V - np.eye(nx))) <= 1e-13
+    assert lam[0] == 0.0 and np.all(np.diff(lam) < 0)
 
 
 def test_laplacian_matrix_matches_stencil():
