@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SingularBirthSystem, SingularSigma
 from .fields import StateField, space_gradient
 from .mesh import Mesh, age_weights
-from .operators import LinearPart, invert_in_place
+from .operators import LinearPart, invert_in_place, per_node
 
 _SIGMA_FLOOR = 1e-14
 
@@ -99,14 +99,11 @@ def make_compatible(
     )
 
 
-def newborn_source(
-    beta0: np.ndarray, y: np.ndarray, g0: Optional[np.ndarray], m: Mesh
-) -> np.ndarray:
-    """Newborn density int_alpha beta0 y + g0, (n, nx), by the trapezoid
-    over all ages of the (n, na+1, nx) values y; g0 may be None.  Both
-    age-zero boundary terms read it: Lambda_2 (delta_lambda_apply) and G
-    (g_op)."""
-    src = np.einsum("b,ibx->ix", age_weights(m), np.einsum("bxij,jbx->ibx", beta0, y))
+def newborn_source(beta0: np.ndarray, y: np.ndarray, g0: Optional[np.ndarray]) -> np.ndarray:
+    """Newborn density int_alpha beta0 y + g0, (n, nx), of the (n, na+1,
+    nx) values y: one product with beta0 folded by operators.fold_ages.
+    g0 may be None.  Lambda_2 (delta_lambda_apply) and G (g_op) read it."""
+    src = (beta0 @ per_node(y))[:, :, 0].T
     if g0 is not None:
         src += g0
     return src
@@ -177,12 +174,6 @@ def birth_context(laws: BirthLaws, m: Mesh, with_slope: bool = True) -> BirthCon
     )
 
 
-def _ages(f: np.ndarray) -> np.ndarray:
-    """Ages 1..na of the (n, na+1, nx) field f per node: (nx, n na, 1)."""
-    n, A, X = f.shape
-    return f[:, 1:].transpose(2, 0, 1).reshape(X, n * (A - 1), 1)
-
-
 def solve_birth_step(
     ctx: BirthContext,
     y_slice: StateField,
@@ -204,7 +195,7 @@ def solve_birth_step(
     """
     vals = y_slice.values
     n, X = vals.shape[0], m.nx
-    B0 = np.zeros((X, n, 1)) if ctx.t0 is None else ctx.t0 @ _ages(vals)
+    B0 = np.zeros((X, n, 1)) if ctx.t0 is None else ctx.t0 @ per_node(vals[:, 1:])
     if g0_now is not None:
         B0 += ctx.inv0 @ g0_now.T[:, :, None]
     if ctx.inv1 is None:
@@ -213,11 +204,11 @@ def solve_birth_step(
     src = [s for s in (nonlinear_G, g1_now) if s is not None]
     B1 = ctx.inv1 @ sum(src).T[:, :, None] if src else np.zeros((X, n, 1))
     if ctx.t1 is not None:
-        B1 += ctx.t1 @ _ages(y_slice.slope)
+        B1 += ctx.t1 @ per_node(y_slice.slope[:, 1:])
     if ctx.tL is not None:
-        B1 += ctx.tL @ _ages(vals)
+        B1 += ctx.tL @ per_node(vals[:, 1:])
     if ctx.tgrad is not None:
-        B1 += ctx.tgrad @ _ages(space_gradient(vals, m))
+        B1 += ctx.tgrad @ per_node(space_gradient(vals, m)[:, 1:])
     if ctx.fL is not None:
         B1 += ctx.fL @ B0
     if ctx.fgrad is not None:

@@ -118,12 +118,14 @@ def _dense_inverse(blks: np.ndarray, sigma: np.ndarray, m: Mesh) -> np.ndarray:
     """Assemble each age's matrix from the (na, nx, n, n) local blocks in
     one (na, nx, n, nx, n) stack and overwrite it by its inverse."""
     nx, n = m.nx, blks.shape[-1]
-    xs, hs = np.arange(nx), np.arange(n)
+    xs = np.arange(nx)
     mats = np.zeros((m.na, nx, n, nx, n))
     # the indexed axes lead the selection: (nx, na, n, n) local blocks ...
     mats[:, xs, :, xs, :] = blks.transpose(1, 0, 2, 3)
-    # ... and (n, na, nx, nx) diffusion per compartment
-    mats[:, :, hs, :, hs] -= (m.da * m.da) * sigma.T[:, :, None, None] * neumann_matrix(m)
+    # ... and (na, nx, nx) diffusion per compartment, in place on a view
+    lap = neumann_matrix(m)
+    for h in range(n):
+        mats[:, :, h, :, h] -= (m.da * m.da) * sigma[:, h, None, None] * lap
     inv = mats.reshape(m.na, n * nx, n * nx)  # a view: inverses overwrite matrices
     if (bad := invert_in_place(inv)) is not None:
         raise SingularSystem(f"implicit step matrix singular at age index {bad + 1}")

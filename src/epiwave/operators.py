@@ -9,13 +9,14 @@ source), and the boundary operator G.
 Kernels are stored as a sparse list of terms: each term couples one
 (target h, multiplied i, integrated j) compartment triple through a
 scalar table k(a, x, alpha, xi) and a weight.  Every table is a
-FactoredTable, k = row(a, x, xi) * col(alpha, xi), contracted in
+FactoredTable, k = row(a, x, xi) * col(alpha, xi), integrated in
 O(X^2 + A X); a dense (A, X, A, X) table, as read from an .npz, is
-factored once by KernelSet.from_dense into a sum of such terms.  Terms
-may share the same table (the SVIR model uses a single spatial kernel
-for all couplings), and a shared table is contracted once per sweep.
-Kernel values are taken in consistent rate units per (age * length); no
-normalization is applied.
+factored once by KernelSet.from_dense into a sum of such terms.  Lambda
+is applied, never assembled: each distinct (table, j) pair is
+integrated once per field, a (P, Q) weight matrix takes the Q integrals
+to the P coupled (h, i) pairs (SVIR: one table, six pairs), and
+apply_pairs sums each pair times y[i] into row h.  Kernel values are in
+rate units per (age * length); no normalization is applied.
 """
 
 from dataclasses import dataclass, field
@@ -70,23 +71,33 @@ def neumann_modes(m: Mesh) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return V, lam, (2.0 / N) * wt[:, None] * V * wt
 
 
+# Bytes per batched inverse: all mode blocks up to na = 80, nx = 81 fit in one.
+_INVERT_CHUNK_BYTES = 1 << 20
+
+
 def invert_in_place(mats: np.ndarray) -> Optional[int]:
     """Overwrite each matrix M of the (k, d, d) stack mats by its inverse.
 
     The one rule for a numerically singular system: inversion fails, or
     max|M^-1| max(max|M|, 1) exceeds 1e14.  Returns the index of the
     first such matrix, or None; the matrices before it are overwritten
-    and the rest left as they are.
+    and the rest left as they are.  Chunks of _INVERT_CHUNK_BYTES bound
+    the inverses held next to the stack.
     """
-    scale = np.maximum(np.max(np.abs(mats), axis=(-2, -1)), 1.0)
-    try:
-        inv = np.linalg.inv(mats)
-    except np.linalg.LinAlgError:  # one is exactly singular: NaN marks each such
-        inv = np.stack([_inverse_or_nan(mat) for mat in mats])
-    ok = np.max(np.abs(inv), axis=(-2, -1)) * scale <= 1e14  # False for NaN / inf
-    bad = None if ok.all() else int(np.argmin(ok))
-    mats[:bad] = inv[:bad]
-    return bad
+    size = max(1, _INVERT_CHUNK_BYTES // max(mats[:1].nbytes, 1))
+    for start in range(0, len(mats), size):
+        chunk = mats[start : start + size]
+        scale = np.maximum(np.max(np.abs(chunk), axis=(-2, -1)), 1.0)
+        try:
+            inv = np.linalg.inv(chunk)
+        except np.linalg.LinAlgError:  # one is exactly singular: NaN marks each such
+            inv = np.stack([_inverse_or_nan(mat) for mat in chunk])
+        ok = np.max(np.abs(inv), axis=(-2, -1)) * scale <= 1e14  # False for NaN / inf
+        bad = None if ok.all() else int(np.argmin(ok))
+        chunk[:bad] = inv[:bad]
+        if bad is not None:
+            return start + bad
+    return None
 
 
 def _inverse_or_nan(mat: np.ndarray) -> np.ndarray:
@@ -181,6 +192,17 @@ def _cross_factors(tab: np.ndarray, tol: float) -> List[FactoredTable]:
     return out
 
 
+def _pair_weights(terms: List[KernelTerm], pairs: dict) -> Tuple[list, np.ndarray]:
+    """The distinct (table, j) pairs of terms and the (P, Q) sums of the
+    terms' weights between the (h, i) pairs (pairs[h, i] = p) and them."""
+    tables = {(id(t.table), t.j): (t.table, t.j) for t in terms}
+    cols = {key: q for q, key in enumerate(tables)}
+    weights = np.zeros((len(pairs), len(tables)))
+    for t in terms:
+        weights[pairs[t.h, t.i], cols[id(t.table), t.j]] += t.weight
+    return list(tables.values()), weights
+
+
 @dataclass
 class KernelSet:
     """Sparse collection of kernel terms plus the derived tilde terms.
@@ -190,10 +212,22 @@ class KernelSet:
     from terms alone, so only attach_tilde fills them, and the solvers
     call it once per solve.  The compartment count is not stored: each
     contraction reads it from the field it contracts.
+
+    Construction indexes the terms once: targets and sources are h and i
+    of the P distinct (h, i) pairs, tables the Q distinct (table, j) pairs
+    and weights (P, Q) the terms' weights between them; tilde_tables and
+    tilde_weights index tilde_terms over the same pairs.
     """
 
     terms: List[KernelTerm] = field(default_factory=list)
     tilde_terms: List[KernelTerm] = field(default_factory=list)
+
+    def __post_init__(self):
+        hi = dict.fromkeys((t.h, t.i) for t in [*self.terms, *self.tilde_terms])
+        pairs = {pair: p for p, pair in enumerate(hi)}
+        self.targets, self.sources = np.array(list(pairs), dtype=int).reshape(-1, 2).T
+        self.tables, self.weights = _pair_weights(self.terms, pairs)
+        self.tilde_tables, self.tilde_weights = _pair_weights(self.tilde_terms, pairs)
 
     @classmethod
     def from_dense(cls, k7: np.ndarray) -> "KernelSet":
@@ -268,109 +302,106 @@ def attach_tilde(k: KernelSet, m: Mesh) -> KernelSet:
     return KernelSet(terms=list(k.terms), tilde_terms=tilde)
 
 
-def _weighted(w: np.ndarray, m: Mesh) -> np.ndarray:
-    wa = age_weights(m)
-    wx = space_weights(m)
-    return w * wa[None, :, None] * wx[None, None, :]
-
-
-def _integrate(table: FactoredTable, f: np.ndarray) -> np.ndarray:
-    """sum over (alpha, xi) of k(a, x, alpha, xi) f(alpha, xi).
-
-    Returns (A, X), or (X,) for a table constant in a.
-    """
+def _integrate(table: FactoredTable, f: np.ndarray, m: Mesh) -> np.ndarray:
+    """Trapezoid sum of k(a, x, alpha, xi) f(alpha, xi): (A, X), or (X,) without a."""
+    f = f * age_weights(m)[:, None] * space_weights(m)
     s = f.sum(axis=0) if table.col is None else np.einsum("bz,bz->z", table.col, f)
     return table.row @ s
 
 
-def _contract(terms: List[KernelTerm], f: np.ndarray, m: Mesh, integral=_integrate):
-    """Sum of weight * integral(table, f[j]) over terms, (n, n, A, X) for
-    the n compartments of f's leading axis; a (table, j) pair that
-    several terms share is integrated once."""
-    n = len(f)
-    out = np.zeros((n, n, m.na + 1, m.nx))
-    cache: dict = {}
+def _pair_field(weights: np.ndarray, tables: list, f: np.ndarray, integral) -> np.ndarray:
+    """weights @ each (table, j) pair's integral against f[j]: (P, A or 1, X)."""
+    if not tables:
+        return np.zeros((len(weights), 1, f.shape[-1]))
     try:
-        for t in terms:
-            key = (id(t.table), t.j)
-            g = cache.get(key)
-            if g is None:
-                g = cache[key] = integral(t.table, f[t.j])
-            out[t.h, t.i] += t.weight * g
+        gs = [integral(table, f[j]) for table, j in tables]
     except IndexError:
+        n = len(f)
         raise ShapeMismatch(f"kernel terms index compartments beyond the field's {n}") from None
-    return out
+    shape = max((g.shape for g in gs), key=len)  # (A, X) if any integral has a
+    stacked = np.array([g if g.shape == shape else np.broadcast_to(g, shape) for g in gs])
+    return (weights @ stacked.reshape(len(gs), -1)).reshape(len(weights), -1, shape[-1])
 
 
 def lambda_op(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
-    """Mixing matrix field Lambda(a, x, w), shape (n, n, na+1, nx).
+    """Mixing field Lambda(a, x, w) on k's (h, i) pairs, (P, na+1, nx),
+    or (P, 1, nx) when no table depends on a (apply_pairs applies it).
 
-    Entry (h, i) integrates w_j against k^{hij} over (alpha, xi) with
+    Pair (h, i) integrates w_j against k^{hij} over (alpha, xi) with
     trapezoid weights; w is an (n, na+1, nx) array.
     """
     if w.ndim != 3 or w.shape[1:] != (m.na + 1, m.nx):
         raise ShapeMismatch(f"field shape {w.shape} is not (n, na+1, nx)")
-    return _contract(k.terms, _weighted(w, m), m)
+    return _pair_field(k.weights, k.tables, w, lambda tab, f: _integrate(tab, f, m))
 
 
 def lambda_one(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
-    """Lambda_1: same contraction through the tilde kernel terms."""
-    return _contract(k.tilde_terms, _weighted(w, m), m)
+    """Lambda_1: the same pair field through the tilde kernel terms."""
+    return _pair_field(k.tilde_weights, k.tilde_tables, w, lambda tab, f: _integrate(tab, f, m))
 
 
 def lambda_two(k: KernelSet, src: np.ndarray, m: Mesh) -> np.ndarray:
-    """Lambda_2: xi-only integral of k(a, x, 0, xi) against the (n, nx)
-    newborn source src (birth.newborn_source)."""
+    """Lambda_2: the pair field of the xi-only integral of k(a, x, 0, xi)
+    against the (n, nx) newborn source src (birth.newborn_source)."""
     sw = src * space_weights(m)
-    return _contract(k.terms, sw, m, lambda tab, s: _at_alpha_zero(tab) @ s)
+    return _pair_field(k.weights, k.tables, sw, lambda tab, s: _at_alpha_zero(tab) @ s)
 
 
-def apply_matrix_field(mat: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Contract an (n, n, A, X) matrix field with an (n, A, X) field."""
-    return np.einsum("hiax,iax->hax", mat, f)
+def apply_pairs(k: KernelSet, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Lambda z for the pair field lam of k: row h of the (n, ...) field z
+    sums lam_p z[i_p] over the pairs p = (h, i), by one gather and one
+    (n, P) scatter product; lam broadcasts against z[0]."""
+    n, P = len(z), len(lam)
+    scatter = np.zeros((n, P))
+    try:
+        scatter[k.targets, np.arange(P)] = 1.0
+        terms = z[k.sources]
+        terms *= lam
+    except IndexError:
+        raise ShapeMismatch(f"kernel terms index compartments beyond the field's {n}") from None
+    return (scatter @ terms.reshape(P, z[0].size)).reshape(z.shape)
 
 
 def delta_lambda_apply(
-    k: KernelSet,
-    lam: np.ndarray,
-    y: StateField,
-    src: np.ndarray,
-    m: Mesh,
+    k: KernelSet, lam: np.ndarray, y: StateField, src: np.ndarray, m: Mesh
 ) -> np.ndarray:
     """Transport derivative of the mixing term Lambda(y) y.
 
     lam is lambda_op(k, y.values, m), which the caller has already
-    contracted; k must carry its tilde terms (attach_tilde); src is
+    formed; k must carry its tilde terms (attach_tilde); src is
     birth.newborn_source of y.values.  Evaluates Lambda(y) dy +
-    Lambda(dy) y + Lambda_1(y) y + Lambda_2(src) y and returns the
+    (Lambda(dy) + Lambda_1(y) + Lambda_2(src)) y and returns the
     (n, na+1, nx) field.  Lambda_2 is skipped when src vanishes on every
     integrated compartment.
     """
-    out = apply_matrix_field(lam, y.slope)
-    out += apply_matrix_field(lambda_op(k, y.slope, m), y.values)
-    if k.tilde_terms:
-        out += apply_matrix_field(lambda_one(k, y.values, m), y.values)
-    if np.any(src[[t.j for t in k.terms]]):
-        out += apply_matrix_field(lambda_two(k, src, m), y.values)
-    return out
+    on_values = lambda_op(k, y.slope, m) + lambda_one(k, y.values, m)
+    if np.any(src[[j for _, j in k.tables]]):
+        on_values = on_values + lambda_two(k, src, m)
+    return apply_pairs(k, lam, y.slope) + apply_pairs(k, on_values, y.values)
+
+
+def fold_ages(beta: np.ndarray, m: Mesh) -> np.ndarray:
+    """The (na+1, nx, n, n) table beta times the age weights, per node, (nx,
+    n, n (na+1)) with columns (j, alpha): its @ per_node(f) is int beta f."""
+    X, n = beta.shape[1:3]
+    return (age_weights(m)[:, None, None, None] * beta).transpose(1, 2, 3, 0).reshape(X, n, -1)
+
+
+def per_node(f: np.ndarray) -> np.ndarray:
+    """The (n, r, nx) field f per node: (nx, n r, 1), rows ordered (i, a)."""
+    n, r, X = f.shape
+    return f.transpose(2, 0, 1).reshape(X, n * r, 1)
 
 
 def g_op(
-    k: KernelSet,
-    beta1: np.ndarray,
-    y: np.ndarray,
-    src: np.ndarray,
-    m: Mesh,
+    k: KernelSet, beta1: np.ndarray, mixed: np.ndarray, lam: np.ndarray, src: np.ndarray, m: Mesh
 ) -> np.ndarray:
     """Boundary operator feeding the first-order birth law.
 
     Returns the (n, nx) slice
       int_alpha beta1 Lambda(alpha, y) y(alpha) - Lambda(0, y) src
-    of the (n, na+1, nx) values y, where src = int_alpha beta0 y + g0
-    is birth.newborn_source of y.
+    of the (n, na+1, nx) values y from the sweep's mixed = Lambda(y) y,
+    lam = lambda_op(k, y, m) and src (birth.newborn_source), with beta1
+    folded by fold_ages: it integrates no table and does not read m.
     """
-    lam = lambda_op(k, y, m)  # (n, n, A, X)
-    # Contract y first: beta1 acts on Lambda(alpha, y) y(alpha).
-    wa = age_weights(m)
-    t1 = np.einsum("bxhi,ibx->hbx", beta1, apply_matrix_field(lam, y))
-    return np.einsum("b,hbx->hx", wa, t1) - np.einsum("hix,ix->hx", lam[:, :, 0, :], src)
+    return (beta1 @ per_node(mixed))[:, :, 0].T - apply_pairs(k, lam[:, 0], src)

@@ -26,9 +26,10 @@ from .mesh import Mesh
 from .operators import (
     KernelSet,
     LinearPart,
-    apply_matrix_field,
+    apply_pairs,
     attach_tilde,
     delta_lambda_apply,
+    fold_ages,
     g_op,
     lambda_op,
     laplacian_neumann,
@@ -123,14 +124,15 @@ class SolverConfig:
                 raise InvalidParam(f"{name}={value!r} must be a positive integer")
 
 
-def _mixing(k: KernelSet, y, dy, src, tau: float, m: Mesh) -> np.ndarray:
+def _mixing(k: KernelSet, y, dy, src, tau: float, m: Mesh):
     """Lambda(y) y, plus tau times its transport derivative if tau > 0
-    (reading dy, the newborn source src and k's tilde terms)."""
+    (reading dy, the newborn source src and k's tilde terms), then
+    Lambda(y) y alone and the pair field of Lambda(y), which G reads."""
     lam = lambda_op(k, y, m)
-    out = apply_matrix_field(lam, y)
+    out = mixed = apply_pairs(k, lam, y)
     if tau > 0:
-        out += tau * delta_lambda_apply(k, lam, StateField(y, dy), src, m)
-    return out
+        out = mixed + tau * delta_lambda_apply(k, lam, StateField(y, dy), src, m)
+    return out, mixed, lam
 
 
 #: Anderson depth: how many past sweeps each sweep's mixing reads.
@@ -241,24 +243,24 @@ def derived_initial_slope(spec: ModelSpec, m: Mesh) -> np.ndarray:
     y0 = np.array(spec.y0, dtype=float)
     forcing = np.zeros_like(y0) if spec.f is None else spec.f[0].copy()
     if spec.kernels.terms:
-        forcing -= _mixing(spec.kernels, y0, None, None, 0.0, m)
+        forcing -= _mixing(spec.kernels, y0, None, None, 0.0, m)[0]
     return consistent_slope(spec.linear, y0, forcing, m)
 
 
 def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool) -> Run:
     """March spec over the mesh, shared by the relaxed and parabolic solvers.
 
-    The implicit matrices of ages 1..na are inverted, the birth laws
-    folded into their map (birth_context) and the tilde kernel terms
-    derived once per call.  Each time step forms the forcing-free
-    right-hand side of the previous slice's advance once (step_rhs) and
-    hands its Picard map to _fixed_point.  One sweep of the map
-    contracts Lambda of the iterate once (and, with first-order births,
-    forms its newborn source once), calls step once to carry ages
-    0..na-1 of the previous slice to ages 1..na, then fills age 0 with
-    one solve_birth_step.
-    First-order births solve with spec.tau, the parabolic zeroth-order
-    law with tau = 0.
+    Once per call: the implicit matrices of ages 1..na are inverted, the
+    birth laws folded into their map (birth_context), the kernel terms
+    indexed with their tilde terms and, for a kernel with first-order
+    births, beta0 and beta1 folded over all ages (fold_ages).  Each time
+    step forms the forcing-free right-hand side of the previous slice's
+    advance once (step_rhs) and hands its Picard map to _fixed_point.
+    One sweep integrates each kernel table once against the iterate's
+    values (Lambda(y) y, its transport derivative and G share it) and
+    once against its slopes, calls step once to carry ages 0..na-1 to
+    1..na, then fills age 0 with one solve_birth_step.  First-order
+    births solve with spec.tau, the parabolic zeroth-order law with tau = 0.
     """
     spec.validate(m)
     cfg.validate()
@@ -268,6 +270,8 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
     births = spec.births
     k = attach_tilde(spec.kernels, m)
     has_nl = bool(k.terms)
+    if has_nl and first_order_births:  # the only solves that form src and G
+        beta0, beta1 = fold_ages(births.beta0, m), fold_ages(births.beta1, m)
 
     ctx = step_context(lin, tau, m)
     bctx = birth_context(births, m, with_slope=first_order_births)
@@ -304,8 +308,9 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
             src = None
             if has_nl:
                 if first_order_births:
-                    src = newborn_source(births.beta0, it.values, g0_now, m)
-                forcing -= _mixing(k, it.values, it.slope, src, tau, m)
+                    src = newborn_source(beta0, it.values, g0_now)
+                mixing, mixed, lam = _mixing(k, it.values, it.slope, src, tau, m)
+                forcing -= mixing
 
             out = np.zeros((2, n, A, X))
             vals, slopes = out
@@ -313,7 +318,7 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
             cand = StateField(vals, slopes)
 
             if first_order_births:
-                G = g_op(k, births.beta1, it.values, src, m) if has_nl else None
+                G = g_op(k, beta1, mixed, lam, src, m) if has_nl else None
                 vals[:, 0], slopes[:, 0] = solve_birth_step(bctx, cand, g0_now, g1_now, G, m)
             else:
                 vals[:, 0], _ = solve_birth_step(bctx, cand, g0_now, None, None, m)
@@ -373,8 +378,8 @@ def residual_check(run: Run, spec: ModelSpec) -> float:
         res += np.einsum("axhi,iax->hax", lin.L + tau * lin.L_a, y)
         res -= lin.sigma.T[:, :, None] * laplacian_neumann(y, m)
         if k.terms:
-            src = newborn_source(spec.births.beta0, y, g0_now, m) if tau > 0 else None
-            res += _mixing(k, y, dy, src, tau, m)
+            src = newborn_source(fold_ages(spec.births.beta0, m), y, g0_now) if tau > 0 else None
+            res += _mixing(k, y, dy, src, tau, m)[0]
         if spec.f is not None:
             res -= spec.f[i]
         worst = max(worst, float(np.max(np.abs(res[:, 1:-1, :]))))

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from epiwave import FactoredTable, KernelSet, KernelTerm, SolverConfig, build_mesh, run_parabolic
+from epiwave.birth import newborn_source
 from epiwave.char_solver import step, step_rhs
 from epiwave.fields import Run, StateField
+from epiwave.operators import apply_pairs, fold_ages, g_op, lambda_op
 from epiwave.reference import scalar_spec
 from epiwave.study import refinement_floor
 from epiwave.svir import SvirParams, build_svir
@@ -33,6 +35,14 @@ def propagate_characteristic(init_v, init_w, forcing, ages, ctx, m):
         v, w = vs[:, a - 1], ws[:, a - 1]
         out.append((v, w))
     return out
+
+
+def g_of(k, beta0, beta1, y, g0, m):
+    """G of the (n, na+1, nx) values y for the (na+1, nx, n, n) birth
+    tables beta0, beta1 and the source g0, formed as a sweep forms it."""
+    lam = lambda_op(k, y, m)
+    src = newborn_source(fold_ages(beta0, m), y, g0)
+    return g_op(k, fold_ages(beta1, m), apply_pairs(k, lam, y), lam, src, m)
 
 
 def age_kernel_spec(m, tau, g0=None):

@@ -192,15 +192,18 @@ def test_criterion_5_heat_eigenmode_oracle():
 
 
 def test_criterion_6_telegrapher_eigenmode_oracle():
-    m = build_mesh(0.5, 1.0, 40, 41)
-    spec, exact = damped_eigenmode(m, sigma=0.1, tau=0.1)
-    run = run_relaxed(spec, SolverConfig(), m)
-    e1 = relative_error(run[-1].values, exact)
-    ok = e1 < 0.05
+    def err(na, nx):
+        m = build_mesh(0.5, 1.0, na, nx)
+        spec, exact = damped_eigenmode(m, sigma=0.1, tau=0.1)
+        run = run_relaxed(spec, SolverConfig(), m)
+        return relative_error(run[-1].values, exact)
+
+    e1, e2 = err(40, 41), err(80, 81)
+    ok = e1 < 0.05 and e1 / e2 >= 1.8
     _report(
         "criterion-6 (damped-wave eigenmode vs ODE oracle)",
         ok,
-        f"rel err {e1:.4f} (< 0.05)",
+        f"rel err {e1:.4f} (< 0.05), halving ratio {e1 / e2:.2f} (>= 1.8)",
     )
     assert ok
 

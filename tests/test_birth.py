@@ -8,15 +8,16 @@ from epiwave.birth import (
     BirthLaws,
     birth_context,
     make_compatible,
-    newborn_source,
     solve_birth_step,
     zero_laws,
 )
 from epiwave.errors import SingularBirthSystem, SingularSigma
 from epiwave.fields import StateField
 from epiwave.mesh import build_mesh
-from epiwave.operators import KernelSet, LinearPart, g_op
+from epiwave.operators import KernelSet, LinearPart
 from epiwave.reference import renewal, total_births
+
+from conftest import g_of
 
 
 def _mesh(na=10, nx=5):
@@ -284,7 +285,7 @@ def test_nonlinear_birth_zero_state():
     k = KernelSet()
     laws = zero_laws(1, m)
     sl = _slice(m, 1, value=0.0)
-    out = g_op(k, laws.beta1, sl.values, newborn_source(laws.beta0, sl.values, None, m), m)
+    out = g_of(k, laws.beta0, laws.beta1, sl.values, None, m)
     assert np.allclose(out, 0.0)
 
 
@@ -298,7 +299,7 @@ def test_nonlinear_birth_scalar_cancellation():
     laws.beta0[:] = 0.7
     laws.beta1[:] = 0.7
     sl = _slice(m, 1, rng)
-    out = g_op(k, laws.beta1, sl.values, newborn_source(laws.beta0, sl.values, None, m), m)
+    out = g_of(k, laws.beta0, laws.beta1, sl.values, None, m)
     assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -335,5 +336,5 @@ def test_nonlinear_birth_matches_g_quadrature():
             )
             acc += wa[bk] * (mat @ sl.values[:, bk, xk])
         want[:, xk] = acc - lam[:, :, 0, xk] @ g0[:, xk]
-    got = g_op(k, laws.beta1, sl.values, newborn_source(laws.beta0, sl.values, g0, m), m)
+    got = g_of(k, laws.beta0, laws.beta1, sl.values, g0, m)
     assert np.allclose(got, want, rtol=1e-10, atol=1e-10)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -343,6 +344,33 @@ def test_svir_step_context_is_small_at_na80():
     assert ctx.inv is None
     arrays = [ctx.lcomb, ctx.sigma, *dataclasses.astuple(ctx.modes)]
     assert sum(a.nbytes for a in arrays) < 2e6
+
+
+def test_svir_step_context_inverts_its_mode_blocks_in_one_call(monkeypatch):
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    m = build_mesh(1.0, 1.0, 80, 81)
+    step_context(build_svir(SvirParams(tau=1e-2), m).linear, 1e-2, m)
+    assert calls == [(80 * 81, 4, 4)]
+
+
+def test_dense_step_context_peaks_below_one_and_a_half_stacks():
+    # x-varying tables at na = 40, nx = 41, n = 4: the (na, n nx, n nx)
+    # stack is assembled and inverted in place, a chunk at a time
+    m = build_mesh(1.0, 1.0, 40, 41)
+    A, X, n = m.na + 1, m.nx, 4
+    rng = np.random.default_rng(0)
+    tables = 0.1 * rng.random((2, A, X, n, n))
+    lin = LinearPart(L=tables[0], L_a=tables[1], sigma=0.1 + rng.random((A, n)))
+    tracemalloc.start()
+    try:
+        ctx = step_context(lin, 0.3, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ctx.modes is None
+    assert peak < 1.5 * ctx.inv.nbytes
 
 
 @pytest.mark.parametrize("forced", [False, True])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epiwave import operators
 from epiwave.birth import newborn_source
 from epiwave.errors import ShapeMismatch
 from epiwave.fields import StateField, norm_H
@@ -11,10 +12,10 @@ from epiwave.operators import (
     FactoredTable,
     KernelSet,
     KernelTerm,
-    apply_matrix_field,
+    apply_pairs,
     attach_tilde,
     delta_lambda_apply,
-    g_op,
+    fold_ages,
     invert_in_place,
     lambda_one,
     lambda_op,
@@ -23,6 +24,8 @@ from epiwave.operators import (
     neumann_matrix,
     neumann_modes,
 )
+
+from conftest import g_of
 
 
 def _mesh(na=4, nx=6, t_max=1.0):
@@ -95,6 +98,14 @@ def _lambda_two_dense(dense, g0, m):
     return np.einsum("hijaxz,z,jz->hiax", dense[..., 0, :], space_weights(m), g0)
 
 
+def _matrix(k, lam, n):
+    """The (n, n, ...) matrix field whose (h, i) entries are the pair field
+    lam of k and whose other entries are zero."""
+    out = np.zeros((n, n, *lam.shape[1:]))
+    out[k.targets, k.sources] = lam
+    return out
+
+
 # --------------------------------------------------------------------------
 # Neumann Laplacian
 
@@ -157,6 +168,23 @@ def test_invert_in_place_names_the_first_singular_matrix(bad, first):
     assert np.array_equal(mats[2], np.linalg.inv(4.0 * good) if bad is None else 4.0 * good)
 
 
+@pytest.mark.parametrize("first", [None, 0, 3, 5])
+def test_invert_in_place_chunks_keep_the_first_bad_index(monkeypatch, first):
+    # chunks of two matrices: a singular matrix in a later chunk is named
+    # by its index in the stack, every one before it is inverted to the
+    # bit and every one after it is left as it is
+    monkeypatch.setattr(operators, "_INVERT_CHUNK_BYTES", 2 * 4 * 8)
+    rng = np.random.default_rng(1)
+    mats = rng.normal(size=(6, 2, 2)) + 3.0 * np.eye(2)
+    if first is not None:
+        mats[first] = np.ones((2, 2))
+    want = mats.copy()
+    stop = len(mats) if first is None else first
+    want[:stop] = np.linalg.inv(mats[:stop])
+    assert invert_in_place(mats) == first
+    assert np.array_equal(mats, want)
+
+
 @pytest.mark.parametrize("nx", [3, 5, 21, 41, 81])
 def test_neumann_modes_diagonalise_the_laplacian(nx):
     m = _mesh(nx=nx)
@@ -203,7 +231,7 @@ def test_lambda_tent_kernel_closed_form():
             xs = m.xs()
             tent = np.maximum(0.1 - np.abs(xs[:, None] - xs[None, :]), 0.0)
             k = KernelSet(terms=_terms(kind, tent, None, m))
-            out = lambda_op(k, np.ones((1, A, X)), m)
+            out = _matrix(k, lambda_op(k, np.ones((1, A, X)), m), 1)
             mid = np.argmin(np.abs(xs - 0.5))
             assert np.isclose(out[0, 0, 0, mid], 0.01, atol=1e-14)
 
@@ -245,7 +273,7 @@ def test_lambda_norm_bound():
     for _ in range(10):
         v1 = rng.normal(size=(2, m.na + 1, m.nx))
         v2 = rng.normal(size=(2, m.na + 1, m.nx))
-        lhs = norm_H(apply_matrix_field(lambda_op(k, v1, m), v2), m)
+        lhs = norm_H(apply_pairs(k, lambda_op(k, v1, m), v2), m)
         assert lhs <= c * norm_H(v1, m) * norm_H(v2, m) * (1 + 1e-12)
 
 
@@ -357,8 +385,8 @@ def test_delta_lambda_product_rule_reduction():
         y = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
         lam = lambda_op(k, y.values, m)
         got = delta_lambda_apply(k, lam, y, np.zeros((1, X)), m)
-        want = apply_matrix_field(lam, y.slope)
-        want += apply_matrix_field(lambda_op(k, y.slope, m), y.values)
+        want = apply_pairs(k, lam, y.slope)
+        want += apply_pairs(k, lambda_op(k, y.slope, m), y.values)
         assert np.allclose(got, want)
 
 
@@ -372,9 +400,24 @@ def test_lambda_contractions_against_bruteforce(kind):
     k = attach_tilde(_kernel(kind, m, n, rng), m)
     w = rng.normal(size=(n, A, X))
     g0 = rng.normal(size=(n, X))
-    _assert_close(lambda_op(k, w, m), _lambda_dense(_dense(k, m), w, m))
-    _assert_close(lambda_one(k, w, m), _lambda_dense(_dense(k, m, tilde=True), w, m))
-    _assert_close(lambda_two(k, g0, m), _lambda_two_dense(_dense(k, m), g0, m))
+    _assert_close(_matrix(k, lambda_op(k, w, m), n), _lambda_dense(_dense(k, m), w, m))
+    dense_tilde = _lambda_dense(_dense(k, m, tilde=True), w, m)
+    _assert_close(_matrix(k, lambda_one(k, w, m), n), dense_tilde)
+    _assert_close(_matrix(k, lambda_two(k, g0, m), n), _lambda_two_dense(_dense(k, m), g0, m))
+
+
+def test_pair_field_of_several_pairs_and_tables():
+    # criterion 8's random 2-compartment kernel: every (h, i, j) table is
+    # factored into several tables, over all four (h, i) pairs
+    m = build_mesh(1.0, 1.0, 4, 5)
+    rng = np.random.default_rng(0)
+    A, X = m.na + 1, m.nx
+    k7 = rng.normal(size=(2, 2, 2, A, X, A, X))
+    k = KernelSet.from_dense(k7)
+    assert len(k.targets) == 4 and len(k.tables) > 8
+    w, y = rng.normal(size=(2, 2, A, X))
+    want = np.einsum("hiax,iax->hax", _lambda_dense(k7, w, m), y)
+    _assert_close(apply_pairs(k, lambda_op(k, w, m), y), want, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -413,7 +456,7 @@ def test_delta_lambda_against_bruteforce():
         want += np.einsum("hiax,iax->hax", _lambda_dense(kd, y.slope, m), y.values)
         want += np.einsum("hiax,iax->hax", _lambda_dense(ktd, y.values, m), y.values)
         want += np.einsum("hiax,iax->hax", _lambda_two_dense(kd, g0, m), y.values)
-        src = newborn_source(beta0, y.values, g0, m)
+        src = newborn_source(fold_ages(beta0, m), y.values, g0)
         got = delta_lambda_apply(k, lambda_op(k, y.values, m), y, src, m)
         _assert_close(got, want)
 
@@ -437,7 +480,7 @@ def test_g_op_scalar_cancellation():
         k = KernelSet(terms=_terms(kind, rng.normal(size=(X, X)), None, m))
         beta = np.abs(_dense_beta(m, 1, rng))
         y = rng.normal(size=(1, A, X))
-        out = g_op(k, beta, y, newborn_source(beta, y, None, m), m)
+        out = g_of(k, beta, beta, y, None, m)
         assert np.allclose(out, 0.0, atol=1e-12)
 
 
@@ -461,6 +504,6 @@ def test_g_op_against_bruteforce():
                 mat = beta1[bk, xk] @ lam[:, :, bk, xk] - lam[:, :, 0, xk] @ beta0[bk, xk]
                 acc += wa[bk] * (mat @ y[:, bk, xk])
             want[:, xk] = acc - lam[:, :, 0, xk] @ g0[:, xk]
-        got = g_op(k, beta1, y, newborn_source(beta0, y, g0, m), m)
+        got = g_of(k, beta0, beta1, y, g0, m)
         _assert_close(got, want)
 

@@ -16,7 +16,7 @@ from epiwave import (
     run_parabolic,
     run_relaxed,
 )
-from epiwave import operators, relaxed_model
+from epiwave import relaxed_model
 from epiwave.char_solver import step_context
 from epiwave.errors import InvalidParam, NonFinite, PicardDiverged, ShapeMismatch
 from epiwave.reference import manufactured, scalar_spec
@@ -106,22 +106,40 @@ def test_solve_derives_the_tilde_terms():
     assert residual_check(got, spec) == residual_check(want, attached)
 
 
-def test_relaxed_sweep_contracts_three_times(monkeypatch):
-    # Lambda(y) once for the forcing and delta_lambda_apply, Lambda(dy)
-    # once, and g_op's own Lambda(y); the SVIR kernel has no tilde terms
-    calls = []
-    contract = operators._contract
+def test_relaxed_sweep_integrates_the_svir_table_twice(monkeypatch):
+    # SVIR's six terms share one (table, j) pair: per sweep it is
+    # integrated once against the values, for Lambda(y) y, its transport
+    # derivative and G, and once against the slopes; the kernel has no
+    # tilde terms and its newborn source vanishes on I, so Lambda_2 is off
+    integrals = []
 
-    def counted(*args):
-        calls.append(1)
-        return contract(*args)
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            integrals.append(1)
+            return np.asarray(self) @ other
 
-    monkeypatch.setattr(operators, "_contract", counted)
     m = build_mesh(0.5, 1.0, 6, 7)
-    run = run_relaxed(build_svir(SvirParams(tau=1e-2, total_S0=100.0), m), SolverConfig(), m)
+    spec = build_svir(SvirParams(tau=1e-2, total_S0=100.0), m)
+    table = spec.kernels.terms[0].table
+    counted = FactoredTable(table.row.view(Counted), None, table.ages)
+    terms = [dataclasses.replace(t, table=counted) for t in spec.kernels.terms]
+    spec = dataclasses.replace(spec, kernels=KernelSet(terms))
+
+    in_g = []
+    g_op = relaxed_model.g_op
+
+    def g_counted(*args):
+        before = len(integrals)
+        out = g_op(*args)
+        in_g.append(len(integrals) - before)
+        return out
+
+    monkeypatch.setattr(relaxed_model, "g_op", g_counted)
+    run = run_relaxed(spec, SolverConfig(), m)
     sweeps = sum(len(u) for u in run.picard_updates)
     assert sweeps > m.nt
-    assert len(calls) == 3 * sweeps
+    assert len(integrals) == 2 * sweeps
+    assert in_g == [0] * sweeps
 
 
 @pytest.mark.parametrize("solve", [run_relaxed, run_parabolic])
