@@ -82,7 +82,7 @@ def test_refinement_floor_is_the_sup_over_the_coarse_lattice(small_mesh):
 
 def test_refinement_floor_stores_every_other_step_of_the_fine_run(small_mesh, monkeypatch):
     # the floor reads steps 0, 2, ..., 2 nt of the 2na run, and only those
-    # are stored; the floor is the one computed from every step
+    # are stored (the floor itself is pinned by the test above)
     m = small_mesh
     cfg = SolverConfig()
     coarse = run_parabolic(build_svir(SvirParams(), m), cfg, m)
@@ -93,12 +93,9 @@ def test_refinement_floor_stores_every_other_step_of_the_fine_run(small_mesh, mo
         return fine_runs[-1]
 
     monkeypatch.setattr(study, "run_parabolic", solve)
-    floor = refinement_floor(coarse, SvirParams(), cfg)
+    refinement_floor(coarse, SvirParams(), cfg)
     (fine,) = fine_runs
-    m2 = fine.mesh
-    assert fine.indices == list(range(0, m2.nt + 1, 2)) and len(fine) == m.nt + 1
-    every = run_parabolic(build_svir(SvirParams(), m2), cfg, m2)
-    assert floor == float(np.max(np.abs(coarse.values - every.values[::2, :, ::2])))
+    assert fine.indices == list(range(0, fine.mesh.nt + 1, 2)) and len(fine) == m.nt + 1
 
 
 def test_refinement_floor_needs_every_step_of_the_coarse_run(small_mesh, monkeypatch):
