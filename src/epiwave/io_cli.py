@@ -9,8 +9,11 @@ configuration problem, 1 a solver or output failure, 0 success.
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
@@ -26,6 +29,7 @@ from .errors import (
     InvalidSize,
     IoError,
     NonCommensurate,
+    NonFinite,
 )
 from .fields import Run, age_integral, diff_norms
 from .mesh import Mesh, build_mesh
@@ -168,15 +172,50 @@ def svir_params_from(cfg: RunConfig, tau: float) -> SvirParams:
     return params
 
 
-def _load_table(data, key: str) -> np.ndarray:
-    """One table of an .npz archive as float64; other dtypes are ConfigErrors."""
+#: What a damaged or cut-short archive raises while a member is read.
+_UNREADABLE = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
+
+
+def _table_blocks(archive: zipfile.ZipFile, member: str, shape=None, lead: int = 0):
+    """The table in member of archive as float64 blocks of its shape[lead:],
+    in C order over its first lead axes.
+
+    The member's .npy header is checked first: a dtype other than real
+    numbers, or a shape other than the given one, is a ConfigError.  The
+    blocks are then read one at a time (a Fortran-ordered member, which
+    holds no contiguous block, is read whole), and the member to its end,
+    where zipfile checks its CRC.  A damaged or short member is a
+    ConfigError naming the table.
+    """
+    fmt, key = np.lib.format, member.removesuffix(".npy")
     try:
-        tab = data[key]
-    except (OSError, ValueError) as exc:
+        with archive.open(member) as fp:
+            version = fmt.read_magic(fp)
+            header = fmt.read_array_header_1_0 if version == (1, 0) else fmt.read_array_header_2_0
+            full, fortran, dtype = header(fp)
+            if dtype.kind not in "iuf":
+                raise ConfigError(f"model table {key!r} has dtype {dtype}, expected real numbers")
+            if shape is not None and full != shape:
+                raise ConfigError(f"model table {key!r} has shape {full}, expected {shape}")
+            block = full if fortran else full[lead:]
+            size = math.prod(block) * dtype.itemsize
+            for _ in range(1 if fortran else math.prod(full[:lead])):
+                data = fp.read(size)
+                if len(data) < size:
+                    raise EOFError(f"the member ends {size - len(data)} bytes short")
+                tab = np.frombuffer(data, dtype).reshape(block, order="F" if fortran else "C")
+                tab = tab.astype(float, copy=False)
+                yield from (tab[idx] for idx in np.ndindex(full[:lead])) if fortran else (tab,)
+            while fp.read(1 << 20):
+                pass
+    except _UNREADABLE as exc:
         raise ConfigError(f"cannot read model table {key!r}: {exc}") from None
-    if tab.dtype.kind not in "iuf":
-        raise ConfigError(f"model table {key!r} has dtype {tab.dtype}, expected real numbers")
-    return np.asarray(tab, dtype=float)
+
+
+def _load_table(archive: zipfile.ZipFile, member: str, shape=None) -> np.ndarray:
+    """One whole table of the archive as a writable float64 array."""
+    (tab,) = _table_blocks(archive, member, shape)
+    return np.array(tab)
 
 
 def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
@@ -185,33 +224,44 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
     L, sigma and y0 are required; every table present must hold real
     numbers in its relaxed_model.table_shapes shape, and kernels, the
     one table a ModelSpec does not hold as loaded, must be a dense
-    (n, n, n, na+1, nx, na+1, nx) table.  It is factored on load into
-    the model's kernel terms; the solve derives their Lambda_1 (tilde)
-    terms.
+    (n, n, n, na+1, nx, na+1, nx) table.  It is read and factored one
+    (h, i, j) table at a time into the model's kernel terms, so it is
+    never held whole; the solve derives their Lambda_1 (tilde) terms.
     """
     try:
-        data = np.load(path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read model tables: {exc}") from None
-    for key in ("L", "sigma", "y0"):
-        if key not in data:
-            raise ConfigError(f"model tables lack the required key {key!r}")
-    L = _load_table(data, "L")
-    shapes = table_shapes(L, m)
-    n, A, X = shapes["y0"]
-    shapes["kernels"] = (n, n, n, A, X, A, X)
-    tabs = {key: L if key == "L" else _load_table(data, key) for key in shapes if key in data}
-    for key, tab in tabs.items():
-        if tab.shape != shapes[key]:
-            raise ConfigError(
-                f"model table {key!r} has shape {tab.shape}, expected {shapes[key]}"
-            )
+        archive = zipfile.ZipFile(path)
+    except _UNREADABLE as exc:
+        raise ConfigError(f"cannot read model tables from {path}: {exc}") from None
+    with archive:
+        members = {name.removesuffix(".npy"): name for name in archive.namelist()}
+        for key in ("L", "sigma", "y0"):
+            if key not in members:
+                raise ConfigError(f"model tables lack the required key {key!r}")
+        L = _load_table(archive, members["L"])
+        shapes = table_shapes(L, m)
+        n, A, X = shapes["y0"]
+        shapes["kernels"] = (n, n, n, A, X, A, X)
+        if L.shape != shapes["L"]:
+            raise ConfigError(f"model table 'L' has shape {L.shape}, expected {shapes['L']}")
+        tabs = {
+            key: L if key == "L" else _load_table(archive, members[key], shapes[key])
+            for key in shapes
+            if key in members and key != "kernels"
+        }
+        kernels = KernelSet()
+        if "kernels" in members:
+            blocks = _table_blocks(archive, members["kernels"], shapes["kernels"], lead=3)
+            try:
+                kernels = KernelSet.from_tables(n, blocks)
+            except NonFinite:
+                for _ in blocks:  # a damaged member fails its CRC as a ConfigError
+                    pass
+                raise
     linear = LinearPart(
         L=L,
         L_a=tabs["L_a"] if "L_a" in tabs else np.gradient(L, m.da, axis=0, edge_order=2),
         sigma=tabs["sigma"],
     )
-    kernels = KernelSet.from_dense(tabs.pop("kernels")) if "kernels" in tabs else KernelSet()
     laws = ("beta0", "beta1", "betaL", "beta_grad")
     births = BirthLaws(**{k: tabs[k] if k in tabs else np.zeros(shapes[k]) for k in laws},
                        g0=tabs.get("g0"), g1=tabs.get("g1"))

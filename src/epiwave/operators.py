@@ -10,13 +10,14 @@ Kernels are stored as a sparse list of terms: each term couples one
 (target h, multiplied i, integrated j) compartment triple through a
 scalar table k(a, x, alpha, xi) and a weight.  Every table is a
 FactoredTable, k = row(a, x, xi) * col(alpha, xi), integrated in
-O(X^2 + A X); a dense (A, X, A, X) table, as read from an .npz, is
-factored once by KernelSet.from_dense into a sum of such terms.  Lambda
-is applied, never assembled: each distinct (table, j) pair is
-integrated once per field, a (P, Q) weight matrix takes the Q integrals
-to the P coupled (h, i) pairs (SVIR: one table, six pairs), and
-apply_pairs sums each pair times y[i] into row h.  Kernel values are in
-rate units per (age * length); no normalization is applied.
+O(X^2 + A X); a dense (A, X, A, X) table, as read from an .npz one
+table at a time, is factored once by KernelSet.from_tables into a sum
+of such terms.  Lambda is applied, never assembled: each distinct
+(table, j) pair is integrated once per field, a (P, Q) weight matrix
+takes the Q integrals to the P coupled (h, i) pairs (SVIR: one table,
+six pairs), and apply_pairs sums each pair times y[i] into row h.
+Kernel values are in rate units per (age * length); no normalization
+is applied.
 """
 
 from dataclasses import dataclass, field
@@ -216,7 +217,8 @@ class KernelSet:
     Construction indexes the terms once: targets and sources are h and i
     of the P distinct (h, i) pairs, tables the Q distinct (table, j) pairs
     and weights (P, Q) the terms' weights between them; tilde_tables and
-    tilde_weights index tilde_terms over the same pairs.
+    tilde_weights index tilde_terms over the same pairs, and integrated
+    holds the distinct j of tables.
     """
 
     terms: List[KernelTerm] = field(default_factory=list)
@@ -228,16 +230,22 @@ class KernelSet:
         self.targets, self.sources = np.array(list(pairs), dtype=int).reshape(-1, 2).T
         self.tables, self.weights = _pair_weights(self.terms, pairs)
         self.tilde_tables, self.tilde_weights = _pair_weights(self.tilde_terms, pairs)
+        self.integrated = np.array(sorted({j for _, j in self.tables}), dtype=int)
 
     @classmethod
     def from_dense(cls, k7: np.ndarray) -> "KernelSet":
-        """Terms of a dense (n, n, n, na+1, nx, na+1, nx) table: one per
-        cross-approximation component of each nonzero (h, i, j) table,
-        raising NonFinite for a table holding NaN or inf."""
-        n = k7.shape[0]
+        """Terms of a dense (n, n, n, na+1, nx, na+1, nx) table (from_tables)."""
+        n = len(k7)
+        return cls.from_tables(n, (k7[hij] for hij in np.ndindex(n, n, n)))
+
+    @classmethod
+    def from_tables(cls, n: int, tables) -> "KernelSet":
+        """Terms of the n^3 (na+1, nx, na+1, nx) tables k^{hij}, taken one
+        at a time from tables in C order of (h, i, j): one per
+        cross-approximation component of each nonzero table, raising
+        NonFinite for a table holding NaN or inf."""
         terms = []
-        for h, i, j in np.ndindex(n, n, n):
-            tab = k7[h, i, j]
+        for (h, i, j), tab in zip(np.ndindex(n, n, n), tables, strict=True):
             if not np.any(tab):
                 continue
             scale = np.max(np.abs(tab))
@@ -375,7 +383,7 @@ def delta_lambda_apply(
     integrated compartment.
     """
     on_values = lambda_op(k, y.slope, m) + lambda_one(k, y.values, m)
-    if np.any(src[[j for _, j in k.tables]]):
+    if np.any(src[k.integrated]):
         on_values = on_values + lambda_two(k, src, m)
     return apply_pairs(k, lam, y.slope) + apply_pairs(k, on_values, y.values)
 

@@ -1,9 +1,12 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +24,7 @@ from epiwave import (
 )
 from epiwave import io_cli, study
 from epiwave.errors import ConfigError
+from epiwave.operators import KernelSet
 from epiwave.io_cli import (
     RunConfig,
     build_problem,
@@ -487,6 +491,164 @@ def test_tables_svir_gets_no_tilde_terms(tmp_path):
     _, loaded, _ = build_problem(cfg, tau=1e-2)
     assert len(loaded.kernels.terms) == 6
     assert attach_tilde(loaded.kernels, m).tilde_terms == []
+
+
+def _svir_npz(path, m, save=np.savez, kernels=None):
+    """The SVIR model on m as a tables .npz, as cli-tables writes it;
+    returns the dense kernel written (kernels, when given, instead)."""
+    spec = build_svir(SvirParams(tau=1e-2), m)
+    if kernels is None:
+        A, X = m.na + 1, m.nx
+        kernels = np.zeros((4, 4, 4, A, X, A, X))
+        for t in spec.kernels.terms:
+            kernels[t.h, t.i, t.j] += t.weight * np.asarray(t.table)
+    save(
+        path,
+        L=spec.linear.L,
+        L_a=spec.linear.L_a,
+        sigma=spec.linear.sigma,
+        kernels=kernels,
+        beta0=spec.births.beta0,
+        beta1=spec.births.beta1,
+        y0=spec.y0,
+    )
+    return kernels
+
+
+def _load_tables(path, m):
+    cfg = parse_config_dict(
+        {
+            "mesh": {"t_max": m.t_max, "a_max": m.a_max, "na": m.na, "nx": m.nx},
+            "model": {"kind": "tables", "path": str(path)},
+        }
+    )
+    return build_problem(cfg, tau=1e-2)[1]
+
+
+def test_tables_kernel_is_read_one_table_at_a_time(tmp_path):
+    # the dense kernel is never held whole: the load peaks far below it
+    m = build_mesh(0.5, 1.0, 10, 11)
+    kernels = _svir_npz(tmp_path / "model.npz", m)
+    tracemalloc.start()
+    try:
+        spec = _load_tables(tmp_path / "model.npz", m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spec.kernels.terms) == 6
+    assert peak < kernels.nbytes / 4, (peak, kernels.nbytes)
+
+
+def _random_tables(m, n, dtype, seed):
+    A, X = m.na + 1, m.nx
+    rng = np.random.default_rng(seed)
+    k7 = np.zeros((n, n, n, A, X, A, X))
+    k7[0, n - 1, n - 1] = rng.integers(-3, 4, size=(A, X, A, X))
+    k7[n - 1, 0, 0] = rng.normal(size=(A, X, A, X))
+    return k7.astype(dtype)
+
+
+@pytest.mark.parametrize(
+    "case", ["svir", "age-kernel", "float32", "int", "fortran", "compressed"]
+)
+def test_tables_kernel_loads_as_from_dense_of_the_whole_array(tmp_path, case):
+    # streamed or whole, the loader factors the same tables: the same
+    # terms, bit for bit, in the same (h, i, j) order
+    m = build_mesh(0.5, 1.0, 10, 11) if case == "age-kernel" else build_mesh(0.5, 1.0, 4, 5)
+    path = tmp_path / "model.npz"
+    if case == "age-kernel":
+        table = np.asarray(age_kernel_spec(m, tau=0.1).kernels.terms[0].table)
+        np.savez(path, **_tables(m, kernels=table[None, None, None]))
+    elif case in ("float32", "int", "fortran"):
+        dtype = {"float32": np.float32, "int": np.int64, "fortran": float}[case]
+        k7 = _random_tables(m, 2, dtype, seed=len(case))
+        k7 = np.asfortranarray(k7) if case == "fortran" else k7
+        np.savez(path, **_tables(m, L=np.zeros((m.na + 1, m.nx, 2, 2)), kernels=k7,
+                                 sigma=np.full((m.na + 1, 2), 0.1), y0=np.ones((2, m.na + 1, m.nx))))
+    else:
+        _svir_npz(path, m, save=np.savez_compressed if case == "compressed" else np.savez)
+    with np.load(path) as data:
+        whole = np.asarray(data["kernels"], dtype=float)
+    want = KernelSet.from_dense(whole).terms
+    got = _load_tables(path, m).kernels.terms
+    assert [(t.h, t.i, t.j, t.weight) for t in got] == [(t.h, t.i, t.j, t.weight) for t in want]
+    for g, w in zip(got, want):
+        assert g.table.row.dtype == np.float64 and np.array_equal(g.table.row, w.table.row)
+        assert (g.table.col is None) == (w.table.col is None)
+        assert g.table.col is None or np.array_equal(g.table.col, w.table.col)
+    assert got
+
+
+def test_object_kernels_member_is_a_config_error(tmp_path):
+    m = build_mesh(0.5, 1.0, 4, 5)
+    np.savez(tmp_path / "model.npz", **_tables(m, kernels=np.array([None, 1.0], dtype=object)))
+    with pytest.raises(ConfigError, match="'kernels'"):
+        _load_tables(tmp_path / "model.npz", m)
+
+
+def _damage(path, how, key):
+    """Damage the stored .npz at path: cut the file to half its length,
+    cut one member 8 bytes short (its CRC then matches), or change one
+    byte of the member's data (low: a last mantissa bit of its first
+    value; high: the first value's top byte, 1.0 -> inf)."""
+    raw = path.read_bytes()
+    if how == "cut-file":
+        path.write_bytes(raw[: len(raw) // 2])
+        return
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    if how == "short-member":
+        with zipfile.ZipFile(path, "w") as archive:
+            for k, arr in arrays.items():
+                buf = io.BytesIO()
+                np.lib.format.write_array(buf, arr)
+                archive.writestr(f"{k}.npy", buf.getvalue()[: -8 if k == key else None])
+        return
+    start = raw.index(np.lib.format.MAGIC_PREFIX, raw.index(f"{key}.npy".encode()))
+    data_at = raw.index(b"\n", start) + 1  # the .npy header ends in a newline
+    out = bytearray(raw)
+    if how == "flip-low":
+        out[data_at] ^= 0x01
+    else:
+        out[data_at + 7] ^= 0x40
+    path.write_bytes(bytes(out))
+
+
+@pytest.mark.parametrize("key", ["kernels", "y0"])  # streamed, whole
+@pytest.mark.parametrize("how", ["cut-file", "short-member", "flip-low", "flip-high"])
+def test_damaged_tables_archive_exits_2(tmp_path, capsys, key, how):
+    # zipfile's own CRC check fails a changed byte, even one that makes a
+    # kernel entry inf before the member's end is read
+    m = build_mesh(0.5, 1.0, 4, 5)
+    A, X = m.na + 1, m.nx
+    np.savez(tmp_path / "model.npz", **_tables(m, kernels=np.ones((1, 1, 1, A, X, A, X))))
+    _damage(tmp_path / "model.npz", how, key)
+    path = _write_config(
+        tmp_path, model={"kind": "tables", "path": str(tmp_path / "model.npz")}
+    )
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if how == "cut-file":
+        assert "File is not a zip file" in err and "model.npz" in err
+    elif how == "short-member":
+        assert f"model table {key!r}" in err
+    else:
+        assert f"Bad CRC-32 for file '{key}.npy'" in err
+
+
+def test_tables_member_that_is_no_npy_array_exits_2(tmp_path, capsys):
+    # np.load read a member without the .npy suffix as raw bytes
+    m = build_mesh(0.5, 1.0, 4, 5)
+    np.savez(tmp_path / "model.npz", **_tables(m))
+    with zipfile.ZipFile(tmp_path / "model.npz", "a") as archive:
+        archive.writestr("beta0", b"not an array")
+    path = _write_config(
+        tmp_path, model={"kind": "tables", "path": str(tmp_path / "model.npz")}
+    )
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "'beta0'" in err
 
 
 @pytest.mark.parametrize(

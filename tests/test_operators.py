@@ -317,6 +317,7 @@ def test_from_dense_finds_the_rank_and_skips_zero_tables():
     assert _dense(k, m).shape == k7.shape
     assert len(k.terms) == 3
     assert all((t.h, t.i, t.j) == (1, 0, 1) for t in k.terms)
+    assert k.integrated.tolist() == [1]  # the j that delta_lambda_apply tests src on
     _assert_close(_dense(k, m), k7, rtol=1e-14)
     assert KernelSet.from_dense(np.zeros((1, 1, 1, A, X, A, X))).terms == []
 
