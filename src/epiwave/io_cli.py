@@ -323,9 +323,15 @@ def _mkdir(path) -> Path:
 
 
 def _writerows(path: Path, header: str, rows, delimiter: str = ",") -> None:
-    """Write the header line(s), then one line of decimals per row."""
+    """Write the header line(s), then one line of decimals per row (a 1-D
+    rows is one column), as np.savetxt(fmt=_FMT) writes them, byte for
+    byte, but formatted by one % over the lines' template."""
+    rows = np.asarray(rows, dtype=float)
+    rows = rows[:, None] if rows.ndim == 1 else rows
+    line = delimiter.join([_FMT] * rows.shape[1]) + "\n"
+    text = (header + "\n" if header else "") + (line * len(rows)) % tuple(rows.ravel().tolist())
     try:
-        np.savetxt(path, rows, fmt=_FMT, delimiter=delimiter, header=header, comments="")
+        path.write_text(text)
     except OSError as exc:
         raise IoError(str(exc)) from None
 
@@ -517,6 +523,9 @@ def cli_main(argv=None) -> int:
             return 0
 
         # sweep
+        for flag, value in (("--q1", args.q1), ("--q2", args.q2)):
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{flag}={value} must be finite")
         if cfg.model.kind != "svir":
             raise ConfigError("sweep requires an svir model")
         m, solver = _mesh_and_solver(cfg)

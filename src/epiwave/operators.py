@@ -12,10 +12,11 @@ scalar table k(a, x, alpha, xi) and a weight.  Every table is a
 FactoredTable, k = row(a, x, xi) * col(alpha, xi), integrated in
 O(X^2 + A X); a dense (A, X, A, X) table, as read from an .npz one
 table at a time, is factored once by KernelSet.from_tables into a sum
-of such terms.  Lambda is applied, never assembled: each distinct
-(table, j) pair is integrated once per field, a (P, Q) weight matrix
-takes the Q integrals to the P coupled (h, i) pairs (SVIR: one table,
-six pairs), and apply_pairs sums each pair times y[i] into row h.
+of such terms.  Lambda is applied, never assembled: each (table, j)
+pair, distinct up to scale, is integrated once per field, a (P, Q)
+weight matrix takes the Q integrals to the P coupled (h, i) pairs (SVIR:
+one table, six pairs), and apply_pairs sums each pair times y[i] into
+row h.
 Kernel values are in rate units per (age * length); no normalization
 is applied.
 """
@@ -193,15 +194,45 @@ def _cross_factors(tab: np.ndarray, tol: float) -> List[FactoredTable]:
     return out
 
 
+def _scale(a, b) -> Optional[float]:
+    """c with table b = c a (1.0 when b is a), or None.  Only FactoredTables
+    on the same shapes compare: rows proportional, and cols proportional or
+    both None, each to _FACTOR_RTOL of the larger factor's largest entry."""
+    if a is b:
+        return 1.0
+    if not (isinstance(a, FactoredTable) and isinstance(b, FactoredTable)) or (
+        (a.ages, a.row.shape, a.col is None) != (b.ages, b.row.shape, b.col is None)
+    ):
+        return None  # a table of another kind is check_shape's to name
+    c = 1.0
+    for f, g in ((a.row, b.row), (a.col, b.col)):
+        if f is not None:
+            p = np.argmax(np.abs(f))
+            r = g.flat[p] / f.flat[p] if f.flat[p] else np.nan
+            bound = _FACTOR_RTOL * max(abs(f.flat[p]), np.max(np.abs(g)))
+            if not np.max(np.abs(g - r * f)) <= bound:
+                return None
+            c *= r
+    return c
+
+
 def _pair_weights(terms: List[KernelTerm], pairs: dict) -> Tuple[list, np.ndarray]:
-    """The distinct (table, j) pairs of terms and the (P, Q) sums of the
-    terms' weights between the (h, i) pairs (pairs[h, i] = p) and them."""
-    tables = {(id(t.table), t.j): (t.table, t.j) for t in terms}
-    cols = {key: q for q, key in enumerate(tables)}
-    weights = np.zeros((len(pairs), len(tables)))
+    """The (table, j) pairs of terms, distinct up to scale, and the (P, Q)
+    sums of the terms' weights between the (h, i) pairs (pairs[h, i] = p)
+    and them: a term whose table is c times a listed table on the same j
+    (_scale) adds c * weight to that table's column."""
+    tables: list = []
+    weights = np.zeros((len(pairs), len(terms)))
     for t in terms:
-        weights[pairs[t.h, t.i], cols[id(t.table), t.j]] += t.weight
-    return list(tables.values()), weights
+        for q, (table, j) in enumerate(tables):
+            c = _scale(table, t.table) if j == t.j else None
+            if c is not None:
+                break
+        else:
+            q, c = len(tables), 1.0
+            tables.append((t.table, t.j))
+        weights[pairs[t.h, t.i], q] += c * t.weight
+    return tables, weights[:, : len(tables)].copy()
 
 
 @dataclass
@@ -215,10 +246,10 @@ class KernelSet:
     contraction reads it from the field it contracts.
 
     Construction indexes the terms once: targets and sources are h and i
-    of the P distinct (h, i) pairs, tables the Q distinct (table, j) pairs
-    and weights (P, Q) the terms' weights between them; tilde_tables and
-    tilde_weights index tilde_terms over the same pairs, and integrated
-    holds the distinct j of tables.
+    of the P distinct (h, i) pairs, tables the Q (table, j) pairs distinct
+    up to scale (_pair_weights) and weights (P, Q) the terms' weights
+    between them; tilde_tables and tilde_weights index tilde_terms over
+    the same pairs, and integrated holds the distinct j of tables.
     """
 
     terms: List[KernelTerm] = field(default_factory=list)
@@ -231,6 +262,17 @@ class KernelSet:
         self.tables, self.weights = _pair_weights(self.terms, pairs)
         self.tilde_tables, self.tilde_weights = _pair_weights(self.tilde_terms, pairs)
         self.integrated = np.array(sorted({j for _, j in self.tables}), dtype=int)
+        self._scatters: dict = {}  # n -> scatter(n)
+
+    def scatter(self, n: int) -> np.ndarray:
+        """The read-only (n, P) matrix taking pair p to row targets[p],
+        built once per n (IndexError for a target not below n)."""
+        if n not in self._scatters:
+            out = np.zeros((n, len(self.targets)))
+            out[self.targets, np.arange(len(self.targets))] = 1.0
+            out.flags.writeable = False
+            self._scatters[n] = out
+        return self._scatters[n]
 
     @classmethod
     def from_dense(cls, k7: np.ndarray) -> "KernelSet":
@@ -358,11 +400,10 @@ def lambda_two(k: KernelSet, src: np.ndarray, m: Mesh) -> np.ndarray:
 def apply_pairs(k: KernelSet, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Lambda z for the pair field lam of k: row h of the (n, ...) field z
     sums lam_p z[i_p] over the pairs p = (h, i), by one gather and one
-    (n, P) scatter product; lam broadcasts against z[0]."""
+    (n, P) scatter product (KernelSet.scatter); lam broadcasts against z[0]."""
     n, P = len(z), len(lam)
-    scatter = np.zeros((n, P))
     try:
-        scatter[k.targets, np.arange(P)] = 1.0
+        scatter = k.scatter(n)
         terms = z[k.sources]
         terms *= lam
     except IndexError:

@@ -23,7 +23,7 @@ from epiwave import (
     run_relaxed,
 )
 from epiwave import io_cli, study
-from epiwave.errors import ConfigError
+from epiwave.errors import ConfigError, IoError
 from epiwave.operators import KernelSet
 from epiwave.io_cli import (
     RunConfig,
@@ -684,6 +684,64 @@ def test_non_finite_tau_exits_2_before_solving(tmp_path, capsys, monkeypatch, co
     path = _write_config(tmp_path)
     assert cli_main([command, "--config", str(path), "--tau", tau]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--q1", "--q2"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_compatibility_flag_exits_2_before_solving(
+    tmp_path, capsys, monkeypatch, flag, value
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError(f"a solve ran before {flag} was checked")
+
+    monkeypatch.setattr(study, "run_parabolic", no_solve)
+    monkeypatch.setattr(study, "run_relaxed", no_solve)
+    path = _write_config(tmp_path)
+    assert cli_main(["sweep", "--config", str(path), f"{flag}={value}"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and flag in err
+
+
+def _savetxt_bytes(path, header, rows, delimiter=","):
+    np.savetxt(path, rows, fmt="%.17g", delimiter=delimiter, header=header, comments="")
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name, header, rows, delimiter",
+    [
+        (
+            "slice_5.csv",
+            "a,x,S,V,I,R",
+            np.random.default_rng(0).normal(size=(30, 6))
+            * 10.0 ** np.random.default_rng(1).integers(-300, 300, size=(30, 6)),
+            ",",
+        ),
+        ("fronts.csv", "t,front_x", [], ","),
+        (
+            "diffs.csv",
+            "sup_abs,sup_t_V,sup_t_H_slope,l2_H,h1_V",
+            [[0.1, 0.0, -0.0, np.nan, 5e-324]],
+            ",",
+        ),
+        (
+            "ratefit.dat",
+            "# fitted_rate 0.99\n# floor 1e-05\n# log10_tau log10_sup_diff",
+            [(np.log10(t), -1.0 / 3.0) for t in (1e-4, 1e-3, 1e-2)],
+            " ",
+        ),
+    ],
+)
+def test_csv_writer_writes_the_bytes_of_savetxt(tmp_path, name, header, rows, delimiter):
+    io_cli._writerows(tmp_path / name, header, rows, delimiter)
+    want = _savetxt_bytes(tmp_path / "want", header, rows, delimiter)
+    assert (tmp_path / name).read_bytes() == want
+
+
+def test_csv_writer_reports_an_unwritable_path(tmp_path):
+    for path in (tmp_path, tmp_path / "missing" / "slice_0.csv"):
+        with pytest.raises(IoError):
+            io_cli._writerows(path, "t,front_x", [(0.0, 1.0)])
 
 
 _DTYPES = ["f8", "f4", "i8", "u1", "?", "c16", "U2", "O"]

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epiwave import operators
+from epiwave import SolverConfig, operators, run_relaxed
 from epiwave.birth import newborn_source
 from epiwave.errors import ShapeMismatch
 from epiwave.fields import StateField, norm_H
+from epiwave.io_cli import build_problem, parse_config_dict
 from epiwave.mesh import age_weights, build_mesh, space_weights
 from epiwave.operators import (
     FactoredTable,
@@ -24,6 +27,7 @@ from epiwave.operators import (
     neumann_matrix,
     neumann_modes,
 )
+from epiwave.svir import SvirParams, build_svir
 
 from conftest import g_of
 
@@ -508,3 +512,125 @@ def test_g_op_against_bruteforce():
         got = g_of(k, beta0, beta1, y, g0, m)
         _assert_close(got, want)
 
+
+
+# --------------------------------------------------------------------------
+# (table, j) pairs distinct up to scale; the cached scatter matrix
+
+
+def _svir_dense(m):
+    """The SVIR library kernel and its terms as a dense 7-D table, as a
+    tables .npz stores it: six separate tables."""
+    lib = build_svir(SvirParams(tau=1e-2, total_S0=100.0), m).kernels
+    A, X = m.na + 1, m.nx
+    dense = np.zeros((4, 4, 4, A, X, A, X))
+    for t in lib.terms:
+        dense[t.h, t.i, t.j] += t.weight * np.asarray(t.table)
+    return lib, dense
+
+
+def _pair_weight(k):
+    """Each (h, i) pair's weight on k's one table."""
+    return {(int(h), int(i)): w for h, i, w in zip(k.targets, k.sources, k.weights[:, 0])}
+
+
+def test_from_dense_svir_tables_index_one_table():
+    # +-tent, +-phi1 tent and +-phi2 tent: six rank-1 terms, one column
+    m = build_mesh(0.5, 1.0, 4, 5)
+    lib, dense = _svir_dense(m)
+    k = KernelSet.from_dense(dense)
+    assert len(k.terms) == 6 and len(k.tables) == 1 and len(lib.tables) == 1
+    got, want = _pair_weight(k), _pair_weight(lib)
+    assert got.keys() == want.keys()
+    assert max(abs(got[p] - want[p]) for p in want) <= 1e-15
+    w = np.random.default_rng(6).normal(size=(4, m.na + 1, m.nx))
+    _assert_close(_matrix(k, lambda_op(k, w, m), 4), _matrix(lib, lambda_op(lib, w, m), 4), 1e-15)
+
+
+def test_tables_merge_only_up_to_scale_on_the_same_j():
+    m = build_mesh(1.0, 1.0, 4, 5)
+    A, X = m.na + 1, m.nx
+    rng = np.random.default_rng(7)
+    row, col = rng.normal(size=(A, X, X)), rng.normal(size=(A, X))
+    table = FactoredTable(row, col, A)
+    bumped = row.copy()
+    bumped[1, 2, 3] += 1e-10
+
+    perturbed = KernelSet([KernelTerm(0, 0, 0, 1.0, table),
+                           KernelTerm(1, 0, 0, 1.0, FactoredTable(bumped, col, A))])
+    assert len(perturbed.tables) == 2
+    other_j = KernelSet([KernelTerm(0, 0, 0, 1.0, table), KernelTerm(1, 0, 1, 1.0, table)])
+    assert [j for _, j in other_j.tables] == [0, 1]
+
+    # the 2.5x copy (rows 1.25x, cols 2x) joins the column with weight 2.5,
+    # and its two derivative tables join the original's
+    copy = FactoredTable(1.25 * row, 2.0 * col, A)
+    k = attach_tilde(KernelSet([KernelTerm(0, 0, 0, 1.0, table),
+                                KernelTerm(1, 0, 0, -0.5, copy)]), m)
+    assert len(k.tables) == 1 and len(k.tilde_tables) == 2
+    assert np.allclose(k.weights[:, 0], [1.0, -1.25], rtol=1e-15, atol=0)
+    assert np.allclose(k.tilde_weights, [[1.0, 1.0], [-1.25, -1.25]], rtol=1e-14, atol=0)
+    w = rng.normal(size=(2, A, X))
+    _assert_close(_matrix(k, lambda_op(k, w, m), 2), _lambda_dense(_dense(k, m), w, m))
+    dense_tilde = _lambda_dense(_dense(k, m, tilde=True), w, m)
+    _assert_close(_matrix(k, lambda_one(k, w, m), 2), dense_tilde)
+
+
+def test_relaxed_sweep_integrates_the_loaded_svir_table_twice(tmp_path):
+    # the .npz holds SVIR's kernel as six tables; their terms share one
+    # column, so a sweep integrates one row twice (values and slopes), as
+    # for the library kernel, not twelve times
+    integrals = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            integrals.append(1)
+            return np.asarray(self) @ other
+
+    m = build_mesh(0.5, 1.0, 6, 7)
+    lib_spec = build_svir(SvirParams(tau=1e-2, total_S0=100.0), m)
+    _, dense = _svir_dense(m)
+    births = lib_spec.births
+    np.savez(
+        tmp_path / "model.npz",
+        L=lib_spec.linear.L, L_a=lib_spec.linear.L_a, sigma=lib_spec.linear.sigma,
+        kernels=dense, beta0=births.beta0, beta1=births.beta1,
+        betaL=births.betaL, beta_grad=births.beta_grad, y0=lib_spec.y0, y1=lib_spec.y1,
+    )
+    cfg = parse_config_dict({
+        "mesh": {"t_max": m.t_max, "a_max": m.a_max, "na": m.na, "nx": m.nx},
+        "model": {"kind": "tables", "path": str(tmp_path / "model.npz")},
+    })
+    _, spec, _ = build_problem(cfg, tau=1e-2)
+    terms = [
+        dataclasses.replace(t, table=dataclasses.replace(t.table, row=t.table.row.view(Counted)))
+        for t in spec.kernels.terms
+    ]
+    assert len(terms) == 6
+    spec = dataclasses.replace(spec, kernels=KernelSet(terms))
+
+    run = run_relaxed(spec, SolverConfig(), m)
+    sweeps = sum(len(u) for u in run.picard_updates)
+    assert sweeps > m.nt
+    assert len(integrals) == 2 * sweeps
+    want = run_relaxed(lib_spec, SolverConfig(), m)[-1].values
+    _assert_close(run[-1].values, want, rtol=1e-14)
+
+
+def test_apply_pairs_builds_its_scatter_once_per_size():
+    m = build_mesh(1.0, 1.0, 3, 4)
+    rng = np.random.default_rng(9)
+    k = _factored_kernel(m, 2, rng)
+    lam = lambda_op(k, rng.normal(size=(2, m.na + 1, m.nx)), m)
+    z = rng.normal(size=(2, m.na + 1, m.nx))
+    got = apply_pairs(k, lam, z)
+    scatter = np.zeros((2, len(k.targets)))
+    scatter[k.targets, np.arange(len(k.targets))] = 1.0
+    want = (scatter @ (z[k.sources] * lam).reshape(len(lam), -1)).reshape(z.shape)
+    assert np.array_equal(got, want)
+    assert k.scatter(2) is k.scatter(2) and not k.scatter(2).flags.writeable
+    assert np.array_equal(apply_pairs(k, lam, z), got)
+    with pytest.raises(ShapeMismatch):  # target 1 is not below n = 1, cached or not
+        apply_pairs(k, lam, z[:1])
+    with pytest.raises(ShapeMismatch):
+        apply_pairs(k, lam, z[:1])
