@@ -1,9 +1,8 @@
 """Oracle problems and independent reference solutions for the solvers.
 
 The reference routines compute their answers by routes that share
-nothing with the production stepper: closed forms, high-accuracy ODE
-integration, or fine-grid integral-equation marching with exact
-survival factors.
+nothing with the production stepper: closed forms, or fine-grid
+integral-equation marching with exact survival factors.
 
 The catalogue builds the one-compartment oracle problems that
 `epiwave validate` and the tests run: heat and damped-wave eigenmodes,
@@ -15,7 +14,6 @@ and total_births turn a run into the measured quantity.
 from typing import Callable, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .birth import zero_laws
 from .fields import Run
@@ -29,38 +27,31 @@ def heat_mode_decay(sigma: float, t) -> np.ndarray:
     return np.exp(-sigma * np.pi**2 * np.asarray(t, dtype=float))
 
 
-def damped_mode_solution(
-    tau: float,
-    rate: float,
-    t_end: float,
-    q0: float = 1.0,
-    p0: float = 0.0,
-):
-    """High-accuracy solution of tau q'' + q' + rate q = 0.
+def damped_mode_solution(tau: float, rate: float):
+    """Exact solution of tau q'' + q' + rate q = 0 with q(0) = 1, q'(0) = 0.
 
-    Returns callables (q, qprime) valid on [0, t_end].
+    Returns callables (q, qprime).  With k = 1/(2 tau) and d = 1 - 4 tau
+    rate, q is e^(-k t) times cos/sin when d < 0 and times (1 + k t) when
+    d = 0.  When d > 0 it is c1 e^(s1 t) + c2 e^(s2 t), with the slow root
+    s1 in a form free of cancellation; e^(-k t) cosh would overflow at
+    small tau.
     """
-
-    def rhs(_t, y):
-        return [y[1], -(y[1] + rate * y[0]) / tau]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        [q0, p0],
-        method="DOP853",
-        rtol=1e-12,
-        atol=1e-14,
-        dense_output=True,
-    )
-
-    def q(t):
-        return sol.sol(np.asarray(t, dtype=float))[0]
-
-    def qprime(t):
-        return sol.sol(np.asarray(t, dtype=float))[1]
-
-    return q, qprime
+    k, d = 0.5 / tau, 1.0 - 4.0 * tau * rate
+    if d > 0:
+        r = np.sqrt(d)
+        s1, s2 = -2.0 * rate / (1.0 + r), -(1.0 + r) * k
+        c1, c2 = (1.0 + r) / (2.0 * r), s1 * tau / r
+        return (
+            lambda t: c1 * np.exp(s1 * t) + c2 * np.exp(s2 * t),
+            lambda t: rate / r * (np.exp(s2 * t) - np.exp(s1 * t)),
+        )
+    if d < 0:
+        w = np.sqrt(-d) * k
+        return (
+            lambda t: np.exp(-k * t) * (np.cos(w * t) + k / w * np.sin(w * t)),
+            lambda t: -rate / (tau * w) * np.exp(-k * t) * np.sin(w * t),
+        )
+    return (lambda t: np.exp(-k * t) * (1.0 + k * t), lambda t: -k * k * t * np.exp(-k * t))
 
 
 def renewal_reference(
@@ -163,8 +154,8 @@ def heat_eigenmode(m: Mesh, sigma: float = 0.1):
 
 
 def damped_eigenmode(m: Mesh, sigma: float = 0.1, tau: float = 0.1):
-    """Damped-wave cos(pi x) mode; (spec, final slice of the ODE oracle)."""
-    q, qp = damped_mode_solution(tau, sigma * np.pi**2, m.t_max)
+    """Damped-wave cos(pi x) mode; (spec, exact final slice)."""
+    q, qp = damped_mode_solution(tau, sigma * np.pi**2)
     spec, mode = _mode_spec(m, sigma, q, qp, tau=tau)
     return spec, q(m.t_max) * mode
 

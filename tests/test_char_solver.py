@@ -65,12 +65,12 @@ def _run_eigenmode(m, tau, sigma, steps):
 
 
 def test_step_damped_mode_against_ode():
-    # oracle: high-accuracy integration of tau q'' + q' + sigma pi^2 q = 0
+    # oracle: the closed-form solution of tau q'' + q' + sigma pi^2 q = 0
     sigma, tau = 0.1, 0.1
 
     def err(na, nx):
         m = _mesh(na=na, nx=nx)
-        q, _ = damped_mode_solution(tau, sigma * np.pi**2, 2 * m.da)
+        q, _ = damped_mode_solution(tau, sigma * np.pi**2)
         v, _ = _run_eigenmode(m, tau, sigma, 1)
         mid = m.nx // 4
         return abs(v[0, mid] - q(m.da) * np.cos(np.pi * m.xs()[mid]))
@@ -78,6 +78,36 @@ def test_step_damped_mode_against_ode():
     e1, e2 = err(20, 41), err(40, 81)
     assert e1 < 0.5 * (1.0 / 20)
     assert e1 / e2 > 1.8
+
+
+@pytest.mark.parametrize(
+    "eps, tol",
+    [(0.0, 1e-15), (1e-9, 1e-8), (-1e-9, 1e-8)],
+    ids=["critical", "overdamped", "underdamped"],
+)
+def test_damped_mode_at_critical_damping(eps, tol):
+    # 4 tau rate = 1 - eps against (1 + k t) e^(-k t), k = 1/(2 tau): each
+    # branch next to the switch shows no cancellation
+    tau, k, t = 0.25, 2.0, np.linspace(0.0, 3.0, 301)
+    q, qp = damped_mode_solution(tau, (1.0 - eps) / (4.0 * tau))
+    assert np.max(np.abs(q(t) - (1.0 + k * t) * np.exp(-k * t))) <= tol
+    assert np.max(np.abs(qp(t) + k * k * t * np.exp(-k * t))) <= tol
+
+
+@pytest.mark.parametrize(
+    "tau, rate",
+    [(1e-3, 0.1 * np.pi**2), (0.1, 0.1 * np.pi**2), (0.25, 1.0), (0.1, 5.0), (1.0, 0.1 * np.pi**2)],
+)
+def test_damped_mode_starts_at_rest(tau, rate):
+    q, qp = damped_mode_solution(tau, rate)
+    assert q(0.0) == pytest.approx(1.0, abs=1e-15)
+    assert qp(0.0) == 0.0
+
+
+def test_damped_mode_stays_finite_at_small_tau():
+    # e^(-t/(2 tau)) cosh(beta t) would overflow here
+    q, qp = damped_mode_solution(1e-3, 0.1 * np.pi**2)
+    assert np.isfinite(q(5.0)) and np.isfinite(qp(5.0))
 
 
 def test_step_heat_decay():

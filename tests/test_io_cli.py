@@ -800,18 +800,20 @@ def test_build_problem_tables_fuzz(n, tables):
 
 
 def test_import_loads_no_scipy():
-    # scipy serves only the oracle suite, which imports it lazily
-    code = (
-        "import sys, epiwave, epiwave.io_cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+    # numpy is the only runtime dependency: neither the import nor the
+    # oracle suite loads a scipy module
+    listing = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(epiwave.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert out.stdout.strip() == "[]"
+    for code in (
+        "import sys, epiwave, epiwave.io_cli; " + listing,
+        "import sys, epiwave, epiwave.io_cli; epiwave.io_cli.validation_cases(); " + listing,
+    ):
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert out.stdout.strip() == "[]", code
