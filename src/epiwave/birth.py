@@ -100,10 +100,11 @@ def make_compatible(
 
 
 def newborn_source(beta0: np.ndarray, y: np.ndarray, g0: Optional[np.ndarray]) -> np.ndarray:
-    """Newborn density int_alpha beta0 y + g0, (n, nx), of the (n, na+1,
-    nx) values y: one product with beta0 folded by operators.fold_ages.
-    g0 may be None.  Lambda_2 (delta_lambda_apply) and G (g_op) read it."""
-    src = (beta0 @ per_node(y))[:, :, 0].T
+    """Newborn density int_alpha beta0 y + g0, (..., n, nx), of the (...,
+    n, na+1, nx) values y: one product with beta0 folded by
+    operators.fold_ages.  g0 may be None.  Lambda_2 (delta_lambda_apply)
+    and G (g_op) read it."""
+    src = (beta0 @ per_node(y))[..., 0].swapaxes(-1, -2)
     if g0 is not None:
         src += g0
     return src
@@ -185,32 +186,34 @@ def solve_birth_step(
     """Births (B0, B1), each (n, nx), at one time level from the
     (provisional) age profile; B1 is None when ctx has no slope law.
 
-    y_slice holds values and slopes at all ages; the a = 0 rows are
-    treated as unknown.  B0 solves (I - w0 beta0(0)) B0 =
+    y_slice holds values and slopes at all ages, (n, na+1, nx), or (M,
+    n, na+1, nx) for M members, whose births then lead with M; the
+    a = 0 rows are treated as unknown (never read).  B0 solves (I - w0 beta0(0)) B0 =
     trapz_{alpha>0}(beta0 y) + g0, and B1 solves the analogous system
     with beta1(0) on the left and the beta1 dy + betaL y + beta_grad
     dy/dx quadrature, the G term and g1 on the right; the alpha = 0
     contributions of betaL and beta_grad use the freshly solved B0.
     ctx (birth_context) holds the inverses and folded tables.
     """
-    vals = y_slice.values
-    n, X = vals.shape[0], m.nx
-    B0 = np.zeros((X, n, 1)) if ctx.t0 is None else ctx.t0 @ per_node(vals[:, 1:])
+    vals = y_slice.values[..., 1:, :]
+    shape = vals.shape[:-3] + (m.nx, vals.shape[-3], 1)
+    B0 = np.zeros(shape) if ctx.t0 is None else ctx.t0 @ per_node(vals)
     if g0_now is not None:
         B0 += ctx.inv0 @ g0_now.T[:, :, None]
     if ctx.inv1 is None:
-        return B0[:, :, 0].T, None
+        return B0[..., 0].swapaxes(-1, -2), None
 
     src = [s for s in (nonlinear_G, g1_now) if s is not None]
-    B1 = ctx.inv1 @ sum(src).T[:, :, None] if src else np.zeros((X, n, 1))
+    # sums, not in place: a source without a member axis broadcasts
+    B1 = ctx.inv1 @ sum(src).swapaxes(-1, -2)[..., None] if src else np.zeros(shape)
     if ctx.t1 is not None:
-        B1 += ctx.t1 @ per_node(y_slice.slope[:, 1:])
+        B1 = B1 + ctx.t1 @ per_node(y_slice.slope[..., 1:, :])
     if ctx.tL is not None:
-        B1 += ctx.tL @ per_node(vals[:, 1:])
+        B1 = B1 + ctx.tL @ per_node(vals)
     if ctx.tgrad is not None:
-        B1 += ctx.tgrad @ per_node(space_gradient(vals, m)[:, 1:])
+        B1 = B1 + ctx.tgrad @ per_node(space_gradient(vals, m))
     if ctx.fL is not None:
-        B1 += ctx.fL @ B0
+        B1 = B1 + ctx.fL @ B0
     if ctx.fgrad is not None:
-        B1 += ctx.fgrad @ space_gradient(B0[:, :, 0].T, m).T[:, :, None]
-    return B0[:, :, 0].T, B1[:, :, 0].T
+        B1 = B1 + ctx.fgrad @ space_gradient(B0.swapaxes(-3, -1), m).swapaxes(-3, -1)
+    return B0[..., 0].swapaxes(-1, -2), B1[..., 0].swapaxes(-1, -2)

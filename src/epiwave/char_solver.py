@@ -26,10 +26,11 @@ accurate as a factored solve.
 A step always advances the previous slice, so only its forcing can
 change from one fixed-point sweep to the next: step_rhs forms the rest
 of the right-hand side once per time step, and step adds da f and
-applies the inverses.
+applies the inverses.  Given an (M,) array of taus, step_context
+factors one member per tau and every slice gains a leading member axis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -66,14 +67,15 @@ class StepContext:
     """Implicit-step data at the target ages 1..na of a slice advance.
 
     lcomb is L + tau L_a, shape (na, nx, n, n), and sigma the
-    diffusivities, shape (na, n).  It holds one factorisation of the
+    diffusivities, shape (na, n); for an (M,) array tau, all but sigma
+    lead with M.  It holds one factorisation of the
     implicit matrices, and the other field is None: modes when the local
     blocks do not vary in x, else inv, the dense inverse of each age's
     (n nx, n nx) matrix stacked (na, n nx, n nx), unknowns ordered
     x * n + h.
     """
 
-    tau: float
+    tau: np.ndarray
     lcomb: np.ndarray
     sigma: np.ndarray
     modes: Optional[ModalInverse] = None
@@ -93,42 +95,52 @@ def step_context(lin: LinearPart, tau: float, m: Mesh) -> StepContext:
     n, da = lin.n, m.da
     L, L_a, sigma = lin.L[1:], lin.L_a[1:], lin.sigma[1:]
     eye = np.eye(n)
-    lcomb = L + tau * L_a
-    blks = tau * eye + da * (eye + tau * L) + da * da * lcomb  # (na, nx, n, n)
-    if np.all(blks == blks[:, :1]):
-        return StepContext(tau, lcomb, sigma, modes=_modal_inverse(blks[:, 0], sigma, m))
+    t = np.asarray(tau)[..., None, None, None, None]
+    lcomb = L + t * L_a
+    blks = t * eye + da * (eye + t * L) + da * da * lcomb  # (..., na, nx, n, n)
+    if np.all(blks == blks[..., :1, :, :]):
+        return StepContext(tau, lcomb, sigma, modes=_modal_inverse(blks[..., 0, :, :], sigma, m))
     return StepContext(tau, lcomb, sigma, inv=_dense_inverse(blks, sigma, m))
 
 
+def members(ctx: StepContext, live: np.ndarray) -> StepContext:
+    """The members live of a context factored for an array of taus."""
+    md, inv = ctx.modes, ctx.inv
+    return StepContext(ctx.tau[live], ctx.lcomb[live], ctx.sigma, md and replace(
+        md, blocks=md.blocks[live]), None if inv is None else inv[live])
+
+
 def _modal_inverse(blk: np.ndarray, sigma: np.ndarray, m: Mesh) -> ModalInverse:
-    """Invert the (na, n, n) blocks blk shifted by -da^2 lambda_k sigma_a
-    at every mode k, as one batched (na nx, n, n) stack."""
+    """Invert the (..., na, n, n) blocks blk shifted by -da^2 lambda_k
+    sigma_a at every mode k, as one batched (... na nx, n, n) stack."""
     V, lam, V_inv = neumann_modes(m)
-    hs = np.arange(blk.shape[-1])
-    mats = np.repeat(blk[:, None], m.nx, axis=1)  # (na, nx, n, n)
-    mats[:, :, hs, hs] -= (m.da * m.da) * sigma[:, None, :] * lam[None, :, None]
-    if (bad := invert_in_place(mats.reshape(-1, *blk.shape[1:]))) is not None:
-        raise SingularSystem(f"implicit step matrix singular at age index {bad // m.nx + 1}")
+    n = blk.shape[-1]
+    hs = np.arange(n)
+    mats = np.repeat(blk[..., None, :, :], m.nx, axis=-3)  # (..., na, nx, n, n)
+    mats[..., hs, hs] -= (m.da * m.da) * sigma[:, None, :] * lam[None, :, None]
+    if (bad := invert_in_place(mats.reshape(-1, n, n))) is not None:
+        age = bad // m.nx % m.na + 1  # of member bad // (nx na)
+        raise SingularSystem(f"implicit step matrix singular at age index {age}")
     # C-ordered copies: the products of every step run faster on them
-    blocks = np.ascontiguousarray(mats.transpose(2, 3, 0, 1))
+    blocks = np.ascontiguousarray(np.moveaxis(mats, (-2, -1), (-4, -3)))
     return ModalInverse(np.ascontiguousarray(V_inv.T), blocks, np.ascontiguousarray(V.T))
 
 
 def _dense_inverse(blks: np.ndarray, sigma: np.ndarray, m: Mesh) -> np.ndarray:
-    """Assemble each age's matrix from the (na, nx, n, n) local blocks in
-    one (na, nx, n, nx, n) stack and overwrite it by its inverse."""
+    """Assemble each age's matrix from the (..., na, nx, n, n) local blocks
+    in one (..., na, nx, n, nx, n) stack, overwritten by its inverse."""
     nx, n = m.nx, blks.shape[-1]
     xs = np.arange(nx)
-    mats = np.zeros((m.na, nx, n, nx, n))
-    # the indexed axes lead the selection: (nx, na, n, n) local blocks ...
-    mats[:, xs, :, xs, :] = blks.transpose(1, 0, 2, 3)
+    mats = np.zeros(blks.shape[:-3] + (nx, n, nx, n))
+    # the indexed axes lead the selection: (nx, ..., na, n, n) local blocks ...
+    mats[..., xs, :, xs, :] = np.moveaxis(blks, -3, 0)
     # ... and (na, nx, nx) diffusion per compartment, in place on a view
     lap = neumann_matrix(m)
     for h in range(n):
-        mats[:, :, h, :, h] -= (m.da * m.da) * sigma[:, h, None, None] * lap
-    inv = mats.reshape(m.na, n * nx, n * nx)  # a view: inverses overwrite matrices
-    if (bad := invert_in_place(inv)) is not None:
-        raise SingularSystem(f"implicit step matrix singular at age index {bad + 1}")
+        mats[..., h, :, h] -= (m.da * m.da) * sigma[:, h, None, None] * lap
+    inv = mats.reshape(blks.shape[:-3] + (n * nx, n * nx))  # a view: inverses overwrite matrices
+    if (bad := invert_in_place(inv.reshape(-1, n * nx, n * nx))) is not None:
+        raise SingularSystem(f"implicit step matrix singular at age index {bad % m.na + 1}")
     return inv
 
 
@@ -141,8 +153,8 @@ def step_rhs(v: np.ndarray, w: np.ndarray, ctx: StepContext, m: Mesh) -> np.ndar
     """
     with np.errstate(invalid="ignore", over="ignore"):  # step raises NonFinite
         lapv = laplacian_neumann(v, m)
-        return ctx.tau * w + m.da * (
-            ctx.sigma.T[:, :, None] * lapv - np.einsum("axhi,iax->hax", ctx.lcomb, v)
+        return np.asarray(ctx.tau)[..., None, None, None] * w + m.da * (
+            ctx.sigma.T[:, :, None] * lapv - np.einsum("...axhi,...iax->...hax", ctx.lcomb, v)
         )
 
 
@@ -160,19 +172,21 @@ def step(
     Returns the values and slopes at ages 1..na.  Raises NonFinite when
     NaN/inf appear.
     """
-    n, na, nx = v.shape
+    *lead, n, na, nx = v.shape
     da = m.da
     with np.errstate(invalid="ignore", over="ignore"):  # NonFinite raised below
         if f is not None:
-            rhs = rhs + da * f
+            f = da * f
+            rhs = np.add(f, rhs, out=f)
         if ctx.modes is not None:
             md = ctx.modes
-            w_modes = np.einsum("hiak,iak->hak", md.blocks, rhs @ md.to_modes)
+            w_modes = np.einsum("...hiak,...iak->...hak", md.blocks, rhs @ md.to_modes)
             w_new = w_modes @ md.from_modes
         else:
-            b = rhs.transpose(1, 2, 0).reshape(na, nx * n, 1)
-            w_new = (ctx.inv @ b).reshape(na, nx, n).transpose(2, 0, 1)
-        v_new = v + da * w_new
+            b = np.moveaxis(rhs, -3, -1).reshape(*lead, na, nx * n, 1)
+            w_new = np.moveaxis((ctx.inv @ b).reshape(*lead, na, nx, n), -1, -3)
+        v_new = da * w_new
+        v_new += v
     if not (np.all(np.isfinite(v_new)) and np.all(np.isfinite(w_new))):
         raise NonFinite("non-finite state after a characteristic step")
     return v_new, w_new

@@ -40,7 +40,8 @@ class Run(Sequence):
     values and slopes are (S, n, na+1, nx) stacks whose entry s is the
     slice at time step indices[s]; run[k] is a StateField view of entry
     k.  picard_updates holds, per committed time step, each sweep's
-    fixed-point residual norm.
+    fixed-point residual norm.  A batch Run of M members has (M, S, n,
+    na+1, nx) stacks and member-major picard_updates (members()).
     """
 
     values: np.ndarray
@@ -59,6 +60,12 @@ class Run(Sequence):
 
     def __getitem__(self, k: int) -> StateField:
         return StateField(self.values[k], self.slopes[k])
+
+    def members(self) -> List["Run"]:
+        """The Run of each member of a batch Run, as views of its stacks."""
+        nt = len(self.picard_updates) // len(self.values)
+        return [Run(v, s, self.indices, self.mesh, self.picard_updates[j * nt:(j + 1) * nt])
+                for j, (v, s) in enumerate(zip(self.values, self.slopes))]
 
 
 @dataclass

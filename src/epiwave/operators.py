@@ -353,24 +353,25 @@ def attach_tilde(k: KernelSet, m: Mesh) -> KernelSet:
 
 
 def _integrate(table: FactoredTable, f: np.ndarray, m: Mesh) -> np.ndarray:
-    """Trapezoid sum of k(a, x, alpha, xi) f(alpha, xi): (A, X), or (X,) without a."""
+    """Trapezoid sum of k(a, x, alpha, xi) f(alpha, xi) of the (..., A, X) f."""
     f = f * age_weights(m)[:, None] * space_weights(m)
-    s = f.sum(axis=0) if table.col is None else np.einsum("bz,bz->z", table.col, f)
-    return table.row @ s
+    s = f.sum(axis=-2) if table.col is None else np.einsum("bz,...bz->...z", table.col, f)
+    return (table.row @ s[..., None, :, None])[..., 0]  # (..., A or 1, X)
 
 
 def _pair_field(weights: np.ndarray, tables: list, f: np.ndarray, integral) -> np.ndarray:
-    """weights @ each (table, j) pair's integral against f[j]: (P, A or 1, X)."""
+    """weights @ each (table, j) pair's integral against f[..., j, :, :]: (..., P, A or 1, X)."""
+    lead = f.shape[:-3]
     if not tables:
-        return np.zeros((len(weights), 1, f.shape[-1]))
+        return np.zeros(lead + (len(weights), 1, f.shape[-1]))
     try:
-        gs = [integral(table, f[j]) for table, j in tables]
+        gs = [integral(table, f[..., j, :, :]) for table, j in tables]
     except IndexError:
-        n = len(f)
+        n = f.shape[-3]
         raise ShapeMismatch(f"kernel terms index compartments beyond the field's {n}") from None
-    shape = max((g.shape for g in gs), key=len)  # (A, X) if any integral has a
-    stacked = np.array([g if g.shape == shape else np.broadcast_to(g, shape) for g in gs])
-    return (weights @ stacked.reshape(len(gs), -1)).reshape(len(weights), -1, shape[-1])
+    stacked = gs[0][..., None, :, :] if len(gs) == 1 else np.stack(np.broadcast_arrays(*gs), -3)
+    out = weights @ stacked.reshape(lead + (len(gs), -1))
+    return out.reshape(lead + (len(weights), -1, f.shape[-1]))
 
 
 def lambda_op(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
@@ -378,9 +379,9 @@ def lambda_op(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
     or (P, 1, nx) when no table depends on a (apply_pairs applies it).
 
     Pair (h, i) integrates w_j against k^{hij} over (alpha, xi) with
-    trapezoid weights; w is an (n, na+1, nx) array.
+    trapezoid weights; w is an (n, na+1, nx) array, or (M, n, na+1, nx).
     """
-    if w.ndim != 3 or w.shape[1:] != (m.na + 1, m.nx):
+    if w.ndim not in (3, 4) or w.shape[-2:] != (m.na + 1, m.nx):
         raise ShapeMismatch(f"field shape {w.shape} is not (n, na+1, nx)")
     return _pair_field(k.weights, k.tables, w, lambda tab, f: _integrate(tab, f, m))
 
@@ -393,22 +394,23 @@ def lambda_one(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
 def lambda_two(k: KernelSet, src: np.ndarray, m: Mesh) -> np.ndarray:
     """Lambda_2: the pair field of the xi-only integral of k(a, x, 0, xi)
     against the (n, nx) newborn source src (birth.newborn_source)."""
-    sw = src * space_weights(m)
-    return _pair_field(k.weights, k.tables, sw, lambda tab, s: _at_alpha_zero(tab) @ s)
+    sw = (src * space_weights(m))[..., None, :]
+    return _pair_field(k.weights, k.tables, sw,
+                       lambda tab, s: (_at_alpha_zero(tab) @ s[..., None])[..., 0])
 
 
 def apply_pairs(k: KernelSet, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Lambda z for the pair field lam of k: row h of the (n, ...) field z
-    sums lam_p z[i_p] over the pairs p = (h, i), by one gather and one
-    (n, P) scatter product (KernelSet.scatter); lam broadcasts against z[0]."""
-    n, P = len(z), len(lam)
+    """Lambda z for the pair field lam of k: row h of the (..., n, A, X)
+    field z sums lam_p z[..., i_p, :, :] over the pairs p = (h, i), by one
+    gather and one (n, P) scatter product (KernelSet.scatter)."""
+    n, P = z.shape[-3], lam.shape[-3]
     try:
         scatter = k.scatter(n)
-        terms = z[k.sources]
+        terms = z.take(k.sources, axis=-3)
         terms *= lam
     except IndexError:
         raise ShapeMismatch(f"kernel terms index compartments beyond the field's {n}") from None
-    return (scatter @ terms.reshape(P, z[0].size)).reshape(z.shape)
+    return (scatter @ terms.reshape(*z.shape[:-3], P, z.shape[-2] * z.shape[-1])).reshape(z.shape)
 
 
 def delta_lambda_apply(
@@ -424,7 +426,7 @@ def delta_lambda_apply(
     integrated compartment.
     """
     on_values = lambda_op(k, y.slope, m) + lambda_one(k, y.values, m)
-    if np.any(src[k.integrated]):
+    if np.any(src[..., k.integrated, :]):
         on_values = on_values + lambda_two(k, src, m)
     return apply_pairs(k, lam, y.slope) + apply_pairs(k, on_values, y.values)
 
@@ -437,9 +439,9 @@ def fold_ages(beta: np.ndarray, m: Mesh) -> np.ndarray:
 
 
 def per_node(f: np.ndarray) -> np.ndarray:
-    """The (n, r, nx) field f per node: (nx, n r, 1), rows ordered (i, a)."""
-    n, r, X = f.shape
-    return f.transpose(2, 0, 1).reshape(X, n * r, 1)
+    """The (..., n, r, nx) field f per node: (..., nx, n r, 1), rows ordered (i, a)."""
+    n, r, X = f.shape[-3:]
+    return f.swapaxes(-1, -3).swapaxes(-1, -2).reshape(f.shape[:-3] + (X, n * r, 1))
 
 
 def g_op(
@@ -453,4 +455,5 @@ def g_op(
     lam = lambda_op(k, y, m) and src (birth.newborn_source), with beta1
     folded by fold_ages: it integrates no table and does not read m.
     """
-    return (beta1 @ per_node(mixed))[:, :, 0].T - apply_pairs(k, lam[:, 0], src)
+    int_mixed = (beta1 @ per_node(mixed))[..., 0].swapaxes(-1, -2)
+    return int_mixed - apply_pairs(k, lam[..., :1, :], src[..., None, :])[..., 0, :]

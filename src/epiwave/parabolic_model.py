@@ -13,4 +13,4 @@ from .relaxed_model import ModelSpec, Run, SolverConfig, _march
 
 def run_parabolic(spec: ModelSpec, cfg: SolverConfig, m: Mesh) -> Run:
     """Solve the parabolic system; spec.tau and spec.y1 are ignored."""
-    return _march(spec, cfg, m, first_order_births=False)
+    return _march(spec, cfg, m, first_order_births=False).members()[0]

@@ -4,22 +4,24 @@ Each time step freezes the nonlocal terms at the current fixed-point
 iterate, advances every characteristic of the previous slice with one
 batched implicit solve (the per-age matrices are inverted once per
 solve), computes births, and repeats until the update is small in the
-tau-weighted energy norm.  The iterate is one (2, n, na+1, nx) array of
-values and slopes, and each sweep after a step's first is mixed with
-the step's last three sweeps (Anderson acceleration), which takes fewer
-sweeps than plain Picard iteration.  Each stored step is written in
-place into the Run's preallocated value and slope stacks.  The
+tau-weighted energy norm.  A spec may carry several taus: its members
+march in lockstep as one (M, 2, n, na+1, nx) iterate of values and
+slopes, and a member that converges is frozen for the rest of the step.
+Each sweep after a step's first is mixed with the member's last three
+sweeps (Anderson acceleration), which takes fewer sweeps than plain
+Picard iteration.  Each stored step is written in place into the Run's
+preallocated value and slope stacks.  The
 parabolic baseline reuses the same code path with tau = 0 and the
 zeroth-order birth law, so the two solvers differ only by the tau terms.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from .birth import BirthLaws, birth_context, newborn_source, solve_birth_step
-from .char_solver import step, step_context, step_rhs
+from .char_solver import members, step, step_context, step_rhs
 from .errors import InvalidParam, LengthMismatch, NonFinite, PicardDiverged, ShapeMismatch
 from .fields import Run, StateField, norm_H, norm_V
 from .mesh import Mesh
@@ -68,7 +70,8 @@ class ModelSpec:
     from them alone once per solve, so any tilde_terms given here are
     ignored.  y0 / y1 are (n, na+1, nx) initial value and slope (y1 may
     be None, meaning zero).  f is an optional (nt+1, n, na+1, nx)
-    forcing table; table_shapes gives every table's shape.
+    forcing table; table_shapes gives every table's shape.  tau may be
+    a sequence of taus: run_relaxed then solves one member per tau.
     """
 
     linear: LinearPart
@@ -77,7 +80,7 @@ class ModelSpec:
     y0: np.ndarray
     y1: Optional[np.ndarray] = None
     f: Optional[np.ndarray] = None
-    tau: float = 0.0
+    tau: Union[float, Sequence[float]] = 0.0
 
     @property
     def n(self) -> int:
@@ -85,11 +88,14 @@ class ModelSpec:
         return self.linear.n
 
     def validate(self, m: Mesh) -> None:
-        """InvalidParam for a tau that is not a finite nonnegative number,
+        """InvalidParam for a tau that is not a finite nonnegative number
+        or a nonempty sequence of them,
         ShapeMismatch for a table off the mesh, then NonFinite, naming
         the table, for NaN/inf in any table but the (factored, checked on
         load) kernels."""
-        if not (is_real(self.tau) and 0.0 <= self.tau < np.inf):
+        taus = self.tau if isinstance(self.tau, (list, tuple, np.ndarray)) else [self.tau]
+        if not (np.ndim(taus) == 1 and len(taus)
+                and all(is_real(t) and 0.0 <= t < np.inf for t in taus)):
             raise InvalidParam(f"tau={self.tau!r} must be finite and nonnegative")
         lin, b = self.linear, self.births
         tables = {"y0": self.y0, "y1": self.y1, "f": self.f, "L": lin.L, "L_a": lin.L_a,
@@ -124,13 +130,14 @@ class SolverConfig:
                 raise InvalidParam(f"{name}={value!r} must be a positive integer")
 
 
-def _mixing(k: KernelSet, y, dy, src, tau: float, m: Mesh):
-    """Lambda(y) y, plus tau times its transport derivative if tau > 0
+def _mixing(k: KernelSet, y, dy, src, tau, m: Mesh):
+    """Lambda(y) y, plus tau times its transport derivative if any tau > 0
     (reading dy, the newborn source src and k's tilde terms), then
-    Lambda(y) y alone and the pair field of Lambda(y), which G reads."""
+    Lambda(y) y alone and the pair field of Lambda(y), which G reads;
+    an (M, 1, 1, 1) tau, some positive, weights M members."""
     lam = lambda_op(k, y, m)
     out = mixed = apply_pairs(k, lam, y)
-    if tau > 0:
+    if np.ndim(tau) or tau > 0:
         out = mixed + tau * delta_lambda_apply(k, lam, StateField(y, dy), src, m)
     return out, mixed, lam
 
@@ -139,16 +146,12 @@ def _mixing(k: KernelSet, y, dy, src, tau: float, m: Mesh):
 _DEPTH = 3
 
 
-def _inner(D: np.ndarray, v: np.ndarray, weights) -> np.ndarray:
-    """Inner products of each entry of the (k, c, ...) stack D with the
-    (c, ...) array v, summing component c with weight weights[c]; a zero
-    weight leaves that component out."""
-    k = len(D)
-    out = np.zeros(k)
-    for c, w in enumerate(weights):
-        if w:
-            out += w * (D[:, c].reshape(k, -1) @ v[c].ravel())
-    return out
+def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of each system of the stacks a, b; NaN for a singular one."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        return np.stack([_solve_each(*ab) for ab in zip(a, b)]) if a.ndim > 2 else b * np.nan
 
 
 def _failure(what: str, at, updates: List[float]) -> str:
@@ -163,60 +166,83 @@ def _failure(what: str, at, updates: List[float]) -> str:
     return msg
 
 
-def _fixed_point(picard_map, x, energy, weights, cfg: SolverConfig, linear: bool, at):
-    """Solve x = picard_map(x) from x at step `at`: the one stopping rule.
+def _fixed_point(picard_map, xg, energy, weights, cfg: SolverConfig, linear: bool, at, res):
+    """Solve x = picard_map(x) for M members in lockstep: the one stopping rule.
 
-    x is a (c, ...) array and picard_map returns a new one.  Each sweep
-    maps the iterate to g(x), and energy(g(x) - x, g(x)) gives the norms
-    of the residual and of g(x).  Anderson mixing of depth _DEPTH
-    (Walker & Ni 2011) picks the next iterate: g(x) minus the combination
-    of the last sweeps' differences of g whose residual differences best
-    cancel the residual, in the inner product that weights component c
-    by weights[c].  The history starts empty on every call.  A singular
-    or non-finite mixing solve drops it and takes the plain step g(x).
-    A linear map runs once.
+    xg is an (M, 2, c, ...) buffer whose xg[:, 0] holds the starting
+    iterates.  picard_map(x, live, out) writes g(x) for the members live
+    (indices into M) into out; energy(fg, live) gives the two rows of
+    norms of fg[:, 0] = g(x) - x and of fg[:, 1] = g(x).  Anderson mixing
+    of depth _DEPTH (Walker & Ni 2011) picks each member's next iterate:
+    g(x) minus the combination of its last sweeps' differences of g whose
+    residual differences best cancel the residual, in the inner product
+    that weights component c by weights[member, c] (components after the
+    last weighted one are left out).  Each member's history starts empty;
+    a singular or non-finite mixing solve drops it and takes the plain
+    step g(x).  A member that meets picard_tol is written to res and
+    frozen, not swept again.  A linear map runs once.
 
-    Returns the last g(x) and each sweep's residual norm.  The sweep
-    budget is the only stop short of an answer: PicardDiverged once
-    picard_max sweeps have all missed picard_tol.  Floating-point
-    warnings are off for the whole loop, and a non-finite g(x) raises
-    NonFinite.  Both messages come from _failure and name the step as
-    `at`; _march passes its index with its time and da.
+    Returns res and each member's sweep residual norms.  PicardDiverged
+    once a member's picard_max sweeps all miss picard_tol, NonFinite for a
+    non-finite g(x); both messages come from _failure, naming the step as
+    at[member].  Floating-point warnings are off for the whole loop.
     """
-    updates: List[float] = []
-    dF, dG = np.empty((_DEPTH,) + x.shape), np.empty((_DEPTH,) + x.shape)
-    gram = np.empty((_DEPTH, _DEPTH))  # of dF, one row written per sweep
-    filled = 0
-    g_old = f_old = None
+    M, D = len(xg), _DEPTH
+    live = np.arange(M)  # the member in each row of the working arrays
+    updates: List[List[float]] = [[] for _ in range(M)]
+    c = 1 + int(np.flatnonzero(weights.any(axis=0)).max(initial=0))
+    scale = np.sqrt(weights[:, :c]).reshape((M, c) + (1,) * (xg.ndim - 3))
+    # scaled residual differences; the slot the next one takes holds the
+    # last residual, slot D this sweep's: one Gram product reads both
+    dF = np.zeros((M, D + 1, c) + xg.shape[3:])
+    dG = np.zeros((M, D) + xg.shape[2:])  # the same for g, unscaled
+    gram = np.repeat(np.eye(D)[None], M, axis=0)  # 1 on the diagonal of an unused slot
     with np.errstate(all="ignore"):  # a blow-up is caught by the checks below
-        while len(updates) < cfg.picard_max:
-            g = picard_map(x)
-            f = g - x
-            err, size = energy(f, g)
-            if not np.isfinite(size):
-                raise NonFinite(_failure("non-finite slice", at, updates))
-            updates.append(float(err))
-            if linear or err <= cfg.picard_tol * max(size, 1e-300):
-                return g, updates
-            x = g
-            if g_old is not None:
-                slot = filled % _DEPTH
-                np.subtract(f, f_old, out=dF[slot])
-                np.subtract(g, g_old, out=dG[slot])
-                filled += 1
-                k = min(filled, _DEPTH)
-                gram[slot, :k] = gram[:k, slot] = _inner(dF[:k], dF[slot], weights)
-                try:
-                    gamma = np.linalg.solve(gram[:k, :k], _inner(dF[:k], f, weights))
-                except np.linalg.LinAlgError:
-                    gamma = None
-                if gamma is None or not np.all(np.isfinite(gamma)):
-                    filled = 0
-                else:
-                    x = g - (gamma @ dG[:k].reshape(k, -1)).reshape(g.shape)
-            g_old, f_old = g, f
+        for sweep in range(cfg.picard_max):
+            n = len(live)
+            x, g = xg[:n, 0], xg[:n, 1]
+            picard_map(x, live, g)
+            np.subtract(g, x, out=x)  # x holds the residual f from here on
+            keep = []
+            for j, err, size in zip(live.tolist(), *energy(xg[:n], live).tolist()):
+                if not np.isfinite(size):
+                    raise NonFinite(_failure("non-finite slice", at[j], updates[j]))
+                updates[j].append(err)
+                keep.append(not (linear or err <= cfg.picard_tol * max(size, 1e-300)))
+            if not all(keep):
+                keep = np.array(keep)
+                res[live[~keep]] = g[~keep]
+                if not keep.any():
+                    return res, updates
+                for row, src in enumerate(np.flatnonzero(keep)):  # move the rest up
+                    for a in (xg, dF, dG, gram, scale):
+                        a[row] = a[src]
+                live = live[keep]
+                n = len(live)
+                x, g = xg[:n, 0], xg[:n, 1]
+            F, G, gr = dF[:n], dG[:n], gram[:n]
+            np.multiply(x[:, :c], scale[:n], out=F[:, D])
+            if sweep:
+                s = (sweep - 1) % D
+                np.subtract(F[:, D], F[:, s], out=F[:, s])
+                np.subtract(g, G[:, s], out=G[:, s])
+                flat = F.reshape(n, D + 1, -1)
+                prod = flat[:, :D] @ flat[:, s :: D - s].swapaxes(-1, -2)  # rows s and D
+                gr[:, s, :] = gr[:, :, s] = prod[..., 0]
+                gamma = _solve_each(gr, prod[..., 1:])
+                if not np.isfinite(gamma).all():
+                    lost = ~np.isfinite(gamma).all(axis=(-2, -1))
+                    F[lost, :D] = G[lost] = gamma[lost] = 0.0
+                    gr[lost] = np.eye(D)
+                mix = gamma.swapaxes(-1, -2) @ G.reshape(n, D, -1)
+                np.subtract(g, mix.reshape(g.shape), out=x)
+            else:
+                x[...] = g
+            F[:, sweep % D] = F[:, D]
+            G[:, sweep % D] = g
+    j = live[0]
     raise PicardDiverged(_failure(f"no convergence in picard_max={cfg.picard_max} sweeps",
-                                  at, updates))
+                                  at[j], updates[j]))
 
 
 def consistent_slope(
@@ -224,12 +250,12 @@ def consistent_slope(
 ) -> np.ndarray:
     """Parabolic transport derivative sigma Lap y - L y + forcing.
 
-    values and forcing are (n, r, nx) over the first r ages of the
+    values and forcing are (..., n, r, nx) over the first r ages of the
     tables; forcing carries f and, for nonlinear models, -Lambda(y) y.
     """
-    r = values.shape[1]
+    r = values.shape[-2]
     out = lin.sigma[:r].T[:, :, None] * laplacian_neumann(values, m)
-    out -= np.einsum("axhi,iax->hax", lin.L[:r], values)
+    out -= np.einsum("axhi,...iax->...hax", lin.L[:r], values)
     out += forcing
     return out
 
@@ -250,22 +276,25 @@ def derived_initial_slope(spec: ModelSpec, m: Mesh) -> np.ndarray:
 def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool) -> Run:
     """March spec over the mesh, shared by the relaxed and parabolic solvers.
 
-    Once per call: the implicit matrices of ages 1..na are inverted, the
-    birth laws folded into their map (birth_context), the kernel terms
-    indexed with their tilde terms and, for a kernel with first-order
-    births, beta0 and beta1 folded over all ages (fold_ages).  Each time
-    step forms the forcing-free right-hand side of the previous slice's
-    advance once (step_rhs) and hands its Picard map to _fixed_point.
-    One sweep integrates each kernel table once against the iterate's
-    values (Lambda(y) y, its transport derivative and G share it) and
-    once against its slopes, calls step once to carry ages 0..na-1 to
-    1..na, then fills age 0 with one solve_birth_step.  First-order
+    Each tau of a relaxed spec is a member; the members march in lockstep
+    as one (M, 2, n, na+1, nx) iterate into a batch Run (Run.members).
+    Once per call: the implicit matrices of ages 1..na are inverted per
+    member, the birth laws folded into their map (birth_context), the
+    kernel terms indexed with their tilde terms and, for a kernel with
+    first-order births, beta0 and beta1 folded over all ages (fold_ages).
+    Each time step forms the forcing-free right-hand side of the previous
+    slice's advance once (step_rhs) and hands its Picard map to
+    _fixed_point.  One sweep of the unconverged members integrates each
+    kernel table once against their values (Lambda(y) y, its transport
+    derivative and G share it) and once against their slopes, calls step
+    once to carry ages 0..na-1 to 1..na, then fills age 0 with one
+    solve_birth_step, into buffers allocated once per call.  First-order
     births solve with spec.tau, the parabolic zeroth-order law with tau = 0.
     """
     spec.validate(m)
     cfg.validate()
-    tau = spec.tau if first_order_births else 0.0
-    n, A, X = spec.n, m.na + 1, m.nx
+    taus = np.array(spec.tau if first_order_births else 0.0, dtype=float, ndmin=1)
+    M, n, A, X = len(taus), spec.n, m.na + 1, m.nx
     lin = spec.linear
     births = spec.births
     k = attach_tilde(spec.kernels, m)
@@ -273,76 +302,92 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
     if has_nl and first_order_births:  # the only solves that form src and G
         beta0, beta1 = fold_ages(births.beta0, m), fold_ages(births.beta1, m)
 
-    ctx = step_context(lin, tau, m)
+    ctx = step_context(lin, taus, m)
     bctx = birth_context(births, m, with_slope=first_order_births)
+    relaxed = bool(taus.any())
+    # The mixing's inner product weighs the slopes by tau, the square of
+    # their energy-norm weight, so at tau = 0, where the map never reads
+    # the iterate's slopes, they do not enter.
+    weights = np.stack([np.ones(M), taus], axis=1)
+    tails = [f", tau={t:.6g}" if first_order_births and np.ndim(spec.tau) else "" for t in taus]
 
-    def energy(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        r = norm_V(np.stack([f[0], g[0]]), m)
-        if tau > 0:
-            r += np.sqrt(tau) * norm_H(np.stack([f[1], g[1]]), m)
-        return r
+    def energy(fg: np.ndarray, live: np.ndarray) -> np.ndarray:
+        both = fg.reshape(-1, 2, n, A, X)  # a member's f and g, then the next member's
+        r = norm_V(both[:, 0], m).reshape(-1, 2)
+        if relaxed:
+            r += np.sqrt(weights[live, 1:]) * norm_H(both[:, 1], m).reshape(-1, 2)
+        return r.T
 
     indices = [i for i in range(m.nt + 1) if i % cfg.store_every == 0 or i == m.nt]
     slot = {i: s for s, i in enumerate(indices)}
-    shape = (len(indices), n, A, X)
+    shape = (M, len(indices), n, A, X)
     run = Run(np.empty(shape), np.empty(shape), indices, m, [])
+    steps = []  # each step's sweep residuals, per member
 
     # Initial slice.
-    run.values[0] = spec.y0
+    run.values[:, 0] = spec.y0
     if first_order_births:
-        run.slopes[0] = 0.0 if spec.y1 is None else spec.y1
+        run.slopes[:, 0] = 0.0 if spec.y1 is None else spec.y1
     else:
-        run.slopes[0] = derived_initial_slope(spec, m)
-    prev = np.stack([run.values[0], run.slopes[0]])
-    prev2: Optional[np.ndarray] = None
+        run.slopes[:, 0] = derived_initial_slope(spec, m)
+    prev = np.stack([run.values[:, 0], run.slopes[:, 0]], axis=1)
+    prev2 = prev.copy()  # so that step 1's predictor 2 prev - prev2 is prev itself
+    xg = np.empty((M, 2) + prev.shape[1:])  # the iterates and the sweep's output
+    forcing = np.empty((M, n, A, X))
 
     for i in range(1, m.nt + 1):
         g0_now = None if births.g0 is None else births.g0[i]
         g1_now = None if births.g1 is None else births.g1[i]
-        f_now = spec.f[i] if spec.f is not None else None
-        rhs = step_rhs(prev[0, :, :-1], prev[1, :, :-1], ctx, m)
+        f_now = 0.0 if spec.f is None else spec.f[i]
+        rhs = step_rhs(prev[:, 0, :, :-1], prev[:, 1, :, :-1], ctx, m)
 
-        def picard_map(x: np.ndarray) -> np.ndarray:
-            it = StateField(*x)
-            forcing = np.zeros((n, A, X)) if f_now is None else f_now.copy()
+        def picard_map(x: np.ndarray, live: np.ndarray, out: np.ndarray) -> None:
+            # the converged members are frozen: sweep only the live ones
+            sel, cx = (slice(None), ctx) if len(live) == M else (live, members(ctx, live))
+            fc = forcing[: len(live)]
+            fc[...] = f_now
             src = None
             if has_nl:
                 if first_order_births:
-                    src = newborn_source(beta0, it.values, g0_now)
-                mixing, mixed, lam = _mixing(k, it.values, it.slope, src, tau, m)
-                forcing -= mixing
+                    src = newborn_source(beta0, x[:, 0], g0_now)
+                tau = taus[sel, None, None, None] if relaxed else 0.0
+                mixing, mixed, lam = _mixing(k, x[:, 0], x[:, 1], src, tau, m)
+                fc -= mixing
 
-            out = np.zeros((2, n, A, X))
-            vals, slopes = out
-            vals[:, 1:], slopes[:, 1:] = step(prev[0, :, :-1], rhs, ctx, m, f=forcing[:, 1:])
+            vals, slopes = out[:, 0], out[:, 1]
+            v = prev[sel, 0, :, :-1]
+            vals[:, :, 1:], slopes[:, :, 1:] = step(v, rhs[sel], cx, m, f=fc[:, :, 1:])
             cand = StateField(vals, slopes)
 
             if first_order_births:
                 G = g_op(k, beta1, mixed, lam, src, m) if has_nl else None
-                vals[:, 0], slopes[:, 0] = solve_birth_step(bctx, cand, g0_now, g1_now, G, m)
+                vals[:, :, 0], slopes[:, :, 0] = solve_birth_step(bctx, cand, g0_now, g1_now, G, m)
             else:
-                vals[:, 0], _ = solve_birth_step(bctx, cand, g0_now, None, None, m)
-                slopes[:, :1] = consistent_slope(lin, vals[:, :1], forcing[:, :1], m)
-            return out
+                vals[:, :, 0], _ = solve_birth_step(bctx, cand, g0_now, None, None, m)
+                slopes[:, :, :1] = consistent_slope(lin, vals[:, :, :1], fc[:, :, :1], m)
 
-        # Predictor: linear extrapolation of the last two slices.  The
-        # mixing's inner product weighs the slopes by tau, the square of
-        # their energy-norm weight, so at tau = 0, where the map never
-        # reads the iterate's slopes, they do not enter.
-        guess = prev if prev2 is None else 2.0 * prev - prev2
-        at = f"{i} (t={i * m.dt:.6g}, da={m.da:.6g})"
-        cur, updates = _fixed_point(picard_map, guess, energy, (1.0, tau), cfg, not has_nl, at)
+        # Predictor: linear extrapolation of the last two slices.
+        np.multiply(prev, 2.0, out=xg[:, 0])
+        xg[:, 0] -= prev2
+        at = [f"{i} (t={i * m.dt:.6g}, da={m.da:.6g}{tail})" for tail in tails]
+        cur, done = _fixed_point(picard_map, xg, energy, weights, cfg, not has_nl, at, prev2)
         prev2, prev = prev, cur
-        run.picard_updates.append(updates)
+        steps.append(done)
         if i in slot:
-            run.values[slot[i]], run.slopes[slot[i]] = cur
+            run.values[:, slot[i]], run.slopes[:, slot[i]] = cur[:, 0], cur[:, 1]
 
+    run.picard_updates = [step[j] for j in range(M) for step in steps]
     return run
 
 
-def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh) -> Run:
-    """Solve the relaxed system with its first-order birth law."""
-    return _march(spec, cfg, m, first_order_births=True)
+def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh):
+    """Solve the relaxed system with its first-order birth law.
+
+    A sequence of taus in spec solves one member per tau in lockstep and
+    returns their Runs in order; a scalar tau returns one Run.
+    """
+    runs = _march(spec, cfg, m, first_order_births=True).members()
+    return runs if np.ndim(spec.tau) else runs[0]
 
 
 def residual_check(run: Run, spec: ModelSpec) -> float:

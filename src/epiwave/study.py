@@ -5,7 +5,8 @@ stored, and that one run serves the whole study: it is the coarse half
 of the refinement floor (the difference between the na and 2na
 parabolic runs), it supplies the boundary traces of a compatibility
 setup, and each relaxed member is diffed against it; these readers
-slice the stacked arrays of the stored runs (fields.Run).  The sweep
+slice the stacked arrays of the stored runs (fields.Run).  The members
+are solved in one run_relaxed call, in lockstep.  The sweep
 collects sup-norm and energy-norm differences and fits the convergence
 rate on a log-log scale.  Points whose difference sits within 10x of
 the floor are flagged non-asymptotic; because both solvers share one
@@ -148,11 +149,9 @@ def tau_sweep(
     if compat is not None:
         template = compatibility_setup(template, *compat, baseline)
 
-    reports, fronts = [], []
-    for tau in taus:
-        run = run_relaxed(replace(template, tau=tau), cfg, m)
-        reports.append(diff_norms(run, baseline))
-        fronts.append(front_tracker(run, threshold))
+    runs = run_relaxed(replace(template, tau=taus), cfg, m)  # the members, in lockstep
+    reports = [diff_norms(run, baseline) for run in runs]
+    fronts = [front_tracker(run, threshold) for run in runs]
     sup_diffs = [r.sup_abs for r in reports]
     energies = [energy_diff(r, t) for r, t in zip(reports, taus)]
     rate, mask, window = fit_rate(taus, sup_diffs, floor)

@@ -1,9 +1,19 @@
 """Shared fixtures and test-only reference helpers for the test suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from epiwave import FactoredTable, KernelSet, KernelTerm, SolverConfig, build_mesh, run_parabolic
+from epiwave import (
+    FactoredTable,
+    KernelSet,
+    KernelTerm,
+    SolverConfig,
+    build_mesh,
+    run_parabolic,
+    run_relaxed,
+)
 from epiwave.birth import newborn_source
 from epiwave.char_solver import step, step_rhs
 from epiwave.fields import Run, StateField
@@ -35,6 +45,23 @@ def propagate_characteristic(init_v, init_w, forcing, ages, ctx, m):
         v, w = vs[:, a - 1], ws[:, a - 1]
         out.append((v, w))
     return out
+
+
+#: The criterion-1 sweep's taus.
+DESK_TAUS = [1e-4, 10**-3.5, 1e-3, 10**-2.5, 1e-2]
+
+
+def assert_members_equal_solo_runs(spec, taus, cfg, m):
+    """The lockstep run_relaxed of spec at taus: each member's values,
+    slopes and per-step sweep residuals equal its solo run's, to the bit."""
+    batch = run_relaxed(dataclasses.replace(spec, tau=taus), cfg, m)
+    assert len(batch) == len(taus)
+    for tau, got in zip(taus, batch):
+        want = run_relaxed(dataclasses.replace(spec, tau=tau), cfg, m)
+        assert got.indices == want.indices
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.slopes, want.slopes)
+        assert got.picard_updates == want.picard_updates
 
 
 def g_of(k, beta0, beta1, y, g0, m):

@@ -3,6 +3,7 @@ names its workloads import and call, and the kernel tables its workloads
 read; a deletion, a rename or a type change must fail here."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 from pathlib import Path
@@ -19,6 +20,7 @@ from epiwave import (
     parabolic_model,
     reference,
     relaxed_model,
+    study,
 )
 from epiwave.svir import I, S, SvirParams, build_svir, tent_kernel
 
@@ -102,6 +104,27 @@ def test_traced_solve_opens_every_driver_span():
     opened = {name for name, *_ in tracer.spans}
     driver = {f"{mod}.{attr}" for mod, attr in tracing.WRAPPED if mod == "relaxed_model"}
     assert driver - opened == set()
+
+
+def test_traced_tau_sweep_counts_every_member_sweep():
+    # the members march in lockstep, one step call per batch sweep, and
+    # the tracer still counts each member's sweeps and steps from the batch
+    # Run's picard_updates
+    m, m2 = build_mesh(0.5, 1.0, 6, 7), build_mesh(0.5, 1.0, 12, 7)
+    base, taus, cfg = SvirParams(total_S0=100.0), [1e-3, 1e-2, 1e-1], SolverConfig()
+    with _tracing().Tracer() as tracer:
+        study.tau_sweep(base, taus, cfg, m)
+    metrics = tracer.metrics()
+    runs = [
+        relaxed_model.run_relaxed(build_svir(dataclasses.replace(base, tau=t), m), cfg, m)
+        for t in taus
+    ]
+    runs.append(parabolic_model.run_parabolic(build_svir(base, m), cfg, m))
+    runs.append(parabolic_model.run_parabolic(
+        build_svir(base, m2), dataclasses.replace(cfg, store_every=2), m2))
+    assert metrics["relaxed_model.sweeps"] == sum(len(u) for r in runs for u in r.picard_updates)
+    assert metrics["relaxed_model.steps"] == m.nt + 2 * m.nt + 3 * m.nt
+    assert metrics["char_solver.step_calls"] < metrics["relaxed_model.sweeps"]
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,12 @@ from epiwave.reference import manufactured, scalar_spec
 from epiwave.relaxed_model import _fixed_point, residual_check
 from epiwave.svir import SvirParams, build_svir
 
-from conftest import age_kernel_spec, propagate_characteristic
+from conftest import (
+    DESK_TAUS,
+    age_kernel_spec,
+    assert_members_equal_solo_runs,
+    propagate_characteristic,
+)
 
 
 def test_zero_data_zero_run():
@@ -290,7 +295,18 @@ def _scripted(errs, sizes=None):
 
 
 def _solve(picard_map, energy, cfg=SolverConfig(), linear=False, at=1, x0=np.zeros(1)):
-    return _fixed_point(picard_map, x0, energy, (1.0,) * len(x0), cfg, linear, at)
+    """_fixed_point on one member whose iterate is the (c,) array x0, for
+    a map returning a new array and an energy(f, g) of two numbers."""
+    def sweep(x, live, out):
+        out[0] = picard_map(x[0].copy())
+
+    def norms(fg, live):
+        return np.array(energy(fg[0, 0], fg[0, 1]), dtype=float)[:, None]
+
+    xg = np.array([[x0, x0]], dtype=float)
+    res, updates = _fixed_point(sweep, xg, norms, np.ones((1, len(x0))), cfg, linear, [at],
+                                np.empty((1, len(x0))))
+    return res[0], updates[0]
 
 
 def test_fixed_point_stops_at_the_tolerance():
@@ -506,3 +522,111 @@ def test_store_every_thins_output():
     run = run_relaxed(spec, SolverConfig(store_every=4), m)
     assert run.indices == [0, 4, 8]
     assert run.times == [0.0, 0.5, 1.0]
+
+
+# Lockstep members: a spec whose tau is a sequence marches one member per
+# tau as one batch, and each member is its solo run to the bit.
+
+def _varying_in_x(spec, m):
+    """spec with L and L_a that vary in x, so its step is dense."""
+    x = m.xs()[None, :, None, None]
+    spec.linear.L = spec.linear.L * (1.0 + x)
+    spec.linear.L_a = 0.3 * x * np.ones_like(spec.linear.L)
+    return spec
+
+
+@pytest.mark.parametrize(
+    "model, mesh",
+    [
+        (lambda m: build_svir(SvirParams(), m), (1.0, 1.0, 20, 21)),
+        # live Lambda_1, Lambda_2 and g0
+        (lambda m: age_kernel_spec(m, 0.0, g0=0.3), (0.5, 1.0, 8, 9)),
+        # L and L_a that vary in x: the dense step path
+        (lambda m: _varying_in_x(age_kernel_spec(m, 0.0, g0=0.3), m), (0.5, 1.0, 8, 9)),
+    ],
+    ids=["desk-svir", "age-kernel", "age-kernel-dense-step"],
+)
+def test_lockstep_members_equal_their_solo_runs(model, mesh):
+    m = build_mesh(*mesh)
+    assert_members_equal_solo_runs(model(m), DESK_TAUS, SolverConfig(), m)
+
+
+def test_lockstep_members_store_the_solo_steps():
+    m = build_mesh(1.0, 1.0, 8, 5)
+    spec = age_kernel_spec(m, 0.0)
+    assert_members_equal_solo_runs(spec, (0.3, 1e-2), SolverConfig(store_every=4), m)
+
+
+def test_lockstep_tau_zero_member_matches_parabolic_exactly():
+    # the tau = 0 member adds zero tau terms, so it stays the parabolic run
+    m = build_mesh(0.5, 1.0, 10, 11)
+    spec = build_svir(SvirParams(), m)
+    rel = run_relaxed(dataclasses.replace(spec, tau=[0.0, 1e-2]), SolverConfig(), m)[0]
+    par = run_parabolic(spec, SolverConfig(), m)
+    assert np.array_equal(rel.values, par.values)
+
+
+def test_a_failing_lockstep_member_is_named_by_its_tau_and_step():
+    # step 1 takes 32 and 28 sweeps at tau = 1e-4 and 1e-2, and 40 at
+    # 5e-2: only that member exhausts picard_max, after the others froze
+    m = build_mesh(0.5, 1.0, 10, 21)
+    spec = build_svir(SvirParams(), m)
+    cfg = SolverConfig(picard_max=35)
+    with pytest.raises(PicardDiverged) as batch:
+        run_relaxed(dataclasses.replace(spec, tau=[1e-4, 1e-2, 5e-2]), cfg, m)
+    with pytest.raises(PicardDiverged) as solo:
+        run_relaxed(dataclasses.replace(spec, tau=5e-2), cfg, m)
+    msg = str(batch.value)
+    assert "at step 1 (t=0.1, da=0.1, tau=0.05), after 35 sweeps" in msg
+    assert msg == str(solo.value).replace("da=0.1)", "da=0.1, tau=0.05)")
+
+
+def _members(errs, sizes):
+    """A lockstep map and energy for scripted members: member j reads
+    errs[j][k] and sizes[j][k] at sweep k; the map records who is swept."""
+    swept = []
+
+    def sweep(x, live, out):
+        swept.append(live.tolist())
+        out[...] = x + 1.0
+
+    def energy(fg, live):
+        k = len(swept) - 1
+        return np.array([[errs[j][k] for j in live], [sizes[j][k] for j in live]])
+
+    return swept, sweep, energy
+
+
+def _lockstep(sweep, energy, M, cfg):
+    labels = [f"5 (tau={0.1 * (j + 1):.6g})" for j in range(M)]
+    return _fixed_point(sweep, np.zeros((M, 2, 1)), energy, np.ones((M, 1)), cfg, False,
+                        labels, np.empty((M, 1)))
+
+
+def test_fixed_point_freezes_converged_members_and_names_the_one_that_fails():
+    nan = np.nan  # read by no sweep: a frozen member is never swept again
+    errs = [[1.0, 1e-12, nan, nan], [1.0, 2.0, 4.0, 8.0], [1.0, 0.5, 1e-12, nan]]
+    swept, sweep, energy = _members(errs, [[1.0, 1.0, nan, nan], [1.0] * 4, [1.0, 1.0, 1.0, nan]])
+    with pytest.raises(PicardDiverged, match=r"^no convergence in picard_max=4 sweeps at step "
+                       r"5 \(tau=0\.2\), after 4 sweeps: best residual 1\.000e\+00, last "
+                       r"8\.000e\+00, observed ratio 2 per sweep$"):
+        _lockstep(sweep, energy, 3, SolverConfig(picard_max=4))
+    assert swept == [[0, 1, 2], [0, 1, 2], [1, 2], [1]]
+
+
+def test_fixed_point_names_the_member_whose_slice_is_not_finite():
+    errs = [[1e-12, 0.0, 0.0], [1.0, 0.5, 0.25], [1.0, 0.5, 0.25]]
+    sizes = [[1.0, np.nan, np.nan], [1.0, 1.0, 1.0], [1.0, 1.0, np.inf]]
+    swept, sweep, energy = _members(errs, sizes)
+    with pytest.raises(NonFinite, match=r"^non-finite slice at step 5 \(tau=0\.3\), after 2 "
+                       r"sweeps: best residual 5\.000e-01, last 5\.000e-01"):
+        _lockstep(sweep, energy, 3, SolverConfig())
+    assert swept == [[0, 1, 2], [1, 2], [1, 2]]
+
+
+@pytest.mark.parametrize("taus", [[], [1e-2, -1e-2], [1e-2, "0.1"], [[1e-2]], np.array([1e-2, np.nan])])
+def test_a_bad_tau_sequence_is_an_invalid_param(taus):
+    m = build_mesh(0.5, 1.0, 4, 5)
+    spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=taus)
+    with pytest.raises(InvalidParam, match="tau="):
+        run_relaxed(spec, SolverConfig(), m)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from epiwave.study import (
 )
 from epiwave.svir import SvirParams, build_svir
 
-from conftest import stored_run
+from conftest import DESK_TAUS, assert_members_equal_solo_runs, stored_run
 
 
 def test_fit_rate_rejects_degenerate_diffs():
@@ -185,3 +187,33 @@ def test_sweep_taus_checked_before_solving(desk_mesh, solver_cfg, monkeypatch, t
     monkeypatch.setattr(study, "run_parabolic", no_solve)
     with pytest.raises(InvalidParam):
         tau_sweep(SvirParams(), taus, solver_cfg, desk_mesh)
+
+
+def test_lockstep_members_of_a_compat_template_equal_their_solo_runs(
+    desk_mesh, svir_baseline, solver_cfg
+):
+    # tau_sweep's compat members: derived birth tables and g0 / g1 series
+    spec = compatibility_setup(build_svir(SvirParams(), desk_mesh), 0.5, 0.7, svir_baseline)
+    assert spec.births.g0 is not None and spec.births.g1 is not None
+    assert_members_equal_solo_runs(spec, DESK_TAUS, solver_cfg, desk_mesh)
+
+
+def test_tau_sweep_solves_its_members_in_one_call(desk_mesh, solver_cfg, monkeypatch):
+    # one run_relaxed call for the batch, so study.member_s times all members
+    calls = []
+    solve = study.run_relaxed
+
+    def counted(spec, cfg, m):
+        calls.append(spec.tau)
+        return solve(spec, cfg, m)
+
+    monkeypatch.setattr(study, "run_relaxed", counted)
+    taus = [1e-3, 1e-2, 1e-1]
+    m = build_mesh(0.5, 1.0, 6, 7)
+    base = SvirParams(total_S0=100.0)
+    res = tau_sweep(base, taus, solver_cfg, m)
+    assert calls == [taus]
+    baseline = run_parabolic(build_svir(base, m), solver_cfg, m)
+    for tau, got in zip(taus, res.sup_diffs):
+        run = run_relaxed(build_svir(dataclasses.replace(base, tau=tau), m), solver_cfg, m)
+        assert got == study.diff_norms(run, baseline).sup_abs
