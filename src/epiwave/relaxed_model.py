@@ -93,9 +93,9 @@ class ModelSpec:
         ShapeMismatch for a table off the mesh, then NonFinite, naming
         the table, for NaN/inf in any table but the (factored, checked on
         load) kernels."""
-        taus = self.tau if isinstance(self.tau, (list, tuple, np.ndarray)) else [self.tau]
-        if not (np.ndim(taus) == 1 and len(taus)
-                and all(is_real(t) and 0.0 <= t < np.inf for t in taus)):
+        seq = isinstance(self.tau, (list, tuple)) or getattr(self.tau, "ndim", 0) == 1
+        taus = list(self.tau) if seq else [self.tau]
+        if not (taus and all(is_real(t) and 0.0 <= t < np.inf for t in taus)):
             raise InvalidParam(f"tau={self.tau!r} must be finite and nonnegative")
         lin, b = self.linear, self.births
         tables = {"y0": self.y0, "y1": self.y1, "f": self.f, "L": lin.L, "L_a": lin.L_a,
@@ -190,13 +190,7 @@ def _fixed_point(picard_map, xg, energy, weights, cfg: SolverConfig, linear: boo
     M, D = len(xg), _DEPTH
     live = np.arange(M)  # the member in each row of the working arrays
     updates: List[List[float]] = [[] for _ in range(M)]
-    c = 1 + int(np.flatnonzero(weights.any(axis=0)).max(initial=0))
-    scale = np.sqrt(weights[:, :c]).reshape((M, c) + (1,) * (xg.ndim - 3))
-    # scaled residual differences; the slot the next one takes holds the
-    # last residual, slot D this sweep's: one Gram product reads both
-    dF = np.zeros((M, D + 1, c) + xg.shape[3:])
-    dG = np.zeros((M, D) + xg.shape[2:])  # the same for g, unscaled
-    gram = np.repeat(np.eye(D)[None], M, axis=0)  # 1 on the diagonal of an unused slot
+    rows = [xg]  # the arrays that hold one row per live member
     with np.errstate(all="ignore"):  # a blow-up is caught by the checks below
         for sweep in range(cfg.picard_max):
             n = len(live)
@@ -209,17 +203,27 @@ def _fixed_point(picard_map, xg, energy, weights, cfg: SolverConfig, linear: boo
                     raise NonFinite(_failure("non-finite slice", at[j], updates[j]))
                 updates[j].append(err)
                 keep.append(not (linear or err <= cfg.picard_tol * max(size, 1e-300)))
+            if not any(keep):
+                res[live] = g
+                return res, updates
             if not all(keep):
                 keep = np.array(keep)
                 res[live[~keep]] = g[~keep]
-                if not keep.any():
-                    return res, updates
                 for row, src in enumerate(np.flatnonzero(keep)):  # move the rest up
-                    for a in (xg, dF, dG, gram, scale):
+                    for a in rows:
                         a[row] = a[src]
                 live = live[keep]
                 n = len(live)
                 x, g = xg[:n, 0], xg[:n, 1]
+            if not sweep:  # a second sweep is due: start the histories
+                c = 1 + int(np.flatnonzero(weights.any(axis=0)).max(initial=0))
+                scale = np.sqrt(weights[live, :c]).reshape((n, c) + (1,) * (xg.ndim - 3))
+                # scaled residual differences; the slot the next one takes holds
+                # the last residual, slot D this sweep's: one Gram product reads both
+                dF = np.zeros((n, D + 1, c) + xg.shape[3:])
+                dG = np.zeros((n, D) + xg.shape[2:])  # the same for g, unscaled
+                gram = np.repeat(np.eye(D)[None], n, axis=0)  # 1 on an unused slot's diagonal
+                rows += [dF, dG, gram, scale]
             F, G, gr = dF[:n], dG[:n], gram[:n]
             np.multiply(x[:, :c], scale[:n], out=F[:, D])
             if sweep:

@@ -624,7 +624,11 @@ def test_fixed_point_names_the_member_whose_slice_is_not_finite():
     assert swept == [[0, 1, 2], [1, 2], [1, 2]]
 
 
-@pytest.mark.parametrize("taus", [[], [1e-2, -1e-2], [1e-2, "0.1"], [[1e-2]], np.array([1e-2, np.nan])])
+@pytest.mark.parametrize(
+    "taus",
+    [[], [1e-2, -1e-2], [1e-2, "0.1"], [[1e-2]], [[1e-2], [1e-2, 2e-2]], np.array([1e-2, np.nan]),
+     np.array([[1e-2]]), np.array(1e-2)],
+)
 def test_a_bad_tau_sequence_is_an_invalid_param(taus):
     m = build_mesh(0.5, 1.0, 4, 5)
     spec = scalar_spec(m, np.zeros((1, m.na + 1, m.nx)), tau=taus)
