@@ -199,12 +199,12 @@ def _fixed_point(picard_map, xg, energy, weights, cfg: SolverConfig, linear: boo
             np.subtract(g, x, out=x)  # x holds the residual f from here on
             keep = []
             for j, err, size in zip(live.tolist(), *energy(xg[:n], live).tolist()):
-                if not np.isfinite(size):
+                if not abs(size) < np.inf:  # NaN or inf
                     raise NonFinite(_failure("non-finite slice", at[j], updates[j]))
                 updates[j].append(err)
                 keep.append(not (linear or err <= cfg.picard_tol * max(size, 1e-300)))
             if not any(keep):
-                res[live] = g
+                res[live if n < M else ...] = g
                 return res, updates
             if not all(keep):
                 keep = np.array(keep)
@@ -404,6 +404,8 @@ def residual_check(run: Run, spec: ModelSpec) -> float:
     """
     m = run.mesh
     spec.validate(m)
+    if np.ndim(spec.tau):
+        raise InvalidParam("residual_check needs the run's own spec, with one tau")
     if len(run) != m.nt + 1:
         raise LengthMismatch("residual_check needs every step stored")
     tau = spec.tau

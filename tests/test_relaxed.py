@@ -497,6 +497,16 @@ def test_bad_kernel_terms_are_shape_mismatches(bad, match):
     assert f"kernel term (h={term.h}, i=0, j=2)" in str(err.value)
 
 
+def test_residual_check_refuses_a_lockstep_spec():
+    # the member's own spec, with its one tau, is the one that fits its run
+    m = build_mesh(0.5, 1.0, 6, 7)
+    spec = dataclasses.replace(build_svir(SvirParams(total_S0=100.0), m), tau=[1e-3, 1e-2])
+    run = run_relaxed(spec, SolverConfig(), m)[1]
+    with pytest.raises(InvalidParam, match="one tau"):
+        residual_check(run, spec)
+    assert residual_check(run, dataclasses.replace(spec, tau=1e-2)) > 0.0
+
+
 def test_residual_check_validates_the_spec():
     # a kernel index outside the model is a ShapeMismatch, not an IndexError
     m = build_mesh(0.5, 1.0, 4, 5)
