@@ -187,12 +187,13 @@ def solve_birth_step(
     (provisional) age profile; B1 is None when ctx has no slope law.
 
     y_slice holds values and slopes at all ages, (n, na+1, nx), or (M,
-    n, na+1, nx) for M members, whose births then lead with M; the
-    a = 0 rows are treated as unknown (never read).  B0 solves (I - w0 beta0(0)) B0 =
-    trapz_{alpha>0}(beta0 y) + g0, and B1 solves the analogous system
-    with beta1(0) on the left and the beta1 dy + betaL y + beta_grad
-    dy/dx quadrature, the G term and g1 on the right; the alpha = 0
-    contributions of betaL and beta_grad use the freshly solved B0.
+    n, na+1, nx) for M members, whose births then lead with M; the a = 0
+    rows are treated as unknown and never read.  B0 solves (I - w0
+    beta0(0)) B0 = trapz_{alpha>0}(beta0 y) + g0, and B1 solves the
+    analogous system with beta1(0) on the left and the beta1 dy + betaL y
+    + beta_grad dy/dx quadrature, the G term and g1 on the right; the
+    alpha = 0 contributions of betaL and beta_grad use the freshly solved
+    B0.
     ctx (birth_context) holds the inverses and folded tables.
     """
     vals = y_slice.values[..., 1:, :]

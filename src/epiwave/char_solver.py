@@ -75,7 +75,7 @@ class StepContext:
     x * n + h.
     """
 
-    tau: np.ndarray
+    tau: "float | np.ndarray"
     lcomb: np.ndarray
     sigma: np.ndarray
     modes: Optional[ModalInverse] = None
