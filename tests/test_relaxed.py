@@ -553,8 +553,10 @@ def _varying_in_x(spec, m):
         (lambda m: age_kernel_spec(m, 0.0, g0=0.3), (0.5, 1.0, 8, 9)),
         # L and L_a that vary in x: the dense step path
         (lambda m: _varying_in_x(age_kernel_spec(m, 0.0, g0=0.3), m), (0.5, 1.0, 8, 9)),
+        # linear, one sweep a step, with a forcing table
+        (lambda m: manufactured(m)[0], (0.5, 1.0, 10, 11)),
     ],
-    ids=["desk-svir", "age-kernel", "age-kernel-dense-step"],
+    ids=["desk-svir", "age-kernel", "age-kernel-dense-step", "manufactured"],
 )
 def test_lockstep_members_equal_their_solo_runs(model, mesh):
     m = build_mesh(*mesh)
