@@ -30,7 +30,7 @@ applies the inverses.  Given an (M,) array of taus, step_context
 factors one member per tau and every slice gains a leading member axis.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -101,13 +101,6 @@ def step_context(lin: LinearPart, tau: float, m: Mesh) -> StepContext:
     if np.all(blks == blks[..., :1, :, :]):
         return StepContext(tau, lcomb, sigma, modes=_modal_inverse(blks[..., 0, :, :], sigma, m))
     return StepContext(tau, lcomb, sigma, inv=_dense_inverse(blks, sigma, m))
-
-
-def members(ctx: StepContext, live: np.ndarray) -> StepContext:
-    """The members live of a context factored for an array of taus."""
-    md, inv = ctx.modes, ctx.inv
-    return StepContext(ctx.tau[live], ctx.lcomb[live], ctx.sigma, md and replace(
-        md, blocks=md.blocks[live]), None if inv is None else inv[live])
 
 
 def _modal_inverse(blk: np.ndarray, sigma: np.ndarray, m: Mesh) -> ModalInverse:

@@ -6,7 +6,8 @@ batched implicit solve (the per-age matrices are inverted once per
 solve), computes births, and repeats until the update is small in the
 tau-weighted energy norm.  A spec may carry several taus: its members
 march in lockstep as one (M, 2, n, na+1, nx) iterate of values and
-slopes, and a member that converges is frozen for the rest of the step.
+slopes until the last one converges; a member that converges first is
+frozen, restarted from its answer each sweep and not checked again.
 Each sweep after a step's first is mixed with the member's last three
 sweeps (Anderson acceleration), which takes fewer sweeps than plain
 Picard iteration.  Each stored step is written in place into the Run's
@@ -21,7 +22,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .birth import BirthLaws, birth_context, newborn_source, solve_birth_step
-from .char_solver import members, step, step_context, step_rhs
+from .char_solver import step, step_context, step_rhs
 from .errors import InvalidParam, LengthMismatch, NonFinite, PicardDiverged, ShapeMismatch
 from .fields import Run, StateField, norm_H, norm_V
 from .mesh import Mesh
@@ -170,17 +171,19 @@ def _fixed_point(picard_map, xg, energy, weights, cfg: SolverConfig, linear: boo
     """Solve x = picard_map(x) for M members in lockstep: the one stopping rule.
 
     xg is an (M, 2, c, ...) buffer whose xg[:, 0] holds the starting
-    iterates.  picard_map(x, live, out) writes g(x) for the members live
-    (indices into M) into out; energy(fg, live) gives the two rows of
-    norms of fg[:, 0] = g(x) - x and of fg[:, 1] = g(x).  Anderson mixing
-    of depth _DEPTH (Walker & Ni 2011) picks each member's next iterate:
-    g(x) minus the combination of its last sweeps' differences of g whose
-    residual differences best cancel the residual, in the inner product
-    that weights component c by weights[member, c] (components after the
-    last weighted one are left out).  Each member's history starts empty;
-    a singular or non-finite mixing solve drops it and takes the plain
-    step g(x).  A member that meets picard_tol is written to res and
-    frozen, not swept again.  A linear map runs once.
+    iterates.  picard_map(x, out) writes g(x) of every member into out;
+    energy(fg) gives the two rows of norms of fg[:, 0] = g(x) - x and of
+    fg[:, 1] = g(x).  Anderson mixing of depth _DEPTH (Walker & Ni 2011)
+    picks each member's next iterate: g(x) minus the combination of its
+    last sweeps' differences of g whose residual differences best cancel
+    the residual, in the inner product that weights component c by
+    weights[member, c] (components after the last weighted one are left
+    out).  Each member's history starts empty; a singular or non-finite
+    mixing solve drops it and takes the plain step g(x).  A member that
+    meets picard_tol is written to res and frozen: every later sweep
+    restarts it from its answer, with the identity and a zero right-hand
+    side as its mixing system, and neither records nor checks it.  The
+    sweeps stop when every member is frozen.  A linear map runs once.
 
     Returns res and each member's sweep residual norms.  PicardDiverged
     once a member's picard_max sweeps all miss picard_tol, NonFinite for a
@@ -188,63 +191,56 @@ def _fixed_point(picard_map, xg, energy, weights, cfg: SolverConfig, linear: boo
     at[member].  Floating-point warnings are off for the whole loop.
     """
     M, D = len(xg), _DEPTH
-    live = np.arange(M)  # the member in each row of the working arrays
+    x, g = xg[:, 0], xg[:, 1]
     updates: List[List[float]] = [[] for _ in range(M)]
-    rows = [xg]  # the arrays that hold one row per live member
+    frozen: List[int] = []  # the members written to res, in the order they converged
     with np.errstate(all="ignore"):  # a blow-up is caught by the checks below
         for sweep in range(cfg.picard_max):
-            n = len(live)
-            x, g = xg[:n, 0], xg[:n, 1]
-            picard_map(x, live, g)
+            picard_map(x, g)
             np.subtract(g, x, out=x)  # x holds the residual f from here on
-            keep = []
-            for j, err, size in zip(live.tolist(), *energy(xg[:n], live).tolist()):
+            for j, (err, size) in enumerate(zip(*energy(xg).tolist())):
+                if j in frozen:
+                    continue
                 if not abs(size) < np.inf:  # NaN or inf
                     raise NonFinite(_failure("non-finite slice", at[j], updates[j]))
                 updates[j].append(err)
-                keep.append(not (linear or err <= cfg.picard_tol * max(size, 1e-300)))
-            if not any(keep):
-                res[live if n < M else ...] = g
+                if linear or err <= cfg.picard_tol * max(size, 1e-300):
+                    res[j] = g[j]
+                    frozen.append(j)
+            if len(frozen) == M:
                 return res, updates
-            if not all(keep):
-                keep = np.array(keep)
-                res[live[~keep]] = g[~keep]
-                for row, src in enumerate(np.flatnonzero(keep)):  # move the rest up
-                    for a in rows:
-                        a[row] = a[src]
-                live = live[keep]
-                n = len(live)
-                x, g = xg[:n, 0], xg[:n, 1]
             if not sweep:  # a second sweep is due: start the histories
                 c = 1 + int(np.flatnonzero(weights.any(axis=0)).max(initial=0))
-                scale = np.sqrt(weights[live, :c]).reshape((n, c) + (1,) * (xg.ndim - 3))
+                scale = np.sqrt(weights[:, :c]).reshape((M, c) + (1,) * (xg.ndim - 3))
                 # scaled residual differences; the slot the next one takes holds
                 # the last residual, slot D this sweep's: one Gram product reads both
-                dF = np.zeros((n, D + 1, c) + xg.shape[3:])
-                dG = np.zeros((n, D) + xg.shape[2:])  # the same for g, unscaled
-                gram = np.repeat(np.eye(D)[None], n, axis=0)  # 1 on an unused slot's diagonal
-                rows += [dF, dG, gram, scale]
-            F, G, gr = dF[:n], dG[:n], gram[:n]
-            np.multiply(x[:, :c], scale[:n], out=F[:, D])
+                dF = np.zeros((M, D + 1, c) + xg.shape[3:])
+                dG = np.zeros((M, D) + xg.shape[2:])  # the same for g, unscaled
+                gram = np.repeat(np.eye(D)[None], M, axis=0)  # 1 on an unused slot's diagonal
+            np.multiply(x[:, :c], scale, out=dF[:, D])
             if sweep:
                 s = (sweep - 1) % D
-                np.subtract(F[:, D], F[:, s], out=F[:, s])
-                np.subtract(g, G[:, s], out=G[:, s])
-                flat = F.reshape(n, D + 1, -1)
+                np.subtract(dF[:, D], dF[:, s], out=dF[:, s])
+                np.subtract(g, dG[:, s], out=dG[:, s])
+                flat = dF.reshape(M, D + 1, -1)
                 prod = flat[:, :D] @ flat[:, s :: D - s].swapaxes(-1, -2)  # rows s and D
-                gr[:, s, :] = gr[:, :, s] = prod[..., 0]
-                gamma = _solve_each(gr, prod[..., 1:])
+                gram[:, s, :] = gram[:, :, s] = prod[..., 0]
+                if frozen:  # a frozen member mixes in nothing
+                    gram[frozen], prod[frozen] = np.eye(D), 0.0
+                gamma = _solve_each(gram, prod[..., 1:])
                 if not np.isfinite(gamma).all():
                     lost = ~np.isfinite(gamma).all(axis=(-2, -1))
-                    F[lost, :D] = G[lost] = gamma[lost] = 0.0
-                    gr[lost] = np.eye(D)
-                mix = gamma.swapaxes(-1, -2) @ G.reshape(n, D, -1)
+                    dF[lost, :D] = dG[lost] = gamma[lost] = 0.0
+                    gram[lost] = np.eye(D)
+                mix = gamma.swapaxes(-1, -2) @ dG.reshape(M, D, -1)
                 np.subtract(g, mix.reshape(g.shape), out=x)
             else:
                 x[...] = g
-            F[:, sweep % D] = F[:, D]
-            G[:, sweep % D] = g
-    j = live[0]
+            if frozen:
+                x[frozen] = res[frozen]
+            dF[:, sweep % D] = dF[:, D]
+            dG[:, sweep % D] = g
+    j = min(set(range(M)).difference(frozen))
     raise PicardDiverged(_failure(f"no convergence in picard_max={cfg.picard_max} sweeps",
                                   at[j], updates[j]))
 
@@ -288,12 +284,13 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
     first-order births, beta0 and beta1 folded over all ages (fold_ages).
     Each time step forms the forcing-free right-hand side of the previous
     slice's advance once (step_rhs) and hands its Picard map to
-    _fixed_point.  One sweep of the unconverged members integrates each
-    kernel table once against their values (Lambda(y) y, its transport
-    derivative and G share it) and once against their slopes, calls step
-    once to carry ages 0..na-1 to 1..na, then fills age 0 with one
-    solve_birth_step, into buffers allocated once per call.  First-order
-    births solve with spec.tau, the parabolic zeroth-order law with tau = 0.
+    _fixed_point.  One sweep of all M members, frozen ones included,
+    integrates each kernel table once against their values (Lambda(y) y,
+    its transport derivative and G share it) and once against their
+    slopes, calls step once to carry ages 0..na-1 to 1..na, then fills
+    age 0 with one solve_birth_step, into buffers allocated once per
+    call.  First-order births solve with spec.tau, the parabolic
+    zeroth-order law with tau = 0.
     """
     spec.validate(m)
     cfg.validate()
@@ -309,17 +306,18 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
     ctx = step_context(lin, taus, m)
     bctx = birth_context(births, m, with_slope=first_order_births)
     relaxed = bool(taus.any())
+    tau = taus[:, None, None, None] if relaxed else 0.0  # each member's, on its slices
     # The mixing's inner product weighs the slopes by tau, the square of
     # their energy-norm weight, so at tau = 0, where the map never reads
     # the iterate's slopes, they do not enter.
     weights = np.stack([np.ones(M), taus], axis=1)
     tails = [f", tau={t:.6g}" if first_order_births and np.ndim(spec.tau) else "" for t in taus]
 
-    def energy(fg: np.ndarray, live: np.ndarray) -> np.ndarray:
+    def energy(fg: np.ndarray) -> np.ndarray:
         both = fg.reshape(-1, 2, n, A, X)  # a member's f and g, then the next member's
         r = norm_V(both[:, 0], m).reshape(-1, 2)
         if relaxed:
-            r += np.sqrt(weights[live, 1:]) * norm_H(both[:, 1], m).reshape(-1, 2)
+            r += np.sqrt(weights[:, 1:]) * norm_H(both[:, 1], m).reshape(-1, 2)
         return r.T
 
     indices = [i for i in range(m.nt + 1) if i % cfg.store_every == 0 or i == m.nt]
@@ -345,22 +343,18 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
         f_now = 0.0 if spec.f is None else spec.f[i]
         rhs = step_rhs(prev[:, 0, :, :-1], prev[:, 1, :, :-1], ctx, m)
 
-        def picard_map(x: np.ndarray, live: np.ndarray, out: np.ndarray) -> None:
-            # the converged members are frozen: sweep only the live ones
-            sel, cx = (slice(None), ctx) if len(live) == M else (live, members(ctx, live))
-            fc = forcing[: len(live)]
-            fc[...] = f_now
+        def picard_map(x: np.ndarray, out: np.ndarray) -> None:
+            forcing[...] = f_now
             src = None
             if has_nl:
                 if first_order_births:
                     src = newborn_source(beta0, x[:, 0], g0_now)
-                tau = taus[sel, None, None, None] if relaxed else 0.0
                 mixing, mixed, lam = _mixing(k, x[:, 0], x[:, 1], src, tau, m)
-                fc -= mixing
+                np.subtract(forcing, mixing, out=forcing)
 
             vals, slopes = out[:, 0], out[:, 1]
-            v = prev[sel, 0, :, :-1]
-            vals[:, :, 1:], slopes[:, :, 1:] = step(v, rhs[sel], cx, m, f=fc[:, :, 1:])
+            v = prev[:, 0, :, :-1]
+            vals[:, :, 1:], slopes[:, :, 1:] = step(v, rhs, ctx, m, f=forcing[:, :, 1:])
             cand = StateField(vals, slopes)
 
             if first_order_births:
@@ -368,7 +362,7 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
                 vals[:, :, 0], slopes[:, :, 0] = solve_birth_step(bctx, cand, g0_now, g1_now, G, m)
             else:
                 vals[:, :, 0], _ = solve_birth_step(bctx, cand, g0_now, None, None, m)
-                slopes[:, :, :1] = consistent_slope(lin, vals[:, :, :1], fc[:, :, :1], m)
+                slopes[:, :, :1] = consistent_slope(lin, vals[:, :, :1], forcing[:, :, :1], m)
 
         # Predictor: linear extrapolation of the last two slices.
         np.multiply(prev, 2.0, out=xg[:, 0])

@@ -21,11 +21,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .birth import make_compatible
-from .errors import FitUnderdetermined, InvalidParam, LengthMismatch
+from .errors import FitUnderdetermined, InvalidParam, LengthMismatch, ShapeMismatch
 from .fields import NormReport, Run, age_integral, diff_norms
 from .mesh import Mesh, build_mesh
 from .parabolic_model import run_parabolic
-from .relaxed_model import ModelSpec, SolverConfig, derived_initial_slope, run_relaxed
+from .relaxed_model import ModelSpec, SolverConfig, derived_initial_slope, is_real, run_relaxed
 from .svir import I as I_COMP
 from .svir import SvirParams, build_svir
 
@@ -110,14 +110,15 @@ def refinement_floor(coarse: Run, base: SvirParams, cfg: SolverConfig) -> float:
 
 def check_taus(taus: Sequence[float]) -> None:
     """Raise InvalidParam unless there are three or more taus, all
-    positive, finite and strictly monotone.
+    positive, finite real numbers and strictly monotone.
 
     The rate is a log-log fit through at least three points, and a
     tau = 0 member equals the baseline.
     """
-    steps = np.diff(taus)
-    if len(taus) < 3 or not (
-        all(0 < t < np.inf for t in taus) and (all(steps > 0) or all(steps < 0))
+    if not (
+        len(taus) >= 3
+        and all(is_real(t) and 0 < t < np.inf for t in taus)
+        and (all(np.diff(taus) > 0) or all(np.diff(taus) < 0))
     ):
         raise InvalidParam(
             f"sweep taus must be three or more, in (0, inf), strictly monotone: {list(taus)}"
@@ -181,8 +182,13 @@ def front_tracker(
     coordinate decreases as the front advances; slices never exceeding
     the threshold contribute no entry.  A threshold of None means
     FRONT_FACTOR times the sup of the age-integrated density of run[0].
+    ShapeMismatch for a compartment that is not an index 0..n-1 of run.
     """
     m = run.mesh
+    n = run.values.shape[1]
+    index = isinstance(compartment, (int, np.integer)) and not isinstance(compartment, bool)
+    if not (index and 0 <= compartment < n):
+        raise ShapeMismatch(f"compartment={compartment!r} is not one of the run's {n} compartments")
     prof = age_integral(run.values, m)[:, compartment]
     if threshold is None:
         threshold = FRONT_FACTOR * float(np.max(prof[0]))

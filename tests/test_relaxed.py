@@ -297,10 +297,10 @@ def _scripted(errs, sizes=None):
 def _solve(picard_map, energy, cfg=SolverConfig(), linear=False, at=1, x0=np.zeros(1)):
     """_fixed_point on one member whose iterate is the (c,) array x0, for
     a map returning a new array and an energy(f, g) of two numbers."""
-    def sweep(x, live, out):
+    def sweep(x, out):
         out[0] = picard_map(x[0].copy())
 
-    def norms(fg, live):
+    def norms(fg):
         return np.array(energy(fg[0, 0], fg[0, 1]), dtype=float)[:, None]
 
     xg = np.array([[x0, x0]], dtype=float)
@@ -593,47 +593,89 @@ def test_a_failing_lockstep_member_is_named_by_its_tau_and_step():
     assert msg == str(solo.value).replace("da=0.1)", "da=0.1, tau=0.05)")
 
 
+def test_frozen_members_stay_off_the_singular_fallback(monkeypatch):
+    # step 1 takes 32, 28 and 40 sweeps at these taus.  A frozen member
+    # restarts from its answer, so its residual differences vanish: its
+    # mixing system must be the identity, not its singular Gram matrix
+    m = build_mesh(0.5, 1.0, 10, 21)
+    solve, singular = np.linalg.solve, []
+
+    def counted(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a.shape)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    spec = build_svir(SvirParams(), m)
+    assert_members_equal_solo_runs(spec, [1e-4, 1e-2, 5e-2], SolverConfig(picard_max=60), m)
+    assert singular == []
+
+
 def _members(errs, sizes):
     """A lockstep map and energy for scripted members: member j reads
-    errs[j][k] and sizes[j][k] at sweep k; the map records who is swept."""
-    swept = []
+    errs[j][k] and sizes[j][k] at sweep k; the map adds 1 to every
+    member's iterate and records each sweep's g."""
+    gs = []
 
-    def sweep(x, live, out):
-        swept.append(live.tolist())
+    def sweep(x, out):
         out[...] = x + 1.0
+        gs.append(out[:, 0].tolist())
 
-    def energy(fg, live):
-        k = len(swept) - 1
-        return np.array([[errs[j][k] for j in live], [sizes[j][k] for j in live]])
+    def energy(fg):
+        k = len(gs) - 1
+        return np.array([[e[k] for e in errs], [s[k] for s in sizes]])
 
-    return swept, sweep, energy
+    return gs, sweep, energy
 
 
-def _lockstep(sweep, energy, M, cfg):
+def _lockstep(sweep, energy, res, cfg):
+    """_fixed_point on len(res) scripted members of one component, into res."""
+    M = len(res)
     labels = [f"5 (tau={0.1 * (j + 1):.6g})" for j in range(M)]
     return _fixed_point(sweep, np.zeros((M, 2, 1)), energy, np.ones((M, 1)), cfg, False,
-                        labels, np.empty((M, 1)))
+                        labels, res)
 
 
 def test_fixed_point_freezes_converged_members_and_names_the_one_that_fails():
-    nan = np.nan  # read by no sweep: a frozen member is never swept again
-    errs = [[1.0, 1e-12, nan, nan], [1.0, 2.0, 4.0, 8.0], [1.0, 0.5, 1e-12, nan]]
-    swept, sweep, energy = _members(errs, [[1.0, 1.0, nan, nan], [1.0] * 4, [1.0, 1.0, 1.0, nan]])
+    # members 0 and 2 converge at sweeps 1 and 2; the NaN scripted for them
+    # afterwards is neither checked nor recorded
+    nan = np.nan
+    errs = [[1.0, 1e-12, nan, nan, nan], [1.0, 2.0, 4.0, 8.0, 1e-12], [1.0, 0.5, 1e-12, nan, nan]]
+    sizes = [[1.0, 1.0, nan, nan, nan], [1.0] * 5, [1.0, 1.0, 1.0, nan, nan]]
+    gs, sweep, energy = _members(errs, sizes)
+    res = np.full((3, 1), nan)
     with pytest.raises(PicardDiverged, match=r"^no convergence in picard_max=4 sweeps at step "
                        r"5 \(tau=0\.2\), after 4 sweeps: best residual 1\.000e\+00, last "
                        r"8\.000e\+00, observed ratio 2 per sweep$"):
-        _lockstep(sweep, energy, 3, SolverConfig(picard_max=4))
-    assert swept == [[0, 1, 2], [0, 1, 2], [1, 2], [1]]
+        _lockstep(sweep, energy, res, SolverConfig(picard_max=4))
+    # a frozen member's answer is the g of the sweep it converged on, and
+    # every later sweep restarts it from that answer
+    assert (res[0, 0], res[2, 0]) == (gs[1][0], gs[2][2]) == (2.0, 3.0)
+    assert [g[0] for g in gs] == [1.0, 2.0, 3.0, 3.0]
+    gs.clear()
+    res, updates = _lockstep(sweep, energy, np.full((3, 1), nan), SolverConfig(picard_max=5))
+    assert updates == [errs[0][:2], errs[1], errs[2][:3]]
+    assert res[:, 0].tolist() == [2.0, 5.0, 3.0]
 
 
 def test_fixed_point_names_the_member_whose_slice_is_not_finite():
     errs = [[1e-12, 0.0, 0.0], [1.0, 0.5, 0.25], [1.0, 0.5, 0.25]]
     sizes = [[1.0, np.nan, np.nan], [1.0, 1.0, 1.0], [1.0, 1.0, np.inf]]
-    swept, sweep, energy = _members(errs, sizes)
+    gs, sweep, energy = _members(errs, sizes)
+    res = np.full((3, 1), np.nan)
     with pytest.raises(NonFinite, match=r"^non-finite slice at step 5 \(tau=0\.3\), after 2 "
                        r"sweeps: best residual 5\.000e-01, last 5\.000e-01"):
-        _lockstep(sweep, energy, 3, SolverConfig())
-    assert swept == [[0, 1, 2], [1, 2], [1, 2]]
+        _lockstep(sweep, energy, res, SolverConfig())
+    # member 0 froze at sweep 0 and restarts from its answer 1: its later
+    # NaN sizes raised nothing
+    assert res[0, 0] == gs[0][0] == 1.0
+    assert [g[0] for g in gs] == [1.0, 2.0, 2.0]
+    sizes[2][2] = 1.0
+    errs[1][2] = errs[2][2] = 1e-12
+    gs.clear()
+    assert _lockstep(sweep, energy, res, SolverConfig())[1] == [[1e-12], errs[1], errs[2]]
 
 
 @pytest.mark.parametrize(

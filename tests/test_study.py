@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epiwave import SolverConfig, build_mesh, derived_initial_slope, run_parabolic, run_relaxed
-from epiwave.errors import FitUnderdetermined, InvalidParam, LengthMismatch
+from epiwave.errors import FitUnderdetermined, InvalidParam, LengthMismatch, ShapeMismatch
 from epiwave import study
 from epiwave.study import (
     compatibility_setup,
@@ -46,6 +46,22 @@ def test_front_tracker_zero_run():
     m = build_mesh(0.5, 1.0, 4, 5)
     run = stored_run(np.zeros((3, 4, m.na + 1, m.nx)), m)
     assert front_tracker(run, 1e-12) == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, shown",
+    [({}, 2), ({"compartment": -1}, -1), ({"compartment": 1}, 1), ({"compartment": 0.0}, 0.0),
+     ({"compartment": True}, True)],
+    ids=["svir-default", "negative", "past-the-end", "float", "bool"],
+)
+def test_front_tracker_refuses_a_compartment_outside_the_run(kwargs, shown):
+    # SVIR's default I = 2 on a one-compartment run is not an IndexError,
+    # and a negative index does not pick a compartment from the end
+    m = build_mesh(0.5, 1.0, 4, 5)
+    run = stored_run(np.ones((3, 1, m.na + 1, m.nx)), m)
+    with pytest.raises(ShapeMismatch, match=rf"^compartment={shown!r} is not one of the run's 1 "):
+        front_tracker(run, None, **kwargs)
+    assert len(front_tracker(run, None, compartment=0)) == 3
 
 
 def test_front_positions_monotone_in_tau():
@@ -178,6 +194,8 @@ def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
         [0.0, 1e-3, 1e-2],
         [1e-3, 1e-2],
         [1e-3, 1e-2, np.inf],
+        ["a", "b", "c"],
+        [1e-3, 1e-2, 1e-1 + 0j],
     ],
 )
 def test_sweep_taus_checked_before_solving(desk_mesh, solver_cfg, monkeypatch, taus):
