@@ -1,8 +1,9 @@
 """Oracle problems and independent reference solutions for the solvers.
 
 The reference routines compute their answers by routes that share
-nothing with the production stepper: closed forms, or fine-grid
-integral-equation marching with exact survival factors.
+nothing with the production stepper: closed forms, or a second-order
+trapezoid march of the renewal integral equation on a fine grid, with
+exact survival factors and one correlation for its cohort term.
 
 The catalogue builds the one-compartment oracle problems that
 `epiwave validate` and the tests run: heat and damped-wave eigenmodes,
@@ -66,36 +67,34 @@ def renewal_reference(
 
     Solves B(t) = int_0^min(t, a_max) beta(a) e^(-mu a) B(t - a) da
                 + e^(-mu t) int_t^a_max beta(a) y0(a - t) da
-    with trapezoid quadrature on a grid of n_fine age steps, handling
-    the a = 0 self-weight exactly.  Returns (times, B, total births),
-    the total integrated over [0, t_end].
+    by the trapezoid rule on n_fine age steps, with half weights at both
+    ends of both integrals, so it is second order in the step; the a = 0
+    self-weight is solved for exactly, and one correlation gives the
+    cohort term of every step.  Returns (times, B, total births), the
+    total integrated over [0, t_end].
     """
     h = a_max / n_fine
     nt = int(round(t_end / h))
     ages = np.arange(n_fine + 1) * h
     wts = np.full(n_fine + 1, h)
     wts[0] = wts[-1] = 0.5 * h
-    beta = beta_fn(ages)
+    coef = wts * beta_fn(ages)
     surv = np.exp(-mu * ages)
-
+    cohort = y0_fn(ages)
+    # lags[k] = sum_d coef[k + d] y0(d h): the cohort integral at t = k h, but
+    # weighing a = t by h; forcing halves it, and B(0)'s weight at lag k below
+    lags = np.correlate(coef, cohort, mode="full")[n_fine:]
     B = np.zeros(nt + 1)
-    B[0] = float(np.dot(wts, beta * y0_fn(ages)))
-    hist_coef = wts * beta * surv  # weight of B(t - a) at lag a
+    B[0] = lags[0]
+    forcing = surv * (lags - 0.5 * coef * (cohort[0] + B[0]))
+    hist_coef = coef * surv  # weight of B(t - a) at lag a
     for k in range(1, nt + 1):
-        t = k * h
         j = min(k, n_fine)
         acc = float(np.dot(hist_coef[1 : j + 1], B[k - 1 :: -1][:j]))
-        if k < n_fine:
-            cohort = y0_fn(ages[k + 1 :] - t)
-            acc += np.exp(-mu * t) * float(
-                np.dot(wts[k + 1 :] * beta[k + 1 :], cohort)
-            )
-        B[k] = acc / (1.0 - wts[0] * beta[0])
-    times = np.arange(nt + 1) * h
+        B[k] = (acc + (forcing[k] if k < n_fine else 0.0)) / (1.0 - coef[0])
     tw = np.full(nt + 1, h)
     tw[0] = tw[-1] = 0.5 * h
-    total = float(np.dot(tw, B))
-    return times, B, total
+    return np.arange(nt + 1) * h, B, float(np.dot(tw, B))
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +183,7 @@ def renewal(
         sigma=0.0,
         mu=mu,
     )
-    spec.births.beta0 = np.broadcast_to(
-        beta_fn(ages)[:, None, None, None], (A, X, 1, 1)
-    ).copy()
+    spec.births.beta0 = np.broadcast_to(beta_fn(ages)[:, None, None, None], (A, X, 1, 1)).copy()
     _, _, total = renewal_reference(beta_fn, mu, y0_fn, m.a_max, m.t_max, n_fine)
     return spec, total
 

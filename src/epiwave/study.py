@@ -109,19 +109,21 @@ def refinement_floor(coarse: Run, base: SvirParams, cfg: SolverConfig) -> float:
 
 
 def check_taus(taus: Sequence[float]) -> None:
-    """Raise InvalidParam unless there are three or more taus, all
-    positive, finite real numbers and strictly monotone.
+    """Raise InvalidParam unless taus is a list, tuple or 1-D array of
+    three or more positive, finite real numbers, strictly monotone.
 
     The rate is a log-log fit through at least three points, and a
     tau = 0 member equals the baseline.
     """
     if not (
-        len(taus) >= 3
+        (isinstance(taus, (list, tuple)) or isinstance(taus, np.ndarray) and taus.ndim == 1)
+        and len(taus) >= 3
         and all(is_real(t) and 0 < t < np.inf for t in taus)
         and (all(np.diff(taus) > 0) or all(np.diff(taus) < 0))
     ):
         raise InvalidParam(
-            f"sweep taus must be three or more, in (0, inf), strictly monotone: {list(taus)}"
+            "sweep taus must be a list, tuple or 1-D array of three or more,"
+            f" in (0, inf), strictly monotone: {taus!r}"
         )
 
 
@@ -142,8 +144,8 @@ def tau_sweep(
     compatibility_setup(spec, q1, q2, baseline) when compat is given.
     front_positions uses the front_tracker threshold rule.
     """
-    taus = list(taus)
     check_taus(taus)
+    taus = list(taus)
     template = build_svir(base, m)
     baseline = run_parabolic(template, replace(cfg, store_every=1), m)
     floor = refinement_floor(baseline, base, cfg)

@@ -15,7 +15,7 @@ from epiwave.errors import SingularBirthSystem, SingularSigma
 from epiwave.fields import StateField
 from epiwave.mesh import build_mesh
 from epiwave.operators import KernelSet, LinearPart
-from epiwave.reference import renewal, total_births
+from epiwave.reference import renewal, renewal_reference, total_births
 
 from conftest import g_of
 
@@ -139,6 +139,70 @@ def test_renewal_against_fine_grid_oracle():
     spec, total_ref = renewal(m, n_fine=2560)
     run = run_parabolic(spec, SolverConfig(), m)
     assert abs(total_births(run) - total_ref) / total_ref < 0.05
+
+
+def test_renewal_reference_is_second_order_against_closed_form():
+    # constant beta = b and y0 = c with a_max = t_end = 1: for t <= a_max
+    # B = b^2 c e^((b-mu)t) [a_max (1 - e^-bt)/b - (1 - e^-bt (1 + bt))/b^2]
+    #   + b c e^(-mu t) (a_max - t)
+    b, mu, c, a_max = 1.2, 0.3, 1.0, 1.0
+
+    def err(n_fine):
+        t, B, _ = renewal_reference(
+            lambda a: b + 0.0 * a, mu, lambda a: c + 0.0 * a, a_max, 1.0, n_fine
+        )
+        eb = np.exp(-b * t)
+        exact = b * b * c * np.exp((b - mu) * t) * (
+            a_max * (1.0 - eb) / b - (1.0 - eb * (1.0 + b * t)) / b**2
+        ) + b * c * np.exp(-mu * t) * (a_max - t)
+        return float(np.max(np.abs(B - exact) / exact))
+
+    e1, e2 = err(640), err(1280)
+    assert e2 < 1e-6
+    assert e1 / e2 >= 3.5
+
+
+def _trapezoid_renewal(beta_fn, mu, y0_fn, a_max, t_end, n_fine):
+    # the trapezoid march written out term by term, O(n^2) Python
+    h = a_max / n_fine
+    nt = int(round(t_end / h))
+    ages = np.arange(n_fine + 1) * h
+
+    def trap(lo, hi):  # weights of nodes lo..hi for the integral over [lo h, hi h]
+        w = np.full(hi - lo + 1, h)
+        w[0] = w[-1] = 0.5 * h
+        return w if hi > lo else 0.0 * w
+
+    B = np.zeros(nt + 1)
+    for k in range(nt + 1):
+        t = k * h
+        wh = trap(0, min(k, n_fine))
+        acc = sum(
+            wh[i] * beta_fn(ages[i]) * np.exp(-mu * ages[i]) * B[k - i]
+            for i in range(1, len(wh))
+        )
+        if k < n_fine:
+            wc = trap(k, n_fine)
+            acc += np.exp(-mu * t) * sum(
+                wc[i - k] * beta_fn(ages[i]) * y0_fn(ages[i] - t) for i in range(k, n_fine + 1)
+            )
+        B[k] = acc / (1.0 - wh[0] * beta_fn(0.0))
+    return B, float(np.dot(trap(0, nt), B))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+@pytest.mark.parametrize(
+    "t_end, n_fine", [(0.5, 48), (1.0, 40), (1.75, 64)]  # t_end <, =, > a_max
+)
+def test_renewal_reference_equals_the_plain_trapezoid_march(mu, t_end, n_fine):
+    beta_fn = lambda a: 1.0 + a
+    y0_fn = lambda a: 1.0 + 0.5 * np.cos(np.pi * a)
+    times, B, total = renewal_reference(beta_fn, mu, y0_fn, 1.0, t_end, n_fine)
+    want, want_total = _trapezoid_renewal(beta_fn, mu, y0_fn, 1.0, t_end, n_fine)
+    assert len(B) == round(t_end * n_fine) + 1
+    assert np.allclose(times, np.arange(len(B)) / n_fine, rtol=0, atol=1e-15)
+    assert np.max(np.abs(B - want)) <= 1e-13 * np.max(np.abs(want))
+    assert abs(total - want_total) <= 1e-13 * abs(want_total)
 
 
 def test_birth_linearity_without_G():

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from epiwave import SolverConfig, build_mesh, derived_initial_slope, run_parabol
 from epiwave.errors import FitUnderdetermined, InvalidParam, LengthMismatch, ShapeMismatch
 from epiwave import study
 from epiwave.study import (
+    check_taus,
     compatibility_setup,
     fit_rate,
     front_tracker,
@@ -205,6 +207,28 @@ def test_sweep_taus_checked_before_solving(desk_mesh, solver_cfg, monkeypatch, t
     monkeypatch.setattr(study, "run_parabolic", no_solve)
     with pytest.raises(InvalidParam):
         tau_sweep(SvirParams(), taus, solver_cfg, desk_mesh)
+
+
+@pytest.mark.parametrize(
+    "taus", [0.1, None, {1e-3, 1e-2, 1e-1}, np.array(0.1), np.array([[1e-3, 1e-2, 1e-1]])]
+)
+def test_taus_that_are_not_a_sequence_are_refused_by_name(
+    desk_mesh, solver_cfg, monkeypatch, taus
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the taus were checked")
+
+    monkeypatch.setattr(study, "run_parabolic", no_solve)
+    named = re.escape(repr(taus))
+    with pytest.raises(InvalidParam, match=f"list, tuple or 1-D array.*{named}"):
+        check_taus(taus)
+    with pytest.raises(InvalidParam, match=f"list, tuple or 1-D array.*{named}"):
+        tau_sweep(SvirParams(), taus, solver_cfg, desk_mesh)
+
+
+@pytest.mark.parametrize("kind", [list, tuple, np.array])
+def test_taus_as_a_list_tuple_or_array_are_accepted(kind):
+    assert check_taus(kind([1e-1, 1e-2, 1e-3])) is None
 
 
 def test_lockstep_members_of_a_compat_template_equal_their_solo_runs(
