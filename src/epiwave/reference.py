@@ -67,11 +67,10 @@ def renewal_reference(
 
     Solves B(t) = int_0^min(t, a_max) beta(a) e^(-mu a) B(t - a) da
                 + e^(-mu t) int_t^a_max beta(a) y0(a - t) da
-    by the trapezoid rule on n_fine age steps, with half weights at both
-    ends of both integrals, so it is second order in the step; the a = 0
-    self-weight is solved for exactly, and one correlation gives the
-    cohort term of every step.  Returns (times, B, total births), the
-    total integrated over [0, t_end].
+    by the trapezoid rule on n_fine age steps with half weights at both
+    ends of both integrals (second order in the step), solving for the
+    a = 0 self-weight exactly; one correlation gives every step's cohort
+    term.  Returns (times, B, total births over [0, t_end]).
     """
     h = a_max / n_fine
     nt = int(round(t_end / h))
@@ -92,9 +91,8 @@ def renewal_reference(
         j = min(k, n_fine)
         acc = float(np.dot(hist_coef[1 : j + 1], B[k - 1 :: -1][:j]))
         B[k] = (acc + (forcing[k] if k < n_fine else 0.0)) / (1.0 - coef[0])
-    tw = np.full(nt + 1, h)
-    tw[0] = tw[-1] = 0.5 * h
-    return np.arange(nt + 1) * h, B, float(np.dot(tw, B))
+    total = h * (B.sum() - 0.5 * (B[0] + B[-1]))  # trapezoid over [0, t_end]
+    return np.arange(nt + 1) * h, B, float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +181,9 @@ def renewal(
         sigma=0.0,
         mu=mu,
     )
-    spec.births.beta0 = np.broadcast_to(beta_fn(ages)[:, None, None, None], (A, X, 1, 1)).copy()
+    spec.births.beta0 = np.broadcast_to(
+        beta_fn(ages)[:, None, None, None], (A, X, 1, 1)
+    ).copy()
     _, _, total = renewal_reference(beta_fn, mu, y0_fn, m.a_max, m.t_max, n_fine)
     return spec, total
 

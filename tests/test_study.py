@@ -198,6 +198,12 @@ def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
         [1e-3, 1e-2, np.inf],
         ["a", "b", "c"],
         [1e-3, 1e-2, 1e-1 + 0j],
+        # not a list, tuple or 1-D array
+        0.1,
+        None,
+        {1e-3, 1e-2, 1e-1},
+        np.array(0.1),
+        np.array([[1e-3, 1e-2, 1e-1]]),
     ],
 )
 def test_sweep_taus_checked_before_solving(desk_mesh, solver_cfg, monkeypatch, taus):
@@ -205,24 +211,10 @@ def test_sweep_taus_checked_before_solving(desk_mesh, solver_cfg, monkeypatch, t
         raise AssertionError("a solve ran before the taus were checked")
 
     monkeypatch.setattr(study, "run_parabolic", no_solve)
-    with pytest.raises(InvalidParam):
-        tau_sweep(SvirParams(), taus, solver_cfg, desk_mesh)
-
-
-@pytest.mark.parametrize(
-    "taus", [0.1, None, {1e-3, 1e-2, 1e-1}, np.array(0.1), np.array([[1e-3, 1e-2, 1e-1]])]
-)
-def test_taus_that_are_not_a_sequence_are_refused_by_name(
-    desk_mesh, solver_cfg, monkeypatch, taus
-):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve ran before the taus were checked")
-
-    monkeypatch.setattr(study, "run_parabolic", no_solve)
     named = re.escape(repr(taus))
-    with pytest.raises(InvalidParam, match=f"list, tuple or 1-D array.*{named}"):
+    with pytest.raises(InvalidParam, match=named):
         check_taus(taus)
-    with pytest.raises(InvalidParam, match=f"list, tuple or 1-D array.*{named}"):
+    with pytest.raises(InvalidParam, match=named):
         tau_sweep(SvirParams(), taus, solver_cfg, desk_mesh)
 
 
