@@ -7,9 +7,9 @@ multiplies the unknown newborn value itself is moved to the left-hand
 side, a small n x n system per space node.  Both laws are linear in the
 slice and their tables do not depend on time, so births are a linear
 map fixed per solve: birth_context inverts the per-node systems once and
-folds the inverses and age weights into the laws' tables, dropping the
-zero ones, and each sweep's solve_birth_step applies a few batched
-products.
+folds the inverses and age weights into the laws' tables, keeping only
+the rows they reach, and each sweep's solve_birth_step applies a few
+batched products.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SingularBirthSystem, SingularSigma
 from .fields import StateField, space_gradient
 from .mesh import Mesh, age_weights
-from .operators import LinearPart, invert_in_place, per_node
+from .operators import LinearPart, age_apply, invert_in_place, live_rows
 
 _SIGMA_FLOOR = 1e-14
 
@@ -50,14 +50,7 @@ def zero_laws(
 ) -> BirthLaws:
     """Laws with all coefficient tables zero: births are g0 / g1 alone."""
     shape = (m.na + 1, m.nx, n, n)
-    return BirthLaws(
-        beta0=np.zeros(shape),
-        beta1=np.zeros(shape),
-        betaL=np.zeros(shape),
-        beta_grad=np.zeros(shape),
-        g0=g0,
-        g1=g1,
-    )
+    return BirthLaws(*(np.zeros(shape) for _ in range(4)), g0=g0, g1=g1)
 
 
 def make_compatible(
@@ -101,10 +94,9 @@ def make_compatible(
 
 def newborn_source(beta0: np.ndarray, y: np.ndarray, g0: Optional[np.ndarray]) -> np.ndarray:
     """Newborn density int_alpha beta0 y + g0, (..., n, nx), of the (...,
-    n, na+1, nx) values y: one product with beta0 folded by
-    operators.fold_ages.  g0 may be None.  Lambda_2 (delta_lambda_apply)
-    and G (g_op) read it."""
-    src = (beta0 @ per_node(y))[..., 0].swapaxes(-1, -2)
+    n, na+1, nx) values y, for beta0 folded by operators.fold_ages and a
+    g0 that may be None.  Lambda_2 and G (g_op) read it."""
+    src = age_apply(beta0, y)
     if g0 is not None:
         src += g0
     return src
@@ -115,12 +107,12 @@ class BirthContext:
     """The birth laws as an affine map of the slice, fixed per solve.
 
     inv0 / inv1 are the (nx, n, n) per-node inverses of I - w0 beta0(0)
-    and I - w0 beta1(0).  t0, t1, tL and tgrad are (nx, n, n na) tables:
-    a law's table at ages 1..na times its age weight, from the left by
-    the inverse, columns ordered (i, a).  fL and fgrad are the (nx, n, n)
-    age-zero feedback inv1 w0 betaL(0) and inv1 w0 beta_grad(0) of B0 and
-    its gradient.  A table that is all zero is None; so is everything
-    after t0 for the zeroth-order law, which has no slope law.
+    and I - w0 beta1(0).  t0, t1, tL and tgrad are a law's table at ages
+    1..na times its age weight, from the left by the inverse, per node on
+    its live rows (operators.live_rows), columns (i, a).  fL and fgrad are
+    the (nx, n, n) age-zero feedback inv1 w0 betaL(0) and inv1 w0
+    beta_grad(0) of B0 and its gradient.  An all-zero table is None; so
+    is everything after t0 for the zeroth-order law.
     """
 
     inv0: np.ndarray
@@ -145,11 +137,11 @@ def birth_context(laws: BirthLaws, m: Mesh, with_slope: bool = True) -> BirthCon
     wa = age_weights(m)
     w0, eye = wa[0], np.eye(laws.beta0.shape[-1])
 
-    def fold(inv, tab):  # (nx, n, n na) table, or None for a zero one
+    def fold(inv, tab):  # the live rows of the (nx, n, n na) table, or None for a zero one
         if not np.any(tab[1:]):
             return None
         folded = inv @ (wa[1:, None, None, None] * tab[1:])  # (na, nx, n, n)
-        return folded.transpose(1, 2, 3, 0).reshape(inv.shape[0], inv.shape[1], -1)
+        return live_rows(folded.transpose(1, 2, 3, 0).reshape(inv.shape[0], inv.shape[1], -1))
 
     def feedback(inv, tab0):  # (nx, n, n), or None for a zero one
         return inv @ (w0 * tab0) if np.any(tab0) else None
@@ -189,32 +181,32 @@ def solve_birth_step(
     y_slice holds values and slopes at all ages, (n, na+1, nx), or (M,
     n, na+1, nx) for M members, whose births then lead with M; the a = 0
     rows are treated as unknown and never read.  B0 solves (I - w0
-    beta0(0)) B0 = trapz_{alpha>0}(beta0 y) + g0, and B1 solves the
-    analogous system with beta1(0) on the left and the beta1 dy + betaL y
-    + beta_grad dy/dx quadrature, the G term and g1 on the right; the
-    alpha = 0 contributions of betaL and beta_grad use the freshly solved
-    B0.
-    ctx (birth_context) holds the inverses and folded tables.
+    beta0(0)) B0 = trapz_{alpha>0}(beta0 y) + g0, and B1 the analogous
+    system with beta1(0) on the left and the beta1 dy + betaL y +
+    beta_grad dy/dx quadrature, G and g1 on the right; the alpha = 0
+    terms of betaL and beta_grad use the solved B0.  ctx (birth_context)
+    holds the inverses and folded tables.
     """
     vals = y_slice.values[..., 1:, :]
-    shape = vals.shape[:-3] + (m.nx, vals.shape[-3], 1)
-    B0 = np.zeros(shape) if ctx.t0 is None else ctx.t0 @ per_node(vals)
+    B0 = age_apply(ctx.t0, vals)
     if g0_now is not None:
-        B0 += ctx.inv0 @ g0_now.T[:, :, None]
+        B0 += _at_nodes(ctx.inv0, g0_now)
     if ctx.inv1 is None:
-        return B0[..., 0].swapaxes(-1, -2), None
+        return B0, None
 
-    src = [s for s in (nonlinear_G, g1_now) if s is not None]
-    # sums, not in place: a source without a member axis broadcasts
-    B1 = ctx.inv1 @ sum(src).swapaxes(-1, -2)[..., None] if src else np.zeros(shape)
-    if ctx.t1 is not None:
-        B1 = B1 + ctx.t1 @ per_node(y_slice.slope[..., 1:, :])
-    if ctx.tL is not None:
-        B1 = B1 + ctx.tL @ per_node(vals)
+    B1 = age_apply(ctx.t1, y_slice.slope[..., 1:, :]) + age_apply(ctx.tL, vals)
     if ctx.tgrad is not None:
-        B1 = B1 + ctx.tgrad @ per_node(space_gradient(vals, m))
+        B1 += age_apply(ctx.tgrad, space_gradient(vals, m))
+    src = [s for s in (nonlinear_G, g1_now) if s is not None]
+    if src:  # a sum, not in place: a source without a member axis broadcasts
+        B1 = B1 + _at_nodes(ctx.inv1, sum(src))
     if ctx.fL is not None:
-        B1 = B1 + ctx.fL @ B0
+        B1 += _at_nodes(ctx.fL, B0)
     if ctx.fgrad is not None:
-        B1 = B1 + ctx.fgrad @ space_gradient(B0.swapaxes(-3, -1), m).swapaxes(-3, -1)
-    return B0[..., 0].swapaxes(-1, -2), B1[..., 0].swapaxes(-1, -2)
+        B1 += _at_nodes(ctx.fgrad, space_gradient(B0, m))
+    return B0, B1
+
+
+def _at_nodes(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (nx, n, n) per-node matrices mats applied to the (..., n, nx) v."""
+    return (mats @ v.swapaxes(-1, -2)[..., None])[..., 0].swapaxes(-1, -2)

@@ -7,8 +7,8 @@ and every reader slices those stacks.  Norms are trapezoid quadratures
 of the L2(age x space) and L2(age, H1(space)) integrands; the spatial
 derivative uses central differences with second-order one-sided
 stencils at the boundary.  The H1 norm's space part is one quadratic
-form per mesh, K_V = W_x + D^T W_x D, so a norm call does one product
-against it instead of differencing its field.
+form per mesh, K_V = W_x + D^T W_x D, and the node weights are cached
+per mesh: a norm call does one product with each and differences nothing.
 """
 
 from collections.abc import Sequence
@@ -84,24 +84,13 @@ class NormReport:
     sup_abs: float = 0.0
 
 
-def _root_quadrature(sq: np.ndarray, m: Mesh):
-    """sqrt of the trapezoid integral of sq over (age, space), summed
-    over compartments: a float for an (n, na+1, nx) field, one value per
-    member of a (b, n, na+1, nx) batch, each bit-identical to its own."""
-    r = np.sqrt(((age_weights(m) @ sq.sum(-3))[..., None, :] @ space_weights(m))[..., 0])
-    return float(r) if r.ndim == 0 else r
-
-
-def _checked(v: np.ndarray, m: Mesh) -> np.ndarray:
-    if v.ndim not in (3, 4) or v.shape[-2:] != (m.na + 1, m.nx):
-        raise ShapeMismatch(f"field shape {v.shape} does not match mesh")
-    return v
-
-
-def norm_H(v: np.ndarray, m: Mesh):
-    """Discrete L2 norm over (age, space), summed over compartments; a
-    leading batch axis gives one norm per member."""
-    return _root_quadrature(_checked(v, m) ** 2, m)
+@lru_cache(maxsize=64)
+def node_weights(m: Mesh, n: int = 1, space: bool = True) -> np.ndarray:
+    """The read-only (n, na+1, nx) trapezoid weight of each (age, space)
+    node of n compartments, or its age weight alone."""
+    w = np.tile(age_weights(m)[:, None] * (space_weights(m) if space else np.ones(m.nx)), (n, 1, 1))
+    w.flags.writeable = False
+    return w
 
 
 def space_gradient(v: np.ndarray, m: Mesh) -> np.ndarray:
@@ -121,13 +110,27 @@ def _energy_matrix(m: Mesh) -> np.ndarray:
     return k
 
 
+def _norm(v: np.ndarray, m: Mesh, energy: bool):
+    """sqrt(sum v^2 w), or sqrt(sum (v K_V) v w), over the trailing (n, na+1,
+    nx) of v in one product: a float, or per member a bit-identical one."""
+    if v.ndim not in (3, 4) or v.shape[-2:] != (m.na + 1, m.nx):
+        raise ShapeMismatch(f"field shape {v.shape} does not match mesh")
+    sq = v @ _energy_matrix(m) * v if energy else v * v
+    w = node_weights(m, v.shape[-3], not energy).reshape(-1)
+    r = np.sqrt((sq.reshape(sq.shape[:-3] + (1, -1)) @ w)[..., 0])
+    return float(r) if r.ndim == 0 else r
+
+
+def norm_H(v: np.ndarray, m: Mesh):
+    """Discrete L2 norm over (age, space), summed over compartments; a
+    leading batch axis gives one norm per member."""
+    return _norm(v, m, energy=False)
+
+
 def norm_V(v: np.ndarray, m: Mesh):
     """Discrete L2(age, H1(space)) norm, sqrt(sum_a wa_a sum_h v K_V v^T)
     with the (nx, nx) K_V built once per mesh; batched like norm_H."""
-    v = _checked(v, m)
-    q = (v @ _energy_matrix(m) * v).sum(-1).sum(-2)  # (..., na+1)
-    r = np.sqrt((q[..., None, :] @ age_weights(m))[..., 0])
-    return float(r) if r.ndim == 0 else r
+    return _norm(v, m, energy=True)
 
 
 def age_integral(values: np.ndarray, m: Mesh) -> np.ndarray:

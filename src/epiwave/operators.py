@@ -10,15 +10,13 @@ Kernels are stored as a sparse list of terms: each term couples one
 (target h, multiplied i, integrated j) compartment triple through a
 scalar table k(a, x, alpha, xi) and a weight.  Every table is a
 FactoredTable, k = row(a, x, xi) * col(alpha, xi), integrated in
-O(X^2 + A X); a dense (A, X, A, X) table, as read from an .npz one
-table at a time, is factored once by KernelSet.from_tables into a sum
-of such terms.  Lambda is applied, never assembled: each (table, j)
-pair, distinct up to scale, is integrated once per field, a (P, Q)
-weight matrix takes the Q integrals to the P coupled (h, i) pairs (SVIR:
-one table, six pairs), and apply_pairs sums each pair times y[i] into
-row h.
-Kernel values are in rate units per (age * length); no normalization
-is applied.
+O(X^2 + A X); a dense table, read from an .npz one at a time, is
+factored once by KernelSet.from_tables into a sum of such terms.
+Lambda is applied, never assembled: each (table, j) column, distinct up
+to scale, is integrated once per field into r_q (lambda_op), and an
+(n, n) coupling matrix C_q per column holds its terms' weights, so
+Lambda(w) z = sum_q r_q (C_q z) (couple, mix).  Kernel values are in
+rate units per (age * length).
 """
 
 from dataclasses import dataclass, field
@@ -27,7 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import NonFinite, ShapeMismatch
-from .fields import StateField
+from .fields import StateField, node_weights
 from .mesh import Mesh, age_weights, space_weights
 
 
@@ -216,13 +214,11 @@ def _scale(a, b) -> Optional[float]:
     return c
 
 
-def _pair_weights(terms: List[KernelTerm], pairs: dict) -> Tuple[list, np.ndarray]:
-    """The (table, j) pairs of terms, distinct up to scale, and the (P, Q)
-    sums of the terms' weights between the (h, i) pairs (pairs[h, i] = p)
-    and them: a term whose table is c times a listed table on the same j
-    (_scale) adds c * weight to that table's column."""
-    tables: list = []
-    weights = np.zeros((len(pairs), len(terms)))
+def _columns(terms: List[KernelTerm], first: int = 0) -> Tuple[list, list]:
+    """The (table, j) columns of terms, distinct up to scale, and each
+    term's (first + column, h, i, weight): a term whose table is c times a
+    listed table on the same j (_scale) enters its column with c * weight."""
+    tables, entries = [], []
     for t in terms:
         for q, (table, j) in enumerate(tables):
             c = _scale(table, t.table) if j == t.j else None
@@ -231,8 +227,8 @@ def _pair_weights(terms: List[KernelTerm], pairs: dict) -> Tuple[list, np.ndarra
         else:
             q, c = len(tables), 1.0
             tables.append((t.table, t.j))
-        weights[pairs[t.h, t.i], q] += c * t.weight
-    return tables, weights[:, : len(tables)].copy()
+        entries.append((first + q, t.h, t.i, c * t.weight))
+    return tables, entries
 
 
 @dataclass
@@ -245,34 +241,34 @@ class KernelSet:
     call it once per solve.  The compartment count is not stored: each
     contraction reads it from the field it contracts.
 
-    Construction indexes the terms once: targets and sources are h and i
-    of the P distinct (h, i) pairs, tables the Q (table, j) pairs distinct
-    up to scale (_pair_weights) and weights (P, Q) the terms' weights
-    between them; tilde_tables and tilde_weights index tilde_terms over
-    the same pairs, and integrated holds the distinct j of tables.
+    Construction indexes the terms once: tables holds the Q (table, j)
+    columns of terms distinct up to scale (_columns), tilde_tables the Q~
+    of tilde_terms, integrated the distinct j of tables; see couplings.
     """
 
     terms: List[KernelTerm] = field(default_factory=list)
     tilde_terms: List[KernelTerm] = field(default_factory=list)
 
     def __post_init__(self):
-        hi = dict.fromkeys((t.h, t.i) for t in [*self.terms, *self.tilde_terms])
-        pairs = {pair: p for p, pair in enumerate(hi)}
-        self.targets, self.sources = np.array(list(pairs), dtype=int).reshape(-1, 2).T
-        self.tables, self.weights = _pair_weights(self.terms, pairs)
-        self.tilde_tables, self.tilde_weights = _pair_weights(self.tilde_terms, pairs)
+        self.tables, entries = _columns(self.terms)
+        self.tilde_tables, tilde = _columns(self.tilde_terms, len(self.tables))
+        self._entries = entries + tilde
         self.integrated = np.array(sorted({j for _, j in self.tables}), dtype=int)
-        self._scatters: dict = {}  # n -> scatter(n)
+        self._couplings: dict = {}  # n -> couplings(n)
 
-    def scatter(self, n: int) -> np.ndarray:
-        """The read-only (n, P) matrix taking pair p to row targets[p],
-        built once per n (IndexError for a target not below n)."""
-        if n not in self._scatters:
-            out = np.zeros((n, len(self.targets)))
-            out[self.targets, np.arange(len(self.targets))] = 1.0
+    def couplings(self, n: int) -> np.ndarray:
+        """The read-only (Q + Q~, n, n) coupling matrices of tables, then of
+        tilde_tables, built once per n: C_q[h, i] sums the weights of column
+        q's terms (h, i); ShapeMismatch for an h or i >= n."""
+        if n not in self._couplings:
+            out = np.zeros((len(self.tables) + len(self.tilde_tables), n, n))
+            for q, h, i, w in self._entries:
+                if not (0 <= h < n and 0 <= i < n):
+                    raise ShapeMismatch(f"kernel terms index compartments beyond the field's {n}")
+                out[q, h, i] += w
             out.flags.writeable = False
-            self._scatters[n] = out
-        return self._scatters[n]
+            self._couplings[n] = out
+        return self._couplings[n]
 
     @classmethod
     def from_dense(cls, k7: np.ndarray) -> "KernelSet":
@@ -312,11 +308,6 @@ class KernelSet:
                 raise ShapeMismatch(f"{name}: row {tab.row.shape}, col {col} not on the mesh")
 
 
-def _at_alpha_zero(table: FactoredTable) -> np.ndarray:
-    """k(a, x, 0, xi): (A, X, X), or (X, X) for a row without a."""
-    return table.row if table.col is None else table.row * table.col[0]
-
-
 def _age_derivatives(table: FactoredTable, m: Mesh) -> List[FactoredTable]:
     """(d/da + d/dalpha) k as a list of tables, empty when k has no age.
 
@@ -354,106 +345,117 @@ def attach_tilde(k: KernelSet, m: Mesh) -> KernelSet:
 
 def _integrate(table: FactoredTable, f: np.ndarray, m: Mesh) -> np.ndarray:
     """Trapezoid sum of k(a, x, alpha, xi) f(alpha, xi) of the (..., A, X) f."""
-    f = f * age_weights(m)[:, None] * space_weights(m)
+    f = f * node_weights(m)[0]
     s = f.sum(axis=-2) if table.col is None else np.einsum("bz,...bz->...z", table.col, f)
     return (table.row @ s[..., None, :, None])[..., 0]  # (..., A or 1, X)
 
 
-def _pair_field(weights: np.ndarray, tables: list, f: np.ndarray, integral) -> np.ndarray:
-    """weights @ each (table, j) pair's integral against f[..., j, :, :]: (..., P, A or 1, X)."""
-    lead = f.shape[:-3]
+def _column_integrals(tables: list, f: np.ndarray, integral) -> np.ndarray:
+    """Each (table, j) column's integral against f[..., j, :, :]: (..., Q, A or 1, X)."""
     if not tables:
-        return np.zeros(lead + (len(weights), 1, f.shape[-1]))
+        return np.zeros(f.shape[:-3] + (0, 1, f.shape[-1]))
     try:
         gs = [integral(table, f[..., j, :, :]) for table, j in tables]
     except IndexError:
         n = f.shape[-3]
         raise ShapeMismatch(f"kernel terms index compartments beyond the field's {n}") from None
-    stacked = gs[0][..., None, :, :] if len(gs) == 1 else np.stack(np.broadcast_arrays(*gs), -3)
-    out = weights @ stacked.reshape(lead + (len(gs), -1))
-    return out.reshape(lead + (len(weights), -1, f.shape[-1]))
+    return gs[0][..., None, :, :] if len(gs) == 1 else np.stack(np.broadcast_arrays(*gs), -3)
 
 
 def lambda_op(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
-    """Mixing field Lambda(a, x, w) on k's (h, i) pairs, (P, na+1, nx),
-    or (P, 1, nx) when no table depends on a (apply_pairs applies it).
-
-    Pair (h, i) integrates w_j against k^{hij} over (alpha, xi) with
-    trapezoid weights; w is an (n, na+1, nx) array, or (M, n, na+1, nx).
-    """
+    """The integrals r of Lambda(w), (Q, na+1, nx), or (Q, 1, nx) when no
+    table depends on a: column (table, j) of k integrates w_j over (alpha,
+    xi), trapezoid weights, for an (n, na+1, nx) or (M, n, na+1, nx) w.
+    Lambda(w) z is mix(r, couple(k, z))."""
     if w.ndim not in (3, 4) or w.shape[-2:] != (m.na + 1, m.nx):
         raise ShapeMismatch(f"field shape {w.shape} is not (n, na+1, nx)")
-    return _pair_field(k.weights, k.tables, w, lambda tab, f: _integrate(tab, f, m))
+    return _column_integrals(k.tables, w, lambda tab, f: _integrate(tab, f, m))
 
 
 def lambda_one(k: KernelSet, w: np.ndarray, m: Mesh) -> np.ndarray:
-    """Lambda_1: the same pair field through the tilde kernel terms."""
-    return _pair_field(k.tilde_weights, k.tilde_tables, w, lambda tab, f: _integrate(tab, f, m))
+    """Lambda_1: the same integrals over the tilde tables."""
+    return _column_integrals(k.tilde_tables, w, lambda tab, f: _integrate(tab, f, m))
 
 
 def lambda_two(k: KernelSet, src: np.ndarray, m: Mesh) -> np.ndarray:
-    """Lambda_2: the pair field of the xi-only integral of k(a, x, 0, xi)
-    against the (n, nx) newborn source src (birth.newborn_source)."""
-    sw = (src * space_weights(m))[..., None, :]
-    return _pair_field(k.weights, k.tables, sw,
-                       lambda tab, s: (_at_alpha_zero(tab) @ s[..., None])[..., 0])
+    """Lambda_2: each column's xi-only integral of k(a, x, 0, xi) = row
+    col(0) against the (n, nx) newborn source src (birth.newborn_source)."""
+    return _column_integrals(k.tables, (src * space_weights(m))[..., None, :], lambda t, s: (
+        (t.row if t.col is None else t.row * t.col[0]) @ s[..., None])[..., 0])
 
 
-def apply_pairs(k: KernelSet, lam: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Lambda z for the pair field lam of k: row h of the (..., n, A, X)
-    field z sums lam_p z[..., i_p, :, :] over the pairs p = (h, i), by one
-    gather and one (n, P) scatter product (KernelSet.scatter)."""
-    n, P = z.shape[-3], lam.shape[-3]
-    try:
-        scatter = k.scatter(n)
-        terms = z.take(k.sources, axis=-3)
-        terms *= lam
-    except IndexError:
-        raise ShapeMismatch(f"kernel terms index compartments beyond the field's {n}") from None
-    return (scatter @ terms.reshape(*z.shape[:-3], P, z.shape[-2] * z.shape[-1])).reshape(z.shape)
+def couple(k: KernelSet, z: np.ndarray) -> np.ndarray:
+    """C_q z for every coupling matrix of k (KernelSet.couplings), in one
+    product: (..., Q + Q~, n, A, X) of the (..., n, A, X) field z."""
+    c = k.couplings(z.shape[-3])
+    lead, node = z.shape[:-3], z.shape[-2:]
+    return (c @ z.reshape(lead + (1, z.shape[-3], -1))).reshape(lead + c.shape[:2] + node)
+
+
+def mix(r: np.ndarray, cz: np.ndarray) -> np.ndarray:
+    """sum_q r_q (C_q z), (..., n, A, X), over the columns of the integrals
+    r (lambda_op) and the first as many of cz = couple(k, z)."""
+    if not r.shape[-3]:
+        return np.zeros(cz.shape[:-4] + cz.shape[-3:])
+    out = r[..., 0, None, :, :] * cz[..., 0, :, :, :]
+    for q in range(1, r.shape[-3]):
+        out += r[..., q, None, :, :] * cz[..., q, :, :, :]
+    return out
 
 
 def delta_lambda_apply(
-    k: KernelSet, lam: np.ndarray, y: StateField, src: np.ndarray, m: Mesh
+    k: KernelSet, lam: np.ndarray, cy: np.ndarray, y: StateField, src: Optional[np.ndarray], m: Mesh
 ) -> np.ndarray:
-    """Transport derivative of the mixing term Lambda(y) y.
+    """Transport derivative Lambda(y) dy + (Lambda(dy) + Lambda_1(y) +
+    Lambda_2(src)) y of the mixing term Lambda(y) y, (n, na+1, nx).
 
-    lam is lambda_op(k, y.values, m), which the caller has already
-    formed; k must carry its tilde terms (attach_tilde); src is
-    birth.newborn_source of y.values.  Evaluates Lambda(y) dy +
-    (Lambda(dy) + Lambda_1(y) + Lambda_2(src)) y and returns the
-    (n, na+1, nx) field.  Lambda_2 is skipped when src vanishes on every
-    integrated compartment.
-    """
-    on_values = lambda_op(k, y.slope, m) + lambda_one(k, y.values, m)
-    if np.any(src[..., k.integrated, :]):
+    lam = lambda_op(k, y.values, m) and cy = couple(k, y.values) are the
+    caller's, k carries its tilde terms (attach_tilde) and src is
+    birth.newborn_source of y.values, None where zero on every integrated
+    j; Lambda_1 is skipped without tilde tables."""
+    on_values = lambda_op(k, y.slope, m)
+    if src is not None:
         on_values = on_values + lambda_two(k, src, m)
-    return apply_pairs(k, lam, y.slope) + apply_pairs(k, on_values, y.values)
+    out = mix(lam, couple(k, y.slope)) + mix(on_values, cy)
+    if k.tilde_tables:
+        out += mix(lambda_one(k, y.values, m), cy[..., len(k.tables):, :, :, :])
+    return out
 
 
-def fold_ages(beta: np.ndarray, m: Mesh) -> np.ndarray:
-    """The (na+1, nx, n, n) table beta times the age weights, per node, (nx,
-    n, n (na+1)) with columns (j, alpha): its @ per_node(f) is int beta f."""
-    X, n = beta.shape[1:3]
-    return (age_weights(m)[:, None, None, None] * beta).transpose(1, 2, 3, 0).reshape(X, n, -1)
+def fold_ages(beta: np.ndarray, m: Mesh) -> tuple:
+    """The (na+1, nx, n, n) table beta times the age weights per node, on
+    its live rows, columns (j, alpha): age_apply of it is int beta f."""
+    folded = (age_weights(m)[:, None, None, None] * beta).transpose(1, 2, 3, 0)
+    return live_rows(folded.reshape(beta.shape[1], beta.shape[2], -1))
 
 
-def per_node(f: np.ndarray) -> np.ndarray:
-    """The (..., n, r, nx) field f per node: (..., nx, n r, 1), rows ordered (i, a)."""
-    n, r, X = f.shape[-3:]
-    return f.swapaxes(-1, -3).swapaxes(-1, -2).reshape(f.shape[:-3] + (X, n * r, 1))
+def live_rows(table: np.ndarray) -> tuple:
+    """(rows, table[:, rows]) of the (nx, n, c) per-node table: the rows a
+    product with it reaches, where it is not zero; a slice for all n."""
+    rows = np.flatnonzero(table.any(axis=(0, 2)))
+    return slice(None) if len(rows) == table.shape[1] else rows, table[:, rows]
+
+
+def age_apply(folded: Optional[tuple], f: np.ndarray) -> np.ndarray:
+    """int beta f, (..., n, nx), of the (..., n, r, nx) f for beta folded
+    per node on its live rows (fold_ages, birth_context): one product with
+    f per node, rows (i, a), on those rows; zero elsewhere or for None."""
+    out = np.zeros(f.shape[:-2] + f.shape[-1:])
+    if folded is not None:
+        n, r, X = f.shape[-3:]
+        per_node = f.swapaxes(-1, -3).swapaxes(-1, -2).reshape(f.shape[:-3] + (X, n * r, 1))
+        out[..., folded[0], :] = (folded[1] @ per_node)[..., 0].swapaxes(-1, -2)
+    return out
 
 
 def g_op(
-    k: KernelSet, beta1: np.ndarray, mixed: np.ndarray, lam: np.ndarray, src: np.ndarray, m: Mesh
+    k: KernelSet, beta1, mixed: np.ndarray, lam: np.ndarray, src: np.ndarray, m: Mesh
 ) -> np.ndarray:
-    """Boundary operator feeding the first-order birth law.
-
-    Returns the (n, nx) slice
-      int_alpha beta1 Lambda(alpha, y) y(alpha) - Lambda(0, y) src
-    of the (n, na+1, nx) values y from the sweep's mixed = Lambda(y) y,
-    lam = lambda_op(k, y, m) and src (birth.newborn_source), with beta1
-    folded by fold_ages: it integrates no table and does not read m.
+    """Boundary operator feeding the first-order birth law: the (n, nx)
+    int_alpha beta1 Lambda(alpha, y) y(alpha) - Lambda(0, y) src of the
+    values y, from the sweep's mixed = Lambda(y) y, lam = lambda_op(k, y,
+    m), src (birth.newborn_source) and beta1 folded by fold_ages.  It
+    integrates no table and does not read m.
     """
-    int_mixed = (beta1 @ per_node(mixed))[..., 0].swapaxes(-1, -2)
-    return int_mixed - apply_pairs(k, lam[..., :1, :], src[..., None, :])[..., 0, :]
+    at_zero = mix(lam[..., :1, :], couple(k, src[..., None, :]))[..., 0, :]
+    return age_apply(beta1, mixed) - at_zero

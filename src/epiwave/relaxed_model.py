@@ -11,9 +11,9 @@ frozen, restarted from its answer each sweep and not checked again.
 Each sweep after a step's first is mixed with the member's last three
 sweeps (Anderson acceleration), which takes fewer sweeps than plain
 Picard iteration.  Each stored step is written in place into the Run's
-preallocated value and slope stacks.  The
-parabolic baseline reuses the same code path with tau = 0 and the
-zeroth-order birth law, so the two solvers differ only by the tau terms.
+preallocated value and slope stacks.  The parabolic baseline reuses the
+same code path with tau = 0 and the zeroth-order birth law, so the two
+solvers differ only by the tau terms.
 """
 
 from dataclasses import dataclass
@@ -29,13 +29,14 @@ from .mesh import Mesh
 from .operators import (
     KernelSet,
     LinearPart,
-    apply_pairs,
     attach_tilde,
+    couple,
     delta_lambda_apply,
     fold_ages,
     g_op,
     lambda_op,
     laplacian_neumann,
+    mix,
 )
 
 
@@ -89,11 +90,10 @@ class ModelSpec:
         return self.linear.n
 
     def validate(self, m: Mesh) -> None:
-        """InvalidParam for a tau that is not a finite nonnegative number
-        or a nonempty sequence of them,
-        ShapeMismatch for a table off the mesh, then NonFinite, naming
-        the table, for NaN/inf in any table but the (factored, checked on
-        load) kernels."""
+        """InvalidParam for a tau that is not a finite nonnegative number or
+        a nonempty sequence of them, ShapeMismatch for a table off the mesh,
+        then NonFinite, naming the table, for NaN/inf in any table but the
+        (factored, checked on load) kernels."""
         seq = isinstance(self.tau, (list, tuple)) or getattr(self.tau, "ndim", 0) == 1
         taus = list(self.tau) if seq else [self.tau]
         if not (taus and all(is_real(t) and 0.0 <= t < np.inf for t in taus)):
@@ -132,14 +132,14 @@ class SolverConfig:
 
 
 def _mixing(k: KernelSet, y, dy, src, tau, m: Mesh):
-    """Lambda(y) y, plus tau times its transport derivative if any tau > 0
-    (reading dy, the newborn source src and k's tilde terms), then
-    Lambda(y) y alone and the pair field of Lambda(y), which G reads;
-    an (M, 1, 1, 1) tau, some positive, weights M members."""
+    """Lambda(y) y plus tau times its transport derivative (dy, the Lambda_2
+    source src, k's tilde terms) if a tau of the (M, 1, 1, 1) tau is > 0,
+    then Lambda(y) y alone and the integrals of Lambda(y), which G reads."""
     lam = lambda_op(k, y, m)
-    out = mixed = apply_pairs(k, lam, y)
+    cy = couple(k, y)
+    out = mixed = mix(lam, cy)
     if np.ndim(tau) or tau > 0:
-        out = mixed + tau * delta_lambda_apply(k, lam, StateField(y, dy), src, m)
+        out = mixed + tau * delta_lambda_apply(k, lam, cy, StateField(y, dy), src, m)
     return out, mixed, lam
 
 
@@ -280,17 +280,15 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
     as one (M, 2, n, na+1, nx) iterate into a batch Run (Run.members).
     Once per call: the implicit matrices of ages 1..na are inverted per
     member, the birth laws folded into their map (birth_context), the
-    kernel terms indexed with their tilde terms and, for a kernel with
-    first-order births, beta0 and beta1 folded over all ages (fold_ages).
-    Each time step forms the forcing-free right-hand side of the previous
-    slice's advance once (step_rhs) and hands its Picard map to
-    _fixed_point.  One sweep of all M members, frozen ones included,
-    integrates each kernel table once against their values (Lambda(y) y,
-    its transport derivative and G share it) and once against their
-    slopes, calls step once to carry ages 0..na-1 to 1..na, then fills
-    age 0 with one solve_birth_step, into buffers allocated once per
-    call.  First-order births solve with spec.tau, the parabolic
-    zeroth-order law with tau = 0.
+    kernel terms indexed with their tilde terms, beta0 and beta1 folded
+    on their live rows (fold_ages) and Lambda_2 found live or not.  Each
+    step forms its right-hand side once (step_rhs) and hands its Picard
+    map to _fixed_point.  One sweep of all M members integrates each
+    kernel column once against their values and once against their
+    slopes, applies each coupling matrix once to each (Lambda(y) y, its
+    transport derivative and G share them), calls step once and fills age
+    0 with one solve_birth_step, into buffers allocated once per call.
+    First-order births solve with spec.tau, the zeroth-order law tau = 0.
     """
     spec.validate(m)
     cfg.validate()
@@ -300,8 +298,11 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
     births = spec.births
     k = attach_tilde(spec.kernels, m)
     has_nl = bool(k.terms)
+    live2 = False  # Lambda_2 reads src only where k integrates
     if has_nl and first_order_births:  # the only solves that form src and G
         beta0, beta1 = fold_ages(births.beta0, m), fold_ages(births.beta1, m)
+        live2 = births.beta0[:, :, k.integrated].any() or (
+            births.g0 is not None and births.g0[:, k.integrated].any())
 
     ctx = step_context(lin, taus, m)
     bctx = birth_context(births, m, with_slope=first_order_births)
@@ -349,7 +350,7 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
             if has_nl:
                 if first_order_births:
                     src = newborn_source(beta0, x[:, 0], g0_now)
-                mixing, mixed, lam = _mixing(k, x[:, 0], x[:, 1], src, tau, m)
+                mixing, mixed, lam = _mixing(k, x[:, 0], x[:, 1], src if live2 else None, tau, m)
                 np.subtract(forcing, mixing, out=forcing)
 
             vals, slopes = out[:, 0], out[:, 1]

@@ -208,11 +208,13 @@ def compatibility_setup(spec: ModelSpec, q1: float, q2: float, baseline: Run) ->
     beta0 = q1 beta, beta1 = q2 sigma(0) beta sigma^-1 (and friends), the
     compatible initial slope, and boundary source series sampled from the
     age-zero traces of baseline, spec's parabolic run: g0 = (1-q1) y(a=0),
-    g1 = (1-q2) dy(a=0).  baseline must store every step.
+    g1 = (1-q2) dy(a=0).  baseline must store every step and start at spec.y0.
     """
     m = baseline.mesh
     if len(baseline) != m.nt + 1:
         raise LengthMismatch("the baseline must store every step")
+    if not np.array_equal(baseline.values[0], spec.y0):
+        raise ShapeMismatch(f"the baseline on {m} does not start from the spec's y0")
     laws = make_compatible(spec.births.beta0, spec.linear, q1, q2, m)
     if q1 != 1.0:
         laws.g0 = (1.0 - q1) * baseline.values[:, :, 0]

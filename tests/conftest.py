@@ -17,7 +17,7 @@ from epiwave import (
 from epiwave.birth import newborn_source
 from epiwave.char_solver import step, step_rhs
 from epiwave.fields import Run, StateField
-from epiwave.operators import apply_pairs, fold_ages, g_op, lambda_op
+from epiwave.operators import couple, fold_ages, g_op, lambda_op, mix
 from epiwave.reference import scalar_spec
 from epiwave.study import refinement_floor
 from epiwave.svir import SvirParams, build_svir
@@ -69,7 +69,7 @@ def g_of(k, beta0, beta1, y, g0, m):
     tables beta0, beta1 and the source g0, formed as a sweep forms it."""
     lam = lambda_op(k, y, m)
     src = newborn_source(fold_ages(beta0, m), y, g0)
-    return g_op(k, fold_ages(beta1, m), apply_pairs(k, lam, y), lam, src, m)
+    return g_op(k, fold_ages(beta1, m), mix(lam, couple(k, y)), lam, src, m)
 
 
 def age_kernel_spec(m, tau, g0=None):
@@ -88,6 +88,28 @@ def age_kernel_spec(m, tau, g0=None):
     if g0 is not None:
         spec.births.g0 = np.full((m.nt + 1, 1, X), g0)
     return spec
+
+
+def svir_tables_spec(m, tau=0.0):
+    """build_svir's spec with its kernel loaded through KernelSet.from_dense,
+    as a tables .npz stores it: six terms on one merged column."""
+    spec = build_svir(SvirParams(tau=tau), m)
+    A, X = m.na + 1, m.nx
+    dense = np.zeros((4, 4, 4, A, X, A, X))
+    for t in spec.kernels.terms:
+        dense[t.h, t.i, t.j] += t.weight * np.asarray(t.table)
+    return dataclasses.replace(spec, kernels=KernelSet.from_dense(dense))
+
+
+#: The kernels on which a relaxed tau = 0 solve must stay the parabolic
+#: one: library SVIR, SVIR as six dense tables, and an age-dependent
+#: kernel whose tilde terms and Lambda_2 are live.
+TAU_ZERO_MODELS = pytest.mark.parametrize(
+    "model",
+    [lambda m: build_svir(SvirParams(), m), svir_tables_spec,
+     lambda m: age_kernel_spec(m, 0.0, g0=0.3)],
+    ids=["svir", "svir-tables", "age-kernel"],
+)
 
 
 def state_zeros(n, m):

@@ -15,8 +15,8 @@ from epiwave.operators import (
     FactoredTable,
     KernelSet,
     KernelTerm,
-    apply_pairs,
     attach_tilde,
+    couple,
     delta_lambda_apply,
     fold_ages,
     invert_in_place,
@@ -24,6 +24,7 @@ from epiwave.operators import (
     lambda_op,
     lambda_two,
     laplacian_neumann,
+    mix,
     neumann_matrix,
     neumann_modes,
 )
@@ -102,12 +103,12 @@ def _lambda_two_dense(dense, g0, m):
     return np.einsum("hijaxz,z,jz->hiax", dense[..., 0, :], space_weights(m), g0)
 
 
-def _matrix(k, lam, n):
-    """The (n, n, ...) matrix field whose (h, i) entries are the pair field
-    lam of k and whose other entries are zero."""
-    out = np.zeros((n, n, *lam.shape[1:]))
-    out[k.targets, k.sources] = lam
-    return out
+def _matrix(k, lam, n, tilde=False):
+    """The (n, n, ...) matrix field sum_q C_q r_q of the integrals lam of
+    k's tables (or tilde tables) and their coupling matrices."""
+    c = k.couplings(n)
+    c = c[len(k.tables):] if tilde else c[: len(k.tables)]
+    return np.einsum("qhi,q...->hi...", c, lam)
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +278,7 @@ def test_lambda_norm_bound():
     for _ in range(10):
         v1 = rng.normal(size=(2, m.na + 1, m.nx))
         v2 = rng.normal(size=(2, m.na + 1, m.nx))
-        lhs = norm_H(apply_pairs(k, lambda_op(k, v1, m), v2), m)
+        lhs = norm_H(mix(lambda_op(k, v1, m), couple(k, v2)), m)
         assert lhs <= c * norm_H(v1, m) * norm_H(v2, m) * (1 + 1e-12)
 
 
@@ -321,7 +322,7 @@ def test_from_dense_finds_the_rank_and_skips_zero_tables():
     assert _dense(k, m).shape == k7.shape
     assert len(k.terms) == 3
     assert all((t.h, t.i, t.j) == (1, 0, 1) for t in k.terms)
-    assert k.integrated.tolist() == [1]  # the j that delta_lambda_apply tests src on
+    assert k.integrated.tolist() == [1]  # the j on which a newborn source makes Lambda_2 live
     _assert_close(_dense(k, m), k7, rtol=1e-14)
     assert KernelSet.from_dense(np.zeros((1, 1, 1, A, X, A, X))).terms == []
 
@@ -375,7 +376,8 @@ def test_delta_lambda_zero_fields():
     k = attach_tilde(k, m)
     z = StateField(np.zeros((2, m.na + 1, m.nx)), np.zeros((2, m.na + 1, m.nx)))
     src = np.zeros((2, m.nx))
-    assert np.allclose(delta_lambda_apply(k, lambda_op(k, z.values, m), z, src, m), 0.0)
+    lam, cy = lambda_op(k, z.values, m), couple(k, z.values)
+    assert np.allclose(delta_lambda_apply(k, lam, cy, z, src, m), 0.0)
 
 
 def test_delta_lambda_product_rule_reduction():
@@ -389,9 +391,9 @@ def test_delta_lambda_product_rule_reduction():
         assert not k.tilde_terms
         y = StateField(rng.normal(size=(1, A, X)), rng.normal(size=(1, A, X)))
         lam = lambda_op(k, y.values, m)
-        got = delta_lambda_apply(k, lam, y, np.zeros((1, X)), m)
-        want = apply_pairs(k, lam, y.slope)
-        want += apply_pairs(k, lambda_op(k, y.slope, m), y.values)
+        got = delta_lambda_apply(k, lam, couple(k, y.values), y, np.zeros((1, X)), m)
+        want = mix(lam, couple(k, y.slope))
+        want += mix(lambda_op(k, y.slope, m), couple(k, y.values))
         assert np.allclose(got, want)
 
 
@@ -407,22 +409,32 @@ def test_lambda_contractions_against_bruteforce(kind):
     g0 = rng.normal(size=(n, X))
     _assert_close(_matrix(k, lambda_op(k, w, m), n), _lambda_dense(_dense(k, m), w, m))
     dense_tilde = _lambda_dense(_dense(k, m, tilde=True), w, m)
-    _assert_close(_matrix(k, lambda_one(k, w, m), n), dense_tilde)
+    _assert_close(_matrix(k, lambda_one(k, w, m), n, tilde=True), dense_tilde)
     _assert_close(_matrix(k, lambda_two(k, g0, m), n), _lambda_two_dense(_dense(k, m), g0, m))
 
 
 def test_pair_field_of_several_pairs_and_tables():
     # criterion 8's random 2-compartment kernel: every (h, i, j) table is
-    # factored into several tables, over all four (h, i) pairs
+    # factored into several tables with rows that depend on age, over all
+    # four (h, i) pairs
     m = build_mesh(1.0, 1.0, 4, 5)
     rng = np.random.default_rng(0)
     A, X = m.na + 1, m.nx
     k7 = rng.normal(size=(2, 2, 2, A, X, A, X))
     k = KernelSet.from_dense(k7)
-    assert len(k.targets) == 4 and len(k.tables) > 8
+    assert np.count_nonzero(k.couplings(2).any(axis=0)) == 4 and len(k.tables) > 8
+    assert all(table.row.ndim == 3 for table, _ in k.tables)
     w, y = rng.normal(size=(2, 2, A, X))
     want = np.einsum("hiax,iax->hax", _lambda_dense(k7, w, m), y)
-    _assert_close(apply_pairs(k, lambda_op(k, w, m), y), want, rtol=1e-12)
+    _assert_close(mix(lambda_op(k, w, m), couple(k, y)), want, rtol=1e-12)
+
+    # a batch of 3 members: each equals its unbatched result to the bit
+    ws, ys = rng.normal(size=(2, 3, 2, A, X))
+    got = mix(lambda_op(k, ws, m), couple(k, ys))
+    for wj, yj, gj in zip(ws, ys, got):
+        assert np.array_equal(gj, mix(lambda_op(k, wj, m), couple(k, yj)))
+        want = np.einsum("hiax,iax->hax", _lambda_dense(k7, wj, m), yj)
+        _assert_close(gj, want, rtol=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -462,7 +474,8 @@ def test_delta_lambda_against_bruteforce():
         want += np.einsum("hiax,iax->hax", _lambda_dense(ktd, y.values, m), y.values)
         want += np.einsum("hiax,iax->hax", _lambda_two_dense(kd, g0, m), y.values)
         src = newborn_source(fold_ages(beta0, m), y.values, g0)
-        got = delta_lambda_apply(k, lambda_op(k, y.values, m), y, src, m)
+        lam, cy = lambda_op(k, y.values, m), couple(k, y.values)
+        got = delta_lambda_apply(k, lam, cy, y, src, m)
         _assert_close(got, want)
 
 
@@ -515,7 +528,7 @@ def test_g_op_against_bruteforce():
 
 
 # --------------------------------------------------------------------------
-# (table, j) pairs distinct up to scale; the cached scatter matrix
+# (table, j) columns distinct up to scale; the cached coupling matrices
 
 
 def _svir_dense(m):
@@ -530,8 +543,9 @@ def _svir_dense(m):
 
 
 def _pair_weight(k):
-    """Each (h, i) pair's weight on k's one table."""
-    return {(int(h), int(i)): w for h, i, w in zip(k.targets, k.sources, k.weights[:, 0])}
+    """Each coupled (h, i) pair's weight on k's one table."""
+    c = k.couplings(4)[0]
+    return {(int(h), int(i)): c[h, i] for h, i in zip(*np.nonzero(c))}
 
 
 def test_from_dense_svir_tables_index_one_table():
@@ -568,12 +582,14 @@ def test_tables_merge_only_up_to_scale_on_the_same_j():
     k = attach_tilde(KernelSet([KernelTerm(0, 0, 0, 1.0, table),
                                 KernelTerm(1, 0, 0, -0.5, copy)]), m)
     assert len(k.tables) == 1 and len(k.tilde_tables) == 2
-    assert np.allclose(k.weights[:, 0], [1.0, -1.25], rtol=1e-15, atol=0)
-    assert np.allclose(k.tilde_weights, [[1.0, 1.0], [-1.25, -1.25]], rtol=1e-14, atol=0)
+    c = k.couplings(2)[:, :, 0]  # each column's weights on the pairs (0, 0) and (1, 0)
+    assert np.allclose(c[0], [1.0, -1.25], rtol=1e-15, atol=0)
+    assert np.allclose(c[1:].T, [[1.0, 1.0], [-1.25, -1.25]], rtol=1e-14, atol=0)
+    assert not k.couplings(2)[:, :, 1].any()
     w = rng.normal(size=(2, A, X))
     _assert_close(_matrix(k, lambda_op(k, w, m), 2), _lambda_dense(_dense(k, m), w, m))
     dense_tilde = _lambda_dense(_dense(k, m, tilde=True), w, m)
-    _assert_close(_matrix(k, lambda_one(k, w, m), 2), dense_tilde)
+    _assert_close(_matrix(k, lambda_one(k, w, m), 2, tilde=True), dense_tilde)
 
 
 def test_relaxed_sweep_integrates_the_loaded_svir_table_twice(tmp_path):
@@ -617,20 +633,18 @@ def test_relaxed_sweep_integrates_the_loaded_svir_table_twice(tmp_path):
     _assert_close(run[-1].values, want, rtol=1e-14)
 
 
-def test_apply_pairs_builds_its_scatter_once_per_size():
+def test_couplings_are_built_once_per_size():
     m = build_mesh(1.0, 1.0, 3, 4)
     rng = np.random.default_rng(9)
     k = _factored_kernel(m, 2, rng)
-    lam = lambda_op(k, rng.normal(size=(2, m.na + 1, m.nx)), m)
-    z = rng.normal(size=(2, m.na + 1, m.nx))
-    got = apply_pairs(k, lam, z)
-    scatter = np.zeros((2, len(k.targets)))
-    scatter[k.targets, np.arange(len(k.targets))] = 1.0
-    want = (scatter @ (z[k.sources] * lam).reshape(len(lam), -1)).reshape(z.shape)
-    assert np.array_equal(got, want)
-    assert k.scatter(2) is k.scatter(2) and not k.scatter(2).flags.writeable
-    assert np.array_equal(apply_pairs(k, lam, z), got)
+    w, z = rng.normal(size=(2, 2, m.na + 1, m.nx))
+    lam = lambda_op(k, w, m)
+    got = mix(lam, couple(k, z))
+    want = np.einsum("hiax,iax->hax", _lambda_dense(_dense(k, m), w, m), z)
+    _assert_close(got, want)
+    assert k.couplings(2) is k.couplings(2) and not k.couplings(2).flags.writeable
+    assert np.array_equal(mix(lam, couple(k, z)), got)
     with pytest.raises(ShapeMismatch):  # target 1 is not below n = 1, cached or not
-        apply_pairs(k, lam, z[:1])
+        couple(k, z[:1])
     with pytest.raises(ShapeMismatch):
-        apply_pairs(k, lam, z[:1])
+        couple(k, z[:1])

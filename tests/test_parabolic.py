@@ -13,6 +13,8 @@ from epiwave import (
 from epiwave.reference import heat_eigenmode, relative_error, scalar_spec
 from epiwave.svir import SvirParams, build_svir
 
+from conftest import TAU_ZERO_MODELS
+
 
 def test_zero_data_zero_run():
     m = build_mesh(0.5, 1.0, 4, 5)
@@ -57,12 +59,13 @@ def test_derived_slope_eigenmode():
     assert np.max(np.abs(out + sigma * np.pi**2 * mode)) < 5e-3
 
 
-def test_relaxed_tau_zero_matches_parabolic_exactly():
+@TAU_ZERO_MODELS
+def test_relaxed_tau_zero_matches_parabolic_exactly(model):
     # same code path, so the value slices agree to the bit
     m = build_mesh(0.5, 1.0, 10, 11)
-    cfg = SolverConfig()  # step 1 takes 35 sweeps at na=10 (116 without mixing)
-    rel = run_relaxed(build_svir(SvirParams(tau=0.0), m), cfg, m)
-    par = run_parabolic(build_svir(SvirParams(tau=0.0), m), cfg, m)
+    cfg = SolverConfig()  # SVIR's step 1 takes 35 sweeps at na=10 (116 without mixing)
+    rel = run_relaxed(model(m), cfg, m)
+    par = run_parabolic(model(m), cfg, m)
     assert len(rel) == len(par)
     for a, b in zip(rel, par):
         assert np.array_equal(a.values, b.values)

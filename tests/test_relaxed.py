@@ -25,6 +25,7 @@ from epiwave.svir import SvirParams, build_svir
 
 from conftest import (
     DESK_TAUS,
+    TAU_ZERO_MODELS,
     age_kernel_spec,
     assert_members_equal_solo_runs,
     propagate_characteristic,
@@ -569,10 +570,11 @@ def test_lockstep_members_store_the_solo_steps():
     assert_members_equal_solo_runs(spec, (0.3, 1e-2), SolverConfig(store_every=4), m)
 
 
-def test_lockstep_tau_zero_member_matches_parabolic_exactly():
+@TAU_ZERO_MODELS
+def test_lockstep_tau_zero_member_matches_parabolic_exactly(model):
     # the tau = 0 member adds zero tau terms, so it stays the parabolic run
     m = build_mesh(0.5, 1.0, 10, 11)
-    spec = build_svir(SvirParams(), m)
+    spec = model(m)
     rel = run_relaxed(dataclasses.replace(spec, tau=[0.0, 1e-2]), SolverConfig(), m)[0]
     par = run_parabolic(spec, SolverConfig(), m)
     assert np.array_equal(rel.values, par.values)

@@ -162,6 +162,16 @@ def test_compatibility_setup_requires_baseline(desk_mesh):
         compatibility_setup(build_svir(SvirParams(), desk_mesh), 0.5, 1.0, sparse)
 
 
+def test_compatibility_setup_refuses_a_baseline_from_another_mesh():
+    # same na, nx and nt, but da 0.1 against 0.05: the baseline is not the
+    # spec's own parabolic run, and its y0 (S = total_S0 / a_max) differs
+    spec = build_svir(SvirParams(), build_mesh(0.5, 0.5, 10, 21))
+    m = build_mesh(1.0, 1.0, 10, 21)
+    baseline = run_parabolic(build_svir(SvirParams(), m), SolverConfig(), m)
+    with pytest.raises(ShapeMismatch, match="does not start from the spec's y0"):
+        compatibility_setup(spec, 0.5, 0.7, baseline)
+
+
 def test_partial_q1_boundary_residual(desk_mesh, svir_baseline, solver_cfg):
     # with q1 = 0.5 the relaxed boundary value should still satisfy the
     # unrelaxed law up to discretization + tau effects
