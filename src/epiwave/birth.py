@@ -194,7 +194,9 @@ def solve_birth_step(
     if ctx.inv1 is None:
         return B0, None
 
-    B1 = age_apply(ctx.t1, y_slice.slope[..., 1:, :]) + age_apply(ctx.tL, vals)
+    B1 = age_apply(ctx.t1, y_slice.slope[..., 1:, :])
+    if ctx.tL is not None:
+        B1 += age_apply(ctx.tL, vals)
     if ctx.tgrad is not None:
         B1 += age_apply(ctx.tgrad, space_gradient(vals, m))
     src = [s for s in (nonlinear_G, g1_now) if s is not None]

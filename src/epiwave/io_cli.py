@@ -89,10 +89,8 @@ class RunConfig:
     output: OutputBlock = field(default_factory=OutputBlock)
 
 
-#: The model.params keys: SvirParams' scalar rates (tau comes from solver).
-_SVIR_SCALARS = tuple(
-    f.name for f in dataclasses.fields(SvirParams) if f.type is float and f.name != "tau"
-)
+#: The model.params keys: every SvirParams field but tau (it comes from solver).
+_SVIR_SCALARS = tuple(f.name for f in dataclasses.fields(SvirParams) if f.name != "tau")
 
 
 def _fits(value, kind) -> bool:

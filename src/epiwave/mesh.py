@@ -56,19 +56,26 @@ class Mesh:
         return np.linspace(0.0, 1.0, self.nx)
 
 
+def is_real(value) -> bool:
+    """True for a Python or numpy integer or float that is not a bool, so
+    a setting can be range-checked without a raw TypeError."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def build_mesh(t_max: float, a_max: float, na: int, nx: int) -> Mesh:
     """Build a mesh with dt = da = a_max/na and nt = t_max/dt.
 
-    Raises InvalidSize for counts below the minima and NonCommensurate
-    when t_max is not an integer multiple of the age step (up to one
-    rounding unit).
+    Raises InvalidSize, naming the argument, for an extent that is not
+    a finite positive number or a count that is not an integer (no bool)
+    of at least 2 (na) or 3 (nx), and NonCommensurate when t_max is not
+    an integer multiple of da (up to one rounding unit).
     """
-    if t_max <= 0 or a_max <= 0:
-        raise InvalidSize("t_max and a_max must be positive")
-    if na < 2:
-        raise InvalidSize(f"na={na}, need at least 2 age steps")
-    if nx < 3:
-        raise InvalidSize(f"nx={nx}, need at least 3 space nodes")
+    for name, v in (("t_max", t_max), ("a_max", a_max)):
+        if not (is_real(v) and 0 < v < np.inf):
+            raise InvalidSize(f"{name}={v!r} must be a finite positive number")
+    for name, v, least in (("na", na, 2), ("nx", nx, 3)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
+            raise InvalidSize(f"{name}={v!r} must be an integer of at least {least}")
     da = a_max / na
     ratio = t_max / da
     nt = int(round(ratio))

@@ -25,7 +25,7 @@ from .birth import BirthLaws, birth_context, newborn_source, solve_birth_step
 from .char_solver import step, step_context, step_rhs
 from .errors import InvalidParam, LengthMismatch, NonFinite, PicardDiverged, ShapeMismatch
 from .fields import Run, StateField, norm_H, norm_V
-from .mesh import Mesh
+from .mesh import Mesh, is_real
 from .operators import (
     KernelSet,
     LinearPart,
@@ -55,12 +55,6 @@ def table_shapes(L: np.ndarray, m: Mesh) -> dict:
         **dict.fromkeys(("g0", "g1"), (T, n, X)),  # the birth source series
         "f": (T, n, A, X),
     }
-
-
-def is_real(value) -> bool:
-    """True for a Python or numpy integer or float that is not a bool, so
-    a setting can be range-checked without a raw TypeError."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 @dataclass

@@ -23,9 +23,9 @@ import numpy as np
 from .birth import make_compatible
 from .errors import FitUnderdetermined, InvalidParam, LengthMismatch, ShapeMismatch
 from .fields import NormReport, Run, age_integral, diff_norms
-from .mesh import Mesh, build_mesh
+from .mesh import Mesh, build_mesh, is_real
 from .parabolic_model import run_parabolic
-from .relaxed_model import ModelSpec, SolverConfig, derived_initial_slope, is_real, run_relaxed
+from .relaxed_model import ModelSpec, SolverConfig, derived_initial_slope, run_relaxed
 from .svir import I as I_COMP
 from .svir import SvirParams, build_svir
 

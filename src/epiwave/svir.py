@@ -1,23 +1,24 @@
-"""Four-compartment SVIR model factory.
+"""Four-compartment SVIR model factory: the paper's numerical example.
 
 Compartment layout: S = 0 (susceptible), V = 1 (vaccinated), I = 2
 (infective), R = 3 (removed).  The defaults form the benchmark
 configuration used by the acceptance experiments; the infection
 pressure acts through a spatial tent kernel on the infective
 compartment, with susceptibles, vaccinated (leakage phi1) and removed
-(reinfection phi2) as targets.
+(reinfection phi2) as targets.  SvirParams holds the scalar rates; the
+age and space profiles are this module's functions, and another profile
+is made by editing the built spec's linear or kernels tables.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
 from .birth import zero_laws
 from .errors import InvalidParam
-from .mesh import Mesh
+from .mesh import Mesh, is_real
 from .operators import FactoredTable, KernelSet, KernelTerm, LinearPart
-from .relaxed_model import ModelSpec, is_real
+from .relaxed_model import ModelSpec
 
 S, V, I, R = 0, 1, 2, 3
 COMPARTMENTS = ("S", "V", "I", "R")
@@ -35,8 +36,8 @@ def default_fertility(a, a_max: float = 1.0):
     return (6.78 / a_max) * a**2 * (a_max - a) * (1.0 + np.sin(np.pi * a / a_max))
 
 
-def tent_kernel(x, xi, reach: float = 0.1):
-    return np.maximum(reach - np.abs(x - xi), 0.0)
+def tent_kernel(x, xi):
+    return np.maximum(0.1 - np.abs(x - xi), 0.0)
 
 
 def sigma_susceptible(a):
@@ -49,11 +50,7 @@ def sigma_infective(a):
 
 @dataclass
 class SvirParams:
-    """Benchmark parameter set; scalar rates plus age/space profiles.
-
-    mu_da is the age derivative of mu, or None for a numerical one; a
-    replaced mu needs its own mu_da (or None).
-    """
+    """The benchmark's scalar rates, initial totals and relaxation time."""
 
     c: float = 0.18564
     phi1: float = 0.0052
@@ -63,14 +60,6 @@ class SvirParams:
     total_S0: float = 1000.0
     I0: float = 10.0
     tau: float = 0.0
-    mu: Callable = default_mortality
-    mu_da: Optional[Callable] = default_mortality_da
-    beta: Callable = default_fertility
-    lambda_kernel: Callable = tent_kernel
-    sigma_S: Callable = sigma_susceptible
-    sigma_V: Callable = sigma_susceptible
-    sigma_I: Callable = sigma_infective
-    sigma_R: Callable = sigma_susceptible
 
     def validate(self) -> None:
         for name in ("c", "delta_d", "gamma", "total_S0", "I0"):
@@ -83,11 +72,6 @@ class SvirParams:
                 raise InvalidParam(f"{name}={v!r} outside [0, 1]")
         if not (is_real(self.tau) and 0.0 <= self.tau < np.inf):
             raise InvalidParam(f"tau={self.tau!r} must be finite and nonnegative")
-        if self.mu is not default_mortality and self.mu_da is default_mortality_da:
-            raise InvalidParam(
-                "mu_da is the default mortality's derivative, but mu is replaced: "
-                "give mu_da for the new mu, or None for a numerical derivative"
-            )
 
 
 def boundary_bump(m: Mesh) -> np.ndarray:
@@ -116,12 +100,7 @@ def build_svir(p: SvirParams, m: Mesh) -> ModelSpec:
     ages = m.ages()
     xs = m.xs()
 
-    mu = p.mu(ages)
-    if p.mu_da is not None:
-        mu_da = p.mu_da(ages)
-    else:
-        mu_da = np.gradient(mu, m.da, edge_order=2)
-
+    mu, mu_da = default_mortality(ages), default_mortality_da(ages)
     L = np.zeros((A, X, n, n))
     L_a = np.zeros((A, X, n, n))
     for h in range(n):
@@ -132,14 +111,12 @@ def build_svir(p: SvirParams, m: Mesh) -> ModelSpec:
     L[:, :, I, I] += p.delta_d + p.gamma
     L[:, :, R, I] += -p.gamma
 
-    sigma = np.stack(
-        [p.sigma_S(ages), p.sigma_V(ages), p.sigma_I(ages), p.sigma_R(ages)],
-        axis=1,
-    )
+    s_sus = sigma_susceptible(ages)
+    sigma = np.stack([s_sus, s_sus, sigma_infective(ages), s_sus], axis=1)
     linear = LinearPart(L=L, L_a=L_a, sigma=sigma)
 
     # One age-independent spatial kernel, shared by all six couplings.
-    base = FactoredTable(p.lambda_kernel(xs[:, None], xs[None, :]), None, A)
+    base = FactoredTable(tent_kernel(xs[:, None], xs[None, :]), None, A)
     couplings = [
         (S, S, I, 1.0),
         (V, V, I, p.phi1),
@@ -151,7 +128,8 @@ def build_svir(p: SvirParams, m: Mesh) -> ModelSpec:
     kernels = KernelSet([KernelTerm(h, i, j, w, base) for h, i, j, w in couplings])
 
     births = zero_laws(n, m)
-    births.beta0[:, :, S, :] = births.beta1[:, :, S, :] = p.beta(ages, m.a_max)[:, None, None]
+    beta = default_fertility(ages, m.a_max)
+    births.beta0[:, :, S, :] = births.beta1[:, :, S, :] = beta[:, None, None]
 
     y0 = np.zeros((n, A, X))
     y0[S] = p.total_S0 / m.a_max

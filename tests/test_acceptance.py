@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 summary.
 
 Criterion 4 runs the SVIR benchmark with a spatially local infection
-kernel (a tent narrower than one cell, so the kernel table is exactly
-zero off x = xi).  The relaxed model keeps the nonlocal infection term
+kernel (a diagonal kernel: each node infects only itself, so the
+kernel table is exactly zero off x = xi).  The relaxed model keeps the nonlocal infection term
 inside the relaxation bracket, (1 + tau d)(y_h + L y + Lambda(y) y) =
 sigma Lap y, so tau only slows the diffusive flux, to about
 sqrt(sigma/tau) ~ 0.03 per unit time at tau = 100.  The benchmark tent
@@ -41,7 +41,7 @@ from epiwave.birth import make_compatible
 from epiwave.fields import age_integral
 from epiwave.io_cli import RunConfig, parse_config_dict
 from epiwave.mesh import space_weights
-from epiwave.operators import lambda_op, neumann_matrix
+from epiwave.operators import FactoredTable, KernelSet, lambda_op, neumann_matrix
 from epiwave.reference import (
     damped_eigenmode,
     heat_eigenmode,
@@ -51,7 +51,7 @@ from epiwave.reference import (
 )
 from epiwave.study import energy_diff, fit_rate, tau_sweep
 from epiwave.svir import I as I_COMP
-from epiwave.svir import SvirParams, build_svir, tent_kernel
+from epiwave.svir import SvirParams, build_svir
 
 
 def _report(criterion, ok, detail):
@@ -139,12 +139,12 @@ def test_criterion_3_tau_to_zero_consistency(
 def test_criterion_4_finite_propagation_speed():
     m = build_mesh(5.0, 1.0, 20, 21)
     cfg = SolverConfig(store_every=20)
-    # reach dx/2 keeps only the diagonal x = xi; reach dx leaves ~7e-17
-    # off-diagonal entries
-    local = SvirParams(
-        tau=100.0, lambda_kernel=lambda x, xi: tent_kernel(x, xi, reach=m.dx / 2)
-    )
-    spec = build_svir(local, m)
+    # a diagonal kernel, each node infects only itself: the nodal values
+    # of a tent of reach dx/2
+    spec = build_svir(SvirParams(tau=100.0), m)
+    local = FactoredTable(np.diag(np.full(m.nx, m.dx / 2)), None, m.na + 1)
+    terms = [dataclasses.replace(t, table=local) for t in spec.kernels.terms]
+    spec = dataclasses.replace(spec, kernels=KernelSet(terms))
     r0 = run_parabolic(spec, cfg, m)  # tau = 0: spec.tau is ignored
     r100 = run_relaxed(spec, cfg, m)
     thr = 1e-6 * float(np.max(age_integral(r0[0].values, m)[I_COMP]))
@@ -229,8 +229,6 @@ def test_criterion_8_invariant_suites(desk_mesh, solver_cfg):
     results = {}
 
     # operators bilinearity
-    from epiwave.operators import KernelSet
-
     m = build_mesh(1.0, 1.0, 4, 5)
     rng = np.random.default_rng(0)
     A, X = m.na + 1, m.nx

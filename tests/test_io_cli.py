@@ -30,6 +30,7 @@ from epiwave.io_cli import (
     build_problem,
     cli_main,
     parse_config_dict,
+    svir_params_from,
     write_slices,
 )
 from epiwave.svir import SvirParams, build_svir
@@ -73,6 +74,21 @@ def test_unknown_block_key_rejected():
 def test_unknown_svir_param_rejected():
     with pytest.raises(ConfigError):
         parse_config_dict({"model": {"kind": "svir", "params": {"r0": 2.5}}})
+
+
+@pytest.mark.parametrize("name", ["c", "phi1", "phi2", "delta_d", "gamma", "total_S0", "I0"])
+def test_every_svir_field_but_tau_is_a_config_param(name):
+    cfg = parse_config_dict({"model": {"params": {name: 0.5}}})
+    assert getattr(svir_params_from(cfg, 0.0), name) == 0.5
+
+
+@pytest.mark.parametrize("name", ["mu", "mu_da", "lambda_kernel", "tau"])
+def test_profile_and_tau_are_not_config_params(tmp_path, capsys, name):
+    model = {"kind": "svir", "params": {name: 0.5}}
+    with pytest.raises(ConfigError, match=name):
+        parse_config_dict({"model": model})
+    assert cli_main(["run", "--config", str(_tiny_config(tmp_path, model=model))]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_unknown_model_kind_rejected():

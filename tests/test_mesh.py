@@ -33,6 +33,27 @@ def test_build_mesh_invalid_sizes(args):
         build_mesh(*args)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((np.nan, 1, 20, 21), "t_max"),
+        ((np.inf, 1, 20, 21), "t_max"),
+        ((1, np.inf, 20, 21), "a_max"),
+        ((1, np.nan, 20, 21), "a_max"),
+        ((True, 1, 20, 21), "t_max"),
+        (("1", 1, 20, 21), "t_max"),
+        ((1, 1, "20", 21), "na"),
+        ((1, 1, 20.0, 21), "na"),
+        ((1, 1, 20, 21.0), "nx"),
+        ((1, 1, 20, True), "nx"),
+        ((1, 1, 20, None), "nx"),
+    ],
+)
+def test_build_mesh_malformed_arguments_name_themselves(args, name):
+    with pytest.raises(InvalidSize, match=f"^{name}="):
+        build_mesh(*args)
+
+
 def test_time_step_is_the_age_step():
     # one stored step: a mesh with dt != da cannot be built
     m = build_mesh(1.0, 1.0, 4, 3)

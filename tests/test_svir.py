@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from epiwave.svir import (
     build_svir,
     default_fertility,
     default_mortality,
+    default_mortality_da,
     sigma_susceptible,
     tent_kernel,
 )
@@ -38,6 +39,12 @@ def test_parameter_table_at_age_zero():
 def test_parameter_table_at_max_age():
     assert default_mortality(1.0) == pytest.approx(np.exp(-1.0))
     assert default_fertility(1.0) == pytest.approx(0.0, abs=1e-15)
+
+
+def test_params_are_the_eight_numbers():
+    # profiles are the module's functions; a spec's tables are edited to vary one
+    names = [f.name for f in fields(SvirParams)]
+    assert names == ["c", "phi1", "phi2", "delta_d", "gamma", "total_S0", "I0", "tau"]
 
 
 def test_invalid_params_rejected():
@@ -61,18 +68,6 @@ def test_rates_reject_nan_and_inf(name, value):
 def test_non_numeric_params_are_invalid(name, value):
     with pytest.raises(InvalidParam, match=f"^{name}="):
         SvirParams(**{name: value}).validate()
-
-
-def test_replaced_mortality_needs_its_own_derivative():
-    # the default mu_da with a new mu would give L_a = 2.9e-5, not 0.5,
-    # at a = 0.05 for mu = 0.5 a
-    m = build_mesh(1.0, 1.0, 20, 5)
-    with pytest.raises(InvalidParam, match="mu_da"):
-        build_svir(SvirParams(mu=lambda a: 0.5 * a), m)
-    spec = build_svir(SvirParams(mu=lambda a: 0.5 * a, mu_da=None), m)
-    assert spec.linear.L_a[1, 0, S, S] == pytest.approx(0.5, rel=1e-12)
-    spec = build_svir(SvirParams(mu=lambda a: 0.5 * a, mu_da=lambda a: 0.5 + 0 * a), m)
-    assert np.all(spec.linear.L_a[:, :, I, I] == 0.5)
 
 
 @pytest.mark.parametrize("nx", [11, 21, 41])
@@ -149,15 +144,14 @@ def test_sum_dynamics_match_single_compartment():
     # N = S+V+I+R solves a single-compartment problem with mortality mu
     # and the disease-death forcing -delta_d * I taken from the run
     m = build_mesh(0.5, 1.0, 10, 11)
-    p = SvirParams(sigma_I=sigma_susceptible)
+    p = SvirParams()
     spec = build_svir(p, m)
+    spec.linear.sigma[:, I] = sigma_susceptible(m.ages())
     cfg = SolverConfig()
     run = run_parabolic(spec, cfg, m)
 
     A, X = m.na + 1, m.nx
     mu = default_mortality(m.ages())
-    from epiwave.svir import default_mortality_da
-
     lin = LinearPart(
         L=np.broadcast_to(
             (mu[:, None, None, None] * np.eye(1)), (A, X, 1, 1)
