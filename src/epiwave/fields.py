@@ -138,13 +138,36 @@ def age_integral(values: np.ndarray, m: Mesh) -> np.ndarray:
     return np.einsum("...ax,a->...x", values, age_weights(m))
 
 
+def slice_diffs(values, slopes, ref_values, ref_slopes, m: Mesh):
+    """Per entry of the leading axis (a step, or a member): norm_V and norm_H
+    of dv = values - ref_values, norm_H of slopes - ref_slopes, max |dv|."""
+    dv = values - ref_values
+    return norm_V(dv, m), norm_H(dv, m), norm_H(slopes - ref_slopes, m), np.abs(dv).max((1, 2, 3))
+
+
+def norm_report(indices: List[int], nv, nh, ns, sup, m: Mesh) -> NormReport:
+    """The NormReport of slice_diffs' arrays at the time step indices."""
+    # Trapezoid in time; integer index gaps keep uniform weights exact.
+    gaps = np.diff(indices)
+    wt = np.zeros(len(indices))
+    wt[:-1] += 0.5 * gaps
+    wt[1:] += 0.5 * gaps
+    wt *= m.dt
+    return NormReport(
+        l2_H=float(np.sqrt(np.dot(wt, nh * nh))),
+        h1_V=float(np.sqrt(np.dot(wt, nv * nv))),
+        sup_t_V=float(np.max(nv)),
+        sup_t_H_slope=float(np.max(ns)),
+        sup_abs=float(np.max(sup)),
+    )
+
+
 def diff_norms(run: Run, ref: Run) -> NormReport:
     """Norms of the difference between run and ref at run's stored steps.
 
     Both runs must be on one mesh.  ref must store every step run
     stores, so a reference stored at every step serves any run on its
-    mesh.  Time integrals use trapezoid weights over run's stored times,
-    its time indices times dt.
+    mesh.  The slices reduce by slice_diffs, over time by norm_report.
     """
     m = run.mesh
     if ref.mesh != m:
@@ -156,20 +179,5 @@ def diff_norms(run: Run, ref: Run) -> NormReport:
     if run.values.shape[1:] != ref.values.shape[1:]:
         raise ShapeMismatch("slice shapes differ between runs")
     at = [where[i] for i in run.indices]
-    dv = run.values - ref.values[at]
-    nv = norm_V(dv, m)
-    nh = norm_H(dv, m)
-    ns = norm_H(run.slopes - ref.slopes[at], m)
-    # Trapezoid in time; integer index gaps keep uniform weights exact.
-    gaps = np.diff(run.indices)
-    wt = np.zeros(len(run))
-    wt[:-1] += 0.5 * gaps
-    wt[1:] += 0.5 * gaps
-    wt *= m.dt
-    return NormReport(
-        l2_H=float(np.sqrt(np.dot(wt, nh * nh))),
-        h1_V=float(np.sqrt(np.dot(wt, nv * nv))),
-        sup_t_V=float(np.max(nv)),
-        sup_t_H_slope=float(np.max(ns)),
-        sup_abs=float(np.max(np.abs(dv))),
-    )
+    return norm_report(run.indices, *slice_diffs(run.values, run.slopes, ref.values[at],
+                                                 ref.slopes[at], m), m)

@@ -65,19 +65,22 @@ def is_real(value) -> bool:
 def build_mesh(t_max: float, a_max: float, na: int, nx: int) -> Mesh:
     """Build a mesh with dt = da = a_max/na and nt = t_max/dt.
 
-    Raises InvalidSize, naming the argument, for an extent that is not
-    a finite positive number or a count that is not an integer (no bool)
-    of at least 2 (na) or 3 (nx), and NonCommensurate when t_max is not
-    an integer multiple of da (up to one rounding unit).
+    Raises InvalidSize, naming the argument, for an extent that is not a
+    finite positive number, a count that is not an integer (no bool) of at
+    least 2 (na) or 3 (nx), or more nodes on an axis than numpy can index,
+    and NonCommensurate when t_max is not a multiple of da (to a relative 1e-9).
     """
     for name, v in (("t_max", t_max), ("a_max", a_max)):
         if not (is_real(v) and 0 < v < np.inf):
             raise InvalidSize(f"{name}={v!r} must be a finite positive number")
-    for name, v, least in (("na", na, 2), ("nx", nx, 3)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < least:
-            raise InvalidSize(f"{name}={v!r} must be an integer of at least {least}")
+    most = np.iinfo(np.intp).max  # the most nodes numpy can index on an axis
+    for name, v, least, top in (("na", na, 2, most - 1), ("nx", nx, 3, most)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not least <= v <= top:
+            raise InvalidSize(f"{name}={v!r} must be an integer from {least} to {top}")
     da = a_max / na
-    ratio = t_max / da
+    ratio = t_max / da if da > 0 else np.inf
+    if not ratio < most:  # inf, or more time nodes than numpy can index
+        raise InvalidSize(f"t_max={t_max!r} is more than {most - 1} steps of da={da!r}")
     nt = int(round(ratio))
     if nt < 1 or abs(ratio - nt) > _ROUND_TOL * max(1.0, abs(ratio)):
         raise NonCommensurate(

@@ -10,14 +10,14 @@ slopes until the last one converges; a member that converges first is
 frozen, restarted from its answer each sweep and not checked again.
 Each sweep after a step's first is mixed with the member's last three
 sweeps (Anderson acceleration), which takes fewer sweeps than plain
-Picard iteration.  Each stored step is written in place into the Run's
-preallocated value and slope stacks.  The parabolic baseline reuses the
-same code path with tau = 0 and the zeroth-order birth law, so the two
-solvers differ only by the tau terms.
+Picard iteration.  Each stored step goes to a consumer, by default one
+that writes the Run's preallocated value and slope stacks.  The
+parabolic baseline reuses the same code path with tau = 0 and the
+zeroth-order birth law, so the two solvers differ only by the tau terms.
 """
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -267,11 +267,14 @@ def derived_initial_slope(spec: ModelSpec, m: Mesh) -> np.ndarray:
     return consistent_slope(spec.linear, y0, forcing, m)
 
 
-def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool) -> Run:
+def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool,
+           consume: Optional[Callable] = None) -> Run:
     """March spec over the mesh, shared by the relaxed and parabolic solvers.
 
     Each tau of a relaxed spec is a member; the members march in lockstep
     as one (M, 2, n, na+1, nx) iterate into a batch Run (Run.members).
+    Stored step i goes to consume(i, values, slopes) as (M, n, na+1, nx)
+    views; by default into the Run's stacks, else the Run holds no slice.
     Once per call: the implicit matrices of ages 1..na are inverted per
     member, the birth laws folded into their map (birth_context), the
     kernel terms indexed with their tilde terms, beta0 and beta1 folded
@@ -315,19 +318,24 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
             r += np.sqrt(weights[:, 1:]) * norm_H(both[:, 1], m).reshape(-1, 2)
         return r.T
 
-    indices = [i for i in range(m.nt + 1) if i % cfg.store_every == 0 or i == m.nt]
-    slot = {i: s for s, i in enumerate(indices)}
-    shape = (M, len(indices), n, A, X)
-    run = Run(np.empty(shape), np.empty(shape), indices, m, [])
+    kept = [i for i in range(m.nt + 1) if i % cfg.store_every == 0 or i == m.nt]
+    slot = {i: s for s, i in enumerate(kept)}
+    stored = kept if consume is None else []
+    shape = (M, len(stored), n, A, X)
+    run = Run(np.empty(shape), np.empty(shape), stored, m, [])
+    if consume is None:
+        def consume(i: int, values: np.ndarray, slopes: np.ndarray) -> None:
+            run.values[:, slot[i]], run.slopes[:, slot[i]] = values, slopes
     steps = []  # each step's sweep residuals, per member
 
     # Initial slice.
-    run.values[:, 0] = spec.y0
+    prev = np.empty((M, 2, n, A, X))
+    prev[:, 0] = spec.y0
     if first_order_births:
-        run.slopes[:, 0] = 0.0 if spec.y1 is None else spec.y1
+        prev[:, 1] = 0.0 if spec.y1 is None else spec.y1
     else:
-        run.slopes[:, 0] = derived_initial_slope(spec, m)
-    prev = np.stack([run.values[:, 0], run.slopes[:, 0]], axis=1)
+        prev[:, 1] = derived_initial_slope(spec, m)
+    consume(0, prev[:, 0], prev[:, 1])
     prev2 = prev.copy()  # so that step 1's predictor 2 prev - prev2 is prev itself
     xg = np.empty((M, 2) + prev.shape[1:])  # the iterates and the sweep's output
     forcing = np.empty((M, n, A, X))
@@ -357,29 +365,31 @@ def _march(spec: ModelSpec, cfg: SolverConfig, m: Mesh, first_order_births: bool
                 vals[:, :, 0], slopes[:, :, 0] = solve_birth_step(bctx, cand, g0_now, g1_now, G, m)
             else:
                 vals[:, :, 0], _ = solve_birth_step(bctx, cand, g0_now, None, None, m)
-                slopes[:, :, :1] = consistent_slope(lin, vals[:, :, :1], forcing[:, :, :1], m)
 
         # Predictor: linear extrapolation of the last two slices.
         np.multiply(prev, 2.0, out=xg[:, 0])
         xg[:, 0] -= prev2
         at = [f"{i} (t={i * m.dt:.6g}, da={m.da:.6g}{tail})" for tail in tails]
         cur, done = _fixed_point(picard_map, xg, energy, weights, cfg, not has_nl, at, prev2)
+        if not first_order_births:  # no sweep reads it: from the accepted sweep's forcing
+            cur[:, 1, :, :1] = consistent_slope(lin, cur[:, 0, :, :1], forcing[:, :, :1], m)
         prev2, prev = prev, cur
         steps.append(done)
         if i in slot:
-            run.values[:, slot[i]], run.slopes[:, slot[i]] = cur[:, 0], cur[:, 1]
+            consume(i, cur[:, 0], cur[:, 1])
 
     run.picard_updates = [step[j] for j in range(M) for step in steps]
     return run
 
 
-def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh):
+def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh, consume: Optional[Callable] = None):
     """Solve the relaxed system with its first-order birth law.
 
     A sequence of taus in spec solves one member per tau in lockstep and
-    returns their Runs in order; a scalar tau returns one Run.
+    returns their Runs in order; a scalar tau returns one Run.  Given
+    consume, the stored steps go to it instead, as _march says.
     """
-    runs = _march(spec, cfg, m, first_order_births=True).members()
+    runs = _march(spec, cfg, m, first_order_births=True, consume=consume).members()
     return runs if np.ndim(spec.tau) else runs[0]
 
 

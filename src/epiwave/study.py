@@ -4,15 +4,15 @@ A sweep solves the parabolic baseline once on the mesh, every step
 stored, and that one run serves the whole study: it is the coarse half
 of the refinement floor (the difference between the na and 2na
 parabolic runs), it supplies the boundary traces of a compatibility
-setup, and each relaxed member is diffed against it; these readers
-slice the stacked arrays of the stored runs (fields.Run).  The members
-are solved in one run_relaxed call, in lockstep.  The sweep
-collects sup-norm and energy-norm differences and fits the convergence
-rate on a log-log scale.  Points whose difference sits within 10x of
-the floor are flagged non-asymptotic; because both solvers share one
-scheme, the matched-grid differences keep shrinking linearly below that
-floor, so the fit falls back to all usable points when fewer than three
-remain flagged.
+setup, and each relaxed member is diffed against it.  The members (one
+run_relaxed call, in lockstep) and the 2na run are reduced step by step
+as the march hands them over, so a sweep holds the baseline and one
+slice per member.  The sweep collects sup-norm and energy-norm
+differences and fits the convergence rate on a log-log scale.  Points
+whose difference sits within 10x of the floor are flagged
+non-asymptotic; because both solvers share one scheme, the matched-grid
+differences keep shrinking linearly below that floor, so the fit falls
+back to all usable points when fewer than three remain flagged.
 """
 
 from dataclasses import dataclass, replace
@@ -22,7 +22,8 @@ import numpy as np
 
 from .birth import make_compatible
 from .errors import FitUnderdetermined, InvalidParam, LengthMismatch, ShapeMismatch
-from .fields import NormReport, Run, age_integral, diff_norms
+from .fields import NormReport, Run, age_integral, norm_report, slice_diffs
+from .fields import diff_norms  # noqa: F401 (study.diff_norms stays a traced name)
 from .mesh import Mesh, build_mesh, is_real
 from .parabolic_model import run_parabolic
 from .relaxed_model import ModelSpec, SolverConfig, derived_initial_slope, run_relaxed
@@ -97,15 +98,20 @@ def refinement_floor(coarse: Run, base: SvirParams, cfg: SolverConfig) -> float:
     with every step stored, solved with cfg; only the 2na problem is
     solved here, with the same Picard settings.  Both runs share nx, and
     the finer run is subsampled onto the coarse lattice, so the
-    comparison is pointwise; it stores every other step (its nt is
-    even), exactly the steps the coarse lattice reads.
+    comparison is pointwise; its march hands over every other step (nt
+    is even), the steps the coarse lattice reads, to a running max.
     """
     m = coarse.mesh
     if len(coarse) != m.nt + 1:
         raise LengthMismatch("the coarse run must store every step")
     m2 = build_mesh(m.t_max, m.a_max, 2 * m.na, m.nx)
-    fine = run_parabolic(build_svir(base, m2), replace(cfg, store_every=2), m2)
-    return float(np.max(np.abs(coarse.values - fine.values[:, :, ::2])))
+    worst = np.zeros(())
+
+    def compare(i: int, values: np.ndarray, slopes: np.ndarray) -> None:
+        np.maximum(worst, np.max(np.abs(coarse.values[i // 2] - values[0, :, ::2])), out=worst)
+
+    run_parabolic(build_svir(base, m2), replace(cfg, store_every=2), m2, consume=compare)
+    return float(worst)
 
 
 def check_taus(taus: Sequence[float]) -> None:
@@ -142,7 +148,8 @@ def tau_sweep(
     compat = (q1, q2) and the slices each member is diffed against.  The
     members are one spec at each tau: build_svir(base, m), or its
     compatibility_setup(spec, q1, q2, baseline) when compat is given.
-    front_positions uses the front_tracker threshold rule.
+    They are reduced step by step as diff_norms and front_tracker reduce
+    stored runs (slice_diffs, norm_report, _fronts), to the same bits.
     """
     check_taus(taus)
     taus = list(taus)
@@ -152,9 +159,16 @@ def tau_sweep(
     if compat is not None:
         template = compatibility_setup(template, *compat, baseline)
 
-    runs = run_relaxed(replace(template, tau=taus), cfg, m)  # the members, in lockstep
-    reports = [diff_norms(run, baseline) for run in runs]
-    fronts = [front_tracker(run, threshold) for run in runs]
+    steps, diffs, profiles = [], [], []
+
+    def reduce(i: int, values: np.ndarray, slopes: np.ndarray) -> None:
+        steps.append(i)
+        diffs.append(slice_diffs(values, slopes, baseline.values[i], baseline.slopes[i], m))
+        profiles.append(age_integral(values, m)[:, I_COMP])
+
+    run_relaxed(replace(template, tau=taus), cfg, m, consume=reduce)  # the members, in lockstep
+    reports = [norm_report(steps, *d, m) for d in zip(*(np.stack(d, axis=1) for d in zip(*diffs)))]
+    fronts = [_fronts(p, [i * m.dt for i in steps], threshold, m) for p in np.stack(profiles, 1)]
     sup_diffs = [r.sup_abs for r in reports]
     energies = [energy_diff(r, t) for r, t in zip(reports, taus)]
     rate, mask, window = fit_rate(taus, sup_diffs, floor)
@@ -191,14 +205,16 @@ def front_tracker(
     index = isinstance(compartment, (int, np.integer)) and not isinstance(compartment, bool)
     if not (index and 0 <= compartment < n):
         raise ShapeMismatch(f"compartment={compartment!r} is not one of the run's {n} compartments")
-    prof = age_integral(run.values, m)[:, compartment]
+    return _fronts(age_integral(run.values, m)[:, compartment], run.times, threshold, m)
+
+
+def _fronts(prof: np.ndarray, times, threshold: Optional[float], m: Mesh):
+    """front_tracker's rule on the (S, nx) age-integrated profiles at times."""
     if threshold is None:
         threshold = FRONT_FACTOR * float(np.max(prof[0]))
     above = prof > threshold
     xs = m.xs()
-    return [
-        (float(t), float(xs[np.argmax(row)])) for t, row in zip(run.times, above) if row.any()
-    ]
+    return [(float(t), float(xs[np.argmax(row)])) for t, row in zip(times, above) if row.any()]
 
 
 def compatibility_setup(spec: ModelSpec, q1: float, q2: float, baseline: Run) -> ModelSpec:

@@ -169,9 +169,9 @@ def test_sweep_solves_each_parabolic_problem_once(tmp_path, monkeypatch, argv):
     # the floor adds the one solve at 2na
     solved = []
     for module in (io_cli, study):
-        def counted(spec, cfg, m, solve=module.run_parabolic):
+        def counted(spec, cfg, m, solve=module.run_parabolic, **kwargs):
             solved.append(m.na)
-            return solve(spec, cfg, m)
+            return solve(spec, cfg, m, **kwargs)
 
         monkeypatch.setattr(module, "run_parabolic", counted)
     cfgp = _tiny_config(tmp_path)

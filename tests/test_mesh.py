@@ -54,6 +54,25 @@ def test_build_mesh_malformed_arguments_name_themselves(args, name):
         build_mesh(*args)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((1e308, 1e-300, 2, 3), "t_max"),  # t_max / da overflows
+        ((5e-324, 5e-324, 10, 3), "t_max"),  # da underflows to 0
+        ((1e300, 1, 20, 21), "t_max"),  # nt near 2e301
+        ((1, 1, 2**70, 3), "na"),
+        ((1, 1, 20, 2**70), "nx"),
+        ((1, 1, 20, np.iinfo(np.intp).max + 1), "nx"),
+    ],
+    ids=["step-count-overflows", "da-underflows", "nt", "na", "nx", "nx-one-past"],
+)
+def test_build_mesh_refuses_a_step_count_or_axis_numpy_cannot_hold(args, name):
+    with pytest.raises(InvalidSize, match=f"^{name}="):
+        build_mesh(*args)
+    # the largest nx numpy can index is still a mesh
+    assert build_mesh(1, 1, 20, int(np.iinfo(np.intp).max)).nx == np.iinfo(np.intp).max
+
+
 def test_time_step_is_the_age_step():
     # one stored step: a mesh with dt != da cannot be built
     m = build_mesh(1.0, 1.0, 4, 3)

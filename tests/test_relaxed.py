@@ -535,6 +535,29 @@ def test_store_every_thins_output():
     assert run.times == [0.0, 0.5, 1.0]
 
 
+@pytest.mark.parametrize("solve", [run_relaxed, run_parabolic])
+def test_a_consumer_takes_the_stored_steps_in_place_of_the_stacks(solve):
+    # the consumer sees each stored step as the stacks would hold it; the
+    # returned Runs store no slice but keep every step's sweep residuals
+    m = build_mesh(1.0, 1.0, 8, 9)
+    spec = dataclasses.replace(age_kernel_spec(m, 0.0, g0=0.3), tau=[1e-2, 0.3])
+    cfg = SolverConfig(store_every=3)
+    seen = []
+
+    def consume(i, values, slopes):
+        seen.append((i, values.copy(), slopes.copy()))
+
+    got, want = solve(spec, cfg, m, consume=consume), solve(spec, cfg, m)
+    if solve is run_parabolic:
+        got, want = [got], [want]
+    assert [i for i, _, _ in seen] == want[0].indices == [0, 3, 6, 8]
+    for j, (g, w) in enumerate(zip(got, want)):
+        assert len(g) == 0 and g.values.shape == (0,) + w.values.shape[1:]
+        assert g.picard_updates == w.picard_updates
+        assert np.array_equal(np.stack([v[j] for _, v, _ in seen]), w.values)
+        assert np.array_equal(np.stack([s[j] for _, _, s in seen]), w.slopes)
+
+
 # Lockstep members: a spec whose tau is a sequence marches one member per
 # tau as one batch, and each member is its solo run to the bit.
 

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,21 +102,26 @@ def test_refinement_floor_is_the_sup_over_the_coarse_lattice(small_mesh):
 
 
 def test_refinement_floor_stores_every_other_step_of_the_fine_run(small_mesh, monkeypatch):
-    # the floor reads steps 0, 2, ..., 2 nt of the 2na run, and only those
-    # are stored (the floor itself is pinned by the test above)
+    # the 2na run keeps every other step: the march hands over steps 0, 2,
+    # ..., 2 nt, the ones the floor reads, and stores no slice (the floor
+    # itself is pinned by the test above)
     m = small_mesh
     cfg = SolverConfig()
     coarse = run_parabolic(build_svir(SvirParams(), m), cfg, m)
-    fine_runs = []
+    read = []
 
-    def solve(spec, cfg, m2):
-        fine_runs.append(run_parabolic(spec, cfg, m2))
-        return fine_runs[-1]
+    def solve(spec, cfg, m2, consume):
+        def counted(i, values, slopes):
+            read.append(i)
+            consume(i, values, slopes)
+
+        fine = run_parabolic(spec, cfg, m2, consume=counted)
+        assert len(fine) == 0  # no stored slice
+        return fine
 
     monkeypatch.setattr(study, "run_parabolic", solve)
     refinement_floor(coarse, SvirParams(), cfg)
-    (fine,) = fine_runs
-    assert fine.indices == list(range(0, fine.mesh.nt + 1, 2)) and len(fine) == m.nt + 1
+    assert read == list(range(0, 2 * m.nt + 1, 2))
 
 
 def test_refinement_floor_needs_every_step_of_the_coarse_run(small_mesh, monkeypatch):
@@ -137,6 +143,53 @@ def test_tau_sweep_small_end_to_end(desk_mesh, solver_cfg, svir_floor):
     # matched-grid diffs sit below the refinement floor, so the window
     # rule falls back to the full point set
     assert not res.window_applied
+
+
+@pytest.mark.parametrize(
+    "store_every, compat",
+    [(1, None), (2, None), (1, (0.5, 0.7)), (2, (0.5, 0.7))],
+    ids=["every-step", "store-every-2", "compat", "compat-store-every-2"],
+)
+def test_tau_sweep_reduces_its_members_as_diff_norms_and_front_tracker_do(
+    small_mesh, store_every, compat
+):
+    # the sweep reduces each member step by step as the march hands it over;
+    # its solo run, stored and reduced whole, gives the same bits (nt = 5:
+    # store_every = 2 keeps steps 0, 2, 4, 5, so the time weights are uneven)
+    m, taus = small_mesh, [1e-3, 1e-2, 1e-1]
+    cfg = SolverConfig(store_every=store_every)
+    res = tau_sweep(SvirParams(), taus, cfg, m, compat=compat)
+    template = build_svir(SvirParams(), m)
+    baseline = run_parabolic(template, SolverConfig(), m)
+    if compat is not None:
+        template = compatibility_setup(template, *compat, baseline)
+    for j, tau in enumerate(taus):
+        run = run_relaxed(dataclasses.replace(template, tau=tau), cfg, m)
+        assert res.energy_diffs[j] == study.diff_norms(run, baseline)
+        assert res.sup_diffs[j] == res.energy_diffs[j].sup_abs
+        assert res.front_positions[j] == front_tracker(run, None)
+
+
+def _sweep_peak(t_max):
+    """The tracemalloc peak of one three-tau sweep on na = 20, nx = 21."""
+    m = build_mesh(t_max, 1.0, 20, 21)
+    tracemalloc.start()
+    try:
+        tau_sweep(SvirParams(), [1e-3, 3e-3, 1e-2], SolverConfig(), m)
+        return tracemalloc.get_traced_memory()[1], m
+    finally:
+        tracemalloc.stop()
+
+
+def test_tau_sweep_memory_grows_with_the_baseline_not_the_members():
+    # doubling the horizon adds nt/2 stored steps to each run; only the
+    # baseline keeps its slices (282 KB more here), so the peak grows by
+    # about that, not by the three members' slices as well (about 1.1 MB)
+    short, m1 = _sweep_peak(0.5)
+    long, m2 = _sweep_peak(1.0)
+    n, A, X = 4, m2.na + 1, m2.nx
+    baseline_extra = (m2.nt - m1.nt) * 2 * n * A * X * 8  # values and slopes
+    assert long - short < 2 * baseline_extra
 
 
 def test_compatibility_setup_matched_case(desk_mesh, svir_baseline):
@@ -247,9 +300,9 @@ def test_tau_sweep_solves_its_members_in_one_call(desk_mesh, solver_cfg, monkeyp
     calls = []
     solve = study.run_relaxed
 
-    def counted(spec, cfg, m):
+    def counted(spec, cfg, m, **kwargs):
         calls.append(spec.tau)
-        return solve(spec, cfg, m)
+        return solve(spec, cfg, m, **kwargs)
 
     monkeypatch.setattr(study, "run_relaxed", counted)
     taus = [1e-3, 1e-2, 1e-1]
