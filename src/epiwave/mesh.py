@@ -68,7 +68,7 @@ def build_mesh(t_max: float, a_max: float, na: int, nx: int) -> Mesh:
     Raises InvalidSize, naming the argument, for an extent that is not a
     finite positive number, a count that is not an integer (no bool) of at
     least 2 (na) or 3 (nx), or more nodes on an axis than numpy can index,
-    and NonCommensurate when t_max is not a multiple of da (to a relative 1e-9).
+    and NonCommensurate when t_max is not a multiple of da (relative slack 1e-9).
     """
     for name, v in (("t_max", t_max), ("a_max", a_max)):
         if not (is_real(v) and 0 < v < np.inf):

@@ -387,7 +387,7 @@ def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh, consume: Optional[C
 
     A sequence of taus in spec solves one member per tau in lockstep and
     returns their Runs in order; a scalar tau returns one Run.  Given
-    consume, the stored steps go to it instead, as _march says.
+    consume, each stored step goes to it (see _march), not to the Runs.
     """
     runs = _march(spec, cfg, m, first_order_births=True, consume=consume).members()
     return runs if np.ndim(spec.tau) else runs[0]
