@@ -27,7 +27,6 @@ from .relaxed_model import (
     ModelSpec,
     SolverConfig,
     derived_initial_slope,
-    residual_check,
     run_relaxed,
 )
 from .study import SweepResult, compatibility_setup, front_tracker, tau_sweep
@@ -65,7 +64,6 @@ __all__ = [
     "newborn_source",
     "norm_H",
     "norm_V",
-    "residual_check",
     "run_parabolic",
     "run_relaxed",
     "solve_birth_step",

@@ -61,6 +61,11 @@ class Run(Sequence):
     def __getitem__(self, k: int) -> StateField:
         return StateField(self.values[k], self.slopes[k])
 
+    def check_stored(self) -> None:
+        """LengthMismatch for a Run that stores no slice (one solved with consume)."""
+        if not self.indices:
+            raise LengthMismatch("the run stores no slice")
+
     def members(self) -> List["Run"]:
         """The Run of each member of a batch Run, as views of its stacks."""
         nt = len(self.picard_updates) // len(self.values)
@@ -165,11 +170,13 @@ def norm_report(indices: List[int], nv, nh, ns, sup, m: Mesh) -> NormReport:
 def diff_norms(run: Run, ref: Run) -> NormReport:
     """Norms of the difference between run and ref at run's stored steps.
 
-    Both runs must be on one mesh.  ref must store every step run
-    stores, so a reference stored at every step serves any run on its
-    mesh.  The slices reduce by slice_diffs, over time by norm_report.
+    Both runs must be on one mesh; run must store a slice, and ref every
+    step run stores, so a reference stored at every step serves any run
+    on its mesh.  The slices reduce by slice_diffs, over time by
+    norm_report.
     """
     m = run.mesh
+    run.check_stored()
     if ref.mesh != m:
         raise ShapeMismatch(f"the reference's mesh {ref.mesh} is not the run's mesh {m}")
     where = {i: s for s, i in enumerate(ref.indices)}

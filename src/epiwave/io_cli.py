@@ -219,10 +219,11 @@ def _load_table(archive: zipfile.ZipFile, member: str, shape=None) -> np.ndarray
 def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
     """Generic model loaded from an .npz of sampled tables.
 
-    L, sigma and y0 are required; every table present must hold real
-    numbers in its relaxed_model.table_shapes shape, and kernels, the
-    one table a ModelSpec does not hold as loaded, must be a dense
-    (n, n, n, na+1, nx, na+1, nx) table.  It is read and factored one
+    L, sigma and y0 are required; a member named neither in
+    relaxed_model.table_shapes nor kernels is a ConfigError.  Every
+    table present must hold real numbers in its table_shapes shape, and
+    kernels, the one table a ModelSpec does not hold as loaded, must be a
+    dense (n, n, n, na+1, nx, na+1, nx) table.  It is read and factored one
     (h, i, j) table at a time into the model's kernel terms, so it is
     never held whole; the solve derives their Lambda_1 (tilde) terms.
     """
@@ -239,6 +240,9 @@ def _spec_from_tables(path: str, m: Mesh, tau: float) -> ModelSpec:
         shapes = table_shapes(L, m)
         n, A, X = shapes["y0"]
         shapes["kernels"] = (n, n, n, A, X, A, X)
+        unknown = sorted(set(members) - set(shapes))
+        if unknown:
+            raise ConfigError(f"unknown model table(s) {unknown} in {path}")
         if L.shape != shapes["L"]:
             raise ConfigError(f"model table 'L' has shape {L.shape}, expected {shapes['L']}")
         tabs = {
@@ -340,11 +344,13 @@ def write_slices(run: Run, out_dir, front_threshold: Optional[float] = None) -> 
     slice_{t_index}.csv holds rows (a, x, y1..yn) row-major over (a, x);
     boundary_x0.csv the age-integrated compartments at x = 0 over time;
     fronts.csv the front trajectory of compartment 2 (0 when n < 3) at
-    the given threshold, or at study.front_tracker's default rule.
+    the given threshold, or at study.front_tracker's default rule.  The
+    fronts are found first, so a run that stores no slice writes nothing.
     """
     m = run.mesh
-    out = _mkdir(out_dir)
     n = run.values.shape[1]
+    fronts = study.front_tracker(run, front_threshold, compartment=2 if n >= 3 else 0)
+    out = _mkdir(out_dir)
     names = list(COMPARTMENTS) if n == 4 else [f"y{k + 1}" for k in range(n)]
     A, X = m.na + 1, m.nx
     grid = np.column_stack([np.repeat(m.ages(), X), np.tile(m.xs(), A)])
@@ -360,8 +366,6 @@ def write_slices(run: Run, out_dir, front_threshold: Optional[float] = None) -> 
     _writerows(bpath, "t," + ",".join(names), np.column_stack([run.times, boundary]))
     written.append(bpath)
 
-    comp = 2 if n >= 3 else 0
-    fronts = study.front_tracker(run, front_threshold, compartment=comp)
     fpath = out / "fronts.csv"
     _writerows(fpath, "t,front_x", fronts)
     written.append(fpath)

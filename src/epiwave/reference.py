@@ -226,6 +226,7 @@ def relative_error(values: np.ndarray, exact: np.ndarray) -> float:
 
 def total_births(run: Run) -> float:
     """Trapezoid integral over time of the age-zero value at x = 0."""
+    run.check_stored()
     b = run.values[:, 0, 0, 0]
     tw = np.full(len(b), run.mesh.dt)
     tw[0] = tw[-1] = 0.5 * run.mesh.dt

@@ -23,7 +23,7 @@ import numpy as np
 
 from .birth import BirthLaws, birth_context, newborn_source, solve_birth_step
 from .char_solver import step, step_context, step_rhs
-from .errors import InvalidParam, LengthMismatch, NonFinite, PicardDiverged, ShapeMismatch
+from .errors import InvalidParam, NonFinite, PicardDiverged, ShapeMismatch
 from .fields import Run, StateField, norm_H, norm_V
 from .mesh import Mesh, is_real
 from .operators import (
@@ -392,45 +392,3 @@ def run_relaxed(spec: ModelSpec, cfg: SolverConfig, m: Mesh, consume: Optional[C
     runs = _march(spec, cfg, m, first_order_births=True, consume=consume).members()
     return runs if np.ndim(spec.tau) else runs[0]
 
-
-def residual_check(run: Run, spec: ModelSpec) -> float:
-    """Sup of the discrete strong-form residual on interior nodes.
-
-    Derivatives along characteristics are recomputed from the stored
-    values with centered differences, independently of the slopes the
-    stepper produced, so the result measures truncation error rather
-    than the scheme's own identity.  Requires store_every = 1.
-    """
-    m = run.mesh
-    spec.validate(m)
-    if np.ndim(spec.tau):
-        raise InvalidParam("residual_check needs the run's own spec, with one tau")
-    if len(run) != m.nt + 1:
-        raise LengthMismatch("residual_check needs every step stored")
-    tau = spec.tau
-    lin = spec.linear
-    k = attach_tilde(spec.kernels, m)
-    dt = m.dt
-    worst = 0.0
-    for i in range(1, m.nt):
-        bwd, y, fwd = run.values[i - 1 : i + 2]
-        # Centered transport derivatives along the diagonals.
-        dy = np.zeros_like(y)
-        d2y = np.zeros_like(y)
-        dy[:, 1:-1] = (fwd[:, 2:] - bwd[:, :-2]) / (2.0 * dt)
-        d2y[:, 1:-1] = (fwd[:, 2:] - 2.0 * y[:, 1:-1] + bwd[:, :-2]) / (dt * dt)
-        # one-sided boundary rows keep the nonlocal age integrals honest
-        dy[:, 0] = (fwd[:, 1] - y[:, 0]) / dt
-        dy[:, -1] = (y[:, -1] - bwd[:, -2]) / dt
-        g0_now = None if spec.births.g0 is None else spec.births.g0[i]
-        res = tau * d2y
-        res += dy + tau * np.einsum("axhi,iax->hax", lin.L, dy)
-        res += np.einsum("axhi,iax->hax", lin.L + tau * lin.L_a, y)
-        res -= lin.sigma.T[:, :, None] * laplacian_neumann(y, m)
-        if k.terms:
-            src = newborn_source(fold_ages(spec.births.beta0, m), y, g0_now) if tau > 0 else None
-            res += _mixing(k, y, dy, src, tau, m)[0]
-        if spec.f is not None:
-            res -= spec.f[i]
-        worst = max(worst, float(np.max(np.abs(res[:, 1:-1, :]))))
-    return worst

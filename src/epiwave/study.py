@@ -198,9 +198,11 @@ def front_tracker(
     coordinate decreases as the front advances; slices never exceeding
     the threshold contribute no entry.  A threshold of None means
     FRONT_FACTOR times the sup of the age-integrated density of run[0].
-    ShapeMismatch for a compartment that is not an index 0..n-1 of run.
+    LengthMismatch for a run that stores no slice, ShapeMismatch for a
+    compartment that is not an index 0..n-1 of run.
     """
     m = run.mesh
+    run.check_stored()
     n = run.values.shape[1]
     index = isinstance(compartment, (int, np.integer)) and not isinstance(compartment, bool)
     if not (index and 0 <= compartment < n):

@@ -241,6 +241,27 @@ def test_run_readers_take_the_mesh_from_the_run(reader, tmp_path):
     assert len(got) and np.array_equal(got_other, want)
 
 
+@pytest.mark.parametrize(
+    "reader",
+    [
+        lambda run, ref, out: diff_norms(run, ref),
+        lambda run, ref, out: front_tracker(run, None),
+        lambda run, ref, out: total_births(run),
+        lambda run, ref, out: write_slices(run, out),
+    ],
+    ids=["diff_norms", "front_tracker", "total_births", "write_slices"],
+)
+def test_run_readers_refuse_a_run_that_stores_no_slice(reader, tmp_path):
+    # a run solved with consume hands its steps over and keeps none
+    m = build_mesh(0.5, 1.0, 10, 11)
+    spec, _ = manufactured(m)
+    run = run_parabolic(spec, SolverConfig(), m, consume=lambda *a: None)
+    assert len(run) == 0
+    with pytest.raises(LengthMismatch, match="stores no slice"):
+        reader(run, run_parabolic(spec, SolverConfig(), m), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_items_are_views_and_iteration_stops_at_len():
     m = _mesh(na=4, nx=5)
     spec, _ = manufactured(m)

@@ -411,6 +411,24 @@ def test_bad_model_tables_exit_2(tmp_path, capsys, tables, named):
     assert "config error" in err and named in err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [{"beta_0": np.ones((5, 5, 1, 1)), "beta_1": np.ones((5, 5, 1, 1))}, {"tau": np.array(0.1)}],
+    ids=["misspelled-birth-tables", "tau"],
+)
+def test_unknown_model_tables_exit_2(tmp_path, capsys, extra):
+    # a member the loader does not read is an error, not a dropped table
+    m = build_mesh(0.5, 1.0, 4, 5)
+    np.savez(tmp_path / "model.npz", **_tables(m, **extra))
+    path = _write_config(
+        tmp_path, model={"kind": "tables", "path": str(tmp_path / "model.npz")}
+    )
+    assert cli_main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and all(repr(name) in err for name in extra)
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_kernel_exits_1(tmp_path, capsys):
     # one NaN in a kernel table stops the load; it is not factored away
     m = build_mesh(0.5, 1.0, 4, 5)
@@ -817,12 +835,14 @@ def test_build_problem_tables_fuzz(n, tables):
 
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency: neither the import nor the
-    # oracle suite loads a scipy module
+    # oracle suite loads a scipy module, and the import alone loads no
+    # oracle catalogue
     listing = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(epiwave.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     for code in (
-        "import sys, epiwave, epiwave.io_cli; " + listing,
+        "import sys, epiwave, epiwave.io_cli; assert 'epiwave.reference' not in sys.modules; "
+        + listing,
         "import sys, epiwave, epiwave.io_cli; epiwave.io_cli.validation_cases(); " + listing,
     ):
         out = subprocess.run(
