@@ -150,14 +150,20 @@ def slice_diffs(values, slopes, ref_values, ref_slopes, m: Mesh):
     return norm_V(dv, m), norm_H(dv, m), norm_H(slopes - ref_slopes, m), np.abs(dv).max((1, 2, 3))
 
 
-def norm_report(indices: List[int], nv, nh, ns, sup, m: Mesh) -> NormReport:
-    """The NormReport of slice_diffs' arrays at the time step indices."""
-    # Trapezoid in time; integer index gaps keep uniform weights exact.
+def time_weights(indices: List[int], dt: float) -> np.ndarray:
+    """Trapezoid weights in time of the slices at the time step indices:
+    half of each gap on either side, so uneven strides weigh right."""
+    # integer index gaps keep uniform weights exact
     gaps = np.diff(indices)
     wt = np.zeros(len(indices))
     wt[:-1] += 0.5 * gaps
     wt[1:] += 0.5 * gaps
-    wt *= m.dt
+    return wt * dt
+
+
+def norm_report(indices: List[int], nv, nh, ns, sup, m: Mesh) -> NormReport:
+    """The NormReport of slice_diffs' arrays at the time step indices."""
+    wt = time_weights(indices, m.dt)
     return NormReport(
         l2_H=float(np.sqrt(np.dot(wt, nh * nh))),
         h1_V=float(np.sqrt(np.dot(wt, nv * nv))),

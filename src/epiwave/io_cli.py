@@ -372,32 +372,17 @@ def write_slices(run: Run, out_dir, front_threshold: Optional[float] = None) -> 
     return written
 
 
-def _tau_dir(out: Path, tau: float) -> Path:
-    """The directory of one sweep member's outputs."""
-    return out / f"tau_{tau:.3e}"
-
-
 def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
+    """Persist a sweep: sweep.csv, one row of difference norms per tau;
+    ratefit.dat, the fitted rates and floor over the log-log points; and
+    fronts.csv, the (tau, t, front_x) rows of every member, tau by tau."""
     out = _mkdir(out_dir)
-    written = []
     spath = out / "sweep.csv"
-    rows = []
-    for k, tau in enumerate(result.taus):
-        rep = result.energy_diffs[k]
-        rows.append(
-            [
-                tau,
-                result.sup_diffs[k],
-                study.energy_diff(rep, tau),
-                rep.sup_t_V,
-                rep.sup_t_H_slope,
-                1.0 if result.asymptotic_mask[k] else 0.0,
-            ]
-        )
-    _writerows(
-        spath, "tau,sup_diff,energy_diff,sup_t_V,sup_t_H_slope,asymptotic", rows
-    )
-    written.append(spath)
+    rows = [
+        [tau, sup, study.energy_diff(rep, tau), rep.sup_t_V, rep.sup_t_H_slope]
+        for tau, sup, rep in zip(result.taus, result.sup_diffs, result.energy_diffs)
+    ]
+    _writerows(spath, "tau,sup_diff,energy_diff,sup_t_V,sup_t_H_slope", rows)
 
     rpath = out / "ratefit.dat"
     header = [f"# fitted_rate {_FMT % result.fitted_rate}"]
@@ -406,13 +391,12 @@ def write_sweep(result: study.SweepResult, out_dir) -> List[Path]:
     header += [f"# floor {_FMT % result.floor}", "# log10_tau log10_sup_diff"]
     rows = [(np.log10(t), np.log10(d)) for t, d in zip(result.taus, result.sup_diffs) if d > 0]
     _writerows(rpath, "\n".join(header), rows, delimiter=" ")
-    written.append(rpath)
 
-    for k, tau in enumerate(result.taus):
-        fpath = _mkdir(_tau_dir(out, tau)) / "fronts.csv"
-        _writerows(fpath, "t,front_x", result.front_positions[k])
-        written.append(fpath)
-    return written
+    fpath = out / "fronts.csv"
+    rows = [(tau, t, x) for tau, fronts in zip(result.taus, result.front_positions)
+            for t, x in fronts]
+    _writerows(fpath, "tau,t,front_x", rows)
+    return [spath, rpath, fpath]
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +525,8 @@ def cli_main(argv=None) -> int:
             study.check_taus(taus)
         except (ValueError, InvalidParam) as exc:
             raise ConfigError(f"taus: {exc}") from None
-        dirs = [_tau_dir(Path(out_dir), tau) for tau in taus]
-        if len(set(dirs)) < len(dirs):
-            raise ConfigError(f"taus: two of {taus} share a tau_{{tau:.3e}} directory")
         params = svir_params_from(cfg, 0.0)
-        for d in dirs:
-            _mkdir(d)
+        _mkdir(out_dir)
         q1 = args.q1 if args.q1 is not None else cfg.study.q1
         q2 = args.q2 if args.q2 is not None else cfg.study.q2
         compat = None

@@ -88,10 +88,7 @@ def invert_in_place(mats: np.ndarray) -> Optional[int]:
     for start in range(0, len(mats), size):
         chunk = mats[start : start + size]
         scale = np.maximum(np.max(np.abs(chunk), axis=(-2, -1)), 1.0)
-        try:
-            inv = np.linalg.inv(chunk)
-        except np.linalg.LinAlgError:  # one is exactly singular: NaN marks each such
-            inv = np.stack([_inverse_or_nan(mat) for mat in chunk])
+        inv = batched_or_nan(np.linalg.inv, chunk)
         ok = np.max(np.abs(inv), axis=(-2, -1)) * scale <= 1e14  # False for NaN / inf
         bad = None if ok.all() else int(np.argmin(ok))
         chunk[:bad] = inv[:bad]
@@ -100,11 +97,16 @@ def invert_in_place(mats: np.ndarray) -> Optional[int]:
     return None
 
 
-def _inverse_or_nan(mat: np.ndarray) -> np.ndarray:
+def batched_or_nan(solve, *stacks: np.ndarray) -> np.ndarray:
+    """solve (np.linalg.inv or np.linalg.solve) of the stacked systems in
+    one batched call; if one is exactly singular, system by system, with
+    NaN for the answer of each such system."""
     try:
-        return np.linalg.inv(mat)
+        return solve(*stacks)
     except np.linalg.LinAlgError:
-        return np.full_like(mat, np.nan)
+        if stacks[0].ndim > 2:
+            return np.stack([batched_or_nan(solve, *system) for system in zip(*stacks)])
+        return stacks[-1] * np.nan
 
 
 @dataclass

@@ -17,7 +17,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 from .birth import zero_laws
-from .fields import Run
+from .fields import Run, time_weights
 from .mesh import Mesh
 from .operators import KernelSet, LinearPart
 from .relaxed_model import ModelSpec
@@ -225,9 +225,6 @@ def relative_error(values: np.ndarray, exact: np.ndarray) -> float:
 
 
 def total_births(run: Run) -> float:
-    """Trapezoid integral over time of the age-zero value at x = 0."""
+    """Trapezoid integral over the stored times of the age-zero value at x = 0."""
     run.check_stored()
-    b = run.values[:, 0, 0, 0]
-    tw = np.full(len(b), run.mesh.dt)
-    tw[0] = tw[-1] = 0.5 * run.mesh.dt
-    return float(np.dot(tw, b))
+    return float(np.dot(time_weights(run.indices, run.mesh.dt), run.values[:, 0, 0, 0]))

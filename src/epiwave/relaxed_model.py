@@ -30,6 +30,7 @@ from .operators import (
     KernelSet,
     LinearPart,
     attach_tilde,
+    batched_or_nan,
     couple,
     delta_lambda_apply,
     fold_ages,
@@ -141,14 +142,6 @@ def _mixing(k: KernelSet, y, dy, src, tau, m: Mesh):
 _DEPTH = 3
 
 
-def _solve_each(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve of each system of the stacks a, b; NaN for a singular one."""
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        return np.stack([_solve_each(*ab) for ab in zip(a, b)]) if a.ndim > 2 else b * np.nan
-
-
 def _failure(what: str, at, updates: List[float]) -> str:
     """The message `what` at step `at` after the sweeps whose residuals are
     updates, with the best, the last and the observed ratio per sweep."""
@@ -221,7 +214,7 @@ def _fixed_point(picard_map, xg, energy, weights, cfg: SolverConfig, linear: boo
                 gram[:, s, :] = gram[:, :, s] = prod[..., 0]
                 if frozen:  # a frozen member mixes in nothing
                     gram[frozen], prod[frozen] = np.eye(D), 0.0
-                gamma = _solve_each(gram, prod[..., 1:])
+                gamma = batched_or_nan(np.linalg.solve, gram, prod[..., 1:])
                 if not np.isfinite(gamma).all():
                     lost = ~np.isfinite(gamma).all(axis=(-2, -1))
                     dF[lost, :D] = dG[lost] = gamma[lost] = 0.0

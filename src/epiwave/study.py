@@ -8,11 +8,10 @@ setup, and each relaxed member is diffed against it.  The members (one
 run_relaxed call, in lockstep) and the 2na run are reduced step by step
 as the march hands them over, so a sweep holds the baseline and one
 slice per member.  The sweep collects sup-norm and energy-norm
-differences and fits the convergence rate on a log-log scale.  Points
-whose difference sits within 10x of the floor are flagged
-non-asymptotic; because both solvers share one scheme, the matched-grid
-differences keep shrinking linearly below that floor, so the fit falls
-back to all usable points when fewer than three remain flagged.
+differences and fits the convergence rate on a log-log scale through
+every positive difference.  The floor is reported, not used by the fit:
+both solvers share one scheme, so the matched-grid differences keep
+shrinking linearly below it.
 """
 
 from dataclasses import dataclass, replace
@@ -30,7 +29,6 @@ from .relaxed_model import ModelSpec, SolverConfig, derived_initial_slope, run_r
 from .svir import I as I_COMP
 from .svir import SvirParams, build_svir
 
-FLOOR_FACTOR = 10.0
 # The default front threshold, as a share of the initial sup of the
 # age-integrated density.
 FRONT_FACTOR = 1e-6
@@ -38,8 +36,16 @@ FRONT_FACTOR = 1e-6
 
 @dataclass
 class SweepResult:
-    """Outcome of one tau sweep; fitted_rate_energy is None when fewer
-    than three energy diffs are positive."""
+    """Outcome of one tau sweep; each list holds one entry per tau.
+
+    taus: the relaxation parameters, as given.
+    sup_diffs: each member's max |y_tau - y| over the nodes and stored steps.
+    energy_diffs: each member's NormReport against the parabolic baseline.
+    fitted_rate: the log-log slope of sup_diffs against taus.
+    front_positions: each member's (t, front_x) trajectory.
+    fitted_rate_energy: the slope of energy_diff; None below three positive.
+    floor: the refinement floor; reported, the fits do not read it.
+    """
 
     taus: List[float]
     sup_diffs: List[float]
@@ -48,40 +54,18 @@ class SweepResult:
     front_positions: List[List[Tuple[float, float]]]
     fitted_rate_energy: Optional[float]
     floor: float
-    asymptotic_mask: List[bool]
-    window_applied: bool
 
 
-def fit_rate(
-    taus: Sequence[float],
-    diffs: Sequence[float],
-    floor: Optional[float] = None,
-) -> Tuple[float, List[bool], bool]:
-    """Least-squares slope of log(diff) against log(tau).
-
-    Returns (rate, asymptotic_mask, window_applied).  Raises
-    FitUnderdetermined when fewer than three points have positive
-    differences.
+def fit_rate(taus: Sequence[float], diffs: Sequence[float]) -> float:
+    """Least-squares slope of log(diff) against log(tau) over the positive
+    diffs.  Raises FitUnderdetermined when fewer than three are positive.
     """
     taus = np.asarray(taus, dtype=float)
     diffs = np.asarray(diffs, dtype=float)
     usable = diffs > 0.0
-    mask = usable.copy()
-    window_applied = False
-    if floor is not None and floor > 0.0:
-        above = usable & (diffs > FLOOR_FACTOR * floor)
-        if int(above.sum()) >= 3:
-            mask = above
-            window_applied = True
-    if int(mask.sum()) < 3:
-        if int(usable.sum()) >= 3:
-            mask = usable
-        else:
-            raise FitUnderdetermined(
-                f"only {int(usable.sum())} positive diffs, need 3"
-            )
-    slope = np.polyfit(np.log(taus[mask]), np.log(diffs[mask]), 1)[0]
-    return float(slope), list(mask), window_applied
+    if int(usable.sum()) < 3:
+        raise FitUnderdetermined(f"only {int(usable.sum())} positive diffs, need 3")
+    return float(np.polyfit(np.log(taus[usable]), np.log(diffs[usable]), 1)[0])
 
 
 def energy_diff(report: NormReport, tau: float) -> float:
@@ -171,9 +155,9 @@ def tau_sweep(
     fronts = [_fronts(p, [i * m.dt for i in steps], threshold, m) for p in np.stack(profiles, 1)]
     sup_diffs = [r.sup_abs for r in reports]
     energies = [energy_diff(r, t) for r, t in zip(reports, taus)]
-    rate, mask, window = fit_rate(taus, sup_diffs, floor)
+    rate = fit_rate(taus, sup_diffs)
     try:
-        rate_e, _, _ = fit_rate(taus, energies, None)
+        rate_e = fit_rate(taus, energies)
     except FitUnderdetermined:
         rate_e = None
     return SweepResult(
@@ -184,8 +168,6 @@ def tau_sweep(
         front_positions=fronts,
         fitted_rate_energy=rate_e,
         floor=floor,
-        asymptotic_mask=mask,
-        window_applied=window,
     )
 
 

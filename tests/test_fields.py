@@ -167,6 +167,16 @@ def test_diff_norms_time_weights_follow_stored_times():
     assert rep.h1_V == pytest.approx(np.sqrt(np.trapezoid(v_sq, run.times)), rel=1e-12)
 
 
+@pytest.mark.parametrize("store_every", [1, 2, 3])
+def test_total_births_weights_the_stored_gaps(store_every):
+    # the births at x = 0 are e^-t, so their integral over [0, 1] is 1 - 1/e
+    # however many steps the run skips between the slices it stores
+    m = build_mesh(1.0, 1.0, 10, 11)
+    spec, _ = manufactured(m)
+    run = run_parabolic(spec, SolverConfig(store_every=store_every), m)
+    assert total_births(run) == pytest.approx(1.0 - np.exp(-1.0), rel=0.01)
+
+
 def test_diff_norms_rejects_runs_stored_at_different_steps():
     # nt = 4: store_every 3 keeps steps 0, 3, 4 and store_every 2 keeps 0, 2, 4
     m = _mesh(na=4, nx=5)

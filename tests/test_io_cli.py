@@ -129,22 +129,9 @@ def test_output_path_taken_by_a_file_exits_1(tmp_path, capsys):
     assert cli_main(["compare", "--config", str(cfgp), "--tau", "0.01", "--out", str(taken)]) == 1
     assert "taken" in capsys.readouterr().err
 
-    out = tmp_path / "sweep"
-    out.mkdir()
-    (out / "tau_1.000e-02").write_text("")
-    rc = cli_main(["sweep", "--config", str(cfgp), "--taus", "1e-3,1e-2,1e-1", "--out", str(out)])
-    assert rc == 1
-    assert "tau_1.000e-02" in capsys.readouterr().err
 
-
-@pytest.mark.parametrize(
-    "command, taken_name",
-    [("run", "taken"), ("compare", "taken"), ("sweep", "taken"), ("sweep", "tau_1.000e-02")],
-    ids=["run", "compare", "sweep", "sweep-member-dir"],
-)
-def test_taken_output_path_fails_before_solving(
-    tmp_path, capsys, monkeypatch, command, taken_name
-):
+@pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+def test_taken_output_path_fails_before_solving(tmp_path, capsys, monkeypatch, command):
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the output directory was made")
 
@@ -152,13 +139,11 @@ def test_taken_output_path_fails_before_solving(
         monkeypatch.setattr(module, "run_relaxed", no_solve)
         monkeypatch.setattr(module, "run_parabolic", no_solve)
     cfgp = _tiny_config(tmp_path)
-    out = tmp_path / "out"
-    out.mkdir()
-    (out / taken_name).write_text("")
-    target = out / "taken" if taken_name == "taken" else out
-    assert cli_main([command, "--config", str(cfgp), "--out", str(target)]) == 1
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli_main([command, "--config", str(cfgp), "--out", str(taken)]) == 1
     err = capsys.readouterr().err
-    assert "output error" in err and taken_name in err
+    assert "output error" in err and "taken" in err
 
 
 @pytest.mark.parametrize(
@@ -237,7 +222,22 @@ def test_sweep_subcommand(tmp_path):
     rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 4
     assert (out / "ratefit.dat").exists()
-    assert (out / "tau_1.000e-03" / "fronts.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["fronts.csv", "ratefit.dat", "sweep.csv"]
+
+
+def test_sweep_writes_one_fronts_table(tmp_path):
+    # every member's fronts, tau by tau, as the library sweep finds them
+    cfgp = _tiny_config(tmp_path)
+    taus = [1e-3, 1e-2, 1e-1]
+    assert cli_main(["sweep", "--config", str(cfgp)]) == 0
+    res = study.tau_sweep(
+        SvirParams(total_S0=100.0, I0=1.0), taus, SolverConfig(), build_mesh(0.5, 1.0, 4, 5)
+    )
+    lines = (tmp_path / "out" / "fronts.csv").read_text().splitlines()
+    assert lines[0] == "tau,t,front_x"
+    want = [",".join("%.17g" % v for v in (tau, t, x))
+            for tau, fronts in zip(taus, res.front_positions) for t, x in fronts]
+    assert want and lines[1:] == want
 
 
 def test_sweep_with_compatibility_flags(tmp_path):
@@ -693,7 +693,6 @@ def test_tables_member_that_is_no_npy_array_exits_2(tmp_path, capsys):
         "0,1e-3,1e-2",
         "1e-3,1e-2",
         "1e-3,1e-2,inf",
-        "1e-3,1.0001e-3,1e-2",  # both write to tau_1.000e-03
     ],
 )
 def test_bad_sweep_taus_exit_2_before_solving(tmp_path, capsys, monkeypatch, taus):
